@@ -287,12 +287,20 @@ def cmd_connectivity(args) -> int:
     return 0
 
 
+def _report_skipped_posts(command: str, diagnostics: Counter) -> None:
+    """Name on stderr the posts build_trees skipped, leaving stdout as is."""
+    for reason in ("cyclic_posts", "multi_origin_posts"):
+        if diagnostics[reason]:
+            print(f"{command}: skipped {reason}={diagnostics[reason]}", file=sys.stderr)
+
+
 def cmd_diffusion(args) -> int:
     g = load_graph(args.edges)
     roles = _resolve_roles(args)
     diagnostics: Counter = Counter()
     events = read_events_tsv(args.events, diagnostics=diagnostics)
-    trees = build_trees(events, producer_nodes(roles))
+    trees = build_trees(events, producer_nodes(roles), diagnostics=diagnostics)
+    _report_skipped_posts("diffusion", diagnostics)
     classes = classify_nodes(g, trees, roles)
     out = _outdir(args)
     write_classes_csv(classes, str(out / "classes.csv"))
@@ -337,7 +345,9 @@ def cmd_intervene(args) -> int:
     config = _config_of(args)
     roles = _resolve_roles(args)
     events = read_events_tsv(args.events)
-    trees = build_trees(events, producer_nodes(roles))
+    diagnostics: Counter = Counter()
+    trees = build_trees(events, producer_nodes(roles), diagnostics=diagnostics)
+    _report_skipped_posts("intervene", diagnostics)
     sizes_text = _opt(args, config, "sizes", str, None)
     sizes = _parse_sizes(sizes_text) if sizes_text else DEFAULT_SIZES
     if args.strategy == "degree":

@@ -143,7 +143,9 @@ def louvain(g: LayeredGraph, layer: str, seed: int, tol: float = 1e-7) -> Partit
         comm = list(range(len(neigh)))
         moved = _local_move(neigh, loops, m, comm, rng)
         q_now = _q(neigh, loops, m, comm)
-        assert q_now >= q_prev - 1e-12, "modularity decreased within a pass"
+        if q_now < q_prev - 1e-12:
+            raise RuntimeError(f"modularity decreased within a pass: "
+                               f"{q_prev:.12g} -> {q_now:.12g}")
         stop = not moved or q_now - q_prev < tol
         if moved:
             neigh, loops, relabel = _aggregate(neigh, loops, comm)

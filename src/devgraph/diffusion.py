@@ -90,9 +90,14 @@ def write_events_tsv(events: Iterable[ReblogEvent], path: str) -> None:
             fh.write(f"{ev.actor}\t{ev.source}\t{ev.post_id}\t{ev.timestamp:g}\n")
 
 
-def build_trees(events: Iterable[ReblogEvent], producers: set[str]) -> list[DiffusionTree]:
+def build_trees(events: Iterable[ReblogEvent], producers: set[str],
+                diagnostics: Counter | None = None) -> list[DiffusionTree]:
     """Resolve per-post reblog chains into trees; only producer-rooted posts
-    yield trees. Repeat reblogs by the same actor keep the earliest event."""
+    yield trees. Repeat reblogs by the same actor keep the earliest event.
+    A post whose chain has a cycle or more than one origin is skipped and
+    tallied as cyclic_posts or multi_origin_posts."""
+    if diagnostics is None:
+        diagnostics = Counter()
     by_post: dict[str, list[ReblogEvent]] = {}
     for ev in events:
         by_post.setdefault(ev.post_id, []).append(ev)
@@ -106,9 +111,11 @@ def build_trees(events: Iterable[ReblogEvent], producers: set[str]) -> list[Diff
         sources = set(parent.values())
         roots = sources - parent.keys()
         if not roots:
-            raise ValueError(f"cyclic reblog chain in post {post_id!r}")
+            diagnostics["cyclic_posts"] += 1
+            continue
         if len(roots) > 1:
-            raise ValueError(f"post {post_id!r} has multiple origins: {sorted(roots)}")
+            diagnostics["multi_origin_posts"] += 1
+            continue
         root = roots.pop()
         children: dict[str, list[str]] = {}
         for child, par in parent.items():
@@ -126,7 +133,8 @@ def build_trees(events: Iterable[ReblogEvent], producers: set[str]) -> list[Diff
             frontier = nxt
         unreachable = parent.keys() - depth.keys()
         if unreachable:
-            raise ValueError(f"cyclic reblog chain in post {post_id!r}")
+            diagnostics["cyclic_posts"] += 1
+            continue
         if root in producers:
             trees.append(DiffusionTree(root=root, post_id=post_id, parent=parent,
                                        depth=depth, children=children))

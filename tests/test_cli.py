@@ -259,6 +259,29 @@ def test_intervene_greedy(fixture_dir, tmp_path):
     assert "Greedy" in out.read_text()
 
 
+@pytest.mark.parametrize("command", ["diffusion", "intervene"])
+def test_bad_posts_skipped_and_reported(fixture_dir, tmp_path, capsys, command):
+    events = (fixture_dir / "events.tsv").read_text()
+    bad = tmp_path / "events.tsv"
+    bad.write_text(events + "zz1\tzz2\tcyc\t1\nzz2\tzz1\tcyc\t2\n"
+                   "zz3\tzz4\ttwo\t1\nzz5\tzz6\ttwo\t1\n")
+
+    def run(path, out):
+        argv = [command, "--events", str(path),
+                "--labels", str(fixture_dir / "labels.csv"), "--out", str(out)]
+        if command == "diffusion":
+            argv += ["--edges", str(fixture_dir / "edges.tsv")]
+        assert main(argv) == 0
+        return capsys.readouterr()
+
+    clean = run(fixture_dir / "events.tsv", tmp_path / "clean")
+    dirty = run(bad, tmp_path / "dirty")
+    assert dirty.out == clean.out
+    assert clean.err == ""
+    assert dirty.err.splitlines() == [f"{command}: skipped cyclic_posts=1",
+                                      f"{command}: skipped multi_origin_posts=1"]
+
+
 def test_demographics_stage(fixture_dir, tmp_path):
     diff_out = tmp_path / "diff"
     assert main(["diffusion", "--edges", str(fixture_dir / "edges.tsv"),

@@ -157,6 +157,14 @@ class TestLouvain:
             assert p.modularity <= best + 1e-12
             assert p.modularity >= 0.95 * best - 1e-9 or abs(p.modularity - best) < 1e-9
 
+    def test_modularity_decrease_raises(self, monkeypatch):
+        # an explicit check, not an assert, so it survives python -O
+        import devgraph.community as community
+        falling = itertools.count()
+        monkeypatch.setattr(community, "_q", lambda *args: -float(next(falling)))
+        with pytest.raises(RuntimeError, match="modularity decreased"):
+            louvain(two_triangles(), FOLLOW, seed=1)
+
     def test_weighted_grouping(self):
         # heavy weights bind pairs despite unit ring edges
         g = build_graph([("a", "b", 10.0, REBLOG), ("c", "d", 10.0, REBLOG),

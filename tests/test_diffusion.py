@@ -47,14 +47,24 @@ class TestBuildTrees:
         trees = build_trees(events, {"p"})
         assert [t.post_id for t in trees] == ["m", "z"]
 
-    def test_cycle_error_names_post(self):
-        with pytest.raises(ValueError, match="cyc"):
-            build_trees([ev("a", "b", post="bad", ts=1), ev("b", "a", post="bad", ts=2)], {"a"})
+    def test_cyclic_posts_skipped_and_counted(self):
+        events = [ev("a", "b", post="bad", ts=1), ev("b", "a", post="bad", ts=2),
+                  # a rooted chain with a detached cycle beside it
+                  ev("x", "p", post="loop", ts=1), ev("y", "z", post="loop", ts=2),
+                  ev("z", "y", post="loop", ts=3),
+                  ev("c", "p", post="good", ts=1)]
+        diagnostics = Counter()
+        trees = build_trees(events, {"a", "p"}, diagnostics=diagnostics)
+        assert [t.post_id for t in trees] == ["good"]
+        assert diagnostics == Counter(cyclic_posts=2)
 
-    def test_multiple_origins_error(self):
-        events = [ev("a", "p", ts=1), ev("b", "q", ts=1)]
-        with pytest.raises(ValueError, match="multiple origins"):
-            build_trees(events, {"p"})
+    def test_multiple_origins_skipped_and_counted(self):
+        events = [ev("a", "p", ts=1), ev("b", "q", ts=1), ev("c", "p", post="ok", ts=1)]
+        diagnostics = Counter()
+        trees = build_trees(events, {"p"}, diagnostics=diagnostics)
+        assert [t.post_id for t in trees] == ["ok"]
+        assert diagnostics == Counter(multi_origin_posts=1)
+        assert [t.post_id for t in build_trees(events, {"p"})] == ["ok"]
 
     def test_repeat_actor_keeps_earliest(self):
         events = [ev("a", "q", ts=5), ev("a", "p", ts=1), ev("q", "p", ts=0)]
