@@ -287,9 +287,10 @@ def cmd_connectivity(args) -> int:
     return 0
 
 
-def _report_skipped_posts(command: str, diagnostics: Counter) -> None:
-    """Name on stderr the posts build_trees skipped, leaving stdout as is."""
-    for reason in ("cyclic_posts", "multi_origin_posts"):
+def _report_skipped(command: str, diagnostics: Counter) -> None:
+    """Name on stderr the event rows read_events_tsv dropped and the posts
+    build_trees skipped, leaving stdout as is."""
+    for reason in ("malformed_events", "cyclic_posts", "multi_origin_posts"):
         if diagnostics[reason]:
             print(f"{command}: skipped {reason}={diagnostics[reason]}", file=sys.stderr)
 
@@ -300,7 +301,7 @@ def cmd_diffusion(args) -> int:
     diagnostics: Counter = Counter()
     events = read_events_tsv(args.events, diagnostics=diagnostics)
     trees = build_trees(events, producer_nodes(roles), diagnostics=diagnostics)
-    _report_skipped_posts("diffusion", diagnostics)
+    _report_skipped("diffusion", diagnostics)
     classes = classify_nodes(g, trees, roles)
     out = _outdir(args)
     write_classes_csv(classes, str(out / "classes.csv"))
@@ -344,10 +345,10 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 def cmd_intervene(args) -> int:
     config = _config_of(args)
     roles = _resolve_roles(args)
-    events = read_events_tsv(args.events)
     diagnostics: Counter = Counter()
+    events = read_events_tsv(args.events, diagnostics=diagnostics)
     trees = build_trees(events, producer_nodes(roles), diagnostics=diagnostics)
-    _report_skipped_posts("intervene", diagnostics)
+    _report_skipped("intervene", diagnostics)
     sizes_text = _opt(args, config, "sizes", str, None)
     sizes = _parse_sizes(sizes_text) if sizes_text else DEFAULT_SIZES
     if args.strategy == "degree":
@@ -360,15 +361,22 @@ def cmd_intervene(args) -> int:
     else:
         ranking, label = rank_by_volume(trees), BY_VOLUME
     curve = shrinkage_curve(trees, ranking, sizes=sizes, strategy=label)
-    write_shrinkage_csv([curve], args.out)
     line = f"intervene[{label}]: reached={','.join(f'{x:.4f}' for x in curve.reached_fraction)}"
+    # the threshold can fail, so it comes before any output is written
     if args.ages:
         ages = {n: r.age for n, r in read_demographics_csv(args.ages).items()}
-        thr = underage_exposure_threshold(trees, ranking, ages,
-                                          cutoff=_opt(args, config, "cutoff", int, 18))
+        try:
+            thr = underage_exposure_threshold(trees, ranking, ages,
+                                              cutoff=_opt(args, config, "cutoff", int, 18))
+        except ValueError as exc:
+            if args.strategy != "greedy":
+                raise
+            raise ValueError(f"{exc}; the greedy ranking has only {len(ranking)} "
+                             f"nodes (the largest --sizes value is {max(sizes)})") from None
         line += f" underage_threshold={thr.k}"
         if thr.note:
             line += f" ({thr.note})"
+    write_shrinkage_csv([curve], args.out)
     print(line)
     return 0
 
@@ -564,8 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact-paths", dest="exact_paths", action="store_true",
                    default=None)
     p.add_argument("--path-samples", dest="path_samples", type=int)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; single-threaded")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("communities", help="seeded modularity clustering")
@@ -642,8 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--swaps-per-edge", dest="swaps_per_edge", type=int)
     p.add_argument("--step", type=float)
     p.add_argument("--sizes", help="comma-separated removal sizes")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; single-threaded")
     p.set_defaults(func=cmd_pipeline)
 
     return parser

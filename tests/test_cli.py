@@ -110,7 +110,7 @@ def test_extract_config_file_and_flag_precedence(fixture_dir, tmp_path, capsys):
 def test_stats_happy_path(fixture_dir, tmp_path):
     out = tmp_path / "stats.json"
     rc = main(["stats", "--edges", str(fixture_dir / "edges.tsv"),
-               "--layer", "F", "--out", str(out), "--threads", "4"])
+               "--layer", "F", "--out", str(out)])
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["layer"] == "F"
@@ -280,6 +280,43 @@ def test_bad_posts_skipped_and_reported(fixture_dir, tmp_path, capsys, command):
     assert clean.err == ""
     assert dirty.err.splitlines() == [f"{command}: skipped cyclic_posts=1",
                                       f"{command}: skipped multi_origin_posts=1"]
+
+
+@pytest.mark.parametrize("command", ["diffusion", "intervene"])
+def test_malformed_events_counted_and_reported(fixture_dir, tmp_path, capsys, command):
+    bad = tmp_path / "events.tsv"
+    bad.write_text((fixture_dir / "events.tsv").read_text() + "only\ttwo\n")
+
+    def run(path, out):
+        argv = [command, "--events", str(path),
+                "--labels", str(fixture_dir / "labels.csv"), "--out", str(out)]
+        if command == "diffusion":
+            argv += ["--edges", str(fixture_dir / "edges.tsv")]
+        assert main(argv) == 0
+        return capsys.readouterr()
+
+    clean = run(fixture_dir / "events.tsv", tmp_path / "clean")
+    dirty = run(bad, tmp_path / "dirty")
+    assert dirty.out == clean.out
+    assert clean.err == ""
+    assert dirty.err.splitlines() == [f"{command}: skipped malformed_events=1"]
+
+
+def test_intervene_failed_threshold_writes_nothing(fixture_dir, tmp_path, capsys):
+    out = tmp_path / "shrink.csv"
+    # every consumer is underage, and a one-node greedy ranking cannot cut
+    # them all off
+    rc = main(["intervene", "--events", str(fixture_dir / "events.tsv"),
+               "--labels", str(fixture_dir / "labels.csv"),
+               "--strategy", "greedy", "--sizes", "0,1", "--cutoff", "1000",
+               "--ages", str(fixture_dir / "demographics.csv"),
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "underage nodes remain reached" in captured.err
+    assert "greedy ranking has only 1 nodes" in captured.err
+    assert not out.exists()
 
 
 def test_demographics_stage(fixture_dir, tmp_path):

@@ -1,0 +1,172 @@
+"""Oracles for the structural statistics: the bit-parallel BFS in
+`_path_stats` against the per-source scipy search it replaced, and
+`network_stats` against networkx on the seed-11 fixture."""
+
+import networkx as nx
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csgraph
+
+from devgraph.graph import (
+    FOLLOW,
+    LAYERS,
+    _PATH_CHUNK,
+    _path_stats,
+    build_graph,
+    gwcc,
+    network_stats,
+)
+from devgraph.synth import SynthConfig, planted_graph
+
+
+def dijkstra_path_stats(u: sp.csr_matrix, n: int, exact: bool, path_samples: int,
+                        seed) -> tuple[float, float]:
+    """The previous `_path_stats`, verbatim: one scipy BFS per source."""
+    if exact:
+        sources = np.arange(n)
+    else:
+        if seed is None:
+            raise ValueError("seed required for sampled path estimation")
+        rng = np.random.default_rng(seed)
+        sources = np.sort(rng.choice(n, size=min(path_samples, n), replace=False))
+    total = 0.0
+    diameter = 0.0
+    for lo in range(0, len(sources), _PATH_CHUNK):
+        idx = sources[lo:lo + _PATH_CHUNK]
+        dist = csgraph.dijkstra(u, directed=True, unweighted=True, indices=idx)
+        total += dist.sum()
+        diameter = max(diameter, dist.max())
+    spl = total / (len(sources) * (n - 1))
+    return spl, diameter
+
+
+def set_reciprocity(src, dst) -> float:
+    """The previous reciprocity, verbatim but for the names."""
+    edge_set = set(zip(src.tolist(), dst.tolist()))
+    reciprocal = sum((v, u) in edge_set for u, v in edge_set)
+    return reciprocal / len(src) if len(src) else 0.0
+
+
+def undirected(n: int, pairs) -> sp.csr_matrix:
+    """Symmetric 0/1 CSR over n nodes from (u, v) pairs, loops dropped."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    rows = np.concatenate((pairs[:, 0], pairs[:, 1]))
+    cols = np.concatenate((pairs[:, 1], pairs[:, 0]))
+    u = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    u.sum_duplicates()
+    u.data = np.ones_like(u.data)
+    return u
+
+
+@st.composite
+def graphs(draw, max_nodes=700):
+    """A random undirected graph: a core of `core` nodes with random edges
+    and, optionally, a spanning path that connects it, plus isolated
+    nodes placed last or scattered by a relabelling."""
+    core = draw(st.integers(2, max_nodes))
+    isolated = draw(st.integers(0, 3))
+    n = core + isolated
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(0, 3 * core))
+    pairs = rng.integers(0, core, size=(m, 2))
+    if draw(st.booleans()):
+        order = rng.permutation(core)
+        pairs = np.vstack((pairs, np.column_stack((order[:-1], order[1:]))))
+    if isolated and draw(st.booleans()):
+        pairs = rng.permutation(n)[pairs]
+    return undirected(n, pairs), n
+
+
+def same(got, want):
+    assert (float(got[0]), float(got[1])) == (float(want[0]), float(want[1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_exact_matches_dijkstra(case):
+    u, n = case
+    same(_path_stats(u, n, True, 1000, None), dijkstra_path_stats(u, n, True, 1000, None))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(), st.integers(1, 800), st.integers(0, 2**32 - 1))
+def test_sampled_matches_dijkstra(case, path_samples, seed):
+    u, n = case
+    same(_path_stats(u, n, False, path_samples, seed),
+         dijkstra_path_stats(u, n, False, path_samples, seed))
+
+
+@pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 130, 511, 512, 513, 1100])
+def test_connected_sizes_match_dijkstra(n):
+    """Source counts on and off 64-bit word and 512-source chunk bounds."""
+    rng = np.random.default_rng(n)
+    order = rng.permutation(n)
+    pairs = list(zip(order[:-1], order[1:])) + [tuple(rng.integers(0, n, size=2))
+                                                for _ in range(n // 2)]
+    u = undirected(n, pairs)
+    got = _path_stats(u, n, True, 1000, None)
+    assert np.isfinite(got[0])
+    same(got, dijkstra_path_stats(u, n, True, 1000, None))
+    same(_path_stats(u, n, False, n // 2 + 1, 9), dijkstra_path_stats(u, n, False, n // 2 + 1, 9))
+
+
+def test_diameter_seen_only_from_a_later_chunk():
+    """A star on the first chunk's sources with a 44-node tail on each side
+    of its centre, numbered past the chunk: the longest path joins the two
+    tail ends, which only the second chunk's sources see."""
+    left, right = list(range(512, 556)), list(range(556, 600))
+    pairs = [(0, leaf) for leaf in range(1, 512)]
+    for tail in (left, right):
+        pairs += list(zip([0] + tail[:-1], tail))
+    u = undirected(600, pairs)
+    got = _path_stats(u, 600, True, 1000, None)
+    assert got[1] == 88.0
+    same(got, dijkstra_path_stats(u, 600, True, 1000, None))
+
+
+def test_two_nodes():
+    u = undirected(2, [(0, 1)])
+    assert _path_stats(u, 2, True, 1000, None) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("pairs, n", [
+    ([(0, 1), (1, 2)], 4),            # trailing zero-degree row
+    ([(1, 2), (2, 3)], 4),            # leading zero-degree row
+    ([(0, 1), (2, 3)], 4),            # two components, no empty row
+    ([], 3),                          # no edges at all
+    ([(i, i + 1) for i in range(600)] + [(700, 701)], 702),  # split across chunks
+])
+def test_disconnected_is_inf(pairs, n):
+    u = undirected(n, pairs)
+    assert _path_stats(u, n, True, 1000, None) == (np.inf, np.inf)
+    same(_path_stats(u, n, True, 1000, None), dijkstra_path_stats(u, n, True, 1000, None))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)),
+                                    max_size=200))
+def test_reciprocity_matches_set_count(n, pairs):
+    g = build_graph([(f"n{a % n}", f"n{b % n}", 1.0, FOLLOW) for a, b in pairs]
+                    + [(f"n{i}", f"n{i + 1}", 1.0, FOLLOW) for i in range(n - 1)])
+    s = network_stats(g, FOLLOW)
+    lay = g.layer(FOLLOW)
+    assert s.reciprocity == set_reciprocity(lay.src, lay.dst)
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_seed_11_fixture_against_networkx(layer):
+    g, _roles = planted_graph(SynthConfig(seed=11))
+    component = gwcc(g, layer)
+    directed = nx.DiGraph()
+    directed.add_edges_from((s, d) for s, d, _w in g.edges(layer)
+                            if s in component and d in component)
+    projection = directed.to_undirected()
+    stats = network_stats(g, layer, exact_paths=True)
+    assert stats.n == projection.number_of_nodes()
+    assert stats.avg_shortest_path == nx.average_shortest_path_length(projection)
+    assert stats.diameter == nx.diameter(projection)
+    assert stats.reciprocity == nx.overall_reciprocity(directed)
