@@ -217,6 +217,7 @@ def cmd_extract(args) -> int:
     config = _config_of(args)
     diagnostics: Counter = Counter()
     records = read_query_log(args.log, diagnostics=diagnostics)
+    _report_skipped("extract", diagnostics)
     seeds = read_phrases(args.seeds)
     result = extract_deviant_graph(
         seeds, records,
@@ -288,9 +289,11 @@ def cmd_connectivity(args) -> int:
 
 
 def _report_skipped(command: str, diagnostics: Counter) -> None:
-    """Name on stderr the event rows read_events_tsv dropped and the posts
-    build_trees skipped, leaving stdout as is."""
-    for reason in ("malformed_events", "cyclic_posts", "multi_origin_posts"):
+    """Name on stderr the log lines read_query_log dropped, the event rows
+    read_events_tsv dropped and the posts build_trees skipped, leaving
+    stdout as is."""
+    for reason in ("malformed_lines", "non_platform_urls", "undecodable_lines",
+                   "malformed_events", "cyclic_posts", "multi_origin_posts"):
         if diagnostics[reason]:
             print(f"{command}: skipped {reason}={diagnostics[reason]}", file=sys.stderr)
 
@@ -419,8 +422,8 @@ def cmd_pipeline(args) -> int:
     write_phrases(extraction.state.blogs, str(out / "blogs.txt"))
     write_trajectory_csv(extraction.trajectory, str(out / "trajectory.csv"))
 
-    stats = {layer: network_stats(g, layer).as_dict() for layer in LAYERS
-             if g.n_edges(layer) > 0}
+    stats = {layer: network_stats(g, layer, seed=cfg.seed).as_dict()
+             for layer in LAYERS if g.n_edges(layer) > 0}
 
     part = louvain(g, FOLLOW, seed=cfg.seed)
     write_partition_csv(part, str(out / "partition.csv"))

@@ -1,5 +1,4 @@
-"""Query-log parsing, normalization, dual-dictionary matching, and per-blog
-hit aggregation with threshold filtering."""
+"""Query-log parsing, normalization and dual-dictionary matching."""
 
 from __future__ import annotations
 
@@ -7,7 +6,7 @@ import enum
 import re
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DEFAULT_PLATFORM_TOKENS = frozenset({"tumblr", "tumbler", "tumblrr", "tumlr", "tmblr"})
 PLATFORM_DOMAIN = "tumblr.com"
@@ -91,17 +90,6 @@ class QueryRecord:
     blog_id: str
 
 
-@dataclass
-class BlogHitStats:
-    blog_id: str
-    unique_queries: int = 0
-    total_clicks: int = 0
-    deviant_unique_queries: int = 0
-    deviant_clicks: int = 0
-    _queries: set = field(default_factory=set, repr=False)
-    _deviant_queries: set = field(default_factory=set, repr=False)
-
-
 def blog_id_from_url(url: str, domain: str = PLATFORM_DOMAIN) -> str | None:
     """Host label immediately before the platform domain, lowercased;
     None for non-platform URLs."""
@@ -121,62 +109,50 @@ def read_query_log(path: str,
                    diagnostics: Counter | None = None) -> list[QueryRecord]:
     """Parse a timestamp<TAB>query<TAB>clicked_url<TAB>region TSV into
     normalized records; rows with bad fields or non-platform URLs are
-    skipped and tallied."""
+    skipped and tallied, and so is a line that is not valid UTF-8
+    (`undecodable_lines`), since each line is decoded on its own.
+
+    Lines break at LF, CRLF and CR, as in text mode. Each distinct raw
+    query is normalized once, and rows with the same query and blog share
+    one record object.
+    """
     if diagnostics is None:
         diagnostics = Counter()
     records: list[QueryRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                diagnostics["malformed_lines"] += 1
-                continue
-            ts_text, query, url, _region = parts
-            try:
-                ts = float(ts_text)
-            except ValueError:
-                diagnostics["malformed_lines"] += 1
-                continue
-            if ts < 0 or not url:
-                diagnostics["malformed_lines"] += 1
-                continue
-            blog = blog_id_from_url(url)
-            if blog is None:
-                diagnostics["non_platform_urls"] += 1
-                continue
-            records.append(QueryRecord(normalize_query(query, platform_tokens), blog))
+    normalized: dict[str, str] = {}
+    interned: dict[tuple[str, str], QueryRecord] = {}
+    with open(path, "rb") as fh:
+        for raw in fh:
+            for piece in raw.splitlines():
+                try:
+                    line = piece.decode("utf-8")
+                except UnicodeDecodeError:
+                    diagnostics["undecodable_lines"] += 1
+                    continue
+                if not line:
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 4:
+                    diagnostics["malformed_lines"] += 1
+                    continue
+                ts_text, query, url, _region = parts
+                try:
+                    ts = float(ts_text)
+                except ValueError:
+                    diagnostics["malformed_lines"] += 1
+                    continue
+                if ts < 0 or not url:
+                    diagnostics["malformed_lines"] += 1
+                    continue
+                blog = blog_id_from_url(url)
+                if blog is None:
+                    diagnostics["non_platform_urls"] += 1
+                    continue
+                norm = normalized.get(query)
+                if norm is None:
+                    norm = normalized[query] = normalize_query(query, platform_tokens)
+                rec = interned.get((norm, blog))
+                if rec is None:
+                    rec = interned[norm, blog] = QueryRecord(norm, blog)
+                records.append(rec)
     return records
-
-
-def aggregate_blog_hits(records: Iterable[QueryRecord], keyword_set: set[str],
-                        diagnostics: Counter | None = None) -> dict[str, BlogHitStats]:
-    """Per-blog click and distinct-query counts, plus the deviant subsets
-    where the query exact-matches keyword_set."""
-    stats: dict[str, BlogHitStats] = {}
-    for rec in records:
-        if not isinstance(rec, QueryRecord) or not rec.blog_id or rec.normalized_query is None:
-            if diagnostics is not None:
-                diagnostics["malformed_records"] += 1
-            continue
-        s = stats.get(rec.blog_id)
-        if s is None:
-            s = stats[rec.blog_id] = BlogHitStats(rec.blog_id)
-        s.total_clicks += 1
-        s._queries.add(rec.normalized_query)
-        if rec.normalized_query in keyword_set:
-            s.deviant_clicks += 1
-            s._deviant_queries.add(rec.normalized_query)
-    for s in stats.values():
-        s.unique_queries = len(s._queries)
-        s.deviant_unique_queries = len(s._deviant_queries)
-    return stats
-
-
-def filter_candidate_blogs(stats: dict[str, BlogHitStats],
-                           min_unique: int = 2, min_clicks: int = 3) -> set[str]:
-    """Keep blogs with enough distinct deviant queries and deviant clicks."""
-    return {b for b, s in stats.items()
-            if s.deviant_unique_queries >= min_unique and s.deviant_clicks >= min_clicks}

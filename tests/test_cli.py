@@ -107,6 +107,43 @@ def test_extract_config_file_and_flag_precedence(fixture_dir, tmp_path, capsys):
     assert "iterations=5" in capsys.readouterr().out
 
 
+def test_extract_skips_undecodable_line(fixture_dir, tmp_path, capsys):
+    """A row with a byte that is not UTF-8 is skipped and counted; the
+    outputs equal those of the log without that row."""
+    clean = (fixture_dir / "log.tsv").read_bytes()
+    lines = clean.splitlines(keepends=True)
+    dirty = tmp_path / "log.tsv"
+    dirty.write_bytes(b"".join(lines[:5]) + b"999\tbad \xff query\thttp://x.tumblr.com/\tUS\n"
+                      + b"".join(lines[5:]))
+
+    def run(log, out):
+        rc = main(["extract", "--log", str(log), "--seeds", str(fixture_dir / "seeds.txt"),
+                   "--out", str(out)])
+        return rc, capsys.readouterr()
+
+    rc_clean, clean_io = run(fixture_dir / "log.tsv", tmp_path / "clean")
+    rc_dirty, dirty_io = run(dirty, tmp_path / "dirty")
+    assert rc_clean == rc_dirty == 0
+    assert dirty_io.out == clean_io.out
+    assert clean_io.err == ""
+    assert dirty_io.err.splitlines() == ["extract: skipped undecodable_lines=1"]
+    for name in ("keywords.txt", "blogs.txt", "trajectory.csv"):
+        assert (tmp_path / "dirty" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
+
+def test_extract_reports_dropped_log_lines(fixture_dir, tmp_path, capsys):
+    bad = tmp_path / "log.tsv"
+    bad.write_text((fixture_dir / "log.tsv").read_text()
+                   + "only\ttwo\n"
+                   + "-1\tq\thttp://x.tumblr.com/\tUS\n"
+                   + "5\tq\thttp://example.com/\tUS\n")
+    rc = main(["extract", "--log", str(bad), "--seeds", str(fixture_dir / "seeds.txt"),
+               "--out", str(tmp_path / "ex")])
+    assert rc == 0
+    assert capsys.readouterr().err.splitlines() == ["extract: skipped malformed_lines=2",
+                                                    "extract: skipped non_platform_urls=1"]
+
+
 def test_stats_happy_path(fixture_dir, tmp_path):
     out = tmp_path / "stats.json"
     rc = main(["stats", "--edges", str(fixture_dir / "edges.tsv"),
@@ -355,6 +392,16 @@ def test_pipeline_byte_identical_reports(tmp_path):
     assert report["intervention"]["by_volume"]["reached_fraction"][0] == 1.0
     assert set(report["diffusion"]["reach"]["class_counts"]) == {
         c.value for c in ConsumerClass}
+
+
+def test_pipeline_sampled_paths_use_seed(tmp_path, monkeypatch):
+    """Above EXACT_PATH_LIMIT, path statistics come from seeded samples, so
+    pipeline must hand its seed on."""
+    import devgraph.graph
+    monkeypatch.setattr(devgraph.graph, "EXACT_PATH_LIMIT", 50)
+    assert main(["pipeline", "--seed", "11", "--out", str(tmp_path / "r")]) == 0
+    report = json.loads((tmp_path / "r" / "report.json").read_bytes())
+    assert not any(stats["paths_exact"] for stats in report["stats"].values())
 
 
 def test_pipeline_requires_seed(tmp_path):

@@ -4,10 +4,13 @@ byte."""
 import runpy
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_intervention_demo_matches_golden(capsys):
-    runpy.run_path(str(ROOT / "demos" / "07_intervention.py"), run_name="__main__")
-    golden = (Path(__file__).parent / "golden" / "07_intervention.stdout").read_bytes()
+@pytest.mark.parametrize("demo", ["01_extract_keywords", "07_intervention"])
+def test_demo_matches_golden(capsys, demo):
+    runpy.run_path(str(ROOT / "demos" / f"{demo}.py"), run_name="__main__")
+    golden = (Path(__file__).parent / "golden" / f"{demo}.stdout").read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == golden

@@ -11,15 +11,16 @@ from devgraph.ingest import (
     Dictionary,
     MatchKind,
     QueryRecord,
-    aggregate_blog_hits,
     blog_id_from_url,
-    filter_candidate_blogs,
     match_query,
     normalize_query,
     read_phrases,
     read_query_log,
     write_phrases,
 )
+# The per-record aggregation the coded expansion replaced; TestAggregate and
+# TestFilter test it where it now lives.
+from test_expansion_oracle import BlogHitStats, aggregate_blog_hits, filter_candidate_blogs
 
 
 class TestNormalize:
@@ -143,6 +144,30 @@ class TestReadLog:
         assert diags["non_platform_urls"] == 1
         assert diags["malformed_lines"] == 3
 
+    def test_undecodable_line_skipped_and_counted(self, tmp_path):
+        good = b"100\tcats\thttp://foo.tumblr.com/\tUS\n103\tdogs\thttp://bar.tumblr.com/\tFR\n"
+        p = tmp_path / "log.tsv"
+        p.write_bytes(b"101\tcaf\xe9\thttp://foo.tumblr.com/\tUS\n" + good + b"\xff\n")
+        diags = Counter()
+        recs = read_query_log(str(p), diagnostics=diags)
+        assert recs == [QueryRecord("cats", "foo"), QueryRecord("dogs", "bar")]
+        assert diags == {"undecodable_lines": 2}
+
+    def test_line_breaks_as_in_text_mode(self, tmp_path):
+        p = tmp_path / "log.tsv"
+        p.write_bytes(b"1\ta\thttp://x.tumblr.com/\tUS\r\n\r\n"
+                      b"2\tb\thttp://y.tumblr.com/\tUS\r3\tc\thttp://z.tumblr.com/\tUS")
+        assert read_query_log(str(p)) == [QueryRecord("a", "x"), QueryRecord("b", "y"),
+                                          QueryRecord("c", "z")]
+
+    def test_normalizes_like_normalize_query(self, tmp_path):
+        raw = ["Tumblr Cats 1", "cats", "Tumblr Cats 1", "DOGS 2 tmblr"]
+        p = tmp_path / "log.tsv"
+        p.write_text("".join(f"{i}\t{q}\thttp://b{i % 2}.tumblr.com/\tUS\n"
+                             for i, q in enumerate(raw)))
+        assert read_query_log(str(p)) == [QueryRecord(normalize_query(q), f"b{i % 2}")
+                                          for i, q in enumerate(raw)]
+
 
 class TestAggregate:
     def test_same_query_same_blog(self):
@@ -196,7 +221,6 @@ class TestFilter:
         assert filter_candidate_blogs(self._stats(2, 3)) == {"b"}
 
     def test_three_unique_two_clicks_dropped(self):
-        from devgraph.ingest import BlogHitStats
         stats = {"b": BlogHitStats("b", unique_queries=3, total_clicks=3,
                                    deviant_unique_queries=3, deviant_clicks=2)}
         assert filter_candidate_blogs(stats) == set()
