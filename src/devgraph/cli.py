@@ -238,7 +238,7 @@ def cmd_extract(args) -> int:
 
 def cmd_stats(args) -> int:
     config = _config_of(args)
-    g = load_graph(args.edges)
+    g = _load_graph("stats", args.edges)
     layer = args.layer
     if g.n_nodes == 0 or g.n_edges(layer) == 0:
         raise ValueError("empty graph")
@@ -257,7 +257,7 @@ def cmd_stats(args) -> int:
 
 def cmd_communities(args) -> int:
     config = _config_of(args)
-    g = load_graph(args.edges)
+    g = _load_graph("communities", args.edges)
     part = louvain(g, args.layer, seed=args.seed,
                    tol=_opt(args, config, "tol", float, 1e-7))
     write_partition_csv(part, args.out)
@@ -271,7 +271,7 @@ _MODES = {"avg_volume": AVG_VOLUME, "density": DENSITY, "null_ratio": NULL_RATIO
 
 def cmd_connectivity(args) -> int:
     config = _config_of(args)
-    g = load_graph(args.edges)
+    g = _load_graph("connectivity", args.edges)
     roles = _resolve_roles(args)
     mode = _MODES[args.mode]
     samples = _opt(args, config, "samples", int, 10)
@@ -289,17 +289,24 @@ def cmd_connectivity(args) -> int:
 
 
 def _report_skipped(command: str, diagnostics: Counter) -> None:
-    """Name on stderr the log lines read_query_log dropped, the event rows
-    read_events_tsv dropped and the posts build_trees skipped, leaving
+    """Name on stderr the lines and rows a reader dropped (read_query_log,
+    load_graph, read_events_tsv) and the posts build_trees skipped, leaving
     stdout as is."""
-    for reason in ("malformed_lines", "non_platform_urls", "undecodable_lines",
+    for reason in ("malformed_lines", "non_platform_urls", "undecodable_lines", "malformed_edges",
                    "malformed_events", "cyclic_posts", "multi_origin_posts"):
         if diagnostics[reason]:
             print(f"{command}: skipped {reason}={diagnostics[reason]}", file=sys.stderr)
 
 
+def _load_graph(command: str, path: str):
+    """load_graph, reporting on stderr what it skipped."""
+    g = load_graph(path)
+    _report_skipped(command, g.diagnostics)
+    return g
+
+
 def cmd_diffusion(args) -> int:
-    g = load_graph(args.edges)
+    g = _load_graph("diffusion", args.edges)
     roles = _resolve_roles(args)
     diagnostics: Counter = Counter()
     events = read_events_tsv(args.events, diagnostics=diagnostics)
@@ -325,7 +332,7 @@ def cmd_diffusion(args) -> int:
 
 def cmd_perception(args) -> int:
     config = _config_of(args)
-    g = load_graph(args.edges)
+    g = _load_graph("perception", args.edges)
     active = _read_node_set(args.active)
     exclude = _read_node_set(args.exclude) if args.exclude else None
     curve = perception_curve(g, args.layer, active, exclude=exclude,
@@ -355,10 +362,9 @@ def cmd_intervene(args) -> int:
     sizes_text = _opt(args, config, "sizes", str, None)
     sizes = _parse_sizes(sizes_text) if sizes_text else DEFAULT_SIZES
     if args.strategy == "degree":
-        g = load_graph(args.edges) if args.edges else None
-        if g is None:
+        if not args.edges:
             raise UsageError("--edges is required for the degree strategy")
-        ranking, label = rank_by_degree(g), BY_DEGREE
+        ranking, label = rank_by_degree(_load_graph("intervene", args.edges)), BY_DEGREE
     elif args.strategy == "greedy":
         ranking, label = adaptive_greedy_ranking(trees, max(sizes)), "Greedy"
     else:

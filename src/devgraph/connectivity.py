@@ -124,11 +124,8 @@ def rewire_null_model(g: LayeredGraph, layer: str, seed,
         edge_set.add((c, b))
         d[i] = e
         d[j] = b
-    adj: dict[int, dict[int, float]] = {}
-    for u, v, wt in zip(s, d, weight.tolist()):
-        adj.setdefault(u, {})[v] = wt
-    layers = {name: (_Layer(g.n_nodes, adj) if name == layer else g.layer(name))
-              for name in LAYERS}
+    rewired = _Layer(g.n_nodes, np.array(s), np.array(d), weight)
+    layers = {name: (rewired if name == layer else g.layer(name)) for name in LAYERS}
     return LayeredGraph(g.node_ids, layers, labels=g.labels,
                         diagnostics=Counter(g.diagnostics))
 

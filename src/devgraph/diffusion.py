@@ -9,6 +9,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .graph import FOLLOW, LayeredGraph
+from .ingest import decoded_lines
 
 
 @dataclass(frozen=True)
@@ -58,29 +59,22 @@ def bridge_nodes(roles: dict[str, str]) -> set[str]:
 
 def read_events_tsv(path: str, diagnostics: Counter | None = None) -> list[ReblogEvent]:
     """actor<TAB>source<TAB>post_id<TAB>timestamp rows; self-reblogs and
-    malformed rows are dropped and tallied."""
+    malformed rows are dropped and tallied, and so are lines that are not
+    valid UTF-8 (see `decoded_lines`)."""
     if diagnostics is None:
         diagnostics = Counter()
     events: list[ReblogEvent] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                diagnostics["malformed_events"] += 1
-                continue
-            actor, source, post_id, ts_text = parts
-            try:
-                ts = float(ts_text)
-            except ValueError:
-                diagnostics["malformed_events"] += 1
-                continue
-            if not actor or not source or actor == source:
-                diagnostics["malformed_events"] += 1
-                continue
-            events.append(ReblogEvent(actor, source, post_id, ts))
+    for line in decoded_lines(path, diagnostics):
+        try:
+            actor, source, post_id, ts_text = line.split("\t")
+            ts = float(ts_text)
+        except ValueError:
+            diagnostics["malformed_events"] += 1
+            continue
+        if not actor or not source or actor == source:
+            diagnostics["malformed_events"] += 1
+            continue
+        events.append(ReblogEvent(actor, source, post_id, ts))
     return events
 
 

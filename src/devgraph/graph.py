@@ -15,6 +15,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
+from .ingest import decoded_lines
+
 FOLLOW = "F"
 REBLOG = "R"
 LAYERS = (FOLLOW, REBLOG)
@@ -26,30 +28,20 @@ _PATH_CHUNK = 512
 
 
 class _Layer:
-    """Frozen adjacency for one layer: CSR out-view plus an in-view."""
+    """Frozen adjacency for one layer: CSR out-view plus an in-view, built
+    from distinct (src, dst) pairs given in any order."""
 
-    def __init__(self, n_nodes: int, adj: dict[int, dict[int, float]]):
-        srcs: list[int] = []
-        dsts: list[int] = []
-        ws: list[float] = []
-        for u in sorted(adj):
-            row = adj[u]
-            for v in sorted(row):
-                srcs.append(u)
-                dsts.append(v)
-                ws.append(row[v])
-        self.src = np.asarray(srcs, dtype=np.int64)
-        self.dst = np.asarray(dsts, dtype=np.int64)
-        self.weight = np.asarray(ws, dtype=np.float64)
-        self.n_edges = len(srcs)
-        counts = np.bincount(self.src, minlength=n_nodes) if self.n_edges else np.zeros(n_nodes, dtype=np.int64)
-        self.out_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    def __init__(self, n_nodes: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray):
+        order = np.lexsort((dst, src))
+        self.src = np.asarray(src, dtype=np.int64)[order]
+        self.dst = np.asarray(dst, dtype=np.int64)[order]
+        self.weight = np.asarray(weight, dtype=np.float64)[order]
+        self.n_edges = len(order)
+        self.out_indptr = np.concatenate(([0], np.cumsum(np.bincount(self.src, minlength=n_nodes))))
         self.out_indices = self.dst
         self.out_weights = self.weight
-        order = np.lexsort((self.src, self.dst)) if self.n_edges else np.array([], dtype=np.int64)
-        in_counts = np.bincount(self.dst, minlength=n_nodes) if self.n_edges else np.zeros(n_nodes, dtype=np.int64)
-        self.in_indptr = np.concatenate(([0], np.cumsum(in_counts))).astype(np.int64)
-        self.in_indices = self.src[order]
+        self.in_indptr = np.concatenate(([0], np.cumsum(np.bincount(self.dst, minlength=n_nodes))))
+        self.in_indices = self.src[np.lexsort((self.src, self.dst))]
 
     def out_row(self, u: int) -> np.ndarray:
         return self.out_indices[self.out_indptr[u]:self.out_indptr[u + 1]]
@@ -124,14 +116,10 @@ class LayeredGraph:
         return tuple(self._ids[v] for v in row)
 
     def out_degree(self, layer: str, node: str) -> int:
-        lay = self.layer(layer)
-        u = self.index_of(node)
-        return int(lay.out_indptr[u + 1] - lay.out_indptr[u])
+        return len(self.layer(layer).out_row(self.index_of(node)))
 
     def in_degree(self, layer: str, node: str) -> int:
-        lay = self.layer(layer)
-        u = self.index_of(node)
-        return int(lay.in_indptr[u + 1] - lay.in_indptr[u])
+        return len(self.layer(layer).in_row(self.index_of(node)))
 
     def out_degrees(self, layer: str) -> np.ndarray:
         return np.diff(self.layer(layer).out_indptr)
@@ -174,7 +162,7 @@ def build_graph(edges: Iterable[tuple], labels: dict[str, str] | None = None) ->
     """
     index: dict[str, int] = {}
     ids: list[str] = []
-    adj: dict[str, dict[int, dict[int, float]]] = {FOLLOW: {}, REBLOG: {}}
+    pairs: dict[str, tuple[list, list, list]] = {name: ([], [], []) for name in LAYERS}
     diagnostics: Counter = Counter()
 
     def intern(node: str) -> int:
@@ -200,33 +188,37 @@ def build_graph(edges: Iterable[tuple], labels: dict[str, str] | None = None) ->
         if u == v:
             diagnostics["self_loops_dropped"] += 1
             continue
-        row = adj[layer].setdefault(u, {})
-        if layer == REBLOG:
-            row[v] = row.get(v, 0.0) + weight
-        else:
-            row[v] = 1.0
+        us, vs, ws = pairs[layer]
+        us.append(u)
+        vs.append(v)
+        ws.append(weight)
     n = len(ids)
-    layers = {name: _Layer(n, adj[name]) for name in LAYERS}
+    layers = {}
+    for name, (us, vs, ws) in pairs.items():
+        keys, inverse = np.unique(np.asarray(us, dtype=np.int64) * n + np.asarray(vs, dtype=np.int64),
+                                  return_inverse=True)
+        # bincount adds each pair's weights in input order
+        weights = (np.bincount(inverse, weights=ws, minlength=len(keys)) if name == REBLOG
+                   else np.ones(len(keys)))
+        layers[name] = _Layer(n, *divmod(keys, n), weights)
     return LayeredGraph(ids, layers, labels=labels, diagnostics=diagnostics)
 
 
-def load_graph(path: str, labels_path: str | None = None) -> LayeredGraph:
-    """Load a graph from an edge-list TSV: src<TAB>dst<TAB>weight<TAB>layer."""
+def load_graph(path: str) -> LayeredGraph:
+    """Load a graph from an edge-list TSV: src<TAB>dst<TAB>weight<TAB>layer.
+    Rows without four fields and lines that are not valid UTF-8 are
+    skipped and counted in the graph's diagnostics."""
     diagnostics: Counter = Counter()
 
-    def parse(fh):
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
+    def parse(lines):
+        for line in lines:
             parts = line.split("\t")
-            if len(parts) != 4:
+            if len(parts) == 4:
+                yield parts
+            else:
                 diagnostics["malformed_lines"] += 1
-                continue
-            yield parts[0], parts[1], parts[2], parts[3]
 
-    with open(path, encoding="utf-8") as fh:
-        g = build_graph(parse(fh), labels=read_labels_csv(labels_path) if labels_path else None)
+    g = build_graph(parse(decoded_lines(path, diagnostics)))
     g.diagnostics.update(diagnostics)
     return g
 
@@ -288,18 +280,16 @@ def snowball_sample(g: LayeredGraph, seeds: Iterable[str], hops: int = 3) -> set
 def induced_subgraph(g: LayeredGraph, keep: Iterable[str]) -> LayeredGraph:
     """Subgraph over `keep`: edges with both endpoints kept, weights preserved."""
     keep_idx = sorted(g.index_of(n) for n in set(keep))
-    remap = {old: new for new, old in enumerate(keep_idx)}
     ids = [g.id_of(i) for i in keep_idx]
     mask = np.zeros(g.n_nodes, dtype=bool)
     mask[keep_idx] = True
+    new_index = np.cumsum(mask) - 1
     layers = {}
     for name in LAYERS:
         lay = g.layer(name)
-        sel = mask[lay.src] & mask[lay.dst] if lay.n_edges else np.array([], dtype=bool)
-        adj: dict[int, dict[int, float]] = {}
-        for u, v, w in zip(lay.src[sel], lay.dst[sel], lay.weight[sel]):
-            adj.setdefault(remap[int(u)], {})[remap[int(v)]] = float(w)
-        layers[name] = _Layer(len(ids), adj)
+        sel = mask[lay.src] & mask[lay.dst]
+        layers[name] = _Layer(len(ids), new_index[lay.src[sel]], new_index[lay.dst[sel]],
+                              lay.weight[sel])
     labels = {n: g.labels[n] for n in ids if n in g.labels} if g.labels else None
     return LayeredGraph(ids, layers, labels=labels)
 

@@ -1,11 +1,12 @@
-"""Query-log parsing, normalization and dual-dictionary matching."""
+"""Query-log parsing, normalization and dual-dictionary matching, and the
+line reader shared by the edge, event and query-log readers."""
 
 from __future__ import annotations
 
 import enum
 import re
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 DEFAULT_PLATFORM_TOKENS = frozenset({"tumblr", "tumbler", "tumblrr", "tumlr", "tmblr"})
@@ -104,55 +105,60 @@ def blog_id_from_url(url: str, domain: str = PLATFORM_DOMAIN) -> str | None:
     return label or None
 
 
+def decoded_lines(path: str, diagnostics: Counter) -> Iterator[str]:
+    """The non-empty lines of a UTF-8 file, split as in text mode (at LF,
+    CRLF and CR); a line that is not valid UTF-8 is skipped and counted as
+    `undecodable_lines`."""
+    # surrogateescape decodes each bad byte to a lone surrogate, which UTF-8
+    # cannot encode back; line breaks are ASCII, so no bad byte hides one
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    diagnostics["undecodable_lines"] += 1
+                    continue
+            if line:
+                yield line
+
+
 def read_query_log(path: str,
                    platform_tokens: frozenset[str] = DEFAULT_PLATFORM_TOKENS,
                    diagnostics: Counter | None = None) -> list[QueryRecord]:
     """Parse a timestamp<TAB>query<TAB>clicked_url<TAB>region TSV into
     normalized records; rows with bad fields or non-platform URLs are
-    skipped and tallied, and so is a line that is not valid UTF-8
-    (`undecodable_lines`), since each line is decoded on its own.
+    skipped and tallied, and so are lines that are not valid UTF-8
+    (see `decoded_lines`).
 
-    Lines break at LF, CRLF and CR, as in text mode. Each distinct raw
-    query is normalized once, and rows with the same query and blog share
-    one record object.
+    Each distinct raw query is normalized once, and rows with the same
+    query and blog share one record object.
     """
     if diagnostics is None:
         diagnostics = Counter()
     records: list[QueryRecord] = []
     normalized: dict[str, str] = {}
     interned: dict[tuple[str, str], QueryRecord] = {}
-    with open(path, "rb") as fh:
-        for raw in fh:
-            for piece in raw.splitlines():
-                try:
-                    line = piece.decode("utf-8")
-                except UnicodeDecodeError:
-                    diagnostics["undecodable_lines"] += 1
-                    continue
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 4:
-                    diagnostics["malformed_lines"] += 1
-                    continue
-                ts_text, query, url, _region = parts
-                try:
-                    ts = float(ts_text)
-                except ValueError:
-                    diagnostics["malformed_lines"] += 1
-                    continue
-                if ts < 0 or not url:
-                    diagnostics["malformed_lines"] += 1
-                    continue
-                blog = blog_id_from_url(url)
-                if blog is None:
-                    diagnostics["non_platform_urls"] += 1
-                    continue
-                norm = normalized.get(query)
-                if norm is None:
-                    norm = normalized[query] = normalize_query(query, platform_tokens)
-                rec = interned.get((norm, blog))
-                if rec is None:
-                    rec = interned[norm, blog] = QueryRecord(norm, blog)
-                records.append(rec)
+    for line in decoded_lines(path, diagnostics):
+        try:
+            ts_text, query, url, _region = line.split("\t")
+            ts = float(ts_text)
+        except ValueError:
+            diagnostics["malformed_lines"] += 1
+            continue
+        if ts < 0 or not url:
+            diagnostics["malformed_lines"] += 1
+            continue
+        blog = blog_id_from_url(url)
+        if blog is None:
+            diagnostics["non_platform_urls"] += 1
+            continue
+        norm = normalized.get(query)
+        if norm is None:
+            norm = normalized[query] = normalize_query(query, platform_tokens)
+        rec = interned.get((norm, blog))
+        if rec is None:
+            rec = interned[norm, blog] = QueryRecord(norm, blog)
+        records.append(rec)
     return records

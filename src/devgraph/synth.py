@@ -111,7 +111,8 @@ def planted_graph(cfg: SynthConfig) -> tuple[LayeredGraph, dict[str, str]]:
         at += len(names[grp])
     root = np.random.SeedSequence(cfg.seed)
     block_seeds = iter(root.spawn(len(GROUPS) * len(GROUPS)))
-    adj: dict[str, dict[int, dict[int, float]]] = {FOLLOW: {}, REBLOG: {}}
+    # per layer, the (src, dst, weight) arrays of each block after an empty one
+    blocks = {name: [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))] for name in LAYERS}
     for origin in GROUPS:
         for target in GROUPS:
             child = next(block_seeds)
@@ -125,12 +126,11 @@ def planted_graph(cfg: SynthConfig) -> tuple[LayeredGraph, dict[str, str]]:
                 np.fill_diagonal(mask, False)
             reblog_mask = mask & (rng.random((rows, cols)) < cfg.reblog_given_follow)
             weights = rng.integers(1, 4, size=(rows, cols))
-            for i, j in zip(*np.nonzero(mask)):
-                u, v = offset[origin] + int(i), offset[target] + int(j)
-                adj[FOLLOW].setdefault(u, {})[v] = 1.0
-                if reblog_mask[i, j]:
-                    adj[REBLOG].setdefault(u, {})[v] = float(weights[i, j])
-    layers = {name: _Layer(len(ids), adj[name]) for name in LAYERS}
+            i, j = np.nonzero(mask)
+            blocks[FOLLOW].append((offset[origin] + i, offset[target] + j, np.ones(len(i))))
+            i, j = np.nonzero(reblog_mask)
+            blocks[REBLOG].append((offset[origin] + i, offset[target] + j, weights[i, j]))
+    layers = {name: _Layer(len(ids), *map(np.concatenate, zip(*blocks[name]))) for name in LAYERS}
     return LayeredGraph(ids, layers, labels=roles), roles
 
 

@@ -339,6 +339,104 @@ def test_malformed_events_counted_and_reported(fixture_dir, tmp_path, capsys, co
     assert dirty.err.splitlines() == [f"{command}: skipped malformed_events=1"]
 
 
+def _outputs(root):
+    """Every output file under `root` by relative path, with `diagnostics`
+    taken out of the JSON ones (it counts what was skipped)."""
+    files = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        diagnostics = None
+        if path.suffix == ".json":
+            data = json.loads(data)
+            diagnostics = data.pop("diagnostics", None)
+        files[str(path.relative_to(root))] = data, diagnostics
+    return files
+
+
+def _insert_after(lines: bytes, k: int, extra: bytes) -> bytes:
+    rows = lines.splitlines(keepends=True)
+    return b"".join(rows[:k]) + extra + b"".join(rows[k:])
+
+
+GRAPH_COMMANDS = {
+    "stats": lambda fx, e, out: ["stats", "--edges", e, "--out", str(out / "stats.json")],
+    "communities": lambda fx, e, out: ["communities", "--edges", e, "--seed", "3",
+                                       "--out", str(out / "partition.csv")],
+    "connectivity": lambda fx, e, out: ["connectivity", "--edges", e,
+                                        "--labels", str(fx / "labels.csv"),
+                                        "--out", str(out / "density.csv")],
+    # the test writes the producers to active.txt beside the output directories
+    "perception": lambda fx, e, out: ["perception", "--edges", e,
+                                      "--active", str(out.parent / "active.txt"),
+                                      "--out", str(out / "curves.csv")],
+    "diffusion": lambda fx, e, out: ["diffusion", "--edges", e,
+                                     "--events", str(fx / "events.tsv"),
+                                     "--labels", str(fx / "labels.csv"),
+                                     "--out", str(out / "diffusion")],
+    "intervene": lambda fx, e, out: ["intervene", "--edges", e, "--strategy", "degree",
+                                     "--events", str(fx / "events.tsv"),
+                                     "--labels", str(fx / "labels.csv"),
+                                     "--sizes", "1,3", "--out", str(out / "degree.csv")],
+}
+
+
+@pytest.mark.parametrize("command", sorted(GRAPH_COMMANDS))
+def test_dropped_edge_rows_skipped_and_reported(fixture_dir, tmp_path, capsys, command):
+    """A line that is not UTF-8, a row without four fields and a row with a
+    bad weight are skipped; each count is named on stderr and the outputs
+    equal those of the clean file."""
+    (tmp_path / "active.txt").write_text("\n".join(producers_of(fixture_dir)) + "\n")
+    dirty = tmp_path / "edges.tsv"
+    dirty.write_bytes(_insert_after((fixture_dir / "edges.tsv").read_bytes(), 7,
+                                    b"p1_0000\t\xff\t1\tF\nonly\ttwo\np1_0000\tp1_0001\tx\tR\n"))
+
+    def run(edges, out):
+        out.mkdir()
+        assert main(GRAPH_COMMANDS[command](fixture_dir, str(edges), out)) == 0
+        return capsys.readouterr(), _outputs(out)
+
+    clean_io, clean_files = run(fixture_dir / "edges.tsv", tmp_path / "clean")
+    dirty_io, dirty_files = run(dirty, tmp_path / "dirty")
+    assert dirty_io.out == clean_io.out
+    assert clean_io.err == ""
+    assert dirty_io.err.splitlines() == [f"{command}: skipped malformed_lines=1",
+                                         f"{command}: skipped undecodable_lines=1",
+                                         f"{command}: skipped malformed_edges=1"]
+    assert {k: v for k, (v, _) in dirty_files.items()} == \
+        {k: v for k, (v, _) in clean_files.items()}
+    if command == "stats":
+        assert dirty_files["stats.json"][1] == {
+            "malformed_edges": 1, "malformed_lines": 1, "undecodable_lines": 1}
+
+
+@pytest.mark.parametrize("command", ["diffusion", "intervene"])
+def test_undecodable_event_line_skipped(fixture_dir, tmp_path, capsys, command):
+    dirty = tmp_path / "events.tsv"
+    dirty.write_bytes(_insert_after((fixture_dir / "events.tsv").read_bytes(), 3,
+                                    b"zz1\tzz\xfe\tpost_x\t1\n"))
+
+    def run(events, out):
+        out.mkdir()
+        argv = [command, "--events", str(events),
+                "--labels", str(fixture_dir / "labels.csv"),
+                "--out", str(out / ("diffusion" if command == "diffusion" else "volume.csv"))]
+        if command == "diffusion":
+            argv += ["--edges", str(fixture_dir / "edges.tsv")]
+        assert main(argv) == 0
+        return capsys.readouterr(), _outputs(out)
+
+    clean_io, clean_files = run(fixture_dir / "events.tsv", tmp_path / "clean")
+    dirty_io, dirty_files = run(dirty, tmp_path / "dirty")
+    assert dirty_io.out == clean_io.out
+    assert clean_io.err == ""
+    assert dirty_io.err.splitlines() == [f"{command}: skipped undecodable_lines=1"]
+    assert {k: v for k, (v, _) in dirty_files.items()} == \
+        {k: v for k, (v, _) in clean_files.items()}
+    if command == "diffusion":
+        assert dirty_files["diffusion/reach.json"][1] == \
+            {**clean_files["diffusion/reach.json"][1], "undecodable_lines": 1}
+
+
 def test_intervene_failed_threshold_writes_nothing(fixture_dir, tmp_path, capsys):
     out = tmp_path / "shrink.csv"
     # every consumer is underage, and a one-node greedy ranking cannot cut

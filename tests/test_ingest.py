@@ -1,10 +1,13 @@
 """Normalization, dictionary matching, and blog-hit aggregation."""
 
+import io
+import os
 import random
+import tempfile
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from devgraph.ingest import (
@@ -12,6 +15,7 @@ from devgraph.ingest import (
     MatchKind,
     QueryRecord,
     blog_id_from_url,
+    decoded_lines,
     match_query,
     normalize_query,
     read_phrases,
@@ -159,6 +163,35 @@ class TestReadLog:
                       b"2\tb\thttp://y.tumblr.com/\tUS\r3\tc\thttp://z.tumblr.com/\tUS")
         assert read_query_log(str(p)) == [QueryRecord("a", "x"), QueryRecord("b", "y"),
                                           QueryRecord("c", "z")]
+
+    # line breaks, bytes that are never valid, truncated and complete
+    # multibyte sequences, encoded surrogates, and separators (U+2028, FF,
+    # NEL) that str.splitlines would break at but text mode does not
+    CHUNKS = (b"a", b"\t", b"\n", b"\r", b"\r\n", b"\xff", b"\xc3", b"\xa9", b"\xc3\xa9",
+              b"\xe2\x82", b"\xe2\x82\xac", b"\xed\xa0\x80", b"\xf0\x9f\x98\x80", b"\x85",
+              b"\xc2\x85", b"\xe2\x80\xa8", b"\x0c", b"\x00")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(CHUNKS), max_size=40).map(b"".join))
+    def test_decoded_lines_match_per_line_decoding(self, data):
+        """Each line split at LF, CRLF or CR and decoded on its own."""
+        want, bad = [], 0
+        for raw in io.BytesIO(data):
+            for piece in raw.splitlines():
+                try:
+                    line = piece.decode("utf-8")
+                except UnicodeDecodeError:
+                    bad += 1
+                    continue
+                if line:
+                    want.append(line)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "lines.tsv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            diags = Counter()
+            assert list(decoded_lines(path, diags)) == want
+        assert diags == Counter({"undecodable_lines": bad} if bad else {})
 
     def test_normalizes_like_normalize_query(self, tmp_path):
         raw = ["Tumblr Cats 1", "cats", "Tumblr Cats 1", "DOGS 2 tmblr"]
