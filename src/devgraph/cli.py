@@ -1,5 +1,7 @@
 """Command-line front end: one subcommand per pipeline stage plus an
 end-to-end `pipeline` run that aggregates every stage into report.json.
+Both call the same stage functions; a subcommand reads the stage's inputs
+from files, `pipeline` passes the fixture it synthesized.
 
 Options may come from a flat key=value config file (--config); explicit
 flags win. Exit codes: 0 success, 1 data/runtime error, 2 usage error.
@@ -11,7 +13,7 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -31,15 +33,16 @@ from .connectivity import (
     write_group_matrix_json,
 )
 from .demographics import (
+    DEFAULT_BANDS,
     age_histogram,
     class_demographics,
     engagement_by_age,
     read_demographics_csv,
     write_age_histogram_csv,
     write_class_demographics_csv,
+    write_demographics_csv,
     write_engagement_csv,
 )
-from .demographics import DEFAULT_BANDS
 from .diffusion import (
     ConsumerClass,
     build_trees,
@@ -64,7 +67,7 @@ from .graph import (
     write_edge_tsv,
     write_labels_csv,
 )
-from .ingest import read_phrases, read_query_log, write_phrases
+from .ingest import decoded_lines, read_phrases, read_query_log, write_phrases
 from .intervention import (
     BY_DEGREE,
     BY_VOLUME,
@@ -120,37 +123,81 @@ def _cast(text: str, kind):
     return kind(text)
 
 
-def _opt(args, config: dict[str, str], name: str, kind, default):
-    """Explicit flag > config file entry > built-in default."""
-    given = getattr(args, name, None)
-    if given is not None:
-        return given
-    if name in config:
-        return _cast(config[name], kind)
-    return default
+def _given(args, config: dict[str, str], **kinds) -> dict:
+    """The options set by flag or else by config file entry, each config
+    value cast to its kind; the others are left out, so the library
+    functions' defaults apply."""
+    out = {}
+    for name, kind in kinds.items():
+        if getattr(args, name, None) is not None:
+            out[name] = getattr(args, name)
+        elif name in config:
+            out[name] = _cast(config[name], kind)
+    return out
 
 
 def _config_of(args) -> dict[str, str]:
     return _kv_file(args.config) if getattr(args, "config", None) else {}
 
 
-def _read_node_set(path: str) -> set[str]:
-    with open(path, encoding="utf-8") as fh:
-        return {line.strip() for line in fh if line.strip()}
+# -- reading, with what was skipped named on stderr ---------------------
+
+_SKIP_REASONS = ("malformed_lines", "non_platform_urls", "undecodable_lines", "malformed_edges",
+                 "malformed_events", "cyclic_posts", "multi_origin_posts",
+                 "malformed_demographics", "age_out_of_range")
 
 
-def _read_counts_csv(path: str) -> dict[str, int]:
+def _report_skipped(command: str, diagnostics: Counter, path: str) -> None:
+    """Name on stderr the lines and rows a reader dropped from `path`, or
+    the posts build_trees skipped from its events, leaving stdout as is."""
+    for reason in _SKIP_REASONS:
+        if diagnostics[reason]:
+            print(f"{command}: skipped {reason}={diagnostics[reason]} in {Path(path).name}",
+                  file=sys.stderr)
+
+
+def _read(command: str, reader, path: str):
+    """reader(path), reporting on stderr what it skipped."""
+    diagnostics: Counter = Counter()
+    result = reader(path, diagnostics=diagnostics)
+    _report_skipped(command, diagnostics, path)
+    return result
+
+
+def _load_graph(command: str, path: str):
+    """load_graph, reporting on stderr what it skipped."""
+    g = load_graph(path)
+    _report_skipped(command, g.diagnostics, path)
+    return g
+
+
+def _read_node_set(path: str, diagnostics: Counter) -> set[str]:
+    return {line.strip() for line in decoded_lines(path, diagnostics) if line.strip()}
+
+
+def _read_counts_csv(path: str, diagnostics: Counter) -> dict[str, int]:
     out: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line or (i == 0 and line == "node,count"):
-                continue
-            node, sep, value = line.partition(",")
-            if not sep:
-                raise ValueError(f"bad count row: {line!r}")
-            out[node] = int(value)
+    for line in decoded_lines(path, diagnostics, header="node,count"):
+        node, sep, value = line.partition(",")
+        if not sep:
+            raise ValueError(f"bad count row: {line!r}")
+        out[node] = int(value)
     return out
+
+
+def _resolve_roles(command: str, args) -> dict[str, str]:
+    """Operator community->role mapping wins over planted/ingested labels."""
+    if args.partition and args.role_map:
+        return roles_from_partition(_read(command, read_partition_csv, args.partition),
+                                    _read(command, read_role_map_csv, args.role_map))
+    if args.labels:
+        return _read(command, read_labels_csv, args.labels)
+    raise UsageError("provide --labels, or both --partition and --role-map")
+
+
+def _sizes(args, config: dict[str, str]) -> tuple[int, ...]:
+    text = _given(args, config, sizes=str).get("sizes")
+    return tuple(int(tok) for tok in text.split(",") if tok.strip() != "") if text else DEFAULT_SIZES
 
 
 def _json_dump(obj, path: Path) -> None:
@@ -159,20 +206,85 @@ def _json_dump(obj, path: Path) -> None:
         fh.write("\n")
 
 
-def _resolve_roles(args) -> dict[str, str]:
-    """Operator community->role mapping wins over planted/ingested labels."""
-    if getattr(args, "partition", None) and getattr(args, "role_map", None):
-        return roles_from_partition(read_partition_csv(args.partition),
-                                    read_role_map_csv(args.role_map))
-    if getattr(args, "labels", None):
-        return read_labels_csv(args.labels)
-    raise UsageError("provide --labels, or both --partition and --role-map")
-
-
-def _outdir(args) -> Path:
-    out = Path(args.out)
+def _outdir(path) -> Path:
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+# -- stages -------------------------------------------------------------
+# Each computes from in-memory inputs and writes its outputs; the
+# subcommands read their inputs from files and `pipeline` passes the
+# synthesized fixture.
+
+def _extract(records, seeds, out, **params):
+    result = extract_deviant_graph(seeds, records, **params)
+    out = _outdir(out)
+    write_phrases(result.state.keywords, str(out / "keywords.txt"))
+    write_phrases(result.state.blogs, str(out / "blogs.txt"))
+    write_trajectory_csv(result.trajectory, str(out / "trajectory.csv"))
+    return result
+
+
+def _trees(command: str, roles, events_path: str, events=None):
+    """Reblog trees of `events`, read from the events file when not given;
+    what the reader and build_trees skipped is counted in the returned
+    Counter and reported on stderr against the file."""
+    diagnostics: Counter = Counter()
+    if events is None:
+        events = read_events_tsv(events_path, diagnostics=diagnostics)
+    trees = build_trees(events, producer_nodes(roles), diagnostics=diagnostics)
+    _report_skipped(command, diagnostics, events_path)
+    return trees, diagnostics
+
+
+def _diffusion(g, roles, trees, diagnostics: Counter, out):
+    """Consumer classes and the reach report, into classes.csv and
+    reach.json."""
+    classes = classify_nodes(g, trees, roles)
+    out = _outdir(out)
+    write_classes_csv(classes, str(out / "classes.csv"))
+    report = reach_report(classes, trees)
+    _json_dump({**report.as_dict(),
+                "trees": len(trees),
+                "diagnostics": dict(sorted(diagnostics.items()))},
+               out / "reach.json")
+    return classes, report
+
+
+def _intervention(trees, rankings, sizes, out_csv: str):
+    """One shrinkage curve per (ranking, strategy label), into one CSV."""
+    curves = [shrinkage_curve(trees, ranking, sizes=sizes, strategy=label)
+              for ranking, label in rankings]
+    write_shrinkage_csv(curves, out_csv)
+    return curves
+
+
+def _demographics(classes, demo, out):
+    """Class statistics, age histogram and engagement curves, each into its
+    CSV. The engagement curves can fail; they come back in `_try` form and
+    engagement.csv is written only when they exist."""
+    out = _outdir(out)
+    stats = class_demographics(classes, demo)
+    write_class_demographics_csv(stats, str(out / "class_demographics.csv"))
+    write_age_histogram_csv(age_histogram(classes, demo), DEFAULT_BANDS,
+                            str(out / "age_histogram.csv"))
+    engagement = _try(lambda: engagement_by_age(classes, demo))
+    if engagement["value"] is not None:
+        write_engagement_csv(engagement["value"], str(out / "engagement.csv"))
+    return stats, engagement
+
+
+def _try(fn):
+    try:
+        return {"value": fn(), "error": None}
+    except ValueError as exc:
+        return {"value": None, "error": str(exc)}
+
+
+def _fields(obj, *drop: str) -> dict:
+    """A dataclass's fields for report.json, without those in `drop`."""
+    return {k: v for k, v in asdict(obj).items() if k not in drop}
 
 
 # -- subcommands --------------------------------------------------------
@@ -187,10 +299,7 @@ def _write_fixture(cfg: SynthConfig, out: Path):
     with open(out / "log.tsv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(fx.log_lines) + "\n")
     write_phrases(fx.seed_phrases, str(out / "seeds.txt"))
-    write_phrases(fx.exact_phrases, str(out / "exact.txt"))
-    write_phrases(fx.containment_phrases, str(out / "contain.txt"))
     write_events_tsv(events, str(out / "events.tsv"))
-    from .demographics import write_demographics_csv
     write_demographics_csv(demo, str(out / "demographics.csv"))
     write_config(cfg, str(out / "synth.cfg"))
     return g, roles, fx, events, demo
@@ -205,7 +314,7 @@ def _synth_config(args) -> SynthConfig:
 
 def cmd_synth(args) -> int:
     cfg = _synth_config(args)
-    out = _outdir(args)
+    out = _outdir(args.out)
     g, _roles, fx, events, demo = _write_fixture(cfg, out)
     print(f"synth: {g.n_nodes} nodes, {g.n_edges(FOLLOW)} follow edges, "
           f"{g.n_edges(REBLOG)} reblog edges, {len(fx.log_lines)} log rows, "
@@ -215,22 +324,11 @@ def cmd_synth(args) -> int:
 
 def cmd_extract(args) -> int:
     config = _config_of(args)
-    diagnostics: Counter = Counter()
-    records = read_query_log(args.log, diagnostics=diagnostics)
-    _report_skipped("extract", diagnostics)
+    records = _read("extract", read_query_log, args.log)
     seeds = read_phrases(args.seeds)
-    result = extract_deviant_graph(
-        seeds, records,
-        max_iter=_opt(args, config, "max_iter", int, 20),
-        eps=_opt(args, config, "eps", float, 0.01),
-        decile=_opt(args, config, "decile", float, 0.10),
-        min_unique=_opt(args, config, "min_unique", int, 2),
-        min_clicks=_opt(args, config, "min_clicks", int, 3),
-        ratio_mode=_opt(args, config, "ratio_mode", str, "volume"))
-    out = _outdir(args)
-    write_phrases(result.state.keywords, str(out / "keywords.txt"))
-    write_phrases(result.state.blogs, str(out / "blogs.txt"))
-    write_trajectory_csv(result.trajectory, str(out / "trajectory.csv"))
+    result = _extract(records, seeds, args.out, **_given(
+        args, config, max_iter=int, eps=float, decile=float, min_unique=int,
+        min_clicks=int, ratio_mode=str))
     print(f"extract: converged={result.converged} iterations={result.iterations_run} "
           f"keywords={len(result.state.keywords)} blogs={len(result.state.blogs)}")
     return 0
@@ -242,11 +340,8 @@ def cmd_stats(args) -> int:
     layer = args.layer
     if g.n_nodes == 0 or g.n_edges(layer) == 0:
         raise ValueError("empty graph")
-    st = network_stats(
-        g, layer,
-        exact_paths=bool(_opt(args, config, "exact_paths", bool, False)),
-        path_samples=_opt(args, config, "path_samples", int, 1000),
-        seed=args.seed)
+    st = network_stats(g, layer, seed=args.seed,
+                       **_given(args, config, exact_paths=bool, path_samples=int))
     payload = {"layer": layer, **st.as_dict(),
                "diagnostics": dict(sorted(g.diagnostics.items()))}
     _json_dump(payload, Path(args.out))
@@ -258,8 +353,7 @@ def cmd_stats(args) -> int:
 def cmd_communities(args) -> int:
     config = _config_of(args)
     g = _load_graph("communities", args.edges)
-    part = louvain(g, args.layer, seed=args.seed,
-                   tol=_opt(args, config, "tol", float, 1e-7))
+    part = louvain(g, args.layer, seed=args.seed, **_given(args, config, tol=float))
     write_partition_csv(part, args.out)
     n_comm = len(set(part.assignment.values()))
     print(f"communities: {n_comm} communities, modularity={part.modularity:.6f}")
@@ -272,14 +366,12 @@ _MODES = {"avg_volume": AVG_VOLUME, "density": DENSITY, "null_ratio": NULL_RATIO
 def cmd_connectivity(args) -> int:
     config = _config_of(args)
     g = _load_graph("connectivity", args.edges)
-    roles = _resolve_roles(args)
+    roles = _resolve_roles("connectivity", args)
     mode = _MODES[args.mode]
-    samples = _opt(args, config, "samples", int, 10)
-    swaps = _opt(args, config, "swaps_per_edge", int, 10)
     if mode == NULL_RATIO and args.seed is None:
         raise UsageError("--seed is required for null_ratio")
-    mat = group_matrix(g, args.layer, roles, mode=mode,
-                       samples=samples, seed=args.seed, swaps_per_edge=swaps)
+    mat = group_matrix(g, args.layer, roles, mode=mode, seed=args.seed,
+                       **_given(args, config, samples=int, swaps_per_edge=int))
     write_group_matrix_csv(mat, args.out)
     if args.json_out:
         write_group_matrix_json(mat, args.json_out)
@@ -288,41 +380,14 @@ def cmd_connectivity(args) -> int:
     return 0
 
 
-def _report_skipped(command: str, diagnostics: Counter) -> None:
-    """Name on stderr the lines and rows a reader dropped (read_query_log,
-    load_graph, read_events_tsv) and the posts build_trees skipped, leaving
-    stdout as is."""
-    for reason in ("malformed_lines", "non_platform_urls", "undecodable_lines", "malformed_edges",
-                   "malformed_events", "cyclic_posts", "multi_origin_posts"):
-        if diagnostics[reason]:
-            print(f"{command}: skipped {reason}={diagnostics[reason]}", file=sys.stderr)
-
-
-def _load_graph(command: str, path: str):
-    """load_graph, reporting on stderr what it skipped."""
-    g = load_graph(path)
-    _report_skipped(command, g.diagnostics)
-    return g
-
-
 def cmd_diffusion(args) -> int:
     g = _load_graph("diffusion", args.edges)
-    roles = _resolve_roles(args)
-    diagnostics: Counter = Counter()
-    events = read_events_tsv(args.events, diagnostics=diagnostics)
-    trees = build_trees(events, producer_nodes(roles), diagnostics=diagnostics)
-    _report_skipped("diffusion", diagnostics)
-    classes = classify_nodes(g, trees, roles)
-    out = _outdir(args)
-    write_classes_csv(classes, str(out / "classes.csv"))
-    report = reach_report(classes, trees)
-    _json_dump({**report.as_dict(),
-                "trees": len(trees),
-                "diagnostics": dict(sorted(diagnostics.items()))},
-               out / "reach.json")
+    roles = _resolve_roles("diffusion", args)
+    trees, diagnostics = _trees("diffusion", roles, args.events)
+    _classes, report = _diffusion(g, roles, trees, diagnostics, args.out)
     if args.efficiency_set:
-        eta = spread_efficiency(_read_node_set(args.efficiency_set), trees,
-                                inverse=bool(args.inverse))
+        eta = spread_efficiency(_read("diffusion", _read_node_set, args.efficiency_set),
+                                trees, inverse=bool(args.inverse))
         print(f"diffusion: trees={len(trees)} efficiency={eta:.6g}")
     else:
         print(f"diffusion: trees={len(trees)} "
@@ -333,34 +398,26 @@ def cmd_diffusion(args) -> int:
 def cmd_perception(args) -> int:
     config = _config_of(args)
     g = _load_graph("perception", args.edges)
-    active = _read_node_set(args.active)
-    exclude = _read_node_set(args.exclude) if args.exclude else None
+    active = _read("perception", _read_node_set, args.active)
+    exclude = _read("perception", _read_node_set, args.exclude) if args.exclude else None
     curve = perception_curve(g, args.layer, active, exclude=exclude,
-                             step=_opt(args, config, "step", float, 0.01))
+                             **_given(args, config, step=float))
     write_curves_csv([curve], args.out)
     line = (f"perception[{args.layer}]: eligible={curve.eligible} "
             f"excluded_zero_outdegree={curve.excluded_zero_outdegree}")
     if args.counts:
-        frac = volume_paradox_fraction(g, args.layer, _read_counts_csv(args.counts),
-                                       exclude=exclude)
+        frac = volume_paradox_fraction(
+            g, args.layer, _read("perception", _read_counts_csv, args.counts), exclude=exclude)
         line += f" paradox_fraction={frac:.6f}"
     print(line)
     return 0
 
 
-def _parse_sizes(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
-
-
 def cmd_intervene(args) -> int:
     config = _config_of(args)
-    roles = _resolve_roles(args)
-    diagnostics: Counter = Counter()
-    events = read_events_tsv(args.events, diagnostics=diagnostics)
-    trees = build_trees(events, producer_nodes(roles), diagnostics=diagnostics)
-    _report_skipped("intervene", diagnostics)
-    sizes_text = _opt(args, config, "sizes", str, None)
-    sizes = _parse_sizes(sizes_text) if sizes_text else DEFAULT_SIZES
+    roles = _resolve_roles("intervene", args)
+    trees, _diagnostics = _trees("intervene", roles, args.events)
+    sizes = _sizes(args, config)
     if args.strategy == "degree":
         if not args.edges:
             raise UsageError("--edges is required for the degree strategy")
@@ -369,64 +426,49 @@ def cmd_intervene(args) -> int:
         ranking, label = adaptive_greedy_ranking(trees, max(sizes)), "Greedy"
     else:
         ranking, label = rank_by_volume(trees), BY_VOLUME
-    curve = shrinkage_curve(trees, ranking, sizes=sizes, strategy=label)
-    line = f"intervene[{label}]: reached={','.join(f'{x:.4f}' for x in curve.reached_fraction)}"
+    note = ""
     # the threshold can fail, so it comes before any output is written
     if args.ages:
-        ages = {n: r.age for n, r in read_demographics_csv(args.ages).items()}
+        demo = _read("intervene", read_demographics_csv, args.ages)
+        ages = {n: r.age for n, r in demo.items()}
         try:
             thr = underage_exposure_threshold(trees, ranking, ages,
-                                              cutoff=_opt(args, config, "cutoff", int, 18))
+                                              **_given(args, config, cutoff=int))
         except ValueError as exc:
             if args.strategy != "greedy":
                 raise
             raise ValueError(f"{exc}; the greedy ranking has only {len(ranking)} "
                              f"nodes (the largest --sizes value is {max(sizes)})") from None
-        line += f" underage_threshold={thr.k}"
-        if thr.note:
-            line += f" ({thr.note})"
-    write_shrinkage_csv([curve], args.out)
-    print(line)
+        note = f" underage_threshold={thr.k}" + (f" ({thr.note})" if thr.note else "")
+    [curve] = _intervention(trees, [(ranking, label)], sizes, args.out)
+    print(f"intervene[{label}]: reached={','.join(f'{x:.4f}' for x in curve.reached_fraction)}"
+          + note)
     return 0
 
 
 def cmd_demographics(args) -> int:
-    classes = read_classes_csv(args.classes)
-    diagnostics: Counter = Counter()
-    demo = read_demographics_csv(args.demo, diagnostics=diagnostics)
-    out = _outdir(args)
-    stats = class_demographics(classes, demo)
-    write_class_demographics_csv(stats, str(out / "class_demographics.csv"))
-    hist = age_histogram(classes, demo)
-    write_age_histogram_csv(hist, DEFAULT_BANDS, str(out / "age_histogram.csv"))
-    curves = engagement_by_age(classes, demo)
-    write_engagement_csv(curves, str(out / "engagement.csv"))
+    classes = _read("demographics", read_classes_csv, args.classes)
+    demo = _read("demographics", read_demographics_csv, args.demo)
+    stats, engagement = _demographics(classes, demo, args.out)
+    if engagement["error"]:
+        raise ValueError(engagement["error"])
     print(f"demographics: classes={len(stats)} covered="
-          f"{sum(s.covered for s in stats.values())} -> {out}")
+          f"{sum(s.covered for s in stats.values())} -> {Path(args.out)}")
     return 0
 
 
 # -- pipeline -----------------------------------------------------------
 
-def _try(fn):
-    try:
-        return {"value": fn(), "error": None}
-    except ValueError as exc:
-        return {"value": None, "error": str(exc)}
-
-
 def cmd_pipeline(args) -> int:
-    config = _config_of(args)
+    """Synthesize a fixture, then run every stage on it with the same stage
+    functions as the subcommands, and gather the results in report.json.
+    --config holds the fixture's settings only; the run's options are flags."""
     cfg = _synth_config(args)
-    out = _outdir(args)
+    out = _outdir(args.out)
     g, roles, fx, events, demo = _write_fixture(cfg, out)
 
-    records = read_query_log(str(out / "log.tsv"))
-    seeds = read_phrases(str(out / "seeds.txt"))
-    extraction = extract_deviant_graph(seeds, records)
-    write_phrases(extraction.state.keywords, str(out / "keywords.txt"))
-    write_phrases(extraction.state.blogs, str(out / "blogs.txt"))
-    write_trajectory_csv(extraction.trajectory, str(out / "trajectory.csv"))
+    records = _read("pipeline", read_query_log, str(out / "log.tsv"))
+    extraction = _extract(records, read_phrases(str(out / "seeds.txt")), out)
 
     stats = {layer: network_stats(g, layer, seed=cfg.seed).as_dict()
              for layer in LAYERS if g.n_edges(layer) > 0}
@@ -435,8 +477,8 @@ def cmd_pipeline(args) -> int:
     write_partition_csv(part, str(out / "partition.csv"))
     comm_sizes = sorted(Counter(part.assignment.values()).values(), reverse=True)
 
-    samples = _opt(args, config, "samples", int, 5)
-    swaps = _opt(args, config, "swaps_per_edge", int, 10)
+    samples = 5 if args.samples is None else args.samples
+    swaps = 10 if args.swaps_per_edge is None else args.swaps_per_edge
     connectivity = {}
     for name, mode in _MODES.items():
         mat = group_matrix(g, REBLOG, roles, mode=mode,
@@ -444,11 +486,9 @@ def cmd_pipeline(args) -> int:
         write_group_matrix_csv(mat, str(out / f"matrix_{name}.csv"))
         connectivity[name] = mat.as_dict()
 
+    trees, diagnostics = _trees("pipeline", roles, "events.tsv", events)
+    classes, reach = _diffusion(g, roles, trees, diagnostics, out)
     producers = producer_nodes(roles)
-    trees = build_trees(events, producers)
-    classes = classify_nodes(g, trees, roles)
-    write_classes_csv(classes, str(out / "classes.csv"))
-    reach = reach_report(classes, trees)
     efficiency = {
         "producers": _try(lambda: spread_efficiency(producers, trees, inverse=True)),
         "bridges": _try(lambda: spread_efficiency(bridge_nodes(roles), trees)),
@@ -462,42 +502,25 @@ def cmd_pipeline(args) -> int:
         total = g.out_degree(REBLOG, node) + g.in_degree(REBLOG, node)
         if total > 0:
             counts[node] = total
-    step = _opt(args, config, "step", float, 0.05)
-    curve = perception_curve(g, FOLLOW, active, exclude=producers, step=step)
+    curve = perception_curve(g, FOLLOW, active, exclude=producers,
+                             step=0.05 if args.step is None else args.step)
     write_curves_csv([curve], str(out / "perception.csv"))
     paradox = _try(lambda: volume_paradox_fraction(g, FOLLOW, counts,
                                                    exclude=producers))
 
-    sizes_text = _opt(args, config, "sizes", str, None)
-    sizes = _parse_sizes(sizes_text) if sizes_text else DEFAULT_SIZES
     rankings = {"by_volume": (rank_by_volume(trees), BY_VOLUME),
                 "by_degree": (rank_by_degree(g), BY_DEGREE)}
-    shrinkage = {}
-    curves = []
-    for key, (ranking, label) in rankings.items():
-        sc = shrinkage_curve(trees, ranking, sizes=sizes, strategy=label)
-        curves.append(sc)
-        shrinkage[key] = {"sizes": list(sc.sizes),
-                          "reached_fraction": list(sc.reached_fraction),
-                          "warnings": list(sc.warnings)}
-    write_shrinkage_csv(curves, str(out / "shrinkage.csv"))
+    curves = _intervention(trees, rankings.values(), _sizes(args, {}),
+                           str(out / "shrinkage.csv"))
+    shrinkage = {key: _fields(sc, "strategy") for key, sc in zip(rankings, curves)}
     ages = {n: r.age for n, r in demo.items()}
-    underage = _try(lambda: underage_exposure_threshold(
-        trees, rankings["by_volume"][0], ages))
-    if underage["value"] is not None:
-        thr = underage["value"]
-        underage = {"value": {"k": thr.k, "note": thr.note}, "error": None}
+    underage = _try(lambda: asdict(underage_exposure_threshold(
+        trees, rankings["by_volume"][0], ages)))
 
-    demo_stats = class_demographics(classes, demo)
-    write_class_demographics_csv(demo_stats, str(out / "class_demographics.csv"))
-    engagement = _try(lambda: engagement_by_age(classes, demo))
+    demo_stats, engagement = _demographics(classes, demo, out)
     if engagement["value"] is not None:
-        curves_by_gender = engagement["value"]
-        write_engagement_csv(curves_by_gender, str(out / "engagement.csv"))
-        engagement = {"value": {gender: {
-            "bands": [list(b) for b in c.bands],
-            "raw": list(c.raw), "normalized": list(c.normalized)}
-            for gender, c in curves_by_gender.items()}, "error": None}
+        engagement["value"] = {gender: _fields(c, "gender")
+                               for gender, c in engagement["value"].items()}
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -523,11 +546,7 @@ def cmd_pipeline(args) -> int:
         "connectivity": connectivity,
         "diffusion": {"trees": len(trees), "reach": reach.as_dict(),
                       "efficiency": efficiency},
-        "perception": {"thresholds": list(curve.thresholds),
-                       "fraction_at_least": list(curve.fraction_at_least),
-                       "eligible": curve.eligible,
-                       "excluded_zero_outdegree": curve.excluded_zero_outdegree,
-                       "paradox_fraction": paradox},
+        "perception": {**_fields(curve, "layer"), "paradox_fraction": paradox},
         "intervention": {**shrinkage, "underage": underage},
         "demographics": {
             "classes": {name: s.as_dict() for name, s in demo_stats.items()},
@@ -540,9 +559,8 @@ def cmd_pipeline(args) -> int:
 
 # -- parser -------------------------------------------------------------
 
-def _add_common(sp, *, seed_required=False, config=True):
-    if config:
-        sp.add_argument("--config", help="flat key=value option file")
+def _add_common(sp, *, seed_required=False):
+    sp.add_argument("--config", help="flat key=value option file")
     sp.add_argument("--seed", type=int, required=seed_required,
                     help="seed for randomized steps")
 

@@ -4,9 +4,11 @@ symmetrized projection of one graph layer."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .graph import LayeredGraph
+from .ingest import decoded_lines
 
 
 @dataclass(frozen=True)
@@ -174,28 +176,23 @@ def write_partition_csv(p: Partition, path: str) -> None:
             fh.write(f"{node},{p.assignment[node]}\n")
 
 
-def read_partition_csv(path: str) -> dict[str, int]:
+def read_partition_csv(path: str, diagnostics: Counter | None = None) -> dict[str, int]:
+    """node,community rows; lines that are not valid UTF-8 are skipped and
+    counted (see `decoded_lines`)."""
     out: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.lower() == "node,community":
-                continue
-            node, _, c = line.partition(",")
-            out[node] = int(c)
+    for line in decoded_lines(path, diagnostics, header="node,community"):
+        node, _, c = line.partition(",")
+        out[node] = int(c)
     return out
 
 
-def read_role_map_csv(path: str) -> dict[int, str]:
-    """community,role rows naming each community's functional role."""
+def read_role_map_csv(path: str, diagnostics: Counter | None = None) -> dict[int, str]:
+    """community,role rows naming each community's functional role; lines
+    that are not valid UTF-8 are skipped and counted."""
     out: dict[int, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.lower() == "community,role":
-                continue
-            c, _, role = line.partition(",")
-            out[int(c)] = role
+    for line in decoded_lines(path, diagnostics, header="community,role"):
+        c, _, role = line.partition(",")
+        out[int(c)] = role
     return out
 
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import ConsumerClass
+from .ingest import decoded_lines
 
 GENDERS = ("male", "female")
 DEFAULT_BANDS = tuple((lo, lo + 5) for lo in range(13, 73, 5))
@@ -48,32 +49,29 @@ class ClassDemographics:
 
 
 def read_demographics_csv(path: str, diagnostics: Counter | None = None) -> dict[str, DemographicRecord]:
-    """node,age,gender rows; ages outside (0, 120) are dropped and tallied."""
+    """node,age,gender rows; malformed rows, ages outside (0, 120) and lines
+    that are not valid UTF-8 (see `decoded_lines`) are dropped and tallied."""
     if diagnostics is None:
         diagnostics = Counter()
     out: dict[str, DemographicRecord] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.lower() == "node,age,gender":
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                diagnostics["malformed_demographics"] += 1
-                continue
-            node, age_text, gender = parts
-            try:
-                age = int(age_text)
-            except ValueError:
-                diagnostics["malformed_demographics"] += 1
-                continue
-            if not 0 < age < 120:
-                diagnostics["age_out_of_range"] += 1
-                continue
-            gender = gender.strip().lower()
-            if gender not in GENDERS:
-                gender = "unknown"
-            out[node] = DemographicRecord(node=node, age=age, gender=gender)
+    for line in decoded_lines(path, diagnostics, header="node,age,gender"):
+        parts = line.split(",")
+        if len(parts) != 3:
+            diagnostics["malformed_demographics"] += 1
+            continue
+        node, age_text, gender = parts
+        try:
+            age = int(age_text)
+        except ValueError:
+            diagnostics["malformed_demographics"] += 1
+            continue
+        if not 0 < age < 120:
+            diagnostics["age_out_of_range"] += 1
+            continue
+        gender = gender.strip().lower()
+        if gender not in GENDERS:
+            gender = "unknown"
+        out[node] = DemographicRecord(node=node, age=age, gender=gender)
     return out
 
 

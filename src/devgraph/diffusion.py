@@ -249,15 +249,13 @@ def write_classes_csv(classes: dict[str, ConsumerClass], path: str) -> None:
             fh.write(f"{node},{classes[node].value}\n")
 
 
-def read_classes_csv(path: str) -> dict[str, ConsumerClass]:
+def read_classes_csv(path: str, diagnostics: Counter | None = None) -> dict[str, ConsumerClass]:
+    """node,class rows; lines that are not valid UTF-8 are skipped and
+    counted (see `decoded_lines`)."""
     out: dict[str, ConsumerClass] = {}
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line or (i == 0 and line == "node,class"):
-                continue
-            node, sep, value = line.partition(",")
-            if not sep:
-                raise ValueError(f"bad class row: {line!r}")
-            out[node] = ConsumerClass(value)
+    for line in decoded_lines(path, diagnostics, header="node,class"):
+        node, sep, value = line.partition(",")
+        if not sep:
+            raise ValueError(f"bad class row: {line!r}")
+        out[node] = ConsumerClass(value)
     return out

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import (
-    Dictionary,
-    MatchKind,
-    QueryRecord,
-    match_query,
-    normalize_query,
-)
+from .ingest import QueryRecord, normalize_query
 
 RATIO_VOLUME = "volume"
 RATIO_UNIQUE = "unique"
@@ -121,13 +115,6 @@ class _CodedLog(Sequence):
 
 def _coded(full_log: Sequence[QueryRecord]) -> _CodedLog:
     return full_log if isinstance(full_log, _CodedLog) else _CodedLog(full_log)
-
-
-def seed_keywords(records: Iterable[QueryRecord], d: Dictionary) -> frozenset[str]:
-    """Distinct normalized log queries matching the dual dictionary."""
-    return frozenset(r.normalized_query for r in records
-                     if r.normalized_query
-                     and match_query(r.normalized_query, d) is not MatchKind.NO_MATCH)
 
 
 def initial_state(seed: Iterable[str], full_log: Sequence[QueryRecord],

@@ -230,17 +230,14 @@ def write_edge_tsv(g: LayeredGraph, path: str) -> None:
                 fh.write(f"{src}\t{dst}\t{w:g}\t{layer}\n")
 
 
-def read_labels_csv(path: str) -> dict[str, str]:
-    """Read a node,group CSV (header optional)."""
+def read_labels_csv(path: str, diagnostics: Counter | None = None) -> dict[str, str]:
+    """Read a node,group CSV (header optional); lines that are not valid
+    UTF-8 are skipped and counted (see `decoded_lines`)."""
     labels: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.lower() == "node,group":
-                continue
-            node, _, group = line.partition(",")
-            if node and group:
-                labels[node] = group
+    for line in decoded_lines(path, diagnostics, header="node,group"):
+        node, _, group = line.partition(",")
+        if node and group:
+            labels[node] = group
     return labels
 
 
@@ -249,32 +246,6 @@ def write_labels_csv(labels: dict[str, str], path: str) -> None:
         fh.write("node,group\n")
         for node in sorted(labels):
             fh.write(f"{node},{labels[node]}\n")
-
-
-def snowball_sample(g: LayeredGraph, seeds: Iterable[str], hops: int = 3) -> set[str]:
-    """Nodes within undirected distance <= hops of any seed, over both layers."""
-    frontier: set[int] = set()
-    for s in seeds:
-        if not g.has_node(s):
-            raise ValueError(f"unknown seed node: {s!r}")
-        frontier.add(g.index_of(s))
-    visited = set(frontier)
-    lays = [g.layer(name) for name in LAYERS]
-    for _ in range(hops):
-        if not frontier:
-            break
-        nxt: set[int] = set()
-        for u in frontier:
-            for lay in lays:
-                for v in lay.out_row(u):
-                    if v not in visited:
-                        nxt.add(int(v))
-                for v in lay.in_row(u):
-                    if v not in visited:
-                        nxt.add(int(v))
-        visited |= nxt
-        frontier = nxt
-    return {g.id_of(i) for i in visited}
 
 
 def induced_subgraph(g: LayeredGraph, keep: Iterable[str]) -> LayeredGraph:

@@ -1,9 +1,8 @@
-"""Query-log parsing, normalization and dual-dictionary matching, and the
-line reader shared by the edge, event and query-log readers."""
+"""Query-log parsing and normalization, and the line reader shared by the
+file readers."""
 
 from __future__ import annotations
 
-import enum
 import re
 from collections import Counter
 from collections.abc import Iterable, Iterator
@@ -26,37 +25,6 @@ def normalize_query(raw: str, platform_tokens: frozenset[str] = DEFAULT_PLATFORM
     return " ".join(tokens)
 
 
-class MatchKind(enum.Enum):
-    EXACT = "exact"
-    CONTAINMENT = "containment"
-    NO_MATCH = "no_match"
-
-
-@dataclass(frozen=True)
-class Dictionary:
-    """Two keyword sets: whole-query matches and token-subsequence matches."""
-
-    exact: frozenset[str]
-    containment: frozenset[str]
-
-    def __post_init__(self):
-        windows = {tuple(p.split()) for p in self.containment if p}
-        object.__setattr__(self, "_windows", windows)
-        object.__setattr__(self, "_max_window", max((len(w) for w in windows), default=0))
-
-    @classmethod
-    def from_phrases(cls, exact: Iterable[str], containment: Iterable[str],
-                     platform_tokens: frozenset[str] = DEFAULT_PLATFORM_TOKENS) -> "Dictionary":
-        norm = lambda ps: frozenset(filter(None, (normalize_query(p, platform_tokens) for p in ps)))
-        return cls(exact=norm(exact), containment=norm(containment))
-
-    @classmethod
-    def from_files(cls, exact_path: str, contain_path: str,
-                   platform_tokens: frozenset[str] = DEFAULT_PLATFORM_TOKENS) -> "Dictionary":
-        return cls.from_phrases(read_phrases(exact_path), read_phrases(contain_path),
-                                platform_tokens)
-
-
 def read_phrases(path: str) -> list[str]:
     """One phrase per line; blank lines skipped."""
     with open(path, encoding="utf-8") as fh:
@@ -67,22 +35,6 @@ def write_phrases(phrases: Iterable[str], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for p in sorted(phrases):
             fh.write(p + "\n")
-
-
-def match_query(q: str, d: Dictionary) -> MatchKind:
-    """Exact wins; containment means a dictionary phrase appears as a
-    contiguous token subsequence (so "cats" never matches "bobcats")."""
-    if q in d.exact:
-        return MatchKind.EXACT
-    windows = d._windows
-    if windows:
-        tokens = q.split()
-        longest = min(d._max_window, len(tokens))
-        for size in range(1, longest + 1):
-            for start in range(len(tokens) - size + 1):
-                if tuple(tokens[start:start + size]) in windows:
-                    return MatchKind.CONTAINMENT
-    return MatchKind.NO_MATCH
 
 
 @dataclass(frozen=True)
@@ -105,10 +57,14 @@ def blog_id_from_url(url: str, domain: str = PLATFORM_DOMAIN) -> str | None:
     return label or None
 
 
-def decoded_lines(path: str, diagnostics: Counter) -> Iterator[str]:
+def decoded_lines(path: str, diagnostics: Counter | None = None,
+                  header: str | None = None) -> Iterator[str]:
     """The non-empty lines of a UTF-8 file, split as in text mode (at LF,
     CRLF and CR); a line that is not valid UTF-8 is skipped and counted as
-    `undecodable_lines`."""
+    `undecodable_lines`. For a CSV with a `header`, lines are stripped and
+    the header line (in any case) is left out."""
+    if diagnostics is None:
+        diagnostics = Counter()
     # surrogateescape decodes each bad byte to a lone surrogate, which UTF-8
     # cannot encode back; line breaks are ASCII, so no bad byte hides one
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -119,6 +75,10 @@ def decoded_lines(path: str, diagnostics: Counter) -> Iterator[str]:
                     line.encode("utf-8")
                 except UnicodeEncodeError:
                     diagnostics["undecodable_lines"] += 1
+                    continue
+            if header is not None:
+                line = line.strip()
+                if line.lower() == header:
                     continue
             if line:
                 yield line

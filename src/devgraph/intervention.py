@@ -54,35 +54,6 @@ def rank_by_degree(g: LayeredGraph) -> list[str]:
     return sorted(g.node_ids, key=lambda n: (-int(indeg[g.index_of(n)]), n))
 
 
-def baseline_consumers(trees: Sequence[DiffusionTree]) -> set[str]:
-    """Everyone who appears below a root in some tree."""
-    out: set[str] = set()
-    for tree in trees:
-        out |= tree.nodes() - {tree.root}
-    return out
-
-
-def reached_consumers(trees: Sequence[DiffusionTree], removed: set[str]) -> set[str]:
-    """Nodes still reachable from a surviving root along paths that avoid
-    the removed set entirely (erased posts sever their whole subtree)."""
-    reached: set[str] = set()
-    for tree in trees:
-        if tree.root in removed:
-            continue
-        frontier = [tree.root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for child in tree.children.get(u, ()):
-                    # a node may already be reached via another tree, but its
-                    # subtree here still needs walking
-                    if child not in removed:
-                        reached.add(child)
-                        nxt.append(child)
-            frontier = nxt
-    return reached
-
-
 _NEVER = np.iinfo(np.int64).max
 
 
@@ -91,7 +62,7 @@ class _Forest:
 
     Nodes are indexed in sorted id order, so index order is tie-break order.
     Appearance t is the root of trees[t]; the non-root appearances follow,
-    tree by tree, read from `children` as reached_consumers walks them.
+    tree by tree, in the order of each tree's `children`.
     parent[a] is the appearance a hangs from, -1 at a root."""
 
     def __init__(self, trees: Sequence[DiffusionTree]):

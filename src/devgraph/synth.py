@@ -179,8 +179,6 @@ class ClosureFixture:
     """Query log whose keyword/blog closure under expansion is known exactly."""
     log_lines: tuple[str, ...]
     seed_phrases: tuple[str, ...]
-    exact_phrases: tuple[str, ...]
-    containment_phrases: tuple[str, ...]
     expected_keywords: frozenset[str]
     expected_blogs: frozenset[str]
     expected_keyword_trace: tuple[int, ...]
@@ -243,8 +241,6 @@ def closure_fixture(cfg: SynthConfig) -> ClosureFixture:
     return ClosureFixture(
         log_lines=lines,
         seed_phrases=seeds,
-        exact_phrases=(c01, distractor),
-        containment_phrases=(_WAVE_WORDS[0],),
         expected_keywords=expected_keywords,
         expected_blogs=expected_blogs,
         expected_keyword_trace=(3, 6, 9, 12, 13),

@@ -61,7 +61,7 @@ def test_synth_outputs_and_determinism(tmp_path):
     assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
     assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
     for name in ("edges.tsv", "labels.csv", "log.tsv", "events.tsv",
-                 "demographics.csv", "seeds.txt", "exact.txt", "contain.txt"):
+                 "demographics.csv", "seeds.txt"):
         left = (tmp_path / "a" / name).read_bytes()
         right = (tmp_path / "b" / name).read_bytes()
         assert left == right, name
@@ -126,7 +126,7 @@ def test_extract_skips_undecodable_line(fixture_dir, tmp_path, capsys):
     assert rc_clean == rc_dirty == 0
     assert dirty_io.out == clean_io.out
     assert clean_io.err == ""
-    assert dirty_io.err.splitlines() == ["extract: skipped undecodable_lines=1"]
+    assert dirty_io.err.splitlines() == ["extract: skipped undecodable_lines=1 in log.tsv"]
     for name in ("keywords.txt", "blogs.txt", "trajectory.csv"):
         assert (tmp_path / "dirty" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
 
@@ -140,8 +140,9 @@ def test_extract_reports_dropped_log_lines(fixture_dir, tmp_path, capsys):
     rc = main(["extract", "--log", str(bad), "--seeds", str(fixture_dir / "seeds.txt"),
                "--out", str(tmp_path / "ex")])
     assert rc == 0
-    assert capsys.readouterr().err.splitlines() == ["extract: skipped malformed_lines=2",
-                                                    "extract: skipped non_platform_urls=1"]
+    assert capsys.readouterr().err.splitlines() == [
+        "extract: skipped malformed_lines=2 in log.tsv",
+        "extract: skipped non_platform_urls=1 in log.tsv"]
 
 
 def test_stats_happy_path(fixture_dir, tmp_path):
@@ -315,8 +316,8 @@ def test_bad_posts_skipped_and_reported(fixture_dir, tmp_path, capsys, command):
     dirty = run(bad, tmp_path / "dirty")
     assert dirty.out == clean.out
     assert clean.err == ""
-    assert dirty.err.splitlines() == [f"{command}: skipped cyclic_posts=1",
-                                      f"{command}: skipped multi_origin_posts=1"]
+    assert dirty.err.splitlines() == [f"{command}: skipped cyclic_posts=1 in events.tsv",
+                                      f"{command}: skipped multi_origin_posts=1 in events.tsv"]
 
 
 @pytest.mark.parametrize("command", ["diffusion", "intervene"])
@@ -336,7 +337,7 @@ def test_malformed_events_counted_and_reported(fixture_dir, tmp_path, capsys, co
     dirty = run(bad, tmp_path / "dirty")
     assert dirty.out == clean.out
     assert clean.err == ""
-    assert dirty.err.splitlines() == [f"{command}: skipped malformed_events=1"]
+    assert dirty.err.splitlines() == [f"{command}: skipped malformed_events=1 in events.tsv"]
 
 
 def _outputs(root):
@@ -399,9 +400,9 @@ def test_dropped_edge_rows_skipped_and_reported(fixture_dir, tmp_path, capsys, c
     dirty_io, dirty_files = run(dirty, tmp_path / "dirty")
     assert dirty_io.out == clean_io.out
     assert clean_io.err == ""
-    assert dirty_io.err.splitlines() == [f"{command}: skipped malformed_lines=1",
-                                         f"{command}: skipped undecodable_lines=1",
-                                         f"{command}: skipped malformed_edges=1"]
+    assert dirty_io.err.splitlines() == [f"{command}: skipped malformed_lines=1 in edges.tsv",
+                                         f"{command}: skipped undecodable_lines=1 in edges.tsv",
+                                         f"{command}: skipped malformed_edges=1 in edges.tsv"]
     assert {k: v for k, (v, _) in dirty_files.items()} == \
         {k: v for k, (v, _) in clean_files.items()}
     if command == "stats":
@@ -429,7 +430,7 @@ def test_undecodable_event_line_skipped(fixture_dir, tmp_path, capsys, command):
     dirty_io, dirty_files = run(dirty, tmp_path / "dirty")
     assert dirty_io.out == clean_io.out
     assert clean_io.err == ""
-    assert dirty_io.err.splitlines() == [f"{command}: skipped undecodable_lines=1"]
+    assert dirty_io.err.splitlines() == [f"{command}: skipped undecodable_lines=1 in events.tsv"]
     assert {k: v for k, (v, _) in dirty_files.items()} == \
         {k: v for k, (v, _) in clean_files.items()}
     if command == "diffusion":
@@ -506,3 +507,73 @@ def test_pipeline_requires_seed(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["pipeline", "--out", str(tmp_path / "r")])
     assert exc.value.code == 2
+
+
+def test_connectivity_skips_undecodable_label_row(fixture_dir, tmp_path, capsys):
+    """A labels.csv row with a byte that is not UTF-8 is skipped and named
+    on stderr; the matrix equals the one from the labels without that row."""
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes(_insert_after((fixture_dir / "labels.csv").read_bytes(), 1,
+                                     b"zz\xff,outer\n"))
+
+    def run(path, out):
+        rc = main(["connectivity", "--edges", str(fixture_dir / "edges.tsv"),
+                   "--labels", str(path), "--mode", "density", "--out", str(out)])
+        return rc, capsys.readouterr()
+
+    rc_clean, clean_io = run(fixture_dir / "labels.csv", tmp_path / "clean.csv")
+    rc_dirty, dirty_io = run(labels, tmp_path / "dirty.csv")
+    assert rc_clean == rc_dirty == 0
+    assert dirty_io.out == clean_io.out
+    assert dirty_io.err.splitlines() == [
+        "connectivity: skipped undecodable_lines=1 in labels.csv"]
+    assert (tmp_path / "dirty.csv").read_bytes() == (tmp_path / "clean.csv").read_bytes()
+
+
+def test_diffusion_names_the_file_of_each_skip(fixture_dir, tmp_path, capsys):
+    edges, events = tmp_path / "edges.tsv", tmp_path / "events.tsv"
+    edges.write_bytes(_insert_after((fixture_dir / "edges.tsv").read_bytes(), 2,
+                                    b"p1_0000\t\xff\t1\tF\n"))
+    events.write_bytes(_insert_after((fixture_dir / "events.tsv").read_bytes(), 2,
+                                     b"zz1\tzz\xfe\tpost_x\t1\n"))
+    assert main(["diffusion", "--edges", str(edges), "--events", str(events),
+                 "--labels", str(fixture_dir / "labels.csv"),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "diffusion: skipped undecodable_lines=1 in edges.tsv",
+        "diffusion: skipped undecodable_lines=1 in events.tsv"]
+
+
+def test_dropped_demographic_rows_reported(fixture_dir, tmp_path, capsys):
+    """demographics and intervene --ages name the rows read_demographics_csv
+    dropped; stdout and the outputs stay those of the clean file."""
+    demo = tmp_path / "demographics.csv"
+    demo.write_bytes((fixture_dir / "demographics.csv").read_bytes()
+                     + b"zz1,200,male\nzz2,abc,female\n")
+    assert main(["diffusion", "--edges", str(fixture_dir / "edges.tsv"),
+                 "--events", str(fixture_dir / "events.tsv"),
+                 "--labels", str(fixture_dir / "labels.csv"),
+                 "--out", str(tmp_path / "diff")]) == 0
+    capsys.readouterr()
+
+    def run(command, path, out):
+        if command == "demographics":
+            argv = ["demographics", "--demo", str(path),
+                    "--classes", str(tmp_path / "diff" / "classes.csv")]
+        else:
+            argv = ["intervene", "--events", str(fixture_dir / "events.tsv"),
+                    "--labels", str(fixture_dir / "labels.csv"), "--ages", str(path)]
+        assert main(argv + ["--out", str(out)]) == 0
+        return capsys.readouterr()
+
+    for command in ("demographics", "intervene"):
+        clean = run(command, fixture_dir / "demographics.csv", tmp_path / f"{command}_clean")
+        dirty = run(command, demo, tmp_path / f"{command}_dirty")
+        assert clean.err == ""
+        assert dirty.out.replace("_dirty", "_clean") == clean.out
+        assert dirty.err.splitlines() == [
+            f"{command}: skipped malformed_demographics=1 in demographics.csv",
+            f"{command}: skipped age_out_of_range=1 in demographics.csv"]
+    for name in ("class_demographics.csv", "age_histogram.csv", "engagement.csv"):
+        assert (tmp_path / "demographics_dirty" / name).read_bytes() == \
+            (tmp_path / "demographics_clean" / name).read_bytes()

@@ -9,10 +9,9 @@ from devgraph.expansion import (
     expand_keywords,
     extract_deviant_graph,
     initial_state,
-    seed_keywords,
     write_trajectory_csv,
 )
-from devgraph.ingest import Dictionary, QueryRecord
+from devgraph.ingest import QueryRecord
 # The per-record definitions the coded expansion replaced; TestRatio and
 # TestSelect test them where they now live.
 from test_expansion_oracle import (
@@ -45,14 +44,6 @@ class TestRatio:
     def test_unique_mode(self):
         s = _stats("b", 9, 10, uniq_dev=1, uniq=4)
         assert deviant_ratio(s, RATIO_UNIQUE) == 0.25
-
-
-class TestSeedKeywords:
-    def test_dual_dictionary(self):
-        d = Dictionary.from_phrases(["alpha beta"], ["gamma"])
-        recs = [QueryRecord("alpha beta", "b1"), QueryRecord("see gamma here", "b2"),
-                QueryRecord("alpha", "b3"), QueryRecord("", "b4")]
-        assert seed_keywords(recs, d) == {"alpha beta", "see gamma here"}
 
 
 def three_blog_log():

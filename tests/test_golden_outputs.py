@@ -1,0 +1,105 @@
+"""Seed-11 outputs of `pipeline` and of the file-reading subcommands,
+pinned in tests/golden/: report.json verbatim, and the stdout and the
+sha256 of every other output file.
+
+Gate 9 compares two runs of the same build with each other, so it cannot
+see a change that alters both runs; these goldens can. Recapture them,
+when an output is meant to change, with
+
+    PYTHONPATH=src python tests/test_golden_outputs.py
+"""
+
+import hashlib
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from devgraph.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+SEED = 11
+# Files that `pipeline` writes beyond those pinned at capture: the diffusion
+# and demographics stage outputs that the subcommands always wrote.
+PIPELINE_EXTRA = {"reach.json", "age_histogram.csv"}
+
+
+def _run(argv: list[str], root: Path) -> str:
+    """Run one command; return its stdout with `root` masked."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(argv) == 0, argv
+    assert err.getvalue() == "", err.getvalue()
+    return out.getvalue().replace(str(root), "<tmp>")
+
+
+def _digests(root: Path) -> dict[str, str]:
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def pipeline_outputs(root: Path) -> dict:
+    out = root / "pipeline"
+    stdout = _run(["pipeline", "--seed", str(SEED), "--out", str(out)], root)
+    files = _digests(out)
+    del files["report.json"]
+    return {"stdout": stdout, "files": files,
+            "report": (out / "report.json").read_text(encoding="utf-8")}
+
+
+def subcommand_outputs(root: Path) -> dict:
+    fx, out = root / "fx", root / "out"
+    _run(["synth", "--seed", str(SEED), "--out", str(fx)], root)
+    edges, events, labels, demo = (str(fx / f) for f in (
+        "edges.tsv", "events.tsv", "labels.csv", "demographics.csv"))
+    commands = {
+        "diffusion": ["diffusion", "--edges", edges, "--events", events,
+                      "--labels", labels, "--out", str(out / "diffusion")],
+        "intervene_volume_ages": ["intervene", "--events", events, "--labels", labels,
+                                  "--strategy", "volume", "--ages", demo,
+                                  "--out", str(out / "volume.csv")],
+        "intervene_degree": ["intervene", "--events", events, "--labels", labels,
+                             "--edges", edges, "--strategy", "degree",
+                             "--out", str(out / "degree.csv")],
+        "demographics": ["demographics", "--demo", demo,
+                         "--classes", str(out / "diffusion" / "classes.csv"),
+                         "--out", str(out / "demographics")],
+        "connectivity_density": ["connectivity", "--edges", edges, "--labels", labels,
+                                 "--mode", "density", "--out", str(out / "density.csv")],
+    }
+    stdout = {name: _run(argv, root) for name, argv in commands.items()}
+    return {"stdout": stdout, "files": _digests(out)}
+
+
+def _golden(name: str) -> dict:
+    return json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+
+
+def test_pipeline_matches_golden(tmp_path):
+    got = pipeline_outputs(tmp_path)
+    assert got["report"] == (GOLDEN / "pipeline_seed11_report.json").read_text(encoding="utf-8")
+    want = _golden("pipeline_seed11.json")
+    assert got["stdout"] == want["stdout"]
+    assert set(got["files"]) == set(want["files"]) | PIPELINE_EXTRA
+    assert {f: got["files"][f] for f in want["files"]} == want["files"]
+    # the extra files are those the subcommands write from the same fixture
+    subs = _golden("subcommands_seed11.json")["files"]
+    assert got["files"]["reach.json"] == subs["diffusion/reach.json"]
+    assert got["files"]["age_histogram.csv"] == subs["demographics/age_histogram.csv"]
+
+
+def test_subcommands_match_golden(tmp_path):
+    assert subcommand_outputs(tmp_path) == _golden("subcommands_seed11.json")
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        pipe = pipeline_outputs(Path(tmp))
+        subs = subcommand_outputs(Path(tmp))
+    GOLDEN.mkdir(exist_ok=True)
+    (GOLDEN / "pipeline_seed11_report.json").write_text(pipe.pop("report"), encoding="utf-8")
+    for name, data in (("pipeline_seed11.json", pipe), ("subcommands_seed11.json", subs)):
+        with open(GOLDEN / name, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(data, fh, indent=2, sort_keys=True)
+            fh.write("\n")

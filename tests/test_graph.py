@@ -1,4 +1,4 @@
-"""Layered graph construction, sampling, and structural statistics."""
+"""Layered graph construction and structural statistics."""
 
 import math
 
@@ -18,7 +18,6 @@ from devgraph.graph import (
     mean_degree_and_density,
     network_stats,
     read_labels_csv,
-    snowball_sample,
     write_edge_tsv,
     write_labels_csv,
 )
@@ -103,32 +102,6 @@ class TestRoundTrip:
         g = load_graph(str(p))
         assert g.n_edges(FOLLOW) == 1 and g.n_edges(REBLOG) == 1
         assert g.diagnostics["malformed_lines"] == 1
-
-
-class TestSnowball:
-    def setup_method(self):
-        # s -> a -> b -> c -> d, plus isolated island x -> y
-        self.g = build_graph([F("s", "a"), F("a", "b"), F("b", "c"), F("c", "d"),
-                              F("x", "y")])
-
-    def test_hops(self):
-        assert snowball_sample(self.g, ["s"], hops=0) == {"s"}
-        assert snowball_sample(self.g, ["s"], hops=1) == {"s", "a"}
-        assert snowball_sample(self.g, ["s"], hops=2) == {"s", "a", "b"}
-        assert snowball_sample(self.g, ["s"], hops=3) == {"s", "a", "b", "c"}
-
-    def test_undirected_and_cross_layer(self):
-        g = build_graph([F("a", "b"), R("c", "b", 1.0)])
-        # b reaches a against follow direction and c against reblog direction
-        assert snowball_sample(g, ["b"], hops=1) == {"a", "b", "c"}
-
-    def test_unknown_seed_raises(self):
-        with pytest.raises(ValueError, match="nope"):
-            snowball_sample(self.g, ["nope"], hops=1)
-
-    @given(st.integers(min_value=0, max_value=6))
-    def test_monotone_in_hops(self, h):
-        assert snowball_sample(self.g, ["s"], hops=h) <= snowball_sample(self.g, ["s"], hops=h + 1)
 
 
 class TestSubgraph:

@@ -1,8 +1,8 @@
-"""Normalization, dictionary matching, and blog-hit aggregation."""
+"""Normalization, the line reader and the readers built on it, and blog-hit
+aggregation."""
 
 import io
 import os
-import random
 import tempfile
 from collections import Counter
 
@@ -10,13 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from devgraph.cli import _read_counts_csv, _read_node_set
+from devgraph.community import read_partition_csv, read_role_map_csv
+from devgraph.demographics import DemographicRecord, read_demographics_csv
+from devgraph.diffusion import ConsumerClass, read_classes_csv
+from devgraph.graph import read_labels_csv
 from devgraph.ingest import (
-    Dictionary,
-    MatchKind,
     QueryRecord,
     blog_id_from_url,
     decoded_lines,
-    match_query,
     normalize_query,
     read_phrases,
     read_query_log,
@@ -65,56 +67,6 @@ class TestNormalize:
         assert not re.search(r"\d", out)
         assert out == " ".join(out.split())
         assert "tumblr" not in out.split()
-
-
-class TestMatch:
-    def test_exact(self):
-        d = Dictionary.from_phrases(["big cats"], [])
-        assert match_query("big cats", d) is MatchKind.EXACT
-
-    def test_exact_not_substring(self):
-        # "porn" only in exact: "food porn" must not be detected
-        d = Dictionary.from_phrases(["porn"], [])
-        assert match_query("food porn", d) is MatchKind.NO_MATCH
-
-    def test_containment_token_window(self):
-        d = Dictionary.from_phrases([], ["x y"])
-        assert match_query("a x y b", d) is MatchKind.CONTAINMENT
-        assert match_query("a x b y", d) is MatchKind.NO_MATCH
-
-    def test_containment_not_raw_substring(self):
-        d = Dictionary.from_phrases([], ["cats"])
-        assert match_query("bobcats", d) is MatchKind.NO_MATCH
-        assert match_query("big cats here", d) is MatchKind.CONTAINMENT
-
-    def test_exact_precedence(self):
-        d = Dictionary.from_phrases(["a b"], ["a"])
-        assert match_query("a b", d) is MatchKind.EXACT
-
-    def test_phrases_normalized_on_load(self):
-        d = Dictionary.from_phrases(["Big  CATS 99"], ["X  Y 4"])
-        assert match_query("big cats", d) is MatchKind.EXACT
-        assert match_query("q x y q", d) is MatchKind.CONTAINMENT
-
-    def test_brute_force_oracle(self):
-        rng = random.Random(17)
-        vocab = [f"w{i}" for i in range(30)]
-        phrases = [" ".join(rng.choices(vocab, k=rng.randint(1, 3))) for _ in range(1000)]
-        d = Dictionary.from_phrases([], phrases)
-        contain = [tuple(p.split()) for p in d.containment]
-
-        def oracle(tokens):
-            for p in contain:
-                for i in range(len(tokens) - len(p) + 1):
-                    if tuple(tokens[i:i + len(p)]) == p:
-                        return True
-            return False
-
-        for _ in range(300):
-            toks = rng.choices(vocab + ["zz", "qq"], k=rng.randint(0, 20))
-            q = " ".join(toks)
-            expected = MatchKind.CONTAINMENT if oracle(toks) else MatchKind.NO_MATCH
-            assert match_query(q, d) is expected, q
 
 
 class TestBlogId:
@@ -264,3 +216,27 @@ def test_phrase_file_round_trip(tmp_path):
     p = tmp_path / "phrases.txt"
     write_phrases({"b phrase", "a phrase"}, str(p))
     assert read_phrases(str(p)) == ["a phrase", "b phrase"]
+
+
+READERS = {
+    "labels": (read_labels_csv, b"node,group\na,outer\n", {"a": "outer"}),
+    "partition": (read_partition_csv, b"node,community\na,3\n", {"a": 3}),
+    "role_map": (read_role_map_csv, b"community,role\n3,outer\n", {3: "outer"}),
+    "classes": (read_classes_csv, b"node,class\na,producer\n", {"a": ConsumerClass.PRODUCER}),
+    "demographics": (read_demographics_csv, b"node,age,gender\na,30,male\n",
+                     {"a": DemographicRecord("a", 30, "male")}),
+    "node_set": (_read_node_set, b"a\n", {"a"}),
+    "counts": (_read_counts_csv, b"node,count\na,4\n", {"a": 4}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_csv_readers_skip_undecodable_lines(tmp_path, name):
+    """Every CSV and node-set reader drops a line that is not UTF-8 and
+    counts it as `undecodable_lines`, like the edge, event and log readers."""
+    reader, text, expected = READERS[name]
+    path = tmp_path / "in.csv"
+    path.write_bytes(text + b"b\xff,1,2\n")
+    diagnostics = Counter()
+    assert reader(str(path), diagnostics=diagnostics) == expected
+    assert diagnostics == {"undecodable_lines": 1}

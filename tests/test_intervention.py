@@ -10,14 +10,14 @@ from devgraph.intervention import (
     BY_DEGREE,
     BY_VOLUME,
     adaptive_greedy_ranking,
-    baseline_consumers,
     rank_by_degree,
     rank_by_volume,
-    reached_consumers,
     shrinkage_curve,
     underage_exposure_threshold,
     write_shrinkage_csv,
 )
+
+from test_intervention_oracle import baseline_consumers, reached_consumers
 
 
 def ev(actor, source, post="p1", ts=0.0):

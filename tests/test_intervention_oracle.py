@@ -1,7 +1,12 @@
 """The forest-flattening intervention code against the tree-walking
 definitions it replaced, kept here verbatim as oracles: exact equality of
 greedy rankings (ties included), shrinkage curves with their warnings, and
-underage thresholds or their errors, over random overlapping forests."""
+underage thresholds or their errors, over random overlapping forests.
+
+The tree-walking definitions of the baseline and of the consumers still
+reached (`baseline_consumers`, `reached_consumers`) live only here now;
+`tests/test_intervention.py` uses them too.
+"""
 
 from collections.abc import Sequence
 
@@ -14,12 +19,39 @@ from devgraph.intervention import (
     ShrinkageCurve,
     UnderageThreshold,
     adaptive_greedy_ranking,
-    baseline_consumers,
-    reached_consumers,
     shrinkage_curve,
     underage_exposure_threshold,
 )
 from devgraph.synth import SynthConfig, planted_graph, synth_events
+
+
+def baseline_consumers(trees: Sequence[DiffusionTree]) -> set[str]:
+    """Everyone who appears below a root in some tree."""
+    out: set[str] = set()
+    for tree in trees:
+        out |= tree.nodes() - {tree.root}
+    return out
+
+
+def reached_consumers(trees: Sequence[DiffusionTree], removed: set[str]) -> set[str]:
+    """Nodes still reachable from a surviving root along paths that avoid
+    the removed set entirely (erased posts sever their whole subtree)."""
+    reached: set[str] = set()
+    for tree in trees:
+        if tree.root in removed:
+            continue
+        frontier = [tree.root]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for child in tree.children.get(u, ()):
+                    # a node may already be reached via another tree, but its
+                    # subtree here still needs walking
+                    if child not in removed:
+                        reached.add(child)
+                        nxt.append(child)
+            frontier = nxt
+    return reached
 
 
 def oracle_shrinkage_curve(trees, ranking, sizes, strategy="ByVolume"):
