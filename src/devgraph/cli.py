@@ -144,7 +144,8 @@ def _config_of(args) -> dict[str, str]:
 
 _SKIP_REASONS = ("malformed_lines", "non_platform_urls", "undecodable_lines", "malformed_edges",
                  "malformed_events", "cyclic_posts", "multi_origin_posts",
-                 "malformed_demographics", "age_out_of_range")
+                 "malformed_demographics", "age_out_of_range", "malformed_labels",
+                 "malformed_rows")
 
 
 def _report_skipped(command: str, diagnostics: Counter, path: str) -> None:

@@ -177,22 +177,34 @@ def write_partition_csv(p: Partition, path: str) -> None:
 
 
 def read_partition_csv(path: str, diagnostics: Counter | None = None) -> dict[str, int]:
-    """node,community rows; lines that are not valid UTF-8 are skipped and
-    counted (see `decoded_lines`)."""
+    """node,community rows; a row whose community is not an integer is
+    skipped and counted as malformed_rows, and a line that is not valid
+    UTF-8 as undecodable_lines (see `decoded_lines`)."""
+    if diagnostics is None:
+        diagnostics = Counter()
     out: dict[str, int] = {}
     for line in decoded_lines(path, diagnostics, header="node,community"):
         node, _, c = line.partition(",")
-        out[node] = int(c)
+        try:
+            out[node] = int(c)
+        except ValueError:
+            diagnostics["malformed_rows"] += 1
     return out
 
 
 def read_role_map_csv(path: str, diagnostics: Counter | None = None) -> dict[int, str]:
-    """community,role rows naming each community's functional role; lines
-    that are not valid UTF-8 are skipped and counted."""
+    """community,role rows naming each community's functional role; a row
+    whose community is not an integer is skipped and counted as
+    malformed_rows, and a line that is not valid UTF-8 as undecodable_lines."""
+    if diagnostics is None:
+        diagnostics = Counter()
     out: dict[int, str] = {}
     for line in decoded_lines(path, diagnostics, header="community,role"):
         c, _, role = line.partition(",")
-        out[int(c)] = role
+        try:
+            out[int(c)] = role
+        except ValueError:
+            diagnostics["malformed_rows"] += 1
     return out
 
 

@@ -231,13 +231,18 @@ def write_edge_tsv(g: LayeredGraph, path: str) -> None:
 
 
 def read_labels_csv(path: str, diagnostics: Counter | None = None) -> dict[str, str]:
-    """Read a node,group CSV (header optional); lines that are not valid
-    UTF-8 are skipped and counted (see `decoded_lines`)."""
+    """Read a node,group CSV (header optional); a row without a node or a
+    group is skipped and counted as malformed_labels, and so is a line that
+    is not valid UTF-8, as undecodable_lines (see `decoded_lines`)."""
+    if diagnostics is None:
+        diagnostics = Counter()
     labels: dict[str, str] = {}
     for line in decoded_lines(path, diagnostics, header="node,group"):
         node, _, group = line.partition(",")
         if node and group:
             labels[node] = group
+        else:
+            diagnostics["malformed_labels"] += 1
     return labels
 
 

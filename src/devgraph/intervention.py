@@ -3,14 +3,13 @@ measure how far the observed diffusion trees shrink."""
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import REBLOG, LayeredGraph
-from .diffusion import DiffusionTree
+from .diffusion import DiffusionForest, DiffusionTree
 
 BY_VOLUME = "ByVolume"
 BY_DEGREE = "ByDegree"
@@ -31,19 +30,19 @@ class ShrinkageCurve:
 def rank_by_volume(trees: Sequence[DiffusionTree]) -> list[str]:
     """Roots and spreaders ordered by how many distinct blogs sit strictly
     below them across all trees; ties break by node id."""
-    reach: dict[str, set[str]] = {}
-    candidates: set[str] = set()
-    for tree in trees:
-        candidates.add(tree.root)
-        candidates.update(tree.parent.values())
-        for node in tree.parent:
-            cur = tree.parent[node]
-            while True:
-                reach.setdefault(cur, set()).add(node)
-                if cur == tree.root:
-                    break
-                cur = tree.parent[cur]
-    return sorted(candidates, key=lambda n: (-len(reach.get(n, ())), n))
+    forest = DiffusionForest.of(trees)
+    n = forest.n_nodes
+    above, app = _root_paths(forest)
+    strict = above != app
+    pairs = forest.node[above[strict]] * n + forest.node[app[strict]]
+    del above, app, strict
+    pairs.sort()
+    distinct = pairs[np.flatnonzero(np.diff(pairs, prepend=-1))]
+    reach = np.bincount(distinct // n, minlength=n)
+    # node codes follow id order, so the code breaks ties
+    candidates = np.flatnonzero(_candidates(forest))
+    order = candidates[np.lexsort((candidates, -reach[candidates]))]
+    return [forest.ids[c] for c in order.tolist()]
 
 
 def rank_by_degree(g: LayeredGraph) -> list[str]:
@@ -57,73 +56,49 @@ def rank_by_degree(g: LayeredGraph) -> list[str]:
 _NEVER = np.iinfo(np.int64).max
 
 
-class _Forest:
-    """Every tree appearance of every node, integer-coded.
+def _candidates(forest: DiffusionForest) -> np.ndarray:
+    """Mask of roots and internal nodes, the removable posters."""
+    mask = np.zeros(forest.n_nodes, dtype=bool)
+    mask[forest.node[forest.parent == -1]] = True
+    mask[forest.node[forest.parent[forest.parent >= 0]]] = True
+    return mask
 
-    Nodes are indexed in sorted id order, so index order is tie-break order.
-    Appearance t is the root of trees[t]; the non-root appearances follow,
-    tree by tree, in the order of each tree's `children`.
-    parent[a] is the appearance a hangs from, -1 at a root."""
 
-    def __init__(self, trees: Sequence[DiffusionTree]):
-        roots = [tree.root for tree in trees]
-        kids: list[str] = []
-        above: list[str] = []
-        fan: list[int] = []
-        ends: list[int] = []
-        for tree in trees:
-            kids.extend(itertools.chain.from_iterable(tree.children.values()))
-            above.extend(tree.children)
-            fan.extend(map(len, tree.children.values()))
-            ends.append(len(kids))
-        self.ids = sorted(set(roots).union(kids))
-        self.index = {n: i for i, n in enumerate(self.ids)}
-        code = self.index.__getitem__
-        self.node = np.fromiter(map(code, itertools.chain(roots, kids)),
-                                dtype=np.int64, count=len(roots) + len(kids))
-        up = np.repeat(np.fromiter(map(code, above), dtype=np.int64, count=len(above)),
-                       np.array(fan, dtype=np.int64))
-        tree_of = np.arange(len(trees))
-        sizes = np.diff(np.array(ends, dtype=np.int64), prepend=0)
-        tree_of = np.concatenate((tree_of, np.repeat(tree_of, sizes)))
-        # a node appears at most once per tree, so (tree, node) keys are unique
-        key = tree_of * len(self.ids) + self.node
-        order = np.argsort(key)
-        hang = order[np.searchsorted(key[order], tree_of[len(trees):] * len(self.ids) + up)]
-        self.parent = np.concatenate((np.full(len(trees), -1), hang))
+def _root_paths(forest: DiffusionForest) -> tuple[np.ndarray, np.ndarray]:
+    """(above, app) for each non-root appearance app and each appearance
+    above on its root path, app itself and the root included."""
+    above, apps = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    app = cur = np.flatnonzero(forest.parent >= 0)
+    while app.size:
+        above.append(cur)
+        apps.append(app)
+        cur = forest.parent[cur]
+        up = cur >= 0
+        app, cur = app[up], cur[up]
+    return np.concatenate(above), np.concatenate(apps)
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.ids)
 
-    def candidates(self) -> np.ndarray:
-        """Mask of roots and internal nodes, the removable posters."""
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        mask[self.node[self.parent == -1]] = True
-        mask[self.node[self.parent[self.parent >= 0]]] = True
-        return mask
-
-    def death_rank(self, ranking: Sequence[str]) -> np.ndarray:
-        """D(n) per node: the largest, over n's non-root appearances, of the
-        smallest ranking position on the root path (root and n included).
-        Erasing ranking[:k] leaves n reached iff D(n) >= k. Unranked nodes
-        sit at position _NEVER; duplicates keep their first position; nodes
-        with no non-root appearance get -1."""
-        pos = np.full(self.n_nodes, _NEVER, dtype=np.int64)
-        for i in range(len(ranking) - 1, -1, -1):
-            j = self.index.get(ranking[i])
-            if j is not None:
-                pos[j] = i
-        # pointer doubling: least[a] covers ever more of a's root path
-        least = pos[self.node]
-        jump = self.parent.copy()
-        while (has := np.flatnonzero(jump >= 0)).size:
-            least[has] = np.minimum(least[has], least[jump[has]])
-            jump[has] = jump[jump[has]]
-        death = np.full(self.n_nodes, -1, dtype=np.int64)
-        below = self.parent >= 0
-        np.maximum.at(death, self.node[below], least[below])
-        return death
+def _death_rank(forest: DiffusionForest, ranking: Sequence[str]) -> np.ndarray:
+    """D(n) per node: the largest, over n's non-root appearances, of the
+    smallest ranking position on the root path (root and n included).
+    Erasing ranking[:k] leaves n reached iff D(n) >= k. Unranked nodes
+    sit at position _NEVER; duplicates keep their first position; nodes
+    with no non-root appearance get -1."""
+    pos = np.full(forest.n_nodes, _NEVER, dtype=np.int64)
+    for i in range(len(ranking) - 1, -1, -1):
+        j = forest.index.get(ranking[i])
+        if j is not None:
+            pos[j] = i
+    # pointer doubling: least[a] covers ever more of a's root path
+    least = pos[forest.node]
+    jump = forest.parent.copy()
+    while (has := np.flatnonzero(jump >= 0)).size:
+        least[has] = np.minimum(least[has], least[jump[has]])
+        jump[has] = jump[jump[has]]
+    death = np.full(forest.n_nodes, -1, dtype=np.int64)
+    below = forest.parent >= 0
+    np.maximum.at(death, forest.node[below], least[below])
+    return death
 
 
 def shrinkage_curve(trees: Sequence[DiffusionTree], ranking: Sequence[str],
@@ -135,7 +110,7 @@ def shrinkage_curve(trees: Sequence[DiffusionTree], ranking: Sequence[str],
     sizes = list(sizes)
     if sizes != sorted(sizes):
         raise ValueError("removal sizes must be ascending")
-    death = _Forest(trees).death_rank(ranking)
+    death = _death_rank(DiffusionForest.of(trees), ranking)
     baseline = death[death >= 0]
     if not baseline.size:
         raise ValueError("no baseline consumers: trees are empty")
@@ -163,8 +138,8 @@ def underage_exposure_threshold(trees: Sequence[DiffusionTree], ranking: Sequenc
     reached: one more than the largest death rank among underage baseline
     consumers, found in one pass over the forest."""
     underage = {n for n, a in ages.items() if a < cutoff}
-    forest = _Forest(trees)
-    death = forest.death_rank(ranking)
+    forest = DiffusionForest.of(trees)
+    death = _death_rank(forest, ranking)
     exposed = death[[forest.index[n] for n in underage if n in forest.index]]
     exposed = exposed[exposed >= 0]
     if not exposed.size:
@@ -188,22 +163,15 @@ def adaptive_greedy_ranking(trees: Sequence[DiffusionTree], size: int) -> list[s
     appearances with c on their root path number all of n's live
     appearances. The objective is not submodular on overlapping trees, so
     lazy evaluation (CELF) would change the picks and is not used."""
-    forest = _Forest(trees)
-    open_ = forest.candidates()
+    forest = DiffusionForest.of(trees)
+    open_ = _candidates(forest)
     n, node = forest.n_nodes, forest.node
     # key = ancestor * n + node for each non-root appearance and each node
     # on its root path (itself included); sorted, so that every round counts
     # runs of equal keys without sorting again
-    keys, apps = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    app = cur = np.flatnonzero(forest.parent >= 0)
-    while app.size:
-        keys.append(node[cur] * n + node[app])
-        apps.append(app)
-        cur = forest.parent[cur]
-        up = cur >= 0
-        app, cur = app[up], cur[up]
-    key, pair_app = np.concatenate(keys), np.concatenate(apps)
-    del keys, apps
+    above, pair_app = _root_paths(forest)
+    key = node[above] * n + node[pair_app]
+    del above
     order = np.argsort(key)
     key.sort()
     pair_app = pair_app[order]

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from devgraph.cli import main
-from devgraph.diffusion import ConsumerClass, read_classes_csv
+from devgraph.diffusion import ConsumerClass, DiffusionForest, read_classes_csv
 from devgraph.graph import read_labels_csv
 from devgraph.ingest import read_phrases
 from devgraph.synth import SynthConfig, write_config
@@ -528,6 +528,61 @@ def test_connectivity_skips_undecodable_label_row(fixture_dir, tmp_path, capsys)
     assert dirty_io.err.splitlines() == [
         "connectivity: skipped undecodable_lines=1 in labels.csv"]
     assert (tmp_path / "dirty.csv").read_bytes() == (tmp_path / "clean.csv").read_bytes()
+
+
+@pytest.mark.parametrize("bad", ["labels", "partition", "role_map"])
+def test_connectivity_skips_malformed_role_rows(fixture_dir, tmp_path, capsys, bad):
+    """A labels.csv row without a group, and a partition or role-map row
+    whose community is not an integer, are skipped and counted on stderr;
+    the matrix equals the one from the files without that row."""
+    edges = str(fixture_dir / "edges.tsv")
+    partition, role_map = tmp_path / "partition.csv", tmp_path / "map.csv"
+    assert main(["communities", "--edges", edges, "--seed", "0",
+                 "--out", str(partition)]) == 0
+    communities = sorted({line.split(",")[1] for line in partition.read_text().splitlines()[1:]})
+    role_map.write_text("community,role\n" + "".join(
+        f"{c},{'core' if i % 2 else 'rest'}\n" for i, c in enumerate(communities)))
+    clean = {"labels": fixture_dir / "labels.csv", "partition": partition,
+             "role_map": role_map}
+    row, reason = {"labels": (b"zz_only\n", "malformed_labels"),
+                   "partition": (b"zz,abc\n", "malformed_rows"),
+                   "role_map": (b"abc,core\n", "malformed_rows")}[bad]
+    dirty = dict(clean)
+    dirty[bad] = tmp_path / f"dirty_{clean[bad].name}"
+    dirty[bad].write_bytes(_insert_after(clean[bad].read_bytes(), 2, row))
+
+    def run(files, out):
+        roles = (["--labels", str(files["labels"])] if bad == "labels" else
+                 ["--partition", str(files["partition"]), "--role-map", str(files["role_map"])])
+        rc = main(["connectivity", "--edges", edges, *roles, "--mode", "density",
+                   "--out", str(out)])
+        return rc, capsys.readouterr()
+
+    capsys.readouterr()
+    rc_clean, clean_io = run(clean, tmp_path / "clean.csv")
+    rc_dirty, dirty_io = run(dirty, tmp_path / "dirty.csv")
+    assert rc_clean == rc_dirty == 0
+    assert dirty_io.out == clean_io.out
+    assert dirty_io.err.splitlines() == [
+        f"connectivity: skipped {reason}=1 in {dirty[bad].name}"]
+    assert (tmp_path / "dirty.csv").read_bytes() == (tmp_path / "clean.csv").read_bytes()
+
+
+def test_intervene_builds_one_forest(fixture_dir, tmp_path, monkeypatch):
+    """The ranking, the threshold and the curve share one forest."""
+    built = []
+    init = DiffusionForest.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DiffusionForest, "__init__", counted)
+    assert main(["intervene", "--events", str(fixture_dir / "events.tsv"),
+                 "--labels", str(fixture_dir / "labels.csv"), "--strategy", "volume",
+                 "--ages", str(fixture_dir / "demographics.csv"),
+                 "--out", str(tmp_path / "volume.csv")]) == 0
+    assert len(built) == 1
 
 
 def test_diffusion_names_the_file_of_each_skip(fixture_dir, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Diffusion tree construction, consumer classification, reach, efficiency."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -37,10 +38,10 @@ class TestBuildTrees:
         assert t.parent == {"a": "p", "b": "a"}
 
     def test_no_events(self):
-        assert build_trees([], {"p"}) == []
+        assert list(build_trees([], {"p"})) == []
 
     def test_non_producer_root_excluded(self):
-        assert build_trees([ev("a", "q", ts=1)], {"p"}) == []
+        assert list(build_trees([ev("a", "q", ts=1)], {"p"})) == []
 
     def test_multiple_posts_sorted(self):
         events = [ev("a", "p", post="z", ts=1), ev("b", "p", post="m", ts=1)]
@@ -217,7 +218,7 @@ class TestEventsIO:
         events = [ev("a", "p", ts=1.5), ev("b", "a", ts=2)]
         p = tmp_path / "events.tsv"
         write_events_tsv(events, str(p))
-        assert read_events_tsv(str(p)) == events
+        assert list(read_events_tsv(str(p))) == events
 
     def test_malformed_dropped(self, tmp_path):
         p = tmp_path / "events.tsv"
@@ -226,3 +227,15 @@ class TestEventsIO:
         events = read_events_tsv(str(p), diagnostics=diags)
         assert len(events) == 1
         assert diags["malformed_events"] == 3
+
+    def test_nan_timestamp_skipped_in_any_row_order(self, tmp_path):
+        """A NaN timestamp sorts against nothing, so a tree built with it
+        would depend on row order; the row is skipped and counted instead."""
+        rows = ["a\tp\tx\t2", "a\tq\tx\tnan", "q\tp\tx\t1", "a\tr\tx\t0.5", "r\tp\tx\t0.1"]
+        p = tmp_path / "events.tsv"
+        for order in itertools.permutations(rows):
+            p.write_text("\n".join(order) + "\n")
+            diags = Counter()
+            trees = build_trees(read_events_tsv(str(p), diagnostics=diags), {"p"})
+            assert [t.parent for t in trees] == [{"a": "r", "q": "p", "r": "p"}]
+            assert diags == Counter(malformed_events=1)

@@ -17,6 +17,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from devgraph.cli import main
+from devgraph.diffusion import producer_nodes
+from devgraph.graph import read_labels_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 SEED = 11
@@ -53,12 +55,30 @@ def subcommand_outputs(root: Path) -> dict:
     _run(["synth", "--seed", str(SEED), "--out", str(fx)], root)
     edges, events, labels, demo = (str(fx / f) for f in (
         "edges.tsv", "events.tsv", "labels.csv", "demographics.csv"))
+    producers = fx / "producers.txt"
+    producers.write_text("".join(f"{node}\n" for node in
+                                 sorted(producer_nodes(read_labels_csv(labels)))),
+                         encoding="utf-8")
     commands = {
         "diffusion": ["diffusion", "--edges", edges, "--events", events,
                       "--labels", labels, "--out", str(out / "diffusion")],
         "intervene_volume_ages": ["intervene", "--events", events, "--labels", labels,
                                   "--strategy", "volume", "--ages", demo,
                                   "--out", str(out / "volume.csv")],
+        "intervene_volume_ages_sizes": ["intervene", "--events", events, "--labels", labels,
+                                        "--strategy", "volume", "--ages", demo,
+                                        "--sizes", "0,1,2,5,10,20,40",
+                                        "--out", str(out / "volume_sizes.csv")],
+        "intervene_greedy": ["intervene", "--events", events, "--labels", labels,
+                             "--strategy", "greedy", "--sizes", "0,5,10,20",
+                             "--out", str(out / "greedy.csv")],
+        "diffusion_efficiency": ["diffusion", "--edges", edges, "--events", events,
+                                 "--labels", labels, "--efficiency-set", str(producers),
+                                 "--out", str(out / "diffusion_efficiency")],
+        "diffusion_efficiency_inverse": ["diffusion", "--edges", edges, "--events", events,
+                                         "--labels", labels, "--efficiency-set",
+                                         str(producers), "--inverse",
+                                         "--out", str(out / "diffusion_efficiency_inverse")],
         "intervene_degree": ["intervene", "--events", events, "--labels", labels,
                              "--edges", edges, "--strategy", "degree",
                              "--out", str(out / "degree.csv")],
