@@ -177,12 +177,15 @@ def _read_node_set(path: str, diagnostics: Counter) -> set[str]:
 
 
 def _read_counts_csv(path: str, diagnostics: Counter) -> dict[str, int]:
+    """node,count rows; a row without a comma or with a count that is not an
+    integer is skipped and counted as malformed_rows."""
     out: dict[str, int] = {}
     for line in decoded_lines(path, diagnostics, header="node,count"):
-        node, sep, value = line.partition(",")
-        if not sep:
-            raise ValueError(f"bad count row: {line!r}")
-        out[node] = int(value)
+        node, _, value = line.partition(",")
+        try:
+            out[node] = int(value)
+        except ValueError:
+            diagnostics["malformed_rows"] += 1
     return out
 
 

@@ -95,39 +95,66 @@ def group_matrix(g: LayeredGraph, layer: str, roles: dict[str, str], mode: str,
 
 def rewire_null_model(g: LayeredGraph, layer: str, seed,
                       swaps_per_edge: int = 10) -> LayeredGraph:
-    """Degree-preserving rewiring of one layer by repeated double edge swaps
-    (a->b, c->d) => (a->d, c->b); swaps creating self-loops or duplicate
-    edges are rejected. Weights travel with their source slot. The other
-    layer and the node universe are untouched."""
+    """Degree-preserving rewiring of one layer by batches of double edge
+    swaps (a->b, c->e) => (a->e, c->b) over a random pairing of edge slots
+    (see `_swap_batch`). Each batch pairs m // 2 or m // 2 - 1 of the m
+    slots, with equal odds; there are ceil(swaps_per_edge * m / (m // 2))
+    batches, about swaps_per_edge proposals per edge. Swaps creating
+    self-loops or duplicate edges are rejected. Weights travel with their
+    source slot. The other layer and the node universe are untouched."""
     src, dst, weight = g.edge_arrays(layer)
-    n_edges = len(src)
-    if n_edges < 2:
+    m = len(src)
+    if m < 2:
         raise ValueError("layer needs at least 2 edges to rewire")
-    edge_set = set(zip(src.tolist(), dst.tolist()))
+    if swaps_per_edge < 0:
+        raise ValueError("swaps_per_edge must be at least 0")
     rng = np.random.default_rng(seed)
-    attempts = swaps_per_edge * n_edges
-    picks = rng.integers(0, n_edges, size=(attempts, 2))
-    s = src.tolist()
-    d = dst.tolist()
-    for i, j in picks:
-        if i == j:
-            continue
-        a, b = s[i], d[i]
-        c, e = s[j], d[j]
-        if a == e or c == b:
-            continue
-        if (a, e) in edge_set or (c, b) in edge_set:
-            continue
-        edge_set.discard((a, b))
-        edge_set.discard((c, e))
-        edge_set.add((a, e))
-        edge_set.add((c, b))
-        d[i] = e
-        d[j] = b
-    rewired = _Layer(g.n_nodes, np.array(s), np.array(d), weight)
+    for _ in range(-(-swaps_per_edge * m // (m // 2))):
+        perm = rng.permutation(m)
+        # a pair count of varying parity keeps the chain aperiodic
+        h = m // 2 - int(rng.integers(2))
+        _swap_batch(src, dst, g.n_nodes, perm[:h], perm[h:2 * h])
+    rewired = _Layer(g.n_nodes, src, dst, weight)
     layers = {name: (rewired if name == layer else g.layer(name)) for name in LAYERS}
     return LayeredGraph(g.node_ids, layers, labels=g.labels,
                         diagnostics=Counter(g.diagnostics))
+
+
+def _swap_batch(src: np.ndarray, dst: np.ndarray, n: int,
+                i: np.ndarray, j: np.ndarray) -> None:
+    """Swap, in place in `dst`, the heads of each disjoint slot pair
+    (i[k], j[k]): (a->b, c->e) => (a->e, c->b). A pair is accepted when
+      1. it makes no self-loop;
+      2. neither new edge is already an edge;
+      3. neither new edge is also proposed by another pair;
+      4. neither of its old edges is proposed by another pair.
+    Rule 4 makes the same pairing undo the batch from the new state, so the
+    one-batch transition matrix is symmetric and the uniform distribution
+    over the swap class is stationary."""
+    h = len(i)
+    a, b, c, e = src[i], dst[i], src[j], dst[j]
+    # new keys in sorted order, which also makes the lookups below cache-friendly
+    new = np.concatenate((a * n + e, c * n + b))
+    by_key = np.argsort(new)
+    new = new[by_key]
+    proposer = np.tile(np.arange(h), 2)[by_key]
+    rejected = (a == e) | (c == b)
+    # rule 3
+    twin = new[1:] == new[:-1]
+    rejected[proposer[1:][twin]] = True
+    rejected[proposer[:-1][twin]] = True
+    # rule 2, and rule 4 from the slot that owns each hit
+    keys = src * n + dst
+    order = np.argsort(keys)
+    pos = np.minimum(np.searchsorted(keys[order], new), len(keys) - 1)
+    hit = keys[order[pos]] == new
+    rejected[proposer[hit]] = True
+    pair_of = np.full(len(keys), -1, dtype=np.int64)
+    pair_of[i] = pair_of[j] = np.arange(h)
+    owner = pair_of[order[pos[hit]]]
+    rejected[owner[owner >= 0]] = True
+    ok = ~rejected
+    dst[i[ok]], dst[j[ok]] = e[ok], b[ok]
 
 
 def null_ratio_matrix(g: LayeredGraph, layer: str, roles: dict[str, str],

@@ -402,12 +402,16 @@ def write_classes_csv(classes: dict[str, ConsumerClass], path: str) -> None:
 
 
 def read_classes_csv(path: str, diagnostics: Counter | None = None) -> dict[str, ConsumerClass]:
-    """node,class rows; lines that are not valid UTF-8 are skipped and
-    counted (see `decoded_lines`)."""
+    """node,class rows; a row without a comma or with an unknown class is
+    skipped and counted as malformed_rows, and a line that is not valid
+    UTF-8 as undecodable_lines (see `decoded_lines`)."""
+    if diagnostics is None:
+        diagnostics = Counter()
     out: dict[str, ConsumerClass] = {}
     for line in decoded_lines(path, diagnostics, header="node,class"):
-        node, sep, value = line.partition(",")
-        if not sep:
-            raise ValueError(f"bad class row: {line!r}")
-        out[node] = ConsumerClass(value)
+        node, _, value = line.partition(",")
+        try:
+            out[node] = ConsumerClass(value)
+        except ValueError:
+            diagnostics["malformed_rows"] += 1
     return out

@@ -632,3 +632,49 @@ def test_dropped_demographic_rows_reported(fixture_dir, tmp_path, capsys):
     for name in ("class_demographics.csv", "age_histogram.csv", "engagement.csv"):
         assert (tmp_path / "demographics_dirty" / name).read_bytes() == \
             (tmp_path / "demographics_clean" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["demographics", "perception"])
+def test_bad_class_and_count_rows_skipped(fixture_dir, tmp_path, capsys, command):
+    """A classes.csv row with an unknown class, and a --counts row whose
+    count is not an integer, are skipped and counted on stderr; stdout and
+    the outputs stay those of the clean file."""
+    if command == "demographics":
+        assert main(["diffusion", "--edges", str(fixture_dir / "edges.tsv"),
+                     "--events", str(fixture_dir / "events.tsv"),
+                     "--labels", str(fixture_dir / "labels.csv"),
+                     "--out", str(tmp_path / "diff")]) == 0
+        name, row = "classes.csv", b"zz,notaclass\n"
+        clean_bytes = (tmp_path / "diff" / "classes.csv").read_bytes()
+    else:
+        active = tmp_path / "active.txt"
+        active.write_text("\n".join(producers_of(fixture_dir)) + "\n")
+        name, row = "counts.csv", b"n00002,abc\n"
+        clean_bytes = ("node,count\n" + "".join(
+            f"{n},{i + 1}\n" for i, n in enumerate(producers_of(fixture_dir)))).encode()
+    capsys.readouterr()
+
+    def run(side, data):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / name).write_bytes(data)
+        out = tmp_path / side / "out"
+        if command == "demographics":
+            argv = ["demographics", "--demo", str(fixture_dir / "demographics.csv"),
+                    "--classes", str(tmp_path / side / name), "--out", str(out)]
+        else:
+            argv = ["perception", "--edges", str(fixture_dir / "edges.tsv"),
+                    "--active", str(active), "--counts", str(tmp_path / side / name),
+                    "--out", str(out)]
+        assert main(argv) == 0
+        return capsys.readouterr(), out
+
+    (clean_io, clean_out), (dirty_io, dirty_out) = (
+        run("clean", clean_bytes), run("dirty", _insert_after(clean_bytes, 2, row)))
+    assert clean_io.err == ""
+    assert dirty_io.err.splitlines() == [f"{command}: skipped malformed_rows=1 in {name}"]
+    assert dirty_io.out.replace("dirty", "clean") == clean_io.out
+
+    def contents(out):
+        return ({p.name: p.read_bytes() for p in out.iterdir()} if out.is_dir()
+                else out.read_bytes())
+    assert contents(dirty_out) == contents(clean_out)

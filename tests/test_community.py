@@ -2,8 +2,12 @@
 
 import itertools
 import random
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from devgraph.community import (
     Partition,
@@ -15,7 +19,8 @@ from devgraph.community import (
     write_partition_csv,
     write_role_map_csv,
 )
-from devgraph.graph import FOLLOW, REBLOG, build_graph
+from devgraph.graph import FOLLOW, LAYERS, REBLOG, build_graph
+from devgraph.synth import SynthConfig, planted_graph
 
 
 def F(u, v):
@@ -191,3 +196,43 @@ class TestIO:
         p = Partition(assignment={"a": 0, "b": 1, "c": 2}, modularity=0.0)
         roles = roles_from_partition(p, {0: "producer", 1: "bridge"})
         assert roles == {"a": "producer", "b": "bridge", "c": "other"}
+
+
+def assert_communities_connected(g, layer, part):
+    """Each community induces a connected subgraph of the layer's
+    undirected projection."""
+    adj = g.adjacency(layer)
+    adj = adj + adj.T
+    for members in part.communities().values():
+        idx = sorted(g.index_of(n) for n in members)
+        n_parts, _ = connected_components(adj[idx][:, idx], directed=False)
+        assert n_parts == 1, (layer, sorted(members))
+
+
+def scaled(cfg: SynthConfig, k: int) -> SynthConfig:
+    """Every group size times k and every block probability over k."""
+    return replace(cfg, **{f.name: getattr(cfg, f.name) * k for f in fields(cfg)
+                           if f.name.startswith("n_") and f.name != "n_noise_blogs"},
+                   **{f.name: getattr(cfg, f.name) / k for f in fields(cfg)
+                      if f.name.startswith("p_")})
+
+
+@pytest.mark.parametrize("scale", [1, 4])
+@pytest.mark.parametrize("layer", LAYERS)
+def test_louvain_communities_connected_on_fixture(scale, layer):
+    g, _ = planted_graph(scaled(SynthConfig(seed=11), scale))
+    part = louvain(g, layer, seed=11)
+    assert len(part.communities()) > 1
+    assert_communities_connected(g, layer, part)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11),
+                          st.sampled_from((1.0, 2.0, 0.5)), st.sampled_from(LAYERS)),
+                min_size=1, max_size=40),
+       st.integers(0, 2**16))
+def test_louvain_communities_connected_on_small_graphs(edges, seed):
+    g = build_graph([(f"n{u}", f"n{v}", w, layer) for u, v, w, layer in edges])
+    for layer in LAYERS:
+        if g.n_edges(layer):
+            assert_communities_connected(g, layer, louvain(g, layer, seed=seed))

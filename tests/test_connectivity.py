@@ -97,11 +97,16 @@ class TestGroupMatrix:
 
 class TestRewire:
     def test_two_edge_swap(self):
+        # the only possible swap yields a->d, c->b; whether a sample ends
+        # swapped depends on the seed, and both realizations occur
         g = build_graph([F("a", "b"), F("c", "d")])
-        out = rewire_null_model(g, FOLLOW, seed=0, swaps_per_edge=50)
-        # the only possible accepted swap yields a->d, c->b
-        assert out.has_edge(FOLLOW, "a", "d")
-        assert out.has_edge(FOLLOW, "c", "b")
+        seen = set()
+        for seed in range(20):
+            out = rewire_null_model(g, FOLLOW, seed=seed, swaps_per_edge=50)
+            edges = frozenset((u, v) for u, v, _ in out.edges(FOLLOW))
+            assert edges in ({("a", "b"), ("c", "d")}, {("a", "d"), ("c", "b")})
+            seen.add(edges)
+        assert len(seen) == 2
 
     def test_degree_sequences_preserved(self):
         rng = np.random.default_rng(9)
@@ -126,9 +131,14 @@ class TestRewire:
 
     def test_weights_travel_with_source_slot(self):
         g = build_graph([("a", "b", 5.0, REBLOG), ("c", "d", 7.0, REBLOG)])
-        out = rewire_null_model(g, REBLOG, seed=0, swaps_per_edge=50)
-        assert out.edge_weight(REBLOG, "a", "d") == 5.0
-        assert out.edge_weight(REBLOG, "c", "b") == 7.0
+        seen = set()
+        for seed in range(20):
+            out = rewire_null_model(g, REBLOG, seed=seed, swaps_per_edge=50)
+            edges = {(u, v): w for u, v, w in out.edges(REBLOG)}
+            assert edges in ({("a", "b"): 5.0, ("c", "d"): 7.0},
+                             {("a", "d"): 5.0, ("c", "b"): 7.0})
+            seen.add(frozenset(edges))
+        assert len(seen) == 2
 
     def test_other_layer_untouched(self):
         g = build_graph([F("a", "b"), F("c", "d"), ("a", "c", 3.0, REBLOG),
@@ -141,6 +151,11 @@ class TestRewire:
         g = build_graph([F("a", "b")])
         with pytest.raises(ValueError, match="at least 2"):
             rewire_null_model(g, FOLLOW, seed=0)
+
+    def test_negative_swaps_error(self):
+        g = build_graph([F("a", "b"), F("c", "d")])
+        with pytest.raises(ValueError, match="at least 0"):
+            rewire_null_model(g, FOLLOW, seed=0, swaps_per_edge=-1)
 
 
 class TestNullRatio:
