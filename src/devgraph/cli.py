@@ -501,11 +501,9 @@ def cmd_pipeline(args) -> int:
     active = producers | {n for n, c in classes.items()
                           if c in (ConsumerClass.ACTIVE_DIRECT,
                                    ConsumerClass.ACTIVE_INDIRECT)}
-    counts = {}
-    for node in active:
-        total = g.out_degree(REBLOG, node) + g.in_degree(REBLOG, node)
-        if total > 0:
-            counts[node] = total
+    degree = g.out_degrees(REBLOG) + g.in_degrees(REBLOG)
+    counts = {node: int(degree[g.index_of(node)]) for node in active
+              if degree[g.index_of(node)] > 0}
     curve = perception_curve(g, FOLLOW, active, exclude=producers,
                              step=0.05 if args.step is None else args.step)
     write_curves_csv([curve], str(out / "perception.csv"))

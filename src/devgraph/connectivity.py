@@ -116,8 +116,7 @@ def rewire_null_model(g: LayeredGraph, layer: str, seed,
         _swap_batch(src, dst, g.n_nodes, perm[:h], perm[h:2 * h])
     rewired = _Layer(g.n_nodes, src, dst, weight)
     layers = {name: (rewired if name == layer else g.layer(name)) for name in LAYERS}
-    return LayeredGraph(g.node_ids, layers, labels=g.labels,
-                        diagnostics=Counter(g.diagnostics))
+    return LayeredGraph(g.node_ids, layers, diagnostics=Counter(g.diagnostics))
 
 
 def _swap_batch(src: np.ndarray, dst: np.ndarray, n: int,

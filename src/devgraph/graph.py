@@ -43,20 +43,6 @@ class _Layer:
         self.in_indptr = np.concatenate(([0], np.cumsum(np.bincount(self.dst, minlength=n_nodes))))
         self.in_indices = self.src[np.lexsort((self.src, self.dst))]
 
-    def out_row(self, u: int) -> np.ndarray:
-        return self.out_indices[self.out_indptr[u]:self.out_indptr[u + 1]]
-
-    def out_row_weights(self, u: int) -> np.ndarray:
-        return self.out_weights[self.out_indptr[u]:self.out_indptr[u + 1]]
-
-    def in_row(self, u: int) -> np.ndarray:
-        return self.in_indices[self.in_indptr[u]:self.in_indptr[u + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.out_row(u)
-        i = np.searchsorted(row, v)
-        return i < len(row) and row[i] == v
-
     def csr(self, n_nodes: int, weighted: bool = True) -> sp.csr_matrix:
         data = self.weight if weighted else np.ones(self.n_edges, dtype=np.float64)
         return sp.csr_matrix((data, self.out_indices, self.out_indptr), shape=(n_nodes, n_nodes))
@@ -66,12 +52,10 @@ class LayeredGraph:
     """Immutable two-layer directed graph over a shared node universe."""
 
     def __init__(self, ids: Iterable[str], layers: dict[str, _Layer],
-                 labels: dict[str, str] | None = None,
                  diagnostics: Counter | None = None):
         self._ids: tuple[str, ...] = tuple(ids)
         self._index: dict[str, int] = {b: i for i, b in enumerate(self._ids)}
         self._layers = layers
-        self.labels: dict[str, str] = dict(labels) if labels else {}
         self.diagnostics: Counter = diagnostics if diagnostics is not None else Counter()
 
     # -- node universe ------------------------------------------------
@@ -107,37 +91,11 @@ class LayeredGraph:
     def n_edges(self, layer: str) -> int:
         return self.layer(layer).n_edges
 
-    def out_neighbors(self, layer: str, node: str) -> tuple[str, ...]:
-        row = self.layer(layer).out_row(self.index_of(node))
-        return tuple(self._ids[v] for v in row)
-
-    def in_neighbors(self, layer: str, node: str) -> tuple[str, ...]:
-        row = self.layer(layer).in_row(self.index_of(node))
-        return tuple(self._ids[v] for v in row)
-
-    def out_degree(self, layer: str, node: str) -> int:
-        return len(self.layer(layer).out_row(self.index_of(node)))
-
-    def in_degree(self, layer: str, node: str) -> int:
-        return len(self.layer(layer).in_row(self.index_of(node)))
-
     def out_degrees(self, layer: str) -> np.ndarray:
         return np.diff(self.layer(layer).out_indptr)
 
     def in_degrees(self, layer: str) -> np.ndarray:
         return np.diff(self.layer(layer).in_indptr)
-
-    def has_edge(self, layer: str, src: str, dst: str) -> bool:
-        return self.layer(layer).has_edge(self.index_of(src), self.index_of(dst))
-
-    def edge_weight(self, layer: str, src: str, dst: str) -> float:
-        lay = self.layer(layer)
-        u, v = self.index_of(src), self.index_of(dst)
-        row = lay.out_row(u)
-        i = np.searchsorted(row, v)
-        if i < len(row) and row[i] == v:
-            return float(lay.out_row_weights(u)[i])
-        return 0.0
 
     def edges(self, layer: str) -> Iterator[tuple[str, str, float]]:
         lay = self.layer(layer)
@@ -153,7 +111,7 @@ class LayeredGraph:
         return self.layer(layer).csr(self.n_nodes, weighted=weighted)
 
 
-def build_graph(edges: Iterable[tuple], labels: dict[str, str] | None = None) -> LayeredGraph:
+def build_graph(edges: Iterable[tuple]) -> LayeredGraph:
     """Build a LayeredGraph from (src, dst, weight, layer) tuples.
 
     Node indices are assigned in first-seen order. Self-loops are dropped
@@ -201,7 +159,7 @@ def build_graph(edges: Iterable[tuple], labels: dict[str, str] | None = None) ->
         weights = (np.bincount(inverse, weights=ws, minlength=len(keys)) if name == REBLOG
                    else np.ones(len(keys)))
         layers[name] = _Layer(n, *divmod(keys, n), weights)
-    return LayeredGraph(ids, layers, labels=labels, diagnostics=diagnostics)
+    return LayeredGraph(ids, layers, diagnostics=diagnostics)
 
 
 def load_graph(path: str) -> LayeredGraph:
@@ -266,8 +224,7 @@ def induced_subgraph(g: LayeredGraph, keep: Iterable[str]) -> LayeredGraph:
         sel = mask[lay.src] & mask[lay.dst]
         layers[name] = _Layer(len(ids), new_index[lay.src[sel]], new_index[lay.dst[sel]],
                               lay.weight[sel])
-    labels = {n: g.labels[n] for n in ids if n in g.labels} if g.labels else None
-    return LayeredGraph(ids, layers, labels=labels)
+    return LayeredGraph(ids, layers)
 
 
 def gwcc(g: LayeredGraph, layer: str) -> set[str]:

@@ -49,8 +49,7 @@ def rank_by_degree(g: LayeredGraph) -> list[str]:
     """Nodes by unweighted reblog in-degree, descending; ties by node id."""
     if g.n_edges(REBLOG) == 0:
         raise ValueError("reblog layer has no edges")
-    indeg = g.in_degrees(REBLOG)
-    return sorted(g.node_ids, key=lambda n: (-int(indeg[g.index_of(n)]), n))
+    return [n for _, n in sorted(zip((-g.in_degrees(REBLOG)).tolist(), g.node_ids))]
 
 
 _NEVER = np.iinfo(np.int64).max

@@ -25,38 +25,41 @@ class PerceptionCurve:
         return self.fraction_at_least[self.thresholds.index(t)]
 
 
+def _mask(g: LayeredGraph, nodes) -> np.ndarray:
+    """Boolean mask over node indices of the nodes in `nodes`."""
+    return np.fromiter((node in nodes for node in g.node_ids), dtype=bool, count=g.n_nodes)
+
+
 def perception_curve(g: LayeredGraph, layer: str, deviant_active: set[str],
                      exclude: set[str] | None = None,
                      step: float = 0.01) -> PerceptionCurve:
     """ICDF over nodes of the fraction of out-neighbors (the accounts a node
-    observes) that are in deviant_active.
+    observes) that are in deviant_active; `step` in (0, 1] spaces the
+    thresholds.
 
     Nodes in `exclude` (typically the producers themselves) and nodes with
     no out-neighbors are left out of the population; the zero-out-degree
-    count is reported on the curve.
+    count is reported on the curve. The counts are one bincount over the
+    layer's edge arrays.
     """
-    exclude = exclude or set()
-    fractions: list[float] = []
-    excluded_zero = 0
-    for node in g.node_ids:
-        if node in exclude:
-            continue
-        out = g.out_neighbors(layer, node)
-        if not out:
-            excluded_zero += 1
-            continue
-        fractions.append(sum(v in deviant_active for v in out) / len(out))
-    if not fractions:
+    if not 0 < step <= 1:
+        raise ValueError("step must be in (0, 1]")
+    lay = g.layer(layer)
+    degree = g.out_degrees(layer)
+    hits = np.bincount(lay.src[_mask(g, deviant_active)[lay.dst]], minlength=g.n_nodes)
+    kept = ~_mask(g, exclude or set())
+    eligible = kept & (degree > 0)
+    if not eligible.any():
         raise ValueError("no eligible nodes: every node lacks out-neighbors")
     n_steps = round(1.0 / step)
     # integer grid keeps thresholds like 0.30 exactly equal to the literal
     thresholds = np.arange(n_steps + 1) / n_steps
-    fracs = np.sort(np.asarray(fractions))
+    fracs = np.sort(hits[eligible] / degree[eligible])
     at_least = 1.0 - np.searchsorted(fracs, thresholds, side="left") / len(fracs)
     return PerceptionCurve(thresholds=tuple(float(t) for t in thresholds),
                            fraction_at_least=tuple(float(v) for v in at_least),
-                           layer=layer, eligible=len(fractions),
-                           excluded_zero_outdegree=excluded_zero)
+                           layer=layer, eligible=len(fracs),
+                           excluded_zero_outdegree=int(np.count_nonzero(kept & (degree == 0))))
 
 
 def volume_paradox_fraction(g: LayeredGraph, layer: str,
@@ -67,24 +70,21 @@ def volume_paradox_fraction(g: LayeredGraph, layer: str,
 
     Presence in reblog_counts marks a neighbor as eligible (posted or
     reblogged at least once); nodes without any eligible neighbor are
-    excluded from the denominator.
+    excluded from the denominator. Neighbor counts and sums are bincounts
+    over the layer's edge arrays, added in out-neighbor order.
     """
-    exclude = exclude or set()
-    considered = 0
-    below = 0
-    for node in g.node_ids:
-        if node in exclude:
-            continue
-        eligible = [reblog_counts[v] for v in g.out_neighbors(layer, node)
-                    if v in reblog_counts]
-        if not eligible:
-            continue
-        considered += 1
-        if reblog_counts.get(node, 0) < sum(eligible) / len(eligible):
-            below += 1
-    if considered == 0:
+    lay = g.layer(layer)
+    count = np.fromiter((reblog_counts.get(node, 0) for node in g.node_ids),
+                        dtype=np.float64, count=g.n_nodes)
+    sel = _mask(g, reblog_counts)[lay.dst]
+    src, dst = lay.src[sel], lay.dst[sel]
+    n_eligible = np.bincount(src, minlength=g.n_nodes)
+    total = np.bincount(src, weights=count[dst], minlength=g.n_nodes)
+    considered = ~_mask(g, exclude or set()) & (n_eligible > 0)
+    if not considered.any():
         raise ValueError("no nodes with eligible out-neighbors")
-    return below / considered
+    below = count[considered] < total[considered] / n_eligible[considered]
+    return int(np.count_nonzero(below)) / int(np.count_nonzero(considered))
 
 
 def write_curves_csv(curves: Iterable[PerceptionCurve], path: str) -> None:

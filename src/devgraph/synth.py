@@ -131,7 +131,7 @@ def planted_graph(cfg: SynthConfig) -> tuple[LayeredGraph, dict[str, str]]:
             i, j = np.nonzero(reblog_mask)
             blocks[REBLOG].append((offset[origin] + i, offset[target] + j, weights[i, j]))
     layers = {name: _Layer(len(ids), *map(np.concatenate, zip(*blocks[name]))) for name in LAYERS}
-    return LayeredGraph(ids, layers, labels=roles), roles
+    return LayeredGraph(ids, layers), roles
 
 
 def synth_events(cfg: SynthConfig, g: LayeredGraph, roles: dict[str, str]) -> list[ReblogEvent]:
@@ -139,6 +139,9 @@ def synth_events(cfg: SynthConfig, g: LayeredGraph, roles: dict[str, str]) -> li
     in-neighbors wave by wave; every event references a graph reblog edge."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(60)[40])
     producers = sorted(n for n, r in roles.items() if r.startswith("producer"))
+    lay = g.layer(REBLOG)
+    indptr, indices = lay.in_indptr.tolist(), lay.in_indices.tolist()
+    ids = g.node_ids
     events: list[ReblogEvent] = []
     post_index = 0
     for producer in producers:
@@ -149,16 +152,16 @@ def synth_events(cfg: SynthConfig, g: LayeredGraph, roles: dict[str, str]) -> li
             if cfg.max_cascade_depth <= 0:
                 continue
             depth_limit = min(int(rng.geometric(cfg.depth_geom_p)), cfg.max_cascade_depth)
-            in_tree = {producer}
-            holders = [producer]
+            holders = [g.index_of(producer)]
+            in_tree = set(holders)
             for depth in range(1, depth_limit + 1):
-                joined: list[str] = []
+                joined: list[int] = []
                 for holder in holders:
-                    for actor in g.in_neighbors(REBLOG, holder):
+                    for actor in indices[indptr[holder]:indptr[holder + 1]]:
                         if actor in in_tree:
                             continue
                         if rng.random() < cfg.cascade_join_prob:
-                            events.append(ReblogEvent(actor, holder, post_id,
+                            events.append(ReblogEvent(ids[actor], ids[holder], post_id,
                                                       float(t0 + depth)))
                             in_tree.add(actor)
                             joined.append(actor)
@@ -318,12 +321,5 @@ def paradox_fixture(n: int = 10_000, seed: int = 0, exponent: float = 2.5,
             if int(v) != u:
                 edges.append((f"n{u}", f"n{int(v)}", 1.0, REBLOG))
     g = build_graph(edges)
-    counts: dict[str, int] = {}
-    out_counts = g.out_degrees(REBLOG)
-    in_counts = g.in_degrees(REBLOG)
-    for node in g.node_ids:
-        i = g.index_of(node)
-        total = int(out_counts[i] + in_counts[i])
-        if total > 0:
-            counts[node] = total
-    return g, counts
+    total = g.out_degrees(REBLOG) + g.in_degrees(REBLOG)
+    return g, {g.id_of(i): int(total[i]) for i in np.flatnonzero(total)}

@@ -256,7 +256,7 @@ def _random_classification_fixture(seed):
     edges = [(u, v, 1.0, FOLLOW) for u in nodes for v in nodes
              if u != v and rng.random() < p]
     anchored = edges + [(nodes[0], nodes[1], 1.0, FOLLOW)]
-    g = build_graph(anchored, labels=roles)
+    g = build_graph(anchored)
     producers = [x for x in nodes if roles[x].startswith("producer")]
 
     events = []
@@ -296,10 +296,13 @@ def _brute_classify(g, trees, roles):
             classes[node] = ConsumerClass.ACTIVE_INDIRECT
     actives = {x for x, c in classes.items()
                if c in (ConsumerClass.ACTIVE_DIRECT, ConsumerClass.ACTIVE_INDIRECT)}
+    followees = {node: set() for node in g.node_ids}
+    for src, dst, _ in g.edges(FOLLOW):
+        followees[src].add(dst)
     for node in g.node_ids:
         if node in classes:
             continue
-        follows = set(g.out_neighbors(FOLLOW, node))
+        follows = followees[node]
         if follows & producers:
             classes[node] = ConsumerClass.PASSIVE
         elif follows & actives:
@@ -389,11 +392,14 @@ def test_gate_6_shrinkage_properties():
 
 def _brute_paradox(g, layer, counts, exclude):
     exclude = exclude or set()
+    followees = {node: [] for node in g.node_ids}
+    for src, dst, _ in g.edges(layer):
+        followees[src].append(dst)
     below = considered = 0
     for node in g.node_ids:
         if node in exclude:
             continue
-        vals = [counts[v] for v in g.out_neighbors(layer, node) if v in counts]
+        vals = [counts[v] for v in followees[node] if v in counts]
         if not vals:
             continue
         considered += 1

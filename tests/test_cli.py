@@ -265,6 +265,20 @@ def test_perception_stage(fixture_dir, tmp_path, capsys):
     assert len(rows) == 1 + 5  # thresholds 0, 0.25, 0.5, 0.75, 1
 
 
+@pytest.mark.parametrize("step", ["0", "-0.5", "3", "nan"])
+def test_perception_step_out_of_range(fixture_dir, tmp_path, capsys, step):
+    """A --step outside (0, 1] is an error, not a traceback, a header-only
+    CSV or a nan threshold."""
+    active = tmp_path / "active.txt"
+    active.write_text("\n".join(producers_of(fixture_dir)) + "\n")
+    out = tmp_path / "curves.csv"
+    rc = main(["perception", "--edges", str(fixture_dir / "edges.tsv"),
+               "--active", str(active), f"--step={step}", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: step must be in (0, 1]\n"
+    assert not out.exists()
+
+
 def test_intervene_volume_with_ages(fixture_dir, tmp_path, capsys):
     out = tmp_path / "shrink.csv"
     rc = main(["intervene", "--events", str(fixture_dir / "events.tsv"),
@@ -491,6 +505,18 @@ def test_pipeline_byte_identical_reports(tmp_path):
     assert report["intervention"]["by_volume"]["reached_fraction"][0] == 1.0
     assert set(report["diffusion"]["reach"]["class_counts"]) == {
         c.value for c in ConsumerClass}
+
+
+def test_pipeline_step_out_of_range(tmp_path, capsys):
+    cfg = tmp_path / "synth.cfg"
+    write_config(SynthConfig(seed=5, n_producer_one=10, n_producer_two=10,
+                             n_bridge_one=10, n_bridge_two=10, n_outer=20,
+                             posts_per_producer=1), str(cfg))
+    rc = main(["pipeline", "--config", str(cfg), "--seed", "5", "--step", "0",
+               "--samples", "1", "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: step must be in (0, 1]\n"
+    assert not (tmp_path / "r" / "report.json").exists()
 
 
 def test_pipeline_sampled_paths_use_seed(tmp_path, monkeypatch):

@@ -151,10 +151,13 @@ def classify_nodes(g: LayeredGraph, trees: Sequence[DiffusionTree],
             classes[node] = ConsumerClass.ACTIVE_INDIRECT
             actives.add(node)
 
+    follows: dict[str, list[str]] = {node: [] for node in g.node_ids}
+    for src, dst, _ in g.edges(FOLLOW):
+        follows[src].append(dst)
     for node in g.node_ids:
         if node in classes:
             continue
-        followees = g.out_neighbors(FOLLOW, node)
+        followees = follows[node]
         if any(f in producers for f in followees):
             classes[node] = ConsumerClass.PASSIVE
         elif any(f in actives for f in followees):

@@ -22,9 +22,6 @@ from devgraph.graph import read_labels_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 SEED = 11
-# Files that `pipeline` writes beyond those pinned at capture: the diffusion
-# and demographics stage outputs that the subcommands always wrote.
-PIPELINE_EXTRA = {"reach.json", "age_histogram.csv"}
 
 
 def _run(argv: list[str], root: Path) -> str:
@@ -101,9 +98,9 @@ def test_pipeline_matches_golden(tmp_path):
     assert got["report"] == (GOLDEN / "pipeline_seed11_report.json").read_text(encoding="utf-8")
     want = _golden("pipeline_seed11.json")
     assert got["stdout"] == want["stdout"]
-    assert set(got["files"]) == set(want["files"]) | PIPELINE_EXTRA
-    assert {f: got["files"][f] for f in want["files"]} == want["files"]
-    # the extra files are those the subcommands write from the same fixture
+    assert got["files"] == want["files"]
+    # the diffusion and demographics stages write what the subcommands
+    # write from the same fixture
     subs = _golden("subcommands_seed11.json")["files"]
     assert got["files"]["reach.json"] == subs["diffusion/reach.json"]
     assert got["files"]["age_histogram.csv"] == subs["demographics/age_histogram.csv"]

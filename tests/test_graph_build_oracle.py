@@ -1,12 +1,14 @@
 """The array-built graph store against the dict-of-dicts construction it
 replaced, kept here verbatim as oracles: the `_Layer` constructor that
 walked `{u: {v: w}}`, `build_graph`, `induced_subgraph`, the sequential
-swap chain of `rewire_null_model` and `planted_graph`. The batched chain
+swap chain of `rewire_null_model`, `planted_graph`, and `synth_events`
+walking reblog in-neighbours by node id, here taken from `g.edges`. The
+batched chain
 that replaced the sequential one is checked byte for byte against a
 pair-by-pair Python reference of its rule, and in distribution against the
 sequential chain.
 
-Every comparison is exact: node ids, diagnostics, labels, and each layer
+Every comparison is exact: node ids, diagnostics, and each layer
 array byte for byte with its dtype, including the in-view. Duplicate
 reblog weights are summed in input order, so a summation that regroups
 them (pairwise, blocked) shows up as a different last bit.
@@ -33,7 +35,15 @@ from devgraph.graph import (
     build_graph,
     induced_subgraph,
 )
-from devgraph.synth import GROUPS, SynthConfig, _follow_prob, _node_names, planted_graph
+from devgraph.diffusion import ReblogEvent
+from devgraph.synth import (
+    GROUPS,
+    SynthConfig,
+    _follow_prob,
+    _node_names,
+    planted_graph,
+    synth_events,
+)
 
 
 class DictLayer:
@@ -63,7 +73,7 @@ class DictLayer:
         self.in_indices = self.src[order]
 
 
-def oracle_build_graph(edges: Iterable[tuple], labels: dict[str, str] | None = None) -> LayeredGraph:
+def oracle_build_graph(edges: Iterable[tuple]) -> LayeredGraph:
     """Build a LayeredGraph from (src, dst, weight, layer) tuples.
 
     Node indices are assigned in first-seen order. Self-loops are dropped
@@ -105,7 +115,7 @@ def oracle_build_graph(edges: Iterable[tuple], labels: dict[str, str] | None = N
             row[v] = 1.0
     n = len(ids)
     layers = {name: DictLayer(n, adj[name]) for name in LAYERS}
-    return LayeredGraph(ids, layers, labels=labels, diagnostics=diagnostics)
+    return LayeredGraph(ids, layers, diagnostics=diagnostics)
 
 
 def oracle_induced_subgraph(g: LayeredGraph, keep: Iterable[str]) -> LayeredGraph:
@@ -123,8 +133,7 @@ def oracle_induced_subgraph(g: LayeredGraph, keep: Iterable[str]) -> LayeredGrap
         for u, v, w in zip(lay.src[sel], lay.dst[sel], lay.weight[sel]):
             adj.setdefault(remap[int(u)], {})[remap[int(v)]] = float(w)
         layers[name] = DictLayer(len(ids), adj)
-    labels = {n: g.labels[n] for n in ids if n in g.labels} if g.labels else None
-    return LayeredGraph(ids, layers, labels=labels)
+    return LayeredGraph(ids, layers)
 
 
 def oracle_rewire_null_model(g: LayeredGraph, layer: str, seed,
@@ -163,8 +172,7 @@ def oracle_rewire_null_model(g: LayeredGraph, layer: str, seed,
         adj.setdefault(u, {})[v] = wt
     layers = {name: (DictLayer(g.n_nodes, adj) if name == layer else g.layer(name))
               for name in LAYERS}
-    return LayeredGraph(g.node_ids, layers, labels=g.labels,
-                        diagnostics=Counter(g.diagnostics))
+    return LayeredGraph(g.node_ids, layers, diagnostics=Counter(g.diagnostics))
 
 
 def reference_rewire_null_model(g: LayeredGraph, layer: str, seed,
@@ -207,8 +215,7 @@ def reference_rewire_null_model(g: LayeredGraph, layer: str, seed,
         adj.setdefault(u, {})[v] = wt
     layers = {name: (DictLayer(g.n_nodes, adj) if name == layer else g.layer(name))
               for name in LAYERS}
-    return LayeredGraph(g.node_ids, layers, labels=g.labels,
-                        diagnostics=Counter(g.diagnostics))
+    return LayeredGraph(g.node_ids, layers, diagnostics=Counter(g.diagnostics))
 
 
 def oracle_planted_graph(cfg: SynthConfig) -> tuple[LayeredGraph, dict[str, str]]:
@@ -247,7 +254,45 @@ def oracle_planted_graph(cfg: SynthConfig) -> tuple[LayeredGraph, dict[str, str]
                 if reblog_mask[i, j]:
                     adj[REBLOG].setdefault(u, {})[v] = float(weights[i, j])
     layers = {name: DictLayer(len(ids), adj[name]) for name in LAYERS}
-    return LayeredGraph(ids, layers, labels=roles), roles
+    return LayeredGraph(ids, layers), roles
+
+
+def oracle_synth_events(cfg: SynthConfig, g: LayeredGraph,
+                        roles: dict[str, str]) -> list[ReblogEvent]:
+    """Reblog cascades rooted at producers, spreading along reblog
+    in-neighbors wave by wave; every event references a graph reblog edge."""
+    in_neighbors: dict[str, list[str]] = {node: [] for node in g.node_ids}
+    for src, dst, _ in g.edges(REBLOG):
+        in_neighbors[dst].append(src)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(60)[40])
+    producers = sorted(n for n, r in roles.items() if r.startswith("producer"))
+    events: list[ReblogEvent] = []
+    post_index = 0
+    for producer in producers:
+        for _ in range(cfg.posts_per_producer):
+            post_id = f"post_{post_index:05d}"
+            t0 = post_index * 10_000
+            post_index += 1
+            if cfg.max_cascade_depth <= 0:
+                continue
+            depth_limit = min(int(rng.geometric(cfg.depth_geom_p)), cfg.max_cascade_depth)
+            in_tree = {producer}
+            holders = [producer]
+            for depth in range(1, depth_limit + 1):
+                joined: list[str] = []
+                for holder in holders:
+                    for actor in in_neighbors[holder]:
+                        if actor in in_tree:
+                            continue
+                        if rng.random() < cfg.cascade_join_prob:
+                            events.append(ReblogEvent(actor, holder, post_id,
+                                                      float(t0 + depth)))
+                            in_tree.add(actor)
+                            joined.append(actor)
+                holders = joined
+                if not holders:
+                    break
+    return events
 
 
 # -- comparison ---------------------------------------------------------------
@@ -259,7 +304,6 @@ ARRAYS = ("src", "dst", "weight", "out_indptr", "out_indices", "out_weights",
 def assert_same_graph(got: LayeredGraph, want: LayeredGraph) -> None:
     assert got.node_ids == want.node_ids
     assert got.diagnostics == want.diagnostics
-    assert got.labels == want.labels
     for name in LAYERS:
         a, b = got.layer(name), want.layer(name)
         assert a.n_edges == b.n_edges, name
@@ -317,22 +361,17 @@ def edge_lists(draw):
     return entries
 
 
-labels_maps = st.one_of(st.none(), st.dictionaries(st.sampled_from(NODES + ("zz",)),
-                                                   st.sampled_from(("x", "y")), max_size=4))
-
-
 @settings(max_examples=300, deadline=None)
-@given(edge_lists(), labels_maps)
-def test_build_graph_matches_oracle(entries, labels):
-    assert_same_graph(build_graph(entries, labels=labels),
-                      oracle_build_graph(entries, labels=labels))
+@given(edge_lists())
+def test_build_graph_matches_oracle(entries):
+    assert_same_graph(build_graph(entries), oracle_build_graph(entries))
 
 
 @settings(max_examples=200, deadline=None)
-@given(edge_lists(), labels_maps, st.data())
-def test_induced_subgraph_matches_oracle(entries, labels, data):
-    g = build_graph(entries, labels=labels)
-    want_g = oracle_build_graph(entries, labels=labels)
+@given(edge_lists(), st.data())
+def test_induced_subgraph_matches_oracle(entries, data):
+    g = build_graph(entries)
+    want_g = oracle_build_graph(entries)
     ids = g.node_ids
     keep = data.draw(st.one_of(st.just(set()), st.just(set(ids)),
                                st.sets(st.sampled_from(ids)) if ids else st.just(set())))
@@ -411,6 +450,16 @@ def test_planted_graph_matches_oracle(seed, factor):
     want, want_roles = oracle_planted_graph(cfg)
     assert got_roles == want_roles
     assert_same_graph(got, want)
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+@pytest.mark.parametrize("factor", [1, 4])
+def test_synth_events_match_oracle(seed, factor):
+    cfg = _scaled(seed, factor)
+    g, roles = planted_graph(cfg)
+    got = synth_events(cfg, g, roles)
+    assert got and got == oracle_synth_events(cfg, g, roles)
+    assert all(type(x) is str for ev in got for x in (ev.actor, ev.source))
 
 
 @settings(max_examples=40, deadline=None)

@@ -183,7 +183,8 @@ def default_fixture_trees():
 
 def test_greedy_matches_oracle_on_default_fixture(default_fixture_trees):
     trees = default_fixture_trees
-    assert adaptive_greedy_ranking(trees, 20) == oracle_adaptive_greedy_ranking(trees, 20)
+    # the oracle walks DiffusionTree objects; materialize them once
+    assert adaptive_greedy_ranking(trees, 20) == oracle_adaptive_greedy_ranking(list(trees), 20)
 
 
 def test_curve_and_threshold_match_oracle_on_default_fixture(default_fixture_trees):

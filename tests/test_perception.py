@@ -131,9 +131,12 @@ class TestParadox:
                 continue
             g = build_graph(edges)
             counts = {f"n{i}": rng.randint(0, 20) for i in range(n) if rng.random() < 0.7}
+            followees = {node: [] for node in g.node_ids}
+            for u, v, _ in g.edges(FOLLOW):
+                followees[u].append(v)
             considered = below = 0
             for node in g.node_ids:
-                neigh = [v for v in g.out_neighbors(FOLLOW, node) if v in counts]
+                neigh = [v for v in followees[node] if v in counts]
                 if not neigh:
                     continue
                 considered += 1
