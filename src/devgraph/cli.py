@@ -28,6 +28,8 @@ from .connectivity import (
     AVG_VOLUME,
     DENSITY,
     NULL_RATIO,
+    _check_samples,
+    _check_swaps_per_edge,
     group_matrix,
     write_group_matrix_csv,
     write_group_matrix_json,
@@ -72,6 +74,7 @@ from .intervention import (
     BY_DEGREE,
     BY_VOLUME,
     DEFAULT_SIZES,
+    _check_sizes,
     adaptive_greedy_ranking,
     rank_by_degree,
     rank_by_volume,
@@ -79,7 +82,12 @@ from .intervention import (
     underage_exposure_threshold,
     write_shrinkage_csv,
 )
-from .perception import perception_curve, volume_paradox_fraction, write_curves_csv
+from .perception import (
+    _check_step,
+    perception_curve,
+    volume_paradox_fraction,
+    write_curves_csv,
+)
 from .synth import (
     SynthConfig,
     closure_fixture,
@@ -329,7 +337,7 @@ def cmd_synth(args) -> int:
 def cmd_extract(args) -> int:
     config = _config_of(args)
     records = _read("extract", read_query_log, args.log)
-    seeds = read_phrases(args.seeds)
+    seeds = _read("extract", read_phrases, args.seeds)
     result = _extract(records, seeds, args.out, **_given(
         args, config, max_iter=int, eps=float, decile=float, min_unique=int,
         min_clicks=int, ratio_mode=str))
@@ -466,8 +474,17 @@ def cmd_demographics(args) -> int:
 def cmd_pipeline(args) -> int:
     """Synthesize a fixture, then run every stage on it with the same stage
     functions as the subcommands, and gather the results in report.json.
-    --config holds the fixture's settings only; the run's options are flags."""
+    --config holds the fixture's settings only; the run's options are flags,
+    checked before anything is written."""
     cfg = _synth_config(args)
+    samples = 5 if args.samples is None else args.samples
+    swaps = 10 if args.swaps_per_edge is None else args.swaps_per_edge
+    step = 0.05 if args.step is None else args.step
+    sizes = _sizes(args, {})
+    _check_samples(samples)
+    _check_swaps_per_edge(swaps)
+    _check_step(step)
+    _check_sizes(sizes)
     out = _outdir(args.out)
     g, roles, fx, events, demo = _write_fixture(cfg, out)
 
@@ -481,8 +498,6 @@ def cmd_pipeline(args) -> int:
     write_partition_csv(part, str(out / "partition.csv"))
     comm_sizes = sorted(Counter(part.assignment.values()).values(), reverse=True)
 
-    samples = 5 if args.samples is None else args.samples
-    swaps = 10 if args.swaps_per_edge is None else args.swaps_per_edge
     connectivity = {}
     for name, mode in _MODES.items():
         mat = group_matrix(g, REBLOG, roles, mode=mode,
@@ -504,15 +519,14 @@ def cmd_pipeline(args) -> int:
     degree = g.out_degrees(REBLOG) + g.in_degrees(REBLOG)
     counts = {node: int(degree[g.index_of(node)]) for node in active
               if degree[g.index_of(node)] > 0}
-    curve = perception_curve(g, FOLLOW, active, exclude=producers,
-                             step=0.05 if args.step is None else args.step)
+    curve = perception_curve(g, FOLLOW, active, exclude=producers, step=step)
     write_curves_csv([curve], str(out / "perception.csv"))
     paradox = _try(lambda: volume_paradox_fraction(g, FOLLOW, counts,
                                                    exclude=producers))
 
     rankings = {"by_volume": (rank_by_volume(trees), BY_VOLUME),
                 "by_degree": (rank_by_degree(g), BY_DEGREE)}
-    curves = _intervention(trees, rankings.values(), _sizes(args, {}),
+    curves = _intervention(trees, rankings.values(), sizes,
                            str(out / "shrinkage.csv"))
     shrinkage = {key: _fields(sc, "strategy") for key, sc in zip(rankings, curves)}
     ages = {n: r.age for n, r in demo.items()}

@@ -1,11 +1,14 @@
 """Seeded Louvain clustering and weighted undirected modularity on the
-symmetrized projection of one graph layer."""
+symmetrized projection of one graph layer, held as a scipy CSR matrix."""
 
 from __future__ import annotations
 
 import random
 from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
+import scipy.sparse as sp
 
 from .graph import LayeredGraph
 from .ingest import decoded_lines
@@ -24,33 +27,38 @@ class Partition:
         return out
 
 
-def _symmetrized(g: LayeredGraph, layer: str) -> tuple[list[dict[int, float]], float]:
-    """Undirected weighted projection: w(u,v) = w(u->v) + w(v->u)."""
-    n = g.n_nodes
-    neigh: list[dict[int, float]] = [{} for _ in range(n)]
-    src, dst, w = g.edge_arrays(layer)
-    for u, v, wt in zip(src.tolist(), dst.tolist(), w.tolist()):
-        neigh[u][v] = neigh[u].get(v, 0.0) + wt
-        neigh[v][u] = neigh[v].get(u, 0.0) + wt
-    m = sum(sum(row.values()) for row in neigh) / 2.0
-    return neigh, m
+def _summed(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, size: int) -> sp.csr_matrix:
+    """size x size CSR matrix with the weights of repeated (row, col) pairs
+    added. Unlike `a + a.T`, it keeps an entry that adds up to 0, so every
+    edge makes its ends neighbours whatever its weight."""
+    return sp.csr_matrix((weights, (rows, cols)), shape=(size, size))
 
 
-def _q(neigh: list[dict[int, float]], loops: list[float], m: float,
-       comm: list[int]) -> float:
+def _projection(g: LayeredGraph, layer: str) -> tuple[sp.csr_matrix, float]:
+    """Undirected weighted projection w(u,v) = w(u->v) + w(v->u), and its
+    total weight m."""
+    lay = g.layer(layer)
+    adj = _summed(np.concatenate((lay.src, lay.dst)), np.concatenate((lay.dst, lay.src)),
+                  np.concatenate((lay.weight, lay.weight)), g.n_nodes)
+    return adj, float(adj.data.sum()) / 2.0
+
+
+def _first_seen(comm) -> np.ndarray:
+    """Community labels renumbered 0, 1, ... in order of first appearance,
+    so that per-community sums add up in node order."""
+    dense: dict = {}
+    return np.array([dense.setdefault(c, len(dense)) for c in comm], dtype=np.int64)
+
+
+def _q(adj: sp.csr_matrix, loops: list[float], m: float, comm) -> float:
     """Q = sum_c (e_c/m - (d_c/2m)^2); loops count once in e_c, twice in d_c."""
-    e: dict[int, float] = {}
-    d: dict[int, float] = {}
-    for u, row in enumerate(neigh):
-        c = comm[u]
-        k_u = sum(row.values()) + 2.0 * loops[u]
-        d[c] = d.get(c, 0.0) + k_u
-        e[c] = e.get(c, 0.0) + loops[u]
-        for v, wt in row.items():
-            if u < v and comm[v] == c:
-                e[c] = e.get(c, 0.0) + wt
+    labels = _first_seen(comm)
+    a, loops = adj.tocoo(), np.asarray(loops, dtype=np.float64)
+    d = np.bincount(labels, np.bincount(a.row, a.data, len(labels)) + 2.0 * loops)
+    inside = (a.row < a.col) & (labels[a.row] == labels[a.col])
+    e = np.bincount(labels, loops) + np.bincount(labels[a.row[inside]], a.data[inside], len(d))
     two_m = 2.0 * m
-    return sum(e.get(c, 0.0) / m - (d[c] / two_m) ** 2 for c in d)
+    return sum(ec / m - (dc / two_m) ** 2 for ec, dc in zip(e.tolist(), d.tolist()))
 
 
 def modularity(g: LayeredGraph, layer: str, p: Partition | dict[str, int]) -> float:
@@ -61,43 +69,43 @@ def modularity(g: LayeredGraph, layer: str, p: Partition | dict[str, int]) -> fl
     missing = [node for node in g.node_ids if node not in assignment]
     if missing:
         raise ValueError(f"partition misses {len(missing)} nodes, e.g. {missing[0]!r}")
-    neigh, m = _symmetrized(g, layer)
+    adj, m = _projection(g, layer)
     if m == 0:
         raise ValueError("no edges")
-    comm = [assignment[node] for node in g.node_ids]
-    return _q(neigh, [0.0] * g.n_nodes, m, comm)
+    return _q(adj, [0.0] * g.n_nodes, m, [assignment[node] for node in g.node_ids])
 
 
-def _local_move(neigh: list[dict[int, float]], loops: list[float], m: float,
+def _local_move(adj: sp.csr_matrix, loops: list[float], m: float,
                 comm: list[int], rng: random.Random) -> bool:
-    n = len(neigh)
-    k = [sum(row.values()) + 2.0 * loops[u] for u, row in enumerate(neigh)]
-    tot: dict[int, float] = {}
-    for u in range(n):
-        tot[comm[u]] = tot.get(comm[u], 0.0) + k[u]
+    bounds = adj.indptr.tolist()
+    cols, weights = adj.indices.tolist(), adj.data.tolist()
+    neigh = [(cols[a:b], weights[a:b]) for a, b in zip(bounds, bounds[1:])]
+    k = [sum(w) + 2.0 * loop for (_, w), loop in zip(neigh, loops)]
+    tot = list(k)
+    two_m = 2.0 * m
     moved_any = False
     while True:
-        order = list(range(n))
+        order = list(range(len(neigh)))
         rng.shuffle(order)
         moved = False
         for u in order:
-            old = comm[u]
-            tot[old] -= k[u]
+            old, k_u = comm[u], k[u]
+            tot[old] -= k_u
             link: dict[int, float] = {old: 0.0}
-            for v, wt in neigh[u].items():
+            for v, wt in zip(*neigh[u]):
                 c = comm[v]
                 link[c] = link.get(c, 0.0) + wt
             best_c = old
-            best_gain = link[old] - tot[old] * k[u] / (2.0 * m)
+            best_gain = link[old] - tot[old] * k_u / two_m
             for c in sorted(link):
                 if c == old:
                     continue
-                gain = link[c] - tot[c] * k[u] / (2.0 * m)
+                gain = link[c] - tot[c] * k_u / two_m
                 if gain > best_gain + 1e-15:
                     best_gain = gain
                     best_c = c
             comm[u] = best_c
-            tot[best_c] = tot.get(best_c, 0.0) + k[u]
+            tot[best_c] += k_u
             if best_c != old:
                 moved = True
                 moved_any = True
@@ -105,27 +113,19 @@ def _local_move(neigh: list[dict[int, float]], loops: list[float], m: float,
             return moved_any
 
 
-def _aggregate(neigh: list[dict[int, float]], loops: list[float],
-               comm: list[int]) -> tuple[list[dict[int, float]], list[float], dict[int, int]]:
-    relabel: dict[int, int] = {}
-    for c in comm:
-        if c not in relabel:
-            relabel[c] = len(relabel)
-    size = len(relabel)
-    new_neigh: list[dict[int, float]] = [{} for _ in range(size)]
-    new_loops = [0.0] * size
-    for u, row in enumerate(neigh):
-        cu = relabel[comm[u]]
-        new_loops[cu] += loops[u]
-        for v, wt in row.items():
-            if u < v:
-                cv = relabel[comm[v]]
-                if cu == cv:
-                    new_loops[cu] += wt
-                else:
-                    new_neigh[cu][cv] = new_neigh[cu].get(cv, 0.0) + wt
-                    new_neigh[cv][cu] = new_neigh[cv].get(cu, 0.0) + wt
-    return new_neigh, new_loops, relabel
+def _aggregate(adj: sp.csr_matrix, loops: list[float],
+               comm: list[int]) -> tuple[sp.csr_matrix, list[float], np.ndarray]:
+    """One node per community, numbered by first appearance: edges between
+    communities add up, and the edges inside one become its self-loop."""
+    labels = _first_seen(comm)
+    size = int(labels.max()) + 1
+    a = adj.tocoo()
+    cu, cv = labels[a.row], labels[a.col]
+    inner = cu == cv
+    # an inner edge is stored once per direction
+    new_loops = np.bincount(labels, loops) + np.bincount(cu[inner], a.data[inner], size) / 2.0
+    agg = _summed(cu[~inner], cv[~inner], a.data[~inner], size)
+    return agg, new_loops.tolist(), labels
 
 
 def louvain(g: LayeredGraph, layer: str, seed: int, tol: float = 1e-7) -> Partition:
@@ -133,40 +133,29 @@ def louvain(g: LayeredGraph, layer: str, seed: int, tol: float = 1e-7) -> Partit
     improves modularity by less than tol."""
     if g.n_nodes == 0:
         raise ValueError("empty graph")
-    neigh0, m = _symmetrized(g, layer)
+    adj, m = _projection(g, layer)
     if m == 0:
         raise ValueError("no edges")
-    neigh = neigh0
     loops = [0.0] * g.n_nodes
     rng = random.Random(seed)
-    membership = list(range(g.n_nodes))
-    q_prev = _q(neigh, loops, m, list(range(g.n_nodes)))
+    membership = np.arange(g.n_nodes)
+    q_prev = _q(adj, loops, m, range(g.n_nodes))
     while True:
-        comm = list(range(len(neigh)))
-        moved = _local_move(neigh, loops, m, comm, rng)
-        q_now = _q(neigh, loops, m, comm)
+        comm = list(range(adj.shape[0]))
+        moved = _local_move(adj, loops, m, comm, rng)
+        q_now = _q(adj, loops, m, comm)
         if q_now < q_prev - 1e-12:
             raise RuntimeError(f"modularity decreased within a pass: "
                                f"{q_prev:.12g} -> {q_now:.12g}")
         stop = not moved or q_now - q_prev < tol
         if moved:
-            neigh, loops, relabel = _aggregate(neigh, loops, comm)
-            membership = [relabel[comm[c]] for c in membership]
+            adj, loops, labels = _aggregate(adj, loops, comm)
+            membership = labels[membership]
         q_prev = q_now
         if stop:
             break
-
-    dense: dict[int, int] = {}
-    assignment: dict[str, int] = {}
-    for i, node in enumerate(g.node_ids):
-        c = membership[i]
-        if c not in dense:
-            dense[c] = len(dense)
-        assignment[node] = dense[c]
-    # recomputed on the original projection so it matches modularity() exactly
-    q_final = _q(neigh0, [0.0] * g.n_nodes, m,
-                 [assignment[node] for node in g.node_ids])
-    return Partition(assignment=assignment, modularity=q_final)
+    assignment = dict(zip(g.node_ids, _first_seen(membership.tolist()).tolist()))
+    return Partition(assignment=assignment, modularity=modularity(g, layer, assignment))
 
 
 def write_partition_csv(p: Partition, path: str) -> None:

@@ -93,6 +93,16 @@ def group_matrix(g: LayeredGraph, layer: str, roles: dict[str, str], mode: str,
                        flags=tuple(flags))
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+
+
+def _check_swaps_per_edge(swaps_per_edge: int) -> None:
+    if swaps_per_edge < 0:
+        raise ValueError("swaps_per_edge must be at least 0")
+
+
 def rewire_null_model(g: LayeredGraph, layer: str, seed,
                       swaps_per_edge: int = 10) -> LayeredGraph:
     """Degree-preserving rewiring of one layer by batches of double edge
@@ -106,8 +116,7 @@ def rewire_null_model(g: LayeredGraph, layer: str, seed,
     m = len(src)
     if m < 2:
         raise ValueError("layer needs at least 2 edges to rewire")
-    if swaps_per_edge < 0:
-        raise ValueError("swaps_per_edge must be at least 0")
+    _check_swaps_per_edge(swaps_per_edge)
     rng = np.random.default_rng(seed)
     for _ in range(-(-swaps_per_edge * m // (m // 2))):
         perm = rng.permutation(m)
@@ -167,6 +176,7 @@ def null_ratio_matrix(g: LayeredGraph, layer: str, roles: dict[str, str],
     """
     if seed is None:
         raise ValueError("seed required for null-model sampling")
+    _check_samples(samples)
     groups = _group_order(roles, group_order)
     observed, _ = _edge_counts(g, layer, roles, groups)
     total = np.zeros_like(observed, dtype=np.float64)

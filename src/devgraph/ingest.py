@@ -25,10 +25,10 @@ def normalize_query(raw: str, platform_tokens: frozenset[str] = DEFAULT_PLATFORM
     return " ".join(tokens)
 
 
-def read_phrases(path: str) -> list[str]:
-    """One phrase per line; blank lines skipped."""
-    with open(path, encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
+def read_phrases(path: str, diagnostics: Counter | None = None) -> list[str]:
+    """One phrase per line; blank lines are skipped, and so is a line that
+    is not valid UTF-8, counted as undecodable_lines (see `decoded_lines`)."""
+    return [line.strip() for line in decoded_lines(path, diagnostics) if line.strip()]
 
 
 def write_phrases(phrases: Iterable[str], path: str) -> None:

@@ -100,6 +100,11 @@ def _death_rank(forest: DiffusionForest, ranking: Sequence[str]) -> np.ndarray:
     return death
 
 
+def _check_sizes(sizes: Sequence[int]) -> None:
+    if list(sizes) != sorted(sizes):
+        raise ValueError("removal sizes must be ascending")
+
+
 def shrinkage_curve(trees: Sequence[DiffusionTree], ranking: Sequence[str],
                     sizes: Iterable[int] = DEFAULT_SIZES,
                     strategy: str = BY_VOLUME) -> ShrinkageCurve:
@@ -107,8 +112,7 @@ def shrinkage_curve(trees: Sequence[DiffusionTree], ranking: Sequence[str],
     nodes are erased, for each requested k. One pass over the forest: a
     consumer stays reached at k iff its death rank is at least k."""
     sizes = list(sizes)
-    if sizes != sorted(sizes):
-        raise ValueError("removal sizes must be ascending")
+    _check_sizes(sizes)
     death = _death_rank(DiffusionForest.of(trees), ranking)
     baseline = death[death >= 0]
     if not baseline.size:

@@ -30,6 +30,11 @@ def _mask(g: LayeredGraph, nodes) -> np.ndarray:
     return np.fromiter((node in nodes for node in g.node_ids), dtype=bool, count=g.n_nodes)
 
 
+def _check_step(step: float) -> None:
+    if not 0 < step <= 1:
+        raise ValueError("step must be in (0, 1]")
+
+
 def perception_curve(g: LayeredGraph, layer: str, deviant_active: set[str],
                      exclude: set[str] | None = None,
                      step: float = 0.01) -> PerceptionCurve:
@@ -42,8 +47,7 @@ def perception_curve(g: LayeredGraph, layer: str, deviant_active: set[str],
     count is reported on the curve. The counts are one bincount over the
     layer's edge arrays.
     """
-    if not 0 < step <= 1:
-        raise ValueError("step must be in (0, 1]")
+    _check_step(step)
     lay = g.layer(layer)
     degree = g.out_degrees(layer)
     hits = np.bincount(lay.src[_mask(g, deviant_active)[lay.dst]], minlength=g.n_nodes)

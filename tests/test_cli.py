@@ -131,6 +131,26 @@ def test_extract_skips_undecodable_line(fixture_dir, tmp_path, capsys):
         assert (tmp_path / "dirty" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
 
 
+def test_extract_skips_undecodable_seed_line(fixture_dir, tmp_path, capsys):
+    """A seed phrase with a byte that is not UTF-8 is skipped and named on
+    stderr, not a decoding error; the outputs equal those of the clean seeds."""
+    dirty = tmp_path / "seeds.txt"
+    dirty.write_bytes(b"bad \xff phrase\n" + (fixture_dir / "seeds.txt").read_bytes())
+
+    def run(seeds, out):
+        rc = main(["extract", "--log", str(fixture_dir / "log.tsv"), "--seeds", str(seeds),
+                   "--out", str(out)])
+        return rc, capsys.readouterr()
+
+    rc_clean, clean_io = run(fixture_dir / "seeds.txt", tmp_path / "clean")
+    rc_dirty, dirty_io = run(dirty, tmp_path / "dirty")
+    assert rc_clean == rc_dirty == 0
+    assert dirty_io.out == clean_io.out
+    assert dirty_io.err.splitlines() == ["extract: skipped undecodable_lines=1 in seeds.txt"]
+    for name in ("keywords.txt", "blogs.txt", "trajectory.csv"):
+        assert (tmp_path / "dirty" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
+
 def test_extract_reports_dropped_log_lines(fixture_dir, tmp_path, capsys):
     bad = tmp_path / "log.tsv"
     bad.write_text((fixture_dir / "log.tsv").read_text()
@@ -194,6 +214,18 @@ def test_connectivity_null_ratio_needs_seed(fixture_dir, tmp_path, capsys):
                "--mode", "null_ratio", "--out", str(tmp_path / "m.csv")])
     assert rc == 2
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_connectivity_null_ratio_samples_below_one(fixture_dir, tmp_path, capsys, samples):
+    """An error, not an all-nan matrix or an OverflowError traceback."""
+    out = tmp_path / "m.csv"
+    rc = main(["connectivity", "--edges", str(fixture_dir / "edges.tsv"),
+               "--labels", str(fixture_dir / "labels.csv"), "--mode", "null_ratio",
+               "--seed", "1", f"--samples={samples}", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: samples must be at least 1\n"
+    assert not out.exists()
 
 
 def test_connectivity_needs_some_role_source(fixture_dir, tmp_path, capsys):
@@ -507,16 +539,25 @@ def test_pipeline_byte_identical_reports(tmp_path):
         c.value for c in ConsumerClass}
 
 
-def test_pipeline_step_out_of_range(tmp_path, capsys):
+@pytest.mark.parametrize("option, message", [
+    ("--step=0", "step must be in (0, 1]"),
+    ("--sizes=abc", "invalid literal for int() with base 10: 'abc'"),
+    ("--sizes=5,2", "removal sizes must be ascending"),
+    ("--samples=-1", "samples must be at least 1"),
+    ("--swaps-per-edge=-1", "swaps_per_edge must be at least 0"),
+], ids=["step", "sizes-not-integers", "sizes-descending", "samples", "swaps-per-edge"])
+def test_pipeline_step_out_of_range(tmp_path, capsys, option, message):
+    """A bad run option is an error before the fixture or any stage output
+    is written."""
     cfg = tmp_path / "synth.cfg"
     write_config(SynthConfig(seed=5, n_producer_one=10, n_producer_two=10,
                              n_bridge_one=10, n_bridge_two=10, n_outer=20,
                              posts_per_producer=1), str(cfg))
-    rc = main(["pipeline", "--config", str(cfg), "--seed", "5", "--step", "0",
-               "--samples", "1", "--out", str(tmp_path / "r")])
+    rc = main(["pipeline", "--config", str(cfg), "--seed", "5", option,
+               "--out", str(tmp_path / "r")])
     assert rc == 1
-    assert capsys.readouterr().err == "error: step must be in (0, 1]\n"
-    assert not (tmp_path / "r" / "report.json").exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list((tmp_path / "r").glob("**/*")) == []
 
 
 def test_pipeline_sampled_paths_use_seed(tmp_path, monkeypatch):

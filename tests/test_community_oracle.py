@@ -1,0 +1,254 @@
+"""The CSR Louvain and modularity against the list-of-dicts code they
+replaced, kept here verbatim as oracles. Partitions, modularity values and
+`ValueError` messages must match exactly (`==`), on small random graphs and
+on the seed-11 fixture at 1x and 4x.
+
+Every weight drawn here is a small multiple of 0.5, so every sum of weights
+is exact whatever order it is added in; what is left to order is the
+modularity sum over communities, which both add in order of first
+appearance.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from devgraph.community import Partition, louvain, modularity
+from devgraph.graph import FOLLOW, LAYERS, REBLOG, LayeredGraph, build_graph
+from devgraph.synth import SynthConfig, planted_graph
+from test_community import scaled
+
+
+def _symmetrized(g: LayeredGraph, layer: str) -> tuple[list[dict[int, float]], float]:
+    """Undirected weighted projection: w(u,v) = w(u->v) + w(v->u)."""
+    n = g.n_nodes
+    neigh: list[dict[int, float]] = [{} for _ in range(n)]
+    src, dst, w = g.edge_arrays(layer)
+    for u, v, wt in zip(src.tolist(), dst.tolist(), w.tolist()):
+        neigh[u][v] = neigh[u].get(v, 0.0) + wt
+        neigh[v][u] = neigh[v].get(u, 0.0) + wt
+    m = sum(sum(row.values()) for row in neigh) / 2.0
+    return neigh, m
+
+
+def _q(neigh: list[dict[int, float]], loops: list[float], m: float,
+       comm: list[int]) -> float:
+    """Q = sum_c (e_c/m - (d_c/2m)^2); loops count once in e_c, twice in d_c."""
+    e: dict[int, float] = {}
+    d: dict[int, float] = {}
+    for u, row in enumerate(neigh):
+        c = comm[u]
+        k_u = sum(row.values()) + 2.0 * loops[u]
+        d[c] = d.get(c, 0.0) + k_u
+        e[c] = e.get(c, 0.0) + loops[u]
+        for v, wt in row.items():
+            if u < v and comm[v] == c:
+                e[c] = e.get(c, 0.0) + wt
+    two_m = 2.0 * m
+    return sum(e.get(c, 0.0) / m - (d[c] / two_m) ** 2 for c in d)
+
+
+def oracle_modularity(g: LayeredGraph, layer: str, p: Partition | dict[str, int]) -> float:
+    """Weighted undirected modularity of a partition over the full node set."""
+    if g.n_nodes == 0:
+        raise ValueError("empty graph")
+    assignment = p.assignment if isinstance(p, Partition) else p
+    missing = [node for node in g.node_ids if node not in assignment]
+    if missing:
+        raise ValueError(f"partition misses {len(missing)} nodes, e.g. {missing[0]!r}")
+    neigh, m = _symmetrized(g, layer)
+    if m == 0:
+        raise ValueError("no edges")
+    comm = [assignment[node] for node in g.node_ids]
+    return _q(neigh, [0.0] * g.n_nodes, m, comm)
+
+
+def _local_move(neigh: list[dict[int, float]], loops: list[float], m: float,
+                comm: list[int], rng: random.Random) -> bool:
+    n = len(neigh)
+    k = [sum(row.values()) + 2.0 * loops[u] for u, row in enumerate(neigh)]
+    tot: dict[int, float] = {}
+    for u in range(n):
+        tot[comm[u]] = tot.get(comm[u], 0.0) + k[u]
+    moved_any = False
+    while True:
+        order = list(range(n))
+        rng.shuffle(order)
+        moved = False
+        for u in order:
+            old = comm[u]
+            tot[old] -= k[u]
+            link: dict[int, float] = {old: 0.0}
+            for v, wt in neigh[u].items():
+                c = comm[v]
+                link[c] = link.get(c, 0.0) + wt
+            best_c = old
+            best_gain = link[old] - tot[old] * k[u] / (2.0 * m)
+            for c in sorted(link):
+                if c == old:
+                    continue
+                gain = link[c] - tot[c] * k[u] / (2.0 * m)
+                if gain > best_gain + 1e-15:
+                    best_gain = gain
+                    best_c = c
+            comm[u] = best_c
+            tot[best_c] = tot.get(best_c, 0.0) + k[u]
+            if best_c != old:
+                moved = True
+                moved_any = True
+        if not moved:
+            return moved_any
+
+
+def _aggregate(neigh: list[dict[int, float]], loops: list[float],
+               comm: list[int]) -> tuple[list[dict[int, float]], list[float], dict[int, int]]:
+    relabel: dict[int, int] = {}
+    for c in comm:
+        if c not in relabel:
+            relabel[c] = len(relabel)
+    size = len(relabel)
+    new_neigh: list[dict[int, float]] = [{} for _ in range(size)]
+    new_loops = [0.0] * size
+    for u, row in enumerate(neigh):
+        cu = relabel[comm[u]]
+        new_loops[cu] += loops[u]
+        for v, wt in row.items():
+            if u < v:
+                cv = relabel[comm[v]]
+                if cu == cv:
+                    new_loops[cu] += wt
+                else:
+                    new_neigh[cu][cv] = new_neigh[cu].get(cv, 0.0) + wt
+                    new_neigh[cv][cu] = new_neigh[cv].get(cu, 0.0) + wt
+    return new_neigh, new_loops, relabel
+
+
+def oracle_louvain(g: LayeredGraph, layer: str, seed: int, tol: float = 1e-7) -> Partition:
+    """Two-phase Louvain with seeded node order; stops once a full pass
+    improves modularity by less than tol."""
+    if g.n_nodes == 0:
+        raise ValueError("empty graph")
+    neigh0, m = _symmetrized(g, layer)
+    if m == 0:
+        raise ValueError("no edges")
+    neigh = neigh0
+    loops = [0.0] * g.n_nodes
+    rng = random.Random(seed)
+    membership = list(range(g.n_nodes))
+    q_prev = _q(neigh, loops, m, list(range(g.n_nodes)))
+    while True:
+        comm = list(range(len(neigh)))
+        moved = _local_move(neigh, loops, m, comm, rng)
+        q_now = _q(neigh, loops, m, comm)
+        if q_now < q_prev - 1e-12:
+            raise RuntimeError(f"modularity decreased within a pass: "
+                               f"{q_prev:.12g} -> {q_now:.12g}")
+        stop = not moved or q_now - q_prev < tol
+        if moved:
+            neigh, loops, relabel = _aggregate(neigh, loops, comm)
+            membership = [relabel[comm[c]] for c in membership]
+        q_prev = q_now
+        if stop:
+            break
+
+    dense: dict[int, int] = {}
+    assignment: dict[str, int] = {}
+    for i, node in enumerate(g.node_ids):
+        c = membership[i]
+        if c not in dense:
+            dense[c] = len(dense)
+        assignment[node] = dense[c]
+    # recomputed on the original projection so it matches modularity() exactly
+    q_final = _q(neigh0, [0.0] * g.n_nodes, m,
+                 [assignment[node] for node in g.node_ids])
+    return Partition(assignment=assignment, modularity=q_final)
+
+
+def outcome(fn, *args, **kwargs):
+    """The result with its type, or the type and message of the exception
+    raised."""
+    try:
+        result = fn(*args, **kwargs)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+    if isinstance(result, Partition):
+        assert {type(c) for c in result.assignment.values()} <= {int}
+        assert type(result.modularity) is float
+    return type(result), result
+
+
+# -- random graphs ------------------------------------------------------------
+
+weights = st.one_of(st.sampled_from((1.0, 2.0, 0.5)), st.integers(1, 5))
+graphs = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11), weights,
+                            st.sampled_from(LAYERS)),
+                  max_size=40).map(
+    lambda edges: build_graph([(f"n{u}", f"n{v}", w, layer) for u, v, w, layer in edges]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs, st.integers(0, 2**32))
+# an edge file may hold weights of any sign; the zero-weight edge b-f keeps
+# b and f neighbours, as in the dict projection, and this partition
+# changes if it is dropped
+@example(build_graph([("b", "f", 0.0, REBLOG), ("d", "b", -1.0, REBLOG),
+                      ("d", "f", -1.0, REBLOG)]), 0)
+# two gains that differ only by rounding: the 1e-15 rule decides where n3 goes
+@example(build_graph([(f"n{u}", f"n{v}", 1.0, FOLLOW) for u, v in (
+    (2, 4), (4, 8), (7, 6), (7, 9), (3, 7), (8, 9), (3, 0), (5, 1), (3, 5), (3, 9),
+    (4, 9), (4, 2), (9, 5), (5, 9), (6, 4))]), 2060592230)
+def test_louvain_matches_oracle(g, seed):
+    for layer in LAYERS:
+        assert outcome(louvain, g, layer, seed=seed) \
+            == outcome(oracle_louvain, g, layer, seed=seed)
+
+
+communities = st.one_of(st.integers(-3, 3), st.just(2**70))
+# n12 never joins a graph
+partitions = st.one_of(
+    st.lists(communities, min_size=12, max_size=12).map(
+        lambda cs: {f"n{i}": c for i, c in enumerate(cs)}),
+    st.dictionaries(st.sampled_from([f"n{i}" for i in range(13)]), communities))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs, st.sampled_from(LAYERS), partitions)
+def test_modularity_matches_oracle(g, layer, assignment):
+    """Random partitions: community ids need not be dense, and a node the
+    partition misses is an error."""
+    assert outcome(modularity, g, layer, assignment) \
+        == outcome(oracle_modularity, g, layer, assignment)
+
+
+# weights whose sums depend on the order of addition, which differs between
+# the dict rows and the sorted CSR rows
+inexact_graphs = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11),
+                                    st.sampled_from((0.1, 0.3, 1 / 3, 1e16)),
+                                    st.just(REBLOG)),
+                          max_size=40).map(
+    lambda edges: build_graph([(f"n{u}", f"n{v}", w, layer) for u, v, w, layer in edges])
+).filter(lambda g: g.n_edges(REBLOG) > 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inexact_graphs, st.lists(st.integers(0, 3), min_size=12, max_size=12))
+def test_modularity_close_to_oracle_on_inexact_weights(g, communities):
+    assignment = {f"n{i}": c for i, c in enumerate(communities)}
+    assert modularity(g, REBLOG, assignment) \
+        == pytest.approx(oracle_modularity(g, REBLOG, assignment), rel=1e-12, abs=1e-12)
+
+
+# -- the seed-11 fixture ------------------------------------------------------
+
+@pytest.mark.parametrize("scale", [1, 4])
+@pytest.mark.parametrize("layer", LAYERS)
+def test_louvain_matches_oracle_on_fixture(scale, layer):
+    g, _ = planted_graph(scaled(SynthConfig(seed=11), scale))
+    for seed in (0, 11, 29):
+        part = louvain(g, layer, seed=seed)
+        assert part == oracle_louvain(g, layer, seed=seed)
+        assert len(part.communities()) > 1

@@ -173,6 +173,17 @@ class TestNullRatio:
         with pytest.raises(ValueError, match="seed"):
             null_ratio_matrix(g, FOLLOW, {"a": "A", "b": "A", "c": "A", "d": "A"})
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_samples_below_one_error(self, monkeypatch, samples):
+        """Raised before any rewiring, not an all-nan matrix or an
+        OverflowError from SeedSequence.spawn."""
+        import devgraph.connectivity as connectivity
+        monkeypatch.setattr(connectivity, "rewire_null_model", None)
+        g = build_graph([F("a", "b"), F("c", "d")])
+        with pytest.raises(ValueError, match="^samples must be at least 1$"):
+            null_ratio_matrix(g, FOLLOW, {"a": "A", "b": "A", "c": "B", "d": "B"},
+                              samples=samples, seed=0)
+
     def test_planted_two_clique_structure(self):
         rng = np.random.default_rng(12)
         edges = []

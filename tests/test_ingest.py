@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devgraph.cli import _read_counts_csv, _read_node_set
+from devgraph.cli import _SKIP_REASONS, _read_counts_csv, _read_node_set
 from devgraph.community import read_partition_csv, read_role_map_csv
 from devgraph.demographics import DemographicRecord, read_demographics_csv
 from devgraph.diffusion import ConsumerClass, read_classes_csv
@@ -227,6 +227,7 @@ READERS = {
                      {"a": DemographicRecord("a", 30, "male")}),
     "node_set": (_read_node_set, b"a\n", {"a"}),
     "counts": (_read_counts_csv, b"node,count\na,4\n", {"a": 4}),
+    "phrases": (read_phrases, b"a phrase\n", ["a phrase"]),
 }
 
 
@@ -240,3 +241,34 @@ def test_csv_readers_skip_undecodable_lines(tmp_path, name):
     diagnostics = Counter()
     assert reader(str(path), diagnostics=diagnostics) == expected
     assert diagnostics == {"undecodable_lines": 1}
+
+
+LINE_BREAKS = (b"\n", b"\r", b"\r\n")
+# what may stand inside a line: the other chunks, plus field separators and digits
+FIELD_CHUNKS = (tuple(c for c in TestReadLog.CHUNKS if c not in LINE_BREAKS)
+                + (b",",) + tuple(str(d).encode() for d in range(10)))
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.sampled_from(FIELD_CHUNKS), max_size=8).map(b"".join),
+                          st.sampled_from(LINE_BREAKS)),
+                max_size=12))
+def test_readers_account_for_every_line(name, lines):
+    """Each line starts with a unique key, so no kept row overwrites another:
+    every non-empty line is the header, a kept row or a skip counted under
+    a reason the CLI reports. Nothing raises."""
+    reader, text, _expected = READERS[name]
+    # each sample is an optional header line and one row
+    *header, _row = text.splitlines()
+    data = b"".join(line + b"\n" for line in header)
+    data += b"".join(str(i).encode() + b"," + body + brk for i, (body, brk) in enumerate(lines))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        diagnostics = Counter()
+        kept = reader(path, diagnostics=diagnostics)
+    non_empty = [line for line in data.splitlines() if line]
+    assert set(diagnostics) <= set(_SKIP_REASONS)
+    assert len(kept) + sum(diagnostics.values()) + len(header) == len(non_empty)
