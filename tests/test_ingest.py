@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from devgraph.cli import _SKIP_REASONS, _read_counts_csv, _read_node_set
 from devgraph.community import read_partition_csv, read_role_map_csv
 from devgraph.demographics import DemographicRecord, read_demographics_csv
-from devgraph.diffusion import ConsumerClass, read_classes_csv
-from devgraph.graph import read_labels_csv
+from devgraph.diffusion import ConsumerClass, ReblogEvent, read_classes_csv, read_events_tsv
+from devgraph.graph import LAYERS, load_graph, read_labels_csv
 from devgraph.ingest import (
     QueryRecord,
     blog_id_from_url,
@@ -218,6 +218,18 @@ def test_phrase_file_round_trip(tmp_path):
     assert read_phrases(str(p)) == ["a phrase", "b phrase"]
 
 
+def _read_events(path: str, diagnostics: Counter) -> list[ReblogEvent]:
+    return list(read_events_tsv(path, diagnostics))
+
+
+def _read_edges(path: str, diagnostics: Counter) -> list[tuple[str, str, float]]:
+    """load_graph's edges; its counters come on the graph, not through a
+    diagnostics argument."""
+    g = load_graph(path)
+    diagnostics.update(g.diagnostics)
+    return [edge for layer in LAYERS for edge in g.edges(layer)]
+
+
 READERS = {
     "labels": (read_labels_csv, b"node,group\na,outer\n", {"a": "outer"}),
     "partition": (read_partition_csv, b"node,community\na,3\n", {"a": 3}),
@@ -228,13 +240,16 @@ READERS = {
     "node_set": (_read_node_set, b"a\n", {"a"}),
     "counts": (_read_counts_csv, b"node,count\na,4\n", {"a": 4}),
     "phrases": (read_phrases, b"a phrase\n", ["a phrase"]),
+    "events": (_read_events, b"a\tp\tx\t1\n", [ReblogEvent("a", "p", "x", 1.0)]),
+    "edges": (_read_edges, b"a\tb\t1\tF\n", [("a", "b", 1.0)]),
+    "query_log": (read_query_log, b"1\tq\thttp://a.tumblr.com/\tUS\n", [QueryRecord("q", "a")]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_csv_readers_skip_undecodable_lines(tmp_path, name):
-    """Every CSV and node-set reader drops a line that is not UTF-8 and
-    counts it as `undecodable_lines`, like the edge, event and log readers."""
+    """Every reader, CSV, node-set, edge, event and log alike, drops a line
+    that is not UTF-8 and counts it as `undecodable_lines`."""
     reader, text, expected = READERS[name]
     path = tmp_path / "in.csv"
     path.write_bytes(text + b"b\xff,1,2\n")
@@ -244,16 +259,22 @@ def test_csv_readers_skip_undecodable_lines(tmp_path, name):
 
 
 LINE_BREAKS = (b"\n", b"\r", b"\r\n")
-# what may stand inside a line: the other chunks, plus field separators and digits
+# what may stand inside a line: the other chunks (the tab among them), plus
+# commas and digits
 FIELD_CHUNKS = (tuple(c for c in TestReadLog.CHUNKS if c not in LINE_BREAKS)
                 + (b",",) + tuple(str(d).encode() for d in range(10)))
+# a line is chunks, or four tab-separated fields that now and then hold a
+# weight, a layer or a timestamp, so that some rows of the edge and event
+# readers are well-formed
+FIELD = st.one_of(st.lists(st.sampled_from(FIELD_CHUNKS), max_size=3).map(b"".join),
+                  st.sampled_from([b"1", b"F", b"x"]))
+BODY = st.one_of(st.lists(st.sampled_from(FIELD_CHUNKS), max_size=8).map(b"".join),
+                 st.lists(FIELD, min_size=4, max_size=4).map(b"\t".join))
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(st.lists(st.sampled_from(FIELD_CHUNKS), max_size=8).map(b"".join),
-                          st.sampled_from(LINE_BREAKS)),
-                max_size=12))
+@given(st.lists(st.tuples(BODY, st.sampled_from(LINE_BREAKS)), max_size=12))
 def test_readers_account_for_every_line(name, lines):
     """Each line starts with a unique key, so no kept row overwrites another:
     every non-empty line is the header, a kept row or a skip counted under

@@ -18,6 +18,7 @@ from devgraph.intervention import (
 )
 
 from test_intervention_oracle import baseline_consumers, reached_consumers
+from tree_helpers import trees_of
 
 
 def ev(actor, source, post="p1", ts=0.0):
@@ -50,7 +51,7 @@ class TestRankByVolume:
         assert ranking == ["p", "a"]       # p reaches {a,b}, a reaches {b}
 
     def test_empty(self):
-        assert rank_by_volume([]) == []
+        assert rank_by_volume(build_trees([], set())) == []
 
     def test_tie_breaks_by_id(self):
         events = [ev("x1", "n7", post="a", ts=1), ev("x2", "n3", post="b", ts=1)]
@@ -99,7 +100,7 @@ class TestShrinkage:
             ev("b", "a", post="y", ts=2),
         ]
         trees = build_trees(events, {"p1", "p2"})
-        assert reached_consumers(trees, set()) == {"a", "b"}
+        assert reached_consumers(trees_of(trees), set()) == {"a", "b"}
         curve = shrinkage_curve(trees, ["p1", "p2"], sizes=[0, 2])
         assert curve.reached_fraction == (1.0, 0.0)
 
@@ -123,7 +124,7 @@ class TestShrinkage:
 
     def test_empty_trees_error(self):
         with pytest.raises(ValueError, match="baseline"):
-            shrinkage_curve([], [], sizes=[0])
+            shrinkage_curve(build_trees([], set()), [], sizes=[0])
 
     def test_superset_monotonicity_random(self):
         rng = random.Random(13)
@@ -136,7 +137,7 @@ class TestShrinkage:
                 for t, m in enumerate(members):
                     events.append(ev(m, rng.choice(prev), post=f"p{post}", ts=t))
                     prev.append(m)
-            trees = build_trees(events, {"r0", "r1", "r2"})
+            trees = trees_of(build_trees(events, {"r0", "r1", "r2"}))
             if not trees:
                 continue
             nodes = sorted({n for t in trees for n in t.nodes()})
@@ -165,8 +166,8 @@ class TestUnderage:
         res = underage_exposure_threshold(trees, ranking, ages)
         underage = {n for n, a in ages.items() if a < 18}
         for k in range(res.k):
-            assert reached_consumers(trees, set(ranking[:k])) & underage
-        assert not reached_consumers(trees, set(ranking[:res.k])) & underage
+            assert reached_consumers(trees_of(trees), set(ranking[:k])) & underage
+        assert not reached_consumers(trees_of(trees), set(ranking[:res.k])) & underage
 
     def test_removing_the_minor_itself_suffices(self):
         events = [ev("kid", "p", ts=1)]
@@ -188,16 +189,17 @@ class TestAdaptiveGreedy:
         picks = adaptive_greedy_ranking(trees, 2)
         # erasing the shared conduit a kills every consumer in one move
         assert picks[0] == "a"
-        assert reached_consumers(trees, {"a"}) == set()
+        assert reached_consumers(trees_of(trees), {"a"}) == set()
 
     def test_never_worse_than_static_on_fixture(self):
         trees = chain_trees()
         static = rank_by_volume(trees)
         greedy = adaptive_greedy_ranking(trees, len(static))
-        base = len(baseline_consumers(trees))
+        walked = trees_of(trees)
+        base = len(baseline_consumers(walked))
         for k in range(len(greedy) + 1):
-            g_left = len(reached_consumers(trees, set(greedy[:k])))
-            s_left = len(reached_consumers(trees, set(static[:k])))
+            g_left = len(reached_consumers(walked, set(greedy[:k])))
+            s_left = len(reached_consumers(walked, set(static[:k])))
             assert g_left <= s_left or k > len(static)
         assert base > 0
 

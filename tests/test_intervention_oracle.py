@@ -5,7 +5,8 @@ underage thresholds or their errors, over random overlapping forests.
 
 The tree-walking definitions of the baseline and of the consumers still
 reached (`baseline_consumers`, `reached_consumers`) live only here now;
-`tests/test_intervention.py` uses them too.
+`tests/test_intervention.py` uses them too. They walk the per-tree dicts
+that `tree_helpers.trees_of` rebuilds from the forest.
 """
 
 from collections.abc import Sequence
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devgraph.diffusion import DiffusionTree, ReblogEvent, build_trees, producer_nodes
+from devgraph.diffusion import ReblogEvent, build_trees, producer_nodes
 from devgraph.intervention import (
     ShrinkageCurve,
     UnderageThreshold,
@@ -23,6 +24,8 @@ from devgraph.intervention import (
     underage_exposure_threshold,
 )
 from devgraph.synth import SynthConfig, planted_graph, synth_events
+
+from tree_helpers import DiffusionTree, trees_of
 
 
 def baseline_consumers(trees: Sequence[DiffusionTree]) -> set[str]:
@@ -155,45 +158,44 @@ ages_maps = st.dictionaries(st.sampled_from(POOL + ["unknown"]), st.integers(10,
 
 @settings(max_examples=150, deadline=None)
 @given(forests(), st.integers(-1, len(POOL) + 3))
-def test_greedy_matches_oracle(trees, size):
-    assert adaptive_greedy_ranking(trees, size) \
-        == oracle_adaptive_greedy_ranking(trees, size)
+def test_greedy_matches_oracle(forest, size):
+    assert adaptive_greedy_ranking(forest, size) \
+        == oracle_adaptive_greedy_ranking(trees_of(forest), size)
 
 
 @settings(max_examples=150, deadline=None)
 @given(forests(), rankings, sizes_lists)
-def test_curve_matches_oracle(trees, ranking, sizes):
-    assert outcome(shrinkage_curve, trees, ranking, sizes) \
-        == outcome(oracle_shrinkage_curve, trees, ranking, sizes)
+def test_curve_matches_oracle(forest, ranking, sizes):
+    assert outcome(shrinkage_curve, forest, ranking, sizes) \
+        == outcome(oracle_shrinkage_curve, trees_of(forest), ranking, sizes)
 
 
 @settings(max_examples=150, deadline=None)
 @given(forests(), rankings, ages_maps)
-def test_threshold_matches_oracle(trees, ranking, ages):
-    assert outcome(underage_exposure_threshold, trees, ranking, ages) \
-        == outcome(oracle_underage_exposure_threshold, trees, ranking, ages)
+def test_threshold_matches_oracle(forest, ranking, ages):
+    assert outcome(underage_exposure_threshold, forest, ranking, ages) \
+        == outcome(oracle_underage_exposure_threshold, trees_of(forest), ranking, ages)
 
 
 @pytest.fixture(scope="module")
-def default_fixture_trees():
+def default_forest():
     cfg = SynthConfig(seed=11)
     g, roles = planted_graph(cfg)
     return build_trees(synth_events(cfg, g, roles), producer_nodes(roles))
 
 
-def test_greedy_matches_oracle_on_default_fixture(default_fixture_trees):
-    trees = default_fixture_trees
-    # the oracle walks DiffusionTree objects; materialize them once
-    assert adaptive_greedy_ranking(trees, 20) == oracle_adaptive_greedy_ranking(list(trees), 20)
+def test_greedy_matches_oracle_on_default_fixture(default_forest):
+    assert adaptive_greedy_ranking(default_forest, 20) \
+        == oracle_adaptive_greedy_ranking(trees_of(default_forest), 20)
 
 
-def test_curve_and_threshold_match_oracle_on_default_fixture(default_fixture_trees):
-    trees = default_fixture_trees
+def test_curve_and_threshold_match_oracle_on_default_fixture(default_forest):
+    trees = trees_of(default_forest)
     ranking = sorted({n for t in trees for n in t.nodes()}, reverse=True)
     ranking = ranking[:60] + ranking[:5]
     sizes = [0, 1, 10, 30, 65, 200]
-    assert shrinkage_curve(trees, ranking, sizes) \
+    assert shrinkage_curve(default_forest, ranking, sizes) \
         == oracle_shrinkage_curve(trees, ranking, sizes)
     ages = {n: 17 for n in ranking[::7]}
-    assert outcome(underage_exposure_threshold, trees, ranking, ages) \
+    assert outcome(underage_exposure_threshold, default_forest, ranking, ages) \
         == outcome(oracle_underage_exposure_threshold, trees, ranking, ages)

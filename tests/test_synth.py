@@ -22,6 +22,8 @@ from devgraph.synth import (
     write_config,
 )
 
+from tree_helpers import trees_of
+
 SMALL = SynthConfig(seed=7, n_producer_one=12, n_producer_two=12,
                     n_bridge_one=10, n_bridge_two=10, n_outer=30,
                     posts_per_producer=1)
@@ -128,7 +130,7 @@ def test_events_build_producer_rooted_trees():
     trees = build_trees(events, producer_nodes(roles))
     assert trees
     reblogs = {(u, v) for u, v, _ in g.edges(REBLOG)}
-    for t in trees:
+    for t in trees_of(trees):
         assert roles[t.root].startswith("producer")
         for parent, child in t.edges():
             assert (child, parent) in reblogs
