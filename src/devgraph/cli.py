@@ -212,9 +212,12 @@ def _sizes(args, config: dict[str, str]) -> tuple[int, ...]:
     if not text:
         return DEFAULT_SIZES
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+        sizes = tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError:
-        raise ValueError(f"--sizes must be comma-separated integers, got {text!r}") from None
+        sizes = ()
+    if not sizes:
+        raise ValueError(f"--sizes must be comma-separated integers, got {text!r}")
+    return sizes
 
 
 def _json_dump(obj, path: Path) -> None:

@@ -429,13 +429,14 @@ GRAPH_COMMANDS = {
 
 @pytest.mark.parametrize("command", sorted(GRAPH_COMMANDS))
 def test_dropped_edge_rows_skipped_and_reported(fixture_dir, tmp_path, capsys, command):
-    """A line that is not UTF-8, a row without four fields and a row with a
-    bad weight are skipped; each count is named on stderr and the outputs
-    equal those of the clean file."""
+    """A line that is not UTF-8, a row without four fields, a row with a
+    bad weight and a self-loop are skipped; each count is named on stderr
+    and the outputs equal those of the clean file."""
     (tmp_path / "active.txt").write_text("\n".join(producers_of(fixture_dir)) + "\n")
     dirty = tmp_path / "edges.tsv"
     dirty.write_bytes(_insert_after((fixture_dir / "edges.tsv").read_bytes(), 7,
-                                    b"p1_0000\t\xff\t1\tF\nonly\ttwo\np1_0000\tp1_0001\tx\tR\n"))
+                                    b"p1_0000\t\xff\t1\tF\nonly\ttwo\np1_0000\tp1_0001\tx\tR\n"
+                                    b"p1_0000\tp1_0000\t1\tF\n"))
 
     def run(edges, out):
         out.mkdir()
@@ -448,22 +449,14 @@ def test_dropped_edge_rows_skipped_and_reported(fixture_dir, tmp_path, capsys, c
     assert clean_io.err == ""
     assert dirty_io.err.splitlines() == [f"{command}: skipped malformed_lines=1 in edges.tsv",
                                          f"{command}: skipped undecodable_lines=1 in edges.tsv",
-                                         f"{command}: skipped malformed_edges=1 in edges.tsv"]
+                                         f"{command}: skipped malformed_edges=1 in edges.tsv",
+                                         f"{command}: skipped self_loops_dropped=1 in edges.tsv"]
     assert {k: v for k, (v, _) in dirty_files.items()} == \
         {k: v for k, (v, _) in clean_files.items()}
     if command == "stats":
         assert dirty_files["stats.json"][1] == {
-            "malformed_edges": 1, "malformed_lines": 1, "undecodable_lines": 1}
-
-
-def test_self_loop_rows_reported(fixture_dir, tmp_path, capsys):
-    """A self-loop row is dropped and counted like any skipped row, and the
-    count is named on stderr."""
-    edges = tmp_path / "edges.tsv"
-    edges.write_bytes(_insert_after((fixture_dir / "edges.tsv").read_bytes(), 7,
-                                    b"p1_0000\tp1_0000\t1\tF\np1_0001\tp1_0001\t2\tR\n"))
-    assert main(["stats", "--edges", str(edges), "--out", str(tmp_path / "stats.json")]) == 0
-    assert capsys.readouterr().err == "stats: skipped self_loops_dropped=2 in edges.tsv\n"
+            "malformed_edges": 1, "malformed_lines": 1, "self_loops_dropped": 1,
+            "undecodable_lines": 1}
 
 
 @pytest.mark.parametrize("command", ["diffusion", "intervene"])
@@ -494,22 +487,24 @@ def test_undecodable_event_line_skipped(fixture_dir, tmp_path, capsys, command):
             {**clean_files["diffusion/reach.json"][1], "undecodable_lines": 1}
 
 
+@pytest.mark.parametrize("text", ["abc", ","])
 @pytest.mark.parametrize("source", ["flag", "config"])
-def test_intervene_sizes_not_integers(fixture_dir, tmp_path, capsys, source):
+def test_intervene_sizes_not_integers(fixture_dir, tmp_path, capsys, source, text):
     """A --sizes value (or a sizes= config entry) that is not a list of
     integers is an error that names the option, before any output."""
     out = tmp_path / "shrink.csv"
     argv = ["intervene", "--events", str(fixture_dir / "events.tsv"),
-            "--labels", str(fixture_dir / "labels.csv"), "--out", str(out)]
+            "--labels", str(fixture_dir / "labels.csv"), "--strategy", "greedy",
+            "--out", str(out)]
     if source == "flag":
-        argv.append("--sizes=abc")
+        argv.append(f"--sizes={text}")
     else:
         cfg = tmp_path / "intervene.cfg"
-        cfg.write_text("sizes = abc\n")
+        cfg.write_text(f"sizes = {text}\n")
         argv += ["--config", str(cfg)]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: --sizes must be comma-separated integers, got 'abc'\n"
+    assert captured.err == f"error: --sizes must be comma-separated integers, got {text!r}\n"
     assert captured.out == ""
     assert not out.exists()
 
@@ -572,10 +567,12 @@ def test_pipeline_byte_identical_reports(tmp_path):
 @pytest.mark.parametrize("option, message", [
     ("--step=0", "step must be in (0, 1]"),
     ("--sizes=abc", "--sizes must be comma-separated integers, got 'abc'"),
+    ("--sizes=,", "--sizes must be comma-separated integers, got ','"),
     ("--sizes=5,2", "removal sizes must be ascending"),
     ("--samples=-1", "samples must be at least 1"),
     ("--swaps-per-edge=-1", "swaps_per_edge must be at least 0"),
-], ids=["step", "sizes-not-integers", "sizes-descending", "samples", "swaps-per-edge"])
+], ids=["step", "sizes-not-integers", "sizes-empty", "sizes-descending", "samples",
+        "swaps-per-edge"])
 def test_pipeline_step_out_of_range(tmp_path, capsys, option, message):
     """A bad run option is an error before the fixture or any stage output
     is written."""

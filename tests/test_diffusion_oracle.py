@@ -7,9 +7,10 @@ Hypothesis writes random event logs (repeat reblogs, timestamp ties with
 self-reblogs, bad bytes, CR and CRLF line ends, rows of 3 or 5 fields) and
 checks that the coded reader yields the same events and counters, that the
 forest holds the same trees (root, parents, depths, children, in post
-order, rebuilt from its arrays by `tree_helpers.trees_of`) and counters, and that every consumer gives the same result. The one
-intended difference: the old reader kept NaN timestamps, which made trees
-depend on row order; they are now skipped and counted as malformed_events.
+order, rebuilt from its arrays by `tree_helpers.trees_of`) and counters,
+and that every consumer gives the same result. The one intended
+difference: the old reader kept NaN timestamps, which made trees depend on
+row order; they are now skipped and counted as malformed_events.
 """
 
 import itertools
