@@ -23,7 +23,7 @@ with tempfile.TemporaryDirectory() as tmp:
     log_path.write_text("\n".join(fx.log_lines) + "\n", encoding="utf-8")
     log = read_query_log(str(log_path))
 
-print(f"log rows:     {len(log)}")
+print(f"log rows:     {log.pair_clicks.sum()}")
 print(f"seed phrases: {sorted(fx.seed_phrases)}")
 
 result = extract_deviant_graph(fx.seed_phrases, log)

@@ -237,8 +237,8 @@ def _outdir(path) -> Path:
 # subcommands read their inputs from files and `pipeline` passes the
 # synthesized fixture.
 
-def _extract(records, seeds, out, **params):
-    result = extract_deviant_graph(seeds, records, **params)
+def _extract(log, seeds, out, **params):
+    result = extract_deviant_graph(seeds, log, **params)
     out = _outdir(out)
     write_phrases(result.state.keywords, str(out / "keywords.txt"))
     write_phrases(result.state.blogs, str(out / "blogs.txt"))
@@ -344,9 +344,9 @@ def cmd_synth(args) -> int:
 
 def cmd_extract(args) -> int:
     config = _config_of(args)
-    records = _read("extract", read_query_log, args.log)
+    log = _read("extract", read_query_log, args.log)
     seeds = _read("extract", read_phrases, args.seeds)
-    result = _extract(records, seeds, args.out, **_given(
+    result = _extract(log, seeds, args.out, **_given(
         args, config, max_iter=int, eps=float, decile=float, min_unique=int,
         min_clicks=int, ratio_mode=str))
     print(f"extract: converged={result.converged} iterations={result.iterations_run} "
@@ -496,8 +496,8 @@ def cmd_pipeline(args) -> int:
     out = _outdir(args.out)
     g, roles, fx, events, demo = _write_fixture(cfg, out)
 
-    records = _read("pipeline", read_query_log, str(out / "log.tsv"))
-    extraction = _extract(records, read_phrases(str(out / "seeds.txt")), out)
+    log = _read("pipeline", read_query_log, str(out / "log.tsv"))
+    extraction = _extract(log, read_phrases(str(out / "seeds.txt")), out)
 
     stats = {layer: network_stats(g, layer, seed=cfg.seed).as_dict()
              for layer in LAYERS if g.n_edges(layer) > 0}

@@ -6,21 +6,12 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import Counter
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import FOLLOW, LayeredGraph
 from .ingest import decoded_lines
-
-
-@dataclass(frozen=True)
-class ReblogEvent:
-    actor: str
-    source: str
-    post_id: str
-    timestamp: float
 
 
 class ConsumerClass(enum.Enum):
@@ -42,58 +33,34 @@ def bridge_nodes(roles: dict[str, str]) -> set[str]:
     return {n for n, r in roles.items() if r.lower().startswith("bridge")}
 
 
-class _CodedEvents(Sequence):
-    """A reblog event log encoded once into arrays; as a sequence it is
-    still the events it was built from, in input order.
+class _CodedEvents:
+    """A reblog event log encoded into arrays, in input order; its length
+    is the number of events.
 
     `ids` holds every actor and source id in sorted order and `posts` every
     post id in sorted order, so ordering by code breaks ties the way sorting
-    by id does. actor, source and post hold the codes, ts the timestamps."""
+    by id does. actor, source and post hold the codes, ts the timestamps.
+    The constructor takes the columns coded into vocabularies of distinct
+    names in any order; names no event uses are left out."""
 
-    def __init__(self, chunks: Iterable[tuple[list[str], list[str], list[str], np.ndarray]]):
-        node_code: dict[str, int] = {}
-        post_code: dict[str, int] = {}
-
-        def coded(code: dict[str, int], names: list[str]) -> np.ndarray:
-            return np.fromiter(map(code.__getitem__, names), dtype=np.int64, count=len(names))
-
-        columns: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int64)] for _ in range(3)]
-        times = [np.empty(0, dtype=np.float64)]
-        for actors, sources, posts, ts in chunks:
-            # codes in first-seen order for now, ranked once all are seen
-            for code, names in ((node_code, itertools.chain(actors, sources)), (post_code, posts)):
-                new = dict.fromkeys(names).keys() - code.keys()
-                code.update(zip(new, itertools.count(len(code))))
-            for column, code, names in zip(columns, (node_code, node_code, post_code),
-                                           (actors, sources, posts)):
-                column.append(coded(code, names))
-            times.append(ts)
-            del actors, sources, posts, ts
-        self.ids, self.posts = sorted(node_code), sorted(post_code)
-        node_rank = np.empty(len(self.ids), dtype=np.int64)
-        node_rank[coded(node_code, self.ids)] = np.arange(len(self.ids))
-        post_rank = np.empty(len(self.posts), dtype=np.int64)
-        post_rank[coded(post_code, self.posts)] = np.arange(len(self.posts))
-        self.actor, self.source, self.post = (
-            rank[np.concatenate(column)]
-            for rank, column in zip((node_rank, node_rank, post_rank), columns))
-        self.ts = np.concatenate(times)
-
-    @classmethod
-    def of(cls, events: Iterable[ReblogEvent]) -> _CodedEvents:
-        if isinstance(events, cls):
-            return events
-        events = list(events)
-        return cls([([e.actor for e in events], [e.source for e in events],
-                     [e.post_id for e in events],
-                     np.array([e.timestamp for e in events], dtype=np.float64))])
+    def __init__(self, ids: list[str], posts: list[str], actor: np.ndarray,
+                 source: np.ndarray, post: np.ndarray, ts: np.ndarray):
+        self.ids, node_rank = _ranked(ids, np.concatenate((actor, source)))
+        self.posts, post_rank = _ranked(posts, post)
+        self.actor, self.source, self.post = node_rank[actor], node_rank[source], post_rank[post]
+        self.ts = ts
 
     def __len__(self) -> int:
         return len(self.ts)
 
-    def __getitem__(self, i: int) -> ReblogEvent:
-        return ReblogEvent(self.ids[self.actor[i]], self.ids[self.source[i]],
-                           self.posts[self.post[i]], float(self.ts[i]))
+
+def _ranked(names: list[str], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The names that `codes` use, sorted, and each code's rank among them."""
+    used = np.flatnonzero(np.bincount(codes, minlength=len(names))).tolist()
+    order = sorted(used, key=names.__getitem__)
+    rank = np.full(len(names), -1, dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return [names[i] for i in order], rank
 
 
 # lines parsed at a time: about 1 MB of a typical events file
@@ -109,7 +76,27 @@ def read_events_tsv(path: str, diagnostics: Counter | None = None) -> _CodedEven
         diagnostics = Counter()
     lines = decoded_lines(path, diagnostics)
     batches = iter(lambda: list(itertools.islice(lines, _BATCH)), [])
-    return _CodedEvents(_parse_events(batch, diagnostics) for batch in batches)
+    node_code: dict[str, int] = {}
+    post_code: dict[str, int] = {}
+
+    def coded(code: dict[str, int], names: list[str]) -> np.ndarray:
+        return np.fromiter(map(code.__getitem__, names), dtype=np.int64, count=len(names))
+
+    columns: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int64)] for _ in range(3)]
+    times = [np.empty(0, dtype=np.float64)]
+    for batch in batches:
+        actors, sources, posts, ts = _parse_events(batch, diagnostics)
+        # codes in first-seen order; _CodedEvents ranks them
+        for code, names in ((node_code, itertools.chain(actors, sources)), (post_code, posts)):
+            new = dict.fromkeys(names).keys() - code.keys()
+            code.update(zip(new, itertools.count(len(code))))
+        for column, code, names in zip(columns, (node_code, node_code, post_code),
+                                       (actors, sources, posts)):
+            column.append(coded(code, names))
+        times.append(ts)
+        del actors, sources, posts, ts
+    return _CodedEvents(list(node_code), list(post_code),
+                        *map(np.concatenate, columns), np.concatenate(times))
 
 
 def _parse_events(lines: list[str], diagnostics: Counter):
@@ -142,10 +129,12 @@ def _parse_events(lines: list[str], diagnostics: Counter):
     return actors, sources, posts, np.array(ts, dtype=np.float64)
 
 
-def write_events_tsv(events: Iterable[ReblogEvent], path: str) -> None:
+def write_events_tsv(events: _CodedEvents, path: str) -> None:
+    ids, posts = events.ids, events.posts
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for ev in events:
-            fh.write(f"{ev.actor}\t{ev.source}\t{ev.post_id}\t{ev.timestamp:g}\n")
+        fh.writelines(f"{ids[a]}\t{ids[s]}\t{posts[p]}\t{t:g}\n"
+                      for a, s, p, t in zip(events.actor.tolist(), events.source.tolist(),
+                                            events.post.tolist(), events.ts.tolist()))
 
 
 class DiffusionForest:
@@ -222,7 +211,7 @@ class DiffusionForest:
         return int(np.count_nonzero(self.parent < 0))
 
 
-def build_trees(events: Iterable[ReblogEvent], producers: set[str],
+def build_trees(events: _CodedEvents, producers: set[str],
                 diagnostics: Counter | None = None) -> DiffusionForest:
     """Resolve per-post reblog chains into trees; only producer-rooted posts
     yield trees. Repeat reblogs by the same actor keep the earliest event,
@@ -231,7 +220,7 @@ def build_trees(events: Iterable[ReblogEvent], producers: set[str],
     multi_origin_posts."""
     if diagnostics is None:
         diagnostics = Counter()
-    return DiffusionForest(_CodedEvents.of(events), producers, diagnostics)
+    return DiffusionForest(events, producers, diagnostics)
 
 
 _CLASSES = tuple(ConsumerClass)

@@ -278,6 +278,18 @@ def _undirected_projection(g: LayeredGraph, layer: str) -> sp.csr_matrix:
     return u.tocsr()
 
 
+# rows of the projection squared at a time by _triangles
+_TRIANGLE_ROWS = 2048
+
+
+def _triangles(u: sp.csr_matrix) -> np.ndarray:
+    """Twice each node's triangle count: row sums of (u @ u) masked by u,
+    formed over row blocks so that the whole square is never held."""
+    blocks = (u[i:i + _TRIANGLE_ROWS] for i in range(0, u.shape[0], _TRIANGLE_ROWS))
+    return np.concatenate([np.asarray((rows @ u).multiply(rows).sum(axis=1)).ravel()
+                           for rows in blocks])
+
+
 # set bits per byte value; np.bitwise_count needs numpy >= 2.0
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
@@ -363,7 +375,7 @@ def network_stats(g: LayeredGraph, layer: str, exact_paths: bool = False,
 
     u = _undirected_projection(sub, layer)
     deg = np.asarray(u.sum(axis=1)).ravel()
-    tri = np.asarray((u @ u).multiply(u).sum(axis=1)).ravel()
+    tri = _triangles(u)
     denom = deg * (deg - 1)
     local = np.divide(tri, denom, out=np.zeros(n), where=denom > 0)
     clustering = float(local.mean())

@@ -1,27 +1,29 @@
-"""Query-log parsing and normalization, and the line reader shared by the
-file readers."""
+"""Query-log parsing and normalization into an integer-coded log, and the
+line reader shared by the file readers."""
 
 from __future__ import annotations
 
 import re
+from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
-DEFAULT_PLATFORM_TOKENS = frozenset({"tumblr", "tumbler", "tumblrr", "tumlr", "tmblr"})
-PLATFORM_DOMAIN = "tumblr.com"
+import numpy as np
+
+_PLATFORM_TOKENS = frozenset({"tumblr", "tumbler", "tumblrr", "tumlr", "tmblr"})
+_PLATFORM_SUFFIX = ".tumblr.com"
 
 _DIGITS = re.compile(r"\d+")
 
 
-def normalize_query(raw: str, platform_tokens: frozenset[str] = DEFAULT_PLATFORM_TOKENS) -> str:
+def normalize_query(raw: str) -> str:
     """Lowercase, strip digit runs, drop platform-name tokens, collapse spaces.
 
     Digit runs vanish before tokenization, so "tum2blr" still normalizes
     away. Idempotent: a normalized query passes through unchanged.
     """
     text = _DIGITS.sub("", raw.lower())
-    tokens = [t for t in text.split() if t not in platform_tokens]
+    tokens = [t for t in text.split() if t not in _PLATFORM_TOKENS]
     return " ".join(tokens)
 
 
@@ -37,23 +39,16 @@ def write_phrases(phrases: Iterable[str], path: str) -> None:
             fh.write(p + "\n")
 
 
-@dataclass(frozen=True)
-class QueryRecord:
-    normalized_query: str
-    blog_id: str
-
-
-def blog_id_from_url(url: str, domain: str = PLATFORM_DOMAIN) -> str | None:
+def blog_id_from_url(url: str) -> str | None:
     """Host label immediately before the platform domain, lowercased;
     None for non-platform URLs."""
     host = url.lower()
     if "://" in host:
         host = host.split("://", 1)[1]
     host = host.split("/", 1)[0].split(":", 1)[0]
-    suffix = "." + domain
-    if not host.endswith(suffix):
+    if not host.endswith(_PLATFORM_SUFFIX):
         return None
-    label = host[: -len(suffix)].rsplit(".", 1)[-1]
+    label = host[: -len(_PLATFORM_SUFFIX)].rsplit(".", 1)[-1]
     return label or None
 
 
@@ -84,22 +79,75 @@ def decoded_lines(path: str, diagnostics: Counter | None = None,
                 yield line
 
 
-def read_query_log(path: str,
-                   platform_tokens: frozenset[str] = DEFAULT_PLATFORM_TOKENS,
-                   diagnostics: Counter | None = None) -> list[QueryRecord]:
-    """Parse a timestamp<TAB>query<TAB>clicked_url<TAB>region TSV into
-    normalized records; rows with bad fields or non-platform URLs are
-    skipped and tallied, and so are lines that are not valid UTF-8
-    (see `decoded_lines`).
+class _CodedLog:
+    """A query log encoded into integer arrays: the distinct (blog, query)
+    pairs with their click counts, and per blog its total clicks and
+    distinct queries.
 
-    Each distinct raw query is normalized once, and rows with the same
-    query and blog share one record object.
+    Row i of the log is a click for query `queries[query[i]]` on blog
+    `blogs[blog[i]]`; each vocabulary lists distinct names in any order,
+    and names no row uses are left out. Blog codes follow sorted blog-id
+    order, so ordering by code breaks ties the way sorting by id does.
+    """
+
+    def __init__(self, queries: list[str], blogs: list[str],
+                 query: np.ndarray, blog: np.ndarray):
+        order = sorted(range(len(blogs)), key=blogs.__getitem__)
+        rank = np.empty(len(blogs), dtype=np.int64)
+        rank[order] = np.arange(len(blogs))
+        n_queries = max(len(queries), 1)
+        keys, self.pair_clicks = np.unique(rank[blog] * n_queries + query,
+                                           return_counts=True)
+        used, self.pair_blog = np.unique(keys // n_queries, return_inverse=True)
+        kept, self.pair_query = np.unique(keys % n_queries, return_inverse=True)
+        self.blog_ids = [blogs[order[i]] for i in used.tolist()]
+        self.blog_code = {b: i for i, b in enumerate(self.blog_ids)}
+        self.queries = np.array([queries[i] for i in kept.tolist()], dtype=object)
+        self.query_code = {q: i for i, q in enumerate(self.queries)}
+        self.total_clicks = np.bincount(self.pair_blog, weights=self.pair_clicks,
+                                        minlength=len(self.blog_ids))
+        self.unique_queries = np.bincount(self.pair_blog, minlength=len(self.blog_ids))
+
+    def keyword_mask(self, keywords: Iterable[str]) -> np.ndarray:
+        mask = np.zeros(len(self.queries), dtype=bool)
+        mask[[self.query_code[k] for k in keywords if k in self.query_code]] = True
+        return mask
+
+    def deviant_counts(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per blog: deviant clicks and distinct deviant queries."""
+        hit = mask[self.pair_query]
+        blogs = self.pair_blog[hit]
+        n_blogs = len(self.blog_ids)
+        return (np.bincount(blogs, weights=self.pair_clicks[hit], minlength=n_blogs),
+                np.bincount(blogs, minlength=n_blogs))
+
+    def candidates(self, mask: np.ndarray, min_unique: int, min_clicks: int) -> frozenset[str]:
+        """Blogs with enough distinct deviant queries and deviant clicks."""
+        clicks, unique = self.deviant_counts(mask)
+        keep = np.flatnonzero((unique >= min_unique) & (clicks >= min_clicks))
+        return frozenset(self.blog_ids[i] for i in keep)
+
+    def hitting(self, keywords: frozenset[str]) -> frozenset[str]:
+        """The keywords that occur as a query in the log."""
+        return frozenset(k for k in keywords if k in self.query_code)
+
+
+def read_query_log(path: str, diagnostics: Counter | None = None) -> _CodedLog:
+    """Parse a timestamp<TAB>query<TAB>clicked_url<TAB>region TSV into a
+    coded log of normalized queries and blog ids; rows with bad fields (a
+    negative or NaN timestamp among them) or non-platform URLs are skipped
+    and tallied, and so are lines that are not valid UTF-8 (see
+    `decoded_lines`).
+
+    Rows are coded by raw query and host as they are read; then each
+    distinct raw query is normalized once and each distinct host resolved
+    to its blog once.
     """
     if diagnostics is None:
         diagnostics = Counter()
-    records: list[QueryRecord] = []
-    normalized: dict[str, str] = {}
-    interned: dict[tuple[str, str], QueryRecord] = {}
+    raw_queries: dict[str, int] = {}
+    hosts: dict[str, int] = {}
+    query_col, host_col = array("q"), array("q")
     for line in decoded_lines(path, diagnostics):
         try:
             ts_text, query, url, _region = line.split("\t")
@@ -107,18 +155,22 @@ def read_query_log(path: str,
         except ValueError:
             diagnostics["malformed_lines"] += 1
             continue
-        if ts < 0 or not url:
+        if not ts >= 0 or not url:
             diagnostics["malformed_lines"] += 1
             continue
-        blog = blog_id_from_url(url)
-        if blog is None:
-            diagnostics["non_platform_urls"] += 1
-            continue
-        norm = normalized.get(query)
-        if norm is None:
-            norm = normalized[query] = normalize_query(query, platform_tokens)
-        rec = interned.get((norm, blog))
-        if rec is None:
-            rec = interned[norm, blog] = QueryRecord(norm, blog)
-        records.append(rec)
-    return records
+        # the host as blog_id_from_url finds it, before lowercasing
+        _, scheme, rest = url.partition("://")
+        host = (rest if scheme else url).split("/", 1)[0]
+        query_col.append(raw_queries.setdefault(query, len(raw_queries)))
+        host_col.append(hosts.setdefault(host, len(hosts)))
+    queries: dict[str, int] = {}
+    query_of = np.array([queries.setdefault(normalize_query(q), len(queries))
+                         for q in raw_queries], dtype=np.int64)
+    blogs: dict[str, int] = {}
+    blog_of = np.array([-1 if b is None else blogs.setdefault(b, len(blogs))
+                        for b in map(blog_id_from_url, hosts)], dtype=np.int64)
+    query, blog = query_of[np.asarray(query_col)], blog_of[np.asarray(host_col)]
+    platform = blog >= 0
+    if not platform.all():
+        diagnostics["non_platform_urls"] += int(np.count_nonzero(~platform))
+    return _CodedLog(list(queries), list(blogs), query[platform], blog[platform])

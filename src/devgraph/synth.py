@@ -4,12 +4,13 @@ closure, and parameterized demographic tables."""
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .demographics import DemographicRecord
-from .diffusion import ConsumerClass, ReblogEvent
+from .diffusion import ConsumerClass, _CodedEvents
 from .graph import FOLLOW, REBLOG, LAYERS, LayeredGraph, _Layer, build_graph
 
 GROUPS = ("producer_one", "producer_two", "bridge_one", "bridge_two", "outer")
@@ -134,21 +135,20 @@ def planted_graph(cfg: SynthConfig) -> tuple[LayeredGraph, dict[str, str]]:
     return LayeredGraph(ids, layers), roles
 
 
-def synth_events(cfg: SynthConfig, g: LayeredGraph, roles: dict[str, str]) -> list[ReblogEvent]:
+def synth_events(cfg: SynthConfig, g: LayeredGraph, roles: dict[str, str]) -> _CodedEvents:
     """Reblog cascades rooted at producers, spreading along reblog
     in-neighbors wave by wave; every event references a graph reblog edge."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(60)[40])
     producers = sorted(n for n, r in roles.items() if r.startswith("producer"))
     lay = g.layer(REBLOG)
     indptr, indices = lay.in_indptr.tolist(), lay.in_indices.tolist()
-    ids = g.node_ids
-    events: list[ReblogEvent] = []
-    post_index = 0
+    # the events' columns: graph indices of actor and source, post index, time
+    actors, sources, posts, times = array("q"), array("q"), array("q"), array("d")
+    n_posts = 0
     for producer in producers:
         for _ in range(cfg.posts_per_producer):
-            post_id = f"post_{post_index:05d}"
-            t0 = post_index * 10_000
-            post_index += 1
+            post, n_posts = n_posts, n_posts + 1
+            t0 = post * 10_000
             if cfg.max_cascade_depth <= 0:
                 continue
             depth_limit = min(int(rng.geometric(cfg.depth_geom_p)), cfg.max_cascade_depth)
@@ -161,14 +161,17 @@ def synth_events(cfg: SynthConfig, g: LayeredGraph, roles: dict[str, str]) -> li
                         if actor in in_tree:
                             continue
                         if rng.random() < cfg.cascade_join_prob:
-                            events.append(ReblogEvent(ids[actor], ids[holder], post_id,
-                                                      float(t0 + depth)))
+                            actors.append(actor)
+                            sources.append(holder)
+                            posts.append(post)
+                            times.append(t0 + depth)
                             in_tree.add(actor)
                             joined.append(actor)
                 holders = joined
                 if not holders:
                     break
-    return events
+    return _CodedEvents(list(g.node_ids), [f"post_{i:05d}" for i in range(n_posts)],
+                        *map(np.asarray, (actors, sources, posts, times)))
 
 
 _WAVE_WORDS = ("alpha", "bravo", "charlie", "delta")

@@ -16,7 +16,6 @@ from devgraph.connectivity import rewire_null_model
 from devgraph.demographics import engagement_by_age, min_max_normalize
 from devgraph.diffusion import (
     ConsumerClass,
-    ReblogEvent,
     build_trees,
     classify_nodes,
 )
@@ -37,6 +36,7 @@ from devgraph.synth import (
     write_config,
 )
 
+from log_helpers import ReblogEvent, coded_events
 from tree_helpers import trees_of
 
 SMALL = SynthConfig(seed=7, n_producer_one=12, n_producer_two=12,
@@ -318,7 +318,7 @@ def test_gate_5_classification_oracle():
     for seed in range(100):
         g, roles, events = _random_classification_fixture(2000 + seed)
         producers = {x for x, r in roles.items() if r.startswith("producer")}
-        trees = build_trees(events, producers)
+        trees = build_trees(coded_events(events), producers)
         classes = classify_nodes(g, trees, roles)
         assert set(classes) == set(g.node_ids)
         assert classes == _brute_classify(g, trees_of(trees), roles), f"seed {seed}"
@@ -347,7 +347,7 @@ def _planted_hub():
             g_edges.append((f"f{d:02d}{k:02d}", name, 1.0, REBLOG))
         events.append(ReblogEvent(f"x{d}", name, f"decoy{d}", 1.0))
     g = build_graph(g_edges)
-    trees = build_trees(events, producers={"h"})
+    trees = build_trees(coded_events(events), producers={"h"})
     return g, trees
 
 
@@ -379,7 +379,7 @@ def test_gate_6_shrinkage_properties():
                 parent = members[int(rng.integers(0, len(members)))]
                 events.append(ReblogEvent(actor, parent, f"p{post}", float(step)))
                 members.append(actor)
-        forest = build_trees(events, set(producers))
+        forest = build_trees(coded_events(events), set(producers))
         curve = shrinkage_curve(forest, rank_by_volume(forest),
                                 sizes=list(range(len(producers) + 1)))
         for prev, cur in itertools.pairwise(curve.reached_fraction):

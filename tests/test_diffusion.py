@@ -8,7 +8,6 @@ import pytest
 
 from devgraph.diffusion import (
     ConsumerClass,
-    ReblogEvent,
     build_trees,
     classify_nodes,
     producer_nodes,
@@ -19,6 +18,7 @@ from devgraph.diffusion import (
 )
 from devgraph.graph import FOLLOW, build_graph
 
+from log_helpers import ReblogEvent, coded_events, event_rows
 from tree_helpers import trees_of
 
 
@@ -32,7 +32,7 @@ def ev(actor, source, post="p1", ts=0.0):
 
 class TestBuildTrees:
     def test_chain_depths(self):
-        trees = trees_of(build_trees([ev("a", "p", ts=1), ev("b", "a", ts=2)], {"p"}))
+        trees = trees_of(build_trees(coded_events([ev("a", "p", ts=1), ev("b", "a", ts=2)]), {"p"}))
         assert len(trees) == 1
         t = trees[0]
         assert t.root == "p"
@@ -40,14 +40,14 @@ class TestBuildTrees:
         assert t.parent == {"a": "p", "b": "a"}
 
     def test_no_events(self):
-        assert trees_of(build_trees([], {"p"})) == []
+        assert trees_of(build_trees(coded_events([]), {"p"})) == []
 
     def test_non_producer_root_excluded(self):
-        assert trees_of(build_trees([ev("a", "q", ts=1)], {"p"})) == []
+        assert trees_of(build_trees(coded_events([ev("a", "q", ts=1)]), {"p"})) == []
 
     def test_multiple_posts_sorted(self):
         events = [ev("a", "p", post="z", ts=1), ev("b", "p", post="m", ts=1)]
-        trees = trees_of(build_trees(events, {"p"}))
+        trees = trees_of(build_trees(coded_events(events), {"p"}))
         assert [(t.root, t.parent) for t in trees] == [("p", {"b": "p"}), ("p", {"a": "p"})]
 
     def test_cyclic_posts_skipped_and_counted(self):
@@ -57,32 +57,32 @@ class TestBuildTrees:
                   ev("z", "y", post="loop", ts=3),
                   ev("c", "p", post="good", ts=1)]
         diagnostics = Counter()
-        trees = trees_of(build_trees(events, {"a", "p"}, diagnostics=diagnostics))
+        trees = trees_of(build_trees(coded_events(events), {"a", "p"}, diagnostics=diagnostics))
         assert [(t.root, t.parent) for t in trees] == [("p", {"c": "p"})]
         assert diagnostics == Counter(cyclic_posts=2)
 
     def test_multiple_origins_skipped_and_counted(self):
         events = [ev("a", "p", ts=1), ev("b", "q", ts=1), ev("c", "p", post="ok", ts=1)]
         diagnostics = Counter()
-        trees = trees_of(build_trees(events, {"p"}, diagnostics=diagnostics))
+        trees = trees_of(build_trees(coded_events(events), {"p"}, diagnostics=diagnostics))
         assert [(t.root, t.parent) for t in trees] == [("p", {"c": "p"})]
         assert diagnostics == Counter(multi_origin_posts=1)
-        assert [(t.root, t.parent) for t in trees_of(build_trees(events, {"p"}))] \
+        assert [(t.root, t.parent) for t in trees_of(build_trees(coded_events(events), {"p"}))] \
             == [("p", {"c": "p"})]
 
     def test_repeat_actor_keeps_earliest(self):
         events = [ev("a", "q", ts=5), ev("a", "p", ts=1), ev("q", "p", ts=0)]
-        trees = trees_of(build_trees(events, {"p"}))
+        trees = trees_of(build_trees(coded_events(events), {"p"}))
         assert trees[0].parent["a"] == "p"
 
     def test_order_invariance(self):
         events = [ev("a", "p", ts=1), ev("b", "a", ts=2), ev("c", "a", ts=2.5)]
         rng = random.Random(3)
-        base = trees_of(build_trees(events, {"p"}))
+        base = trees_of(build_trees(coded_events(events), {"p"}))
         for _ in range(5):
             shuffled = events[:]
             rng.shuffle(shuffled)
-            other = trees_of(build_trees(shuffled, {"p"}))
+            other = trees_of(build_trees(coded_events(shuffled), {"p"}))
             assert [(t.root, t.parent, t.depth) for t in other] \
                 == [(t.root, t.parent, t.depth) for t in base]
 
@@ -106,7 +106,7 @@ def taxonomy_fixture():
         ev("m", "q", post="x", ts=5),      # direct via mid-tree producer parent
     ]
     roles = {"p": "producer_one", "q": "producer_two", "br": "bridge_one"}
-    return g, build_trees(events, producer_nodes(roles)), roles
+    return g, build_trees(coded_events(events), producer_nodes(roles)), roles
 
 
 class TestClassify:
@@ -131,7 +131,7 @@ class TestClassify:
 
     def test_isolated_unexposed(self):
         g = build_graph([F("x", "y")])
-        classes = classify_nodes(g, build_trees([], set()), {})
+        classes = classify_nodes(g, build_trees(coded_events([]), set()), {})
         assert classes["x"] is ConsumerClass.UNEXPOSED
         assert classes["y"] is ConsumerClass.UNEXPOSED
 
@@ -148,14 +148,14 @@ class TestClassify:
 
 class TestReach:
     def test_empty_trees(self):
-        rep = reach_report({"p": ConsumerClass.PRODUCER}, build_trees([], set()))
+        rep = reach_report({"p": ConsumerClass.PRODUCER}, build_trees(coded_events([]), set()))
         assert rep.flows == {}
         assert rep.class_counts["producer"] == 1
         assert rep.class_counts["passive"] == 0
 
     def test_single_chain_flows(self):
         g = build_graph([F("a", "p")])
-        trees = build_trees([ev("a", "p", ts=1), ev("b", "a", ts=2)], {"p"})
+        trees = build_trees(coded_events([ev("a", "p", ts=1), ev("b", "a", ts=2)]), {"p"})
         classes = classify_nodes(g, trees, {"p": "producer"})
         # b reblogs within the tree but is outside the graph: unknown target
         rep = reach_report(classes, trees)
@@ -172,11 +172,11 @@ class TestReach:
             classes[f"s{i}"] = ConsumerClass.PASSIVE
         for i in range(8):
             classes[f"i{i}"] = ConsumerClass.INVOLUNTARY
-        rep = reach_report(classes, build_trees([], set()))
+        rep = reach_report(classes, build_trees(coded_events([]), set()))
         assert rep.amplification == (4 + 6 + 8) / 2
 
     def test_no_producers_amplification_none(self):
-        rep = reach_report({"x": ConsumerClass.UNEXPOSED}, build_trees([], set()))
+        rep = reach_report({"x": ConsumerClass.UNEXPOSED}, build_trees(coded_events([]), set()))
         assert rep.amplification is None
 
 
@@ -189,7 +189,7 @@ class TestEfficiency:
             events.append(ev(x, "u one", "pa", 2 + i))
         for i, x in enumerate(["x4", "x5", "x6"]):
             events.append(ev(x, "u two", "pa", 2 + i))
-        return build_trees(events, {"p", "q"})
+        return build_trees(coded_events(events), {"p", "q"})
 
     def test_formula(self):
         trees = self._trees()
@@ -207,7 +207,7 @@ class TestEfficiency:
 
     def test_empty_set_error(self):
         with pytest.raises(ValueError, match="empty"):
-            spread_efficiency(set(), build_trees([], set()))
+            spread_efficiency(set(), build_trees(coded_events([]), set()))
 
     def test_inverse_flag(self):
         trees = self._trees()
@@ -220,8 +220,8 @@ class TestEventsIO:
     def test_round_trip(self, tmp_path):
         events = [ev("a", "p", ts=1.5), ev("b", "a", ts=2)]
         p = tmp_path / "events.tsv"
-        write_events_tsv(events, str(p))
-        assert list(read_events_tsv(str(p))) == events
+        write_events_tsv(coded_events(events), str(p))
+        assert event_rows(read_events_tsv(str(p))) == events
 
     def test_malformed_dropped(self, tmp_path):
         p = tmp_path / "events.tsv"

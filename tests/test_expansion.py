@@ -11,7 +11,8 @@ from devgraph.expansion import (
     initial_state,
     write_trajectory_csv,
 )
-from devgraph.ingest import QueryRecord
+
+from log_helpers import coded_log
 # The per-record definitions the coded expansion replaced; TestRatio and
 # TestSelect test them where they now live.
 from test_expansion_oracle import (
@@ -20,6 +21,7 @@ from test_expansion_oracle import (
     deviant_ratio,
     select_top_blogs,
 )
+from test_ingest_oracle import QueryRecord
 
 
 def _stats(blog, deviant, total, uniq_dev=1, uniq=1):
@@ -28,7 +30,11 @@ def _stats(blog, deviant, total, uniq_dev=1, uniq=1):
 
 
 def clicks(query, blog, n=1):
-    return [QueryRecord(query, blog)] * n
+    return [(query, blog)] * n
+
+
+def records(log):
+    return [QueryRecord(query, blog) for query, blog in log]
 
 
 class TestRatio:
@@ -54,7 +60,7 @@ def three_blog_log():
     log += clicks("ka", "b2", 2) + clicks("kb", "b2", 1) + clicks("nb two", "b2", 3)  # ratio 0.5
     log += clicks("ka", "b3", 1) + clicks("kb", "b3", 2) + clicks("nb three", "b3", 5)  # ratio 0.375
     log += clicks("ka", "b4", 1) + clicks("qnew", "b4", 2)  # joins only once qnew is deviant
-    return log
+    return coded_log(log)
 
 
 class TestSelect:
@@ -62,29 +68,30 @@ class TestSelect:
         log = []
         for i in range(10):
             log += clicks("ka", f"b{i}", 2) + clicks("kb", f"b{i}", 1 + i)
-        state = initial_state(["ka", "kb"], log)
+        state = initial_state(["ka", "kb"], coded_log(log))
         assert len(state.blogs) == 10
-        stats = aggregate_blog_hits(log, set(state.keywords))
+        stats = aggregate_blog_hits(records(log), set(state.keywords))
         assert select_top_blogs(state, stats, decile=0.10) == ["b0"]
 
     def test_tie_breaks_by_blog_id(self):
         log = clicks("ka", "zz", 2) + clicks("kb", "zz", 1) \
             + clicks("ka", "aa", 2) + clicks("kb", "aa", 1)
-        state = initial_state(["ka", "kb"], log)
-        stats = aggregate_blog_hits(log, set(state.keywords))
+        state = initial_state(["ka", "kb"], coded_log(log))
+        stats = aggregate_blog_hits(records(log), set(state.keywords))
         assert select_top_blogs(state, stats, decile=0.10) == ["aa"]
         assert select_top_blogs(state, stats, decile=1.0) == ["aa", "zz"]
 
 
 class TestExpand:
     def test_empty_blogs_error(self):
-        state = initial_state(["ka"], clicks("ka", "b1", 1))
+        log = coded_log(clicks("ka", "b1", 1))
+        state = initial_state(["ka"], log)
         assert not state.blogs
         with pytest.raises(ValueError, match="nothing to expand"):
-            expand_keywords(state, clicks("ka", "b1", 1))
+            expand_keywords(state, log)
 
     def test_fixed_point_when_top_queries_known(self):
-        log = clicks("ka", "b1", 2) + clicks("kb", "b1", 1)
+        log = coded_log(clicks("ka", "b1", 2) + clicks("kb", "b1", 1))
         state = initial_state(["ka", "kb"], log)
         nxt = expand_keywords(state, log)
         assert nxt.keywords == state.keywords
@@ -102,7 +109,7 @@ class TestExpand:
 
 class TestExtract:
     def test_no_expandable_queries_converges_after_one(self):
-        log = clicks("ka", "b1", 2) + clicks("kb", "b1", 1)
+        log = coded_log(clicks("ka", "b1", 2) + clicks("kb", "b1", 1))
         res = extract_deviant_graph(["ka", "kb"], log)
         assert res.converged
         assert res.iterations_run == 1
@@ -145,8 +152,8 @@ class TestExtract:
         rng = random.Random(23)
         vocab = [f"q{i}" for i in range(12)]
         for _ in range(20):
-            log = [QueryRecord(rng.choice(vocab), f"b{rng.randrange(6)}")
-                   for _ in range(rng.randrange(10, 80))]
+            log = coded_log((rng.choice(vocab), f"b{rng.randrange(6)}")
+                            for _ in range(rng.randrange(10, 80)))
             seed = rng.sample(vocab, 3)
             state = initial_state(seed, log)
             for _ in range(4):
@@ -165,7 +172,8 @@ class TestExtract:
         for i in range(1, 11):
             log += clicks(u[i], f"b{i:02d}", 2) + clicks(u[i - 1], f"b{i:02d}", 1) \
                 + clicks(u[i + 1], f"b{i:02d}", 1)
-        res = extract_deviant_graph([u[0], "uz"], log, max_iter=3, eps=0.0, decile=1.0)
+        res = extract_deviant_graph([u[0], "uz"], coded_log(log), max_iter=3, eps=0.0,
+                                    decile=1.0)
         assert not res.converged
         assert res.iterations_run == 3
         assert [r.blogs for r in res.trajectory] == [1, 2, 3, 4]

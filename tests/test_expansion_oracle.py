@@ -3,10 +3,11 @@ replaced, kept here verbatim as oracles: exact equality of seed states,
 expansion steps and whole extractions (trajectory, `converged`,
 `iterations_run`), or the same exception, over random query logs.
 
-The per-record helpers (`aggregate_blog_hits`, `BlogHitStats`,
-`filter_candidate_blogs`, `deviant_ratio`, `select_top_blogs`) live only
-here now; `tests/test_ingest.py` and `tests/test_expansion.py` keep their
-unit tests.
+The oracles take a list of `QueryRecord`s, the library the same clicks as
+a coded log (`log_helpers.coded_log`). The per-record helpers
+(`aggregate_blog_hits`, `BlogHitStats`, `filter_candidate_blogs`,
+`deviant_ratio`, `select_top_blogs`) live only here now;
+`tests/test_ingest.py` and `tests/test_expansion.py` keep their unit tests.
 """
 
 from __future__ import annotations
@@ -30,8 +31,11 @@ from devgraph.expansion import (
     extract_deviant_graph,
     initial_state,
 )
-from devgraph.ingest import QueryRecord, normalize_query, read_query_log
+from devgraph.ingest import normalize_query, read_query_log
 from devgraph.synth import SynthConfig, closure_fixture
+
+from log_helpers import coded_log
+from test_ingest_oracle import QueryRecord, oracle_read_query_log
 
 
 @dataclass
@@ -159,8 +163,7 @@ def oracle_extract_deviant_graph(seed: Iterable[str], full_log: Sequence[QueryRe
 
 # -- random logs -------------------------------------------------------------
 
-# "" is a query that normalized to nothing; "" and None blog ids and None
-# queries are records the per-blog counts skip.
+# "" is a query that normalized to nothing.
 QUERIES = ("ka", "kb", "kc", "qa", "qb", "qc", "qd", "ka kb", "")
 BLOGS = ("aa", "b0", "b1", "b2", "b3", "b4", "zz")
 SEED_PHRASES = ("ka", "kb", "KA 7", "kc", "qa", "missing phrase", "42", "tumblr")
@@ -169,16 +172,18 @@ SEED_PHRASES = ("ka", "kb", "KA 7", "kc", "qa", "missing phrase", "42", "tumblr"
 local = st.tuples(st.integers(0, len(BLOGS) - 1), st.integers(0, 2)).map(
     lambda t: QueryRecord(QUERIES[(t[0] + t[1]) % len(QUERIES)], BLOGS[t[0]]))
 anywhere = st.builds(QueryRecord, st.sampled_from(QUERIES), st.sampled_from(BLOGS))
-skipped = st.builds(QueryRecord, st.sampled_from(QUERIES + (None,)),
-                    st.sampled_from(("", None)))
-no_query = st.builds(QueryRecord, st.none(), st.sampled_from(BLOGS + ("only_none",)))
+
+
+def coded(log: Sequence[QueryRecord]):
+    """The same clicks as the library's coded log."""
+    return coded_log((r.normalized_query, r.blog_id) for r in log)
 
 
 @st.composite
 def logs(draw):
     """Random records, and sometimes one blog's records copied onto a
     second name so that the two tie on every ratio."""
-    log = draw(st.lists(st.one_of(local, local, local, anywhere, skipped, no_query),
+    log = draw(st.lists(st.one_of(local, local, local, anywhere),
                         min_size=5, max_size=100))
     if draw(st.booleans()):
         src, dst = draw(st.sampled_from([("b0", "zz"), ("zz", "aa"), ("b1", "b2")]))
@@ -197,7 +202,7 @@ def chain_logs(draw):
         blog = f"c{i}"
         log += [QueryRecord(u[i], blog)] * 2 + [QueryRecord(u[i - 1] if i else "uz", blog),
                                                  QueryRecord(u[i + 1], blog)]
-    log += draw(st.lists(st.one_of(anywhere, skipped), max_size=20))
+    log += draw(st.lists(anywhere, max_size=20))
     return draw(st.permutations(log)), ["u0", "uz"]
 
 
@@ -216,7 +221,7 @@ def hand_built_steps(draw):
     """A log and any state over it: keywords the log never saw and the
     empty query, blogs of the log and now and then one it never saw."""
     log = draw(logs())
-    present = {r.blog_id for r in log if r.blog_id and r.normalized_query is not None}
+    present = {r.blog_id for r in log}
     blogs = draw(st.frozensets(st.sampled_from(sorted(present) or ["b0"]),
                                min_size=1, max_size=5))
     blogs |= draw(st.sampled_from((set(), set(), set(), {"absent"}, {"b9"})))
@@ -238,7 +243,7 @@ def outcome(fn, *args, **kwargs):
        st.sampled_from((0, 1, 2, 5, 20)), st.sampled_from((0, 0.01, 0.5, 1)))
 def test_extraction_matches_oracle(case, p, max_iter, eps):
     log, seed = case
-    got = outcome(extract_deviant_graph, seed, log, max_iter=max_iter, eps=eps, **p)
+    got = outcome(extract_deviant_graph, seed, coded(log), max_iter=max_iter, eps=eps, **p)
     want = outcome(oracle_extract_deviant_graph, seed, log, max_iter=max_iter, eps=eps, **p)
     if isinstance(want, ExtractionResult):
         assert isinstance(got, ExtractionResult)
@@ -253,7 +258,7 @@ def test_extraction_matches_oracle(case, p, max_iter, eps):
 @settings(max_examples=300, deadline=None)
 @given(logs(), seeds, st.sampled_from((0, 1, 2)), st.sampled_from((0, 1, 3)))
 def test_initial_state_matches_oracle(log, seed, min_unique, min_clicks):
-    assert (outcome(initial_state, seed, log, min_unique, min_clicks)
+    assert (outcome(initial_state, seed, coded(log), min_unique, min_clicks)
             == outcome(oracle_initial_state, seed, log, min_unique, min_clicks))
 
 
@@ -262,7 +267,7 @@ def test_initial_state_matches_oracle(log, seed, min_unique, min_clicks):
 def test_hand_built_step_matches_oracle(case, p):
     """Blogs absent from the log raise the oracle's KeyError."""
     log, state = case
-    assert outcome(expand_keywords, state, log, **p) == outcome(oracle_expand_keywords,
+    assert outcome(expand_keywords, state, coded(log), **p) == outcome(oracle_expand_keywords,
                                                                 state, log, **p)
 
 
@@ -270,10 +275,10 @@ def test_ratio_tie_goes_to_lower_blog_id():
     # Two blogs with identical click patterns: only "aa" is in the top 10%.
     log = ([QueryRecord("ka", "zz")] * 2 + [QueryRecord("kb", "zz"), QueryRecord("zq", "zz")]
            + [QueryRecord("ka", "aa")] * 2 + [QueryRecord("kb", "aa"), QueryRecord("aq", "aa")])
-    state = initial_state(["ka", "kb"], log)
+    state = initial_state(["ka", "kb"], coded(log))
     assert state.blogs == {"aa", "zz"}
-    assert expand_keywords(state, log) == oracle_expand_keywords(state, log)
-    assert expand_keywords(state, log).keywords == {"ka", "kb", "aq"}
+    assert expand_keywords(state, coded(log)) == oracle_expand_keywords(state, log)
+    assert expand_keywords(state, coded(log)).keywords == {"ka", "kb", "aq"}
 
 
 @pytest.mark.parametrize("blogs, error", [({"absent"}, KeyError), ({"b0"}, ValueError)])
@@ -281,7 +286,7 @@ def test_absent_blog_checked_before_ratio_mode(blogs, error):
     log = [QueryRecord("ka", "b0")] * 3
     state = SeedState(iteration=0, keywords=frozenset({"ka"}), blogs=frozenset(blogs),
                       queries_hitting=frozenset())
-    got = outcome(expand_keywords, state, log, ratio_mode="bogus")
+    got = outcome(expand_keywords, state, coded(log), ratio_mode="bogus")
     assert got == outcome(oracle_expand_keywords, state, log, ratio_mode="bogus")
     assert got[0] is error
 
@@ -292,6 +297,6 @@ def test_closure_fixture_matches_oracle(tmp_path, seed, ratio_mode):
     fx = closure_fixture(SynthConfig(seed=seed))
     path = tmp_path / "log.tsv"
     path.write_text("\n".join(fx.log_lines) + "\n", encoding="utf-8")
-    log = read_query_log(str(path))
-    got = extract_deviant_graph(fx.seed_phrases, log, ratio_mode=ratio_mode)
-    assert got == oracle_extract_deviant_graph(fx.seed_phrases, log, ratio_mode=ratio_mode)
+    got = extract_deviant_graph(fx.seed_phrases, read_query_log(str(path)), ratio_mode=ratio_mode)
+    assert got == oracle_extract_deviant_graph(fx.seed_phrases, oracle_read_query_log(str(path)),
+                                               ratio_mode=ratio_mode)

@@ -2,8 +2,9 @@
 replaced, kept here verbatim as oracles: the `_Layer` constructor that
 walked `{u: {v: w}}`, `build_graph`, `induced_subgraph`, the sequential
 swap chain of `rewire_null_model`, `planted_graph`, and `synth_events`
-walking reblog in-neighbours by node id, here taken from `g.edges`. The
-batched chain
+walking reblog in-neighbours by node id, here taken from `g.edges` and
+compared with the coded events of the new one read back as rows
+(`log_helpers.event_rows`). The batched chain
 that replaced the sequential one is checked byte for byte against a
 pair-by-pair Python reference of its rule, and in distribution against the
 sequential chain.
@@ -35,7 +36,6 @@ from devgraph.graph import (
     build_graph,
     induced_subgraph,
 )
-from devgraph.diffusion import ReblogEvent
 from devgraph.synth import (
     GROUPS,
     SynthConfig,
@@ -44,6 +44,8 @@ from devgraph.synth import (
     planted_graph,
     synth_events,
 )
+
+from log_helpers import ReblogEvent, event_rows
 
 
 class DictLayer:
@@ -457,7 +459,7 @@ def test_planted_graph_matches_oracle(seed, factor):
 def test_synth_events_match_oracle(seed, factor):
     cfg = _scaled(seed, factor)
     g, roles = planted_graph(cfg)
-    got = synth_events(cfg, g, roles)
+    got = event_rows(synth_events(cfg, g, roles))
     assert got and got == oracle_synth_events(cfg, g, roles)
     assert all(type(x) is str for ev in got for x in (ev.actor, ev.source))
 

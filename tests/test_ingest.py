@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 from devgraph.cli import _SKIP_REASONS, _read_counts_csv, _read_node_set
 from devgraph.community import read_partition_csv, read_role_map_csv
 from devgraph.demographics import DemographicRecord, read_demographics_csv
-from devgraph.diffusion import ConsumerClass, ReblogEvent, read_classes_csv, read_events_tsv
+from devgraph.diffusion import ConsumerClass, read_classes_csv, read_events_tsv
 from devgraph.graph import LAYERS, load_graph, read_labels_csv
 from devgraph.ingest import (
-    QueryRecord,
     blog_id_from_url,
     decoded_lines,
     normalize_query,
@@ -24,9 +23,11 @@ from devgraph.ingest import (
     read_query_log,
     write_phrases,
 )
+from log_helpers import ReblogEvent, event_rows, log_rows
 # The per-record aggregation the coded expansion replaced; TestAggregate and
 # TestFilter test it where it now lives.
 from test_expansion_oracle import BlogHitStats, aggregate_blog_hits, filter_candidate_blogs
+from test_ingest_oracle import QueryRecord
 
 
 class TestNormalize:
@@ -47,9 +48,6 @@ class TestNormalize:
     def test_misspelling_list(self):
         for tok in ("tumblr", "tumbler", "tumblrr", "tumlr", "tmblr"):
             assert normalize_query(f"{tok} thing") == "thing"
-
-    def test_custom_platform_tokens(self):
-        assert normalize_query("myplatform cats", frozenset({"myplatform"})) == "cats"
 
     def test_whitespace_collapsed(self):
         assert normalize_query("  a\t b   c ") == "a b c"
@@ -91,30 +89,30 @@ class TestReadLog:
             "101\tdogs\thttp://example.com/x\tDE\n"
             "bad\tq\thttp://foo.tumblr.com\tUS\n"
             "-5\tq\thttp://foo.tumblr.com\tUS\n"
+            "nan\tq\thttp://foo.tumblr.com\tUS\n"
             "102\tcats\n"
             "103\tmore cats\thttp://bar.tumblr.com/\tFR\n"
         )
         diags = Counter()
-        recs = read_query_log(str(p), diagnostics=diags)
-        assert recs == [QueryRecord("cats", "foo"), QueryRecord("more cats", "bar")]
+        log = read_query_log(str(p), diagnostics=diags)
+        assert log_rows(log) == [("cats", "foo"), ("more cats", "bar")]
         assert diags["non_platform_urls"] == 1
-        assert diags["malformed_lines"] == 3
+        assert diags["malformed_lines"] == 4
 
     def test_undecodable_line_skipped_and_counted(self, tmp_path):
         good = b"100\tcats\thttp://foo.tumblr.com/\tUS\n103\tdogs\thttp://bar.tumblr.com/\tFR\n"
         p = tmp_path / "log.tsv"
         p.write_bytes(b"101\tcaf\xe9\thttp://foo.tumblr.com/\tUS\n" + good + b"\xff\n")
         diags = Counter()
-        recs = read_query_log(str(p), diagnostics=diags)
-        assert recs == [QueryRecord("cats", "foo"), QueryRecord("dogs", "bar")]
+        log = read_query_log(str(p), diagnostics=diags)
+        assert log_rows(log) == [("cats", "foo"), ("dogs", "bar")]
         assert diags == {"undecodable_lines": 2}
 
     def test_line_breaks_as_in_text_mode(self, tmp_path):
         p = tmp_path / "log.tsv"
         p.write_bytes(b"1\ta\thttp://x.tumblr.com/\tUS\r\n\r\n"
                       b"2\tb\thttp://y.tumblr.com/\tUS\r3\tc\thttp://z.tumblr.com/\tUS")
-        assert read_query_log(str(p)) == [QueryRecord("a", "x"), QueryRecord("b", "y"),
-                                          QueryRecord("c", "z")]
+        assert log_rows(read_query_log(str(p))) == [("a", "x"), ("b", "y"), ("c", "z")]
 
     # line breaks, bytes that are never valid, truncated and complete
     # multibyte sequences, encoded surrogates, and separators (U+2028, FF,
@@ -150,8 +148,8 @@ class TestReadLog:
         p = tmp_path / "log.tsv"
         p.write_text("".join(f"{i}\t{q}\thttp://b{i % 2}.tumblr.com/\tUS\n"
                              for i, q in enumerate(raw)))
-        assert read_query_log(str(p)) == [QueryRecord(normalize_query(q), f"b{i % 2}")
-                                          for i, q in enumerate(raw)]
+        assert log_rows(read_query_log(str(p))) == sorted((normalize_query(q), f"b{i % 2}")
+                                                          for i, q in enumerate(raw))
 
 
 class TestAggregate:
@@ -219,7 +217,11 @@ def test_phrase_file_round_trip(tmp_path):
 
 
 def _read_events(path: str, diagnostics: Counter) -> list[ReblogEvent]:
-    return list(read_events_tsv(path, diagnostics))
+    return event_rows(read_events_tsv(path, diagnostics))
+
+
+def _read_query_log(path: str, diagnostics: Counter) -> list[tuple[str, str]]:
+    return log_rows(read_query_log(path, diagnostics))
 
 
 def _read_edges(path: str, diagnostics: Counter) -> list[tuple[str, str, float]]:
@@ -242,7 +244,7 @@ READERS = {
     "phrases": (read_phrases, b"a phrase\n", ["a phrase"]),
     "events": (_read_events, b"a\tp\tx\t1\n", [ReblogEvent("a", "p", "x", 1.0)]),
     "edges": (_read_edges, b"a\tb\t1\tF\n", [("a", "b", 1.0)]),
-    "query_log": (read_query_log, b"1\tq\thttp://a.tumblr.com/\tUS\n", [QueryRecord("q", "a")]),
+    "query_log": (_read_query_log, b"1\tq\thttp://a.tumblr.com/\tUS\n", [("q", "a")]),
 }
 
 
@@ -264,10 +266,10 @@ LINE_BREAKS = (b"\n", b"\r", b"\r\n")
 FIELD_CHUNKS = (tuple(c for c in TestReadLog.CHUNKS if c not in LINE_BREAKS)
                 + (b",",) + tuple(str(d).encode() for d in range(10)))
 # a line is chunks, or four tab-separated fields that now and then hold a
-# weight, a layer or a timestamp, so that some rows of the edge and event
-# readers are well-formed
+# weight, a layer, a timestamp or a platform URL, so that some rows of the
+# edge, event and query-log readers are well-formed
 FIELD = st.one_of(st.lists(st.sampled_from(FIELD_CHUNKS), max_size=3).map(b"".join),
-                  st.sampled_from([b"1", b"F", b"x"]))
+                  st.sampled_from([b"1", b"F", b"x", b"http://a.tumblr.com/"]))
 BODY = st.one_of(st.lists(st.sampled_from(FIELD_CHUNKS), max_size=8).map(b"".join),
                  st.lists(FIELD, min_size=4, max_size=4).map(b"\t".join))
 
@@ -282,8 +284,11 @@ def test_readers_account_for_every_line(name, lines):
     reader, text, _expected = READERS[name]
     # each sample is an optional header line and one row
     *header, _row = text.splitlines()
+    # a query-log row starts with its timestamp, so its key ends in "." and
+    # the key and a first field of digits still make a number
+    end = b"." if name == "query_log" else b","
     data = b"".join(line + b"\n" for line in header)
-    data += b"".join(str(i).encode() + b"," + body + brk for i, (body, brk) in enumerate(lines))
+    data += b"".join(str(i).encode() + end + body + brk for i, (body, brk) in enumerate(lines))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "in.csv")
         with open(path, "wb") as fh:

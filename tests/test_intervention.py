@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from devgraph.diffusion import ReblogEvent, build_trees
+from devgraph.diffusion import build_trees
 from devgraph.graph import FOLLOW, REBLOG, build_graph
 from devgraph.intervention import (
     BY_DEGREE,
@@ -18,6 +18,7 @@ from devgraph.intervention import (
 )
 
 from test_intervention_oracle import baseline_consumers, reached_consumers
+from log_helpers import ReblogEvent, coded_events
 from tree_helpers import trees_of
 
 
@@ -33,7 +34,7 @@ def chain_trees():
         ev("c", "b", post="x", ts=3),
         ev("a", "p2", post="y", ts=1),
     ]
-    return build_trees(events, {"p1", "p2"})
+    return build_trees(coded_events(events), {"p1", "p2"})
 
 
 class TestRankByVolume:
@@ -46,22 +47,22 @@ class TestRankByVolume:
         # a reaches b in two different posts: counted once
         events = [ev("a", "p", post="x", ts=1), ev("b", "a", post="x", ts=2),
                   ev("a", "p", post="y", ts=1), ev("b", "a", post="y", ts=2)]
-        trees = build_trees(events, {"p"})
+        trees = build_trees(coded_events(events), {"p"})
         ranking = rank_by_volume(trees)
         assert ranking == ["p", "a"]       # p reaches {a,b}, a reaches {b}
 
     def test_empty(self):
-        assert rank_by_volume(build_trees([], set())) == []
+        assert rank_by_volume(build_trees(coded_events([]), set())) == []
 
     def test_tie_breaks_by_id(self):
         events = [ev("x1", "n7", post="a", ts=1), ev("x2", "n3", post="b", ts=1)]
-        trees = build_trees(events, {"n7", "n3"})
+        trees = build_trees(coded_events(events), {"n7", "n3"})
         ranking = rank_by_volume(trees)
         assert ranking.index("n3") < ranking.index("n7")
 
     def test_childless_root_included(self):
         events = [ev("a", "p", post="x", ts=1)]
-        trees = build_trees(events, {"p", "q"})
+        trees = build_trees(coded_events(events), {"p", "q"})
         assert "p" in rank_by_volume(trees)
 
 
@@ -99,14 +100,14 @@ class TestShrinkage:
             ev("a", "p2", post="y", ts=1),
             ev("b", "a", post="y", ts=2),
         ]
-        trees = build_trees(events, {"p1", "p2"})
+        trees = build_trees(coded_events(events), {"p1", "p2"})
         assert reached_consumers(trees_of(trees), set()) == {"a", "b"}
         curve = shrinkage_curve(trees, ["p1", "p2"], sizes=[0, 2])
         assert curve.reached_fraction == (1.0, 0.0)
 
     def test_internal_removal_cuts_subtree(self):
         events = [ev("a", "p", ts=1), ev("b", "a", ts=2)]
-        trees = build_trees(events, {"p"})
+        trees = build_trees(coded_events(events), {"p"})
         curve = shrinkage_curve(trees, ["a", "p"], sizes=[0, 1])
         # C={a}: a erased, b only reachable through a -> nothing reached
         assert curve.reached_fraction == (1.0, 0.0)
@@ -124,7 +125,7 @@ class TestShrinkage:
 
     def test_empty_trees_error(self):
         with pytest.raises(ValueError, match="baseline"):
-            shrinkage_curve(build_trees([], set()), [], sizes=[0])
+            shrinkage_curve(build_trees(coded_events([]), set()), [], sizes=[0])
 
     def test_superset_monotonicity_random(self):
         rng = random.Random(13)
@@ -137,7 +138,7 @@ class TestShrinkage:
                 for t, m in enumerate(members):
                     events.append(ev(m, rng.choice(prev), post=f"p{post}", ts=t))
                     prev.append(m)
-            trees = trees_of(build_trees(events, {"r0", "r1", "r2"}))
+            trees = trees_of(build_trees(coded_events(events), {"r0", "r1", "r2"}))
             if not trees:
                 continue
             nodes = sorted({n for t in trees for n in t.nodes()})
@@ -155,7 +156,7 @@ class TestUnderage:
 
     def test_single_underage_under_top_root(self):
         events = [ev("kid", "p", ts=1)]
-        trees = build_trees(events, {"p"})
+        trees = build_trees(coded_events(events), {"p"})
         res = underage_exposure_threshold(trees, ["p"], {"kid": 15})
         assert res.k == 1 and res.note is None
 
@@ -171,13 +172,13 @@ class TestUnderage:
 
     def test_removing_the_minor_itself_suffices(self):
         events = [ev("kid", "p", ts=1)]
-        trees = build_trees(events, {"p"})
+        trees = build_trees(coded_events(events), {"p"})
         res = underage_exposure_threshold(trees, ["kid"], {"kid": 12})
         assert res.k == 1
 
     def test_unattainable_raises(self):
         events = [ev("kid", "p", ts=1)]
-        trees = build_trees(events, {"p"})
+        trees = build_trees(coded_events(events), {"p"})
         # the ranking never touches the exposing chain
         with pytest.raises(ValueError, match="remain reached"):
             underage_exposure_threshold(trees, ["unrelated"], {"kid": 12})

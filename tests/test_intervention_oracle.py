@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devgraph.diffusion import ReblogEvent, build_trees, producer_nodes
+from devgraph.diffusion import build_trees, producer_nodes
 from devgraph.intervention import (
     ShrinkageCurve,
     UnderageThreshold,
@@ -25,6 +25,7 @@ from devgraph.intervention import (
 )
 from devgraph.synth import SynthConfig, planted_graph, synth_events
 
+from log_helpers import ReblogEvent, coded_events
 from tree_helpers import DiffusionTree, trees_of
 
 
@@ -148,7 +149,7 @@ def forests(draw):
             events.append(ReblogEvent(m, src, f"p{post}", float(t)))
             placed.append(m)
         roots.add(root)
-    return build_trees(events, roots)
+    return build_trees(coded_events(events), roots)
 
 
 rankings = st.lists(st.sampled_from(POOL + ["unknown"]), max_size=10)

@@ -22,6 +22,7 @@ from devgraph.synth import (
     write_config,
 )
 
+from log_helpers import event_rows
 from tree_helpers import trees_of
 
 SMALL = SynthConfig(seed=7, n_producer_one=12, n_producer_two=12,
@@ -115,13 +116,13 @@ def test_events_reference_reblog_edges():
     events = synth_events(SMALL, g, roles)
     assert events
     reblogs = {(u, v) for u, v, _ in g.edges(REBLOG)}
-    for ev in events:
+    for ev in event_rows(events):
         assert (ev.actor, ev.source) in reblogs
 
 
 def test_events_deterministic():
     g, roles = planted_graph(SMALL)
-    assert synth_events(SMALL, g, roles) == synth_events(SMALL, g, roles)
+    assert event_rows(synth_events(SMALL, g, roles)) == event_rows(synth_events(SMALL, g, roles))
 
 
 def test_events_build_producer_rooted_trees():
@@ -142,7 +143,7 @@ def test_zero_depth_means_no_indirect_consumers():
                       max_cascade_depth=0)
     g, roles = planted_graph(cfg)
     events = synth_events(cfg, g, roles)
-    assert events == []
+    assert len(events) == 0
     classes = classify_nodes(g, build_trees(events, producer_nodes(roles)), roles)
     assert ConsumerClass.ACTIVE_INDIRECT not in classes.values()
     assert ConsumerClass.ACTIVE_DIRECT not in classes.values()
@@ -166,8 +167,7 @@ def test_closure_fixture_is_within_budget():
 def run_extraction(fx: ClosureFixture, tmp_path):
     log_path = tmp_path / "log.tsv"
     log_path.write_text("\n".join(fx.log_lines) + "\n", encoding="utf-8")
-    records = read_query_log(str(log_path))
-    return extract_deviant_graph(fx.seed_phrases, records)
+    return extract_deviant_graph(fx.seed_phrases, read_query_log(str(log_path)))
 
 
 def test_closure_matches_planted_truth(tmp_path):

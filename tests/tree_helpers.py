@@ -9,7 +9,9 @@ forest's public arrays.
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from devgraph.diffusion import DiffusionForest, ReblogEvent, build_trees
+from devgraph.diffusion import DiffusionForest, build_trees
+
+from log_helpers import ReblogEvent, coded_events
 
 
 @dataclass
@@ -34,7 +36,7 @@ def forest_of(trees: Sequence[DiffusionTree]) -> DiffusionForest:
     of its own; a tree with no edge has no event, so it drops out."""
     events = [ReblogEvent(child, par, f"{i:09d}", 0.0)
               for i, tree in enumerate(trees) for child, par in tree.parent.items()]
-    return build_trees(events, {tree.root for tree in trees})
+    return build_trees(coded_events(events), {tree.root for tree in trees})
 
 
 def trees_of(forest: DiffusionForest) -> list[DiffusionTree]:
