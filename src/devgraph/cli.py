@@ -63,6 +63,8 @@ from .graph import (
     FOLLOW,
     LAYERS,
     REBLOG,
+    LayeredGraph,
+    _Layer,
     load_graph,
     network_stats,
     read_labels_csv,
@@ -178,6 +180,18 @@ def _load_graph(command: str, path: str):
     g = load_graph(path)
     _report_skipped(command, g.diagnostics, path)
     return g
+
+
+def _with_nodes(g: LayeredGraph, nodes) -> LayeredGraph:
+    """g with the nodes of `nodes` that it lacks appended in sorted order,
+    without edges."""
+    extra = sorted(set(nodes).difference(g.node_ids))
+    if not extra:
+        return g
+    n = g.n_nodes + len(extra)
+    return LayeredGraph(g.node_ids + tuple(extra),
+                        {name: _Layer(n, *g.edge_arrays(name)) for name in LAYERS},
+                        diagnostics=g.diagnostics)
 
 
 def _read_node_set(path: str, diagnostics: Counter) -> set[str]:
@@ -403,6 +417,8 @@ def cmd_connectivity(args) -> int:
 def cmd_diffusion(args) -> int:
     g = _load_graph("diffusion", args.edges)
     roles = _resolve_roles("diffusion", args)
+    # every labelled node gets a class, with or without an edge
+    g = _with_nodes(g, roles)
     trees, diagnostics = _trees("diffusion", roles, args.events)
     _classes, report = _diffusion(g, roles, trees, diagnostics, args.out)
     if args.efficiency_set:

@@ -130,11 +130,16 @@ def _parse_events(lines: list[str], diagnostics: Counter):
 
 
 def write_events_tsv(events: _CodedEvents, path: str) -> None:
-    ids, posts = events.ids, events.posts
+    """One actor, source, post, time row per event, written by columns;
+    each distinct timestamp is formatted once."""
+    ids, posts = np.array(events.ids, dtype=object), np.array(events.posts, dtype=object)
+    # unique bit patterns, so 0.0 and -0.0 keep their own text
+    bits, at = np.unique(events.ts.view(np.int64), return_inverse=True)
+    ts = np.array([f"{t:g}" for t in bits.view(np.float64).tolist()], dtype=object)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(f"{ids[a]}\t{ids[s]}\t{posts[p]}\t{t:g}\n"
-                      for a, s, p, t in zip(events.actor.tolist(), events.source.tolist(),
-                                            events.post.tolist(), events.ts.tolist()))
+        fh.writelines(map("{}\t{}\t{}\t{}\n".format, ids[events.actor].tolist(),
+                          ids[events.source].tolist(), posts[events.post].tolist(),
+                          ts[at].tolist()))
 
 
 class DiffusionForest:

@@ -101,6 +101,11 @@ def planted_graph(cfg: SynthConfig) -> tuple[LayeredGraph, dict[str, str]]:
 
     Reblog edges are a seeded thinning of the follow edges, so cascades
     always run along real follow ties.
+
+    Each block draws its follow count from Binomial(cells, p) and then that
+    many distinct cells uniformly, which gives every cell an independent
+    Bernoulli(p) follow without a dense rows x cols draw (Batagelj &
+    Brandes 2005). A diagonal block has no self cells.
     """
     names = _node_names(cfg)
     ids = [node for grp in GROUPS for node in names[grp]]
@@ -122,23 +127,28 @@ def planted_graph(cfg: SynthConfig) -> tuple[LayeredGraph, dict[str, str]]:
             if p <= 0.0 or rows == 0 or cols == 0:
                 continue
             rng = np.random.default_rng(child)
-            mask = rng.random((rows, cols)) < p
+            width = cols - 1 if origin == target else cols
+            cells = rows * width
+            k = int(rng.binomial(cells, p))
+            i, j = np.divmod(np.sort(rng.choice(cells, k, replace=False)), width)
             if origin == target:
-                np.fill_diagonal(mask, False)
-            reblog_mask = mask & (rng.random((rows, cols)) < cfg.reblog_given_follow)
-            weights = rng.integers(1, 4, size=(rows, cols))
-            i, j = np.nonzero(mask)
-            blocks[FOLLOW].append((offset[origin] + i, offset[target] + j, np.ones(len(i))))
-            i, j = np.nonzero(reblog_mask)
-            blocks[REBLOG].append((offset[origin] + i, offset[target] + j, weights[i, j]))
+                j += j >= i  # step over the self cell (i, i)
+            reblog = rng.random(k) < cfg.reblog_given_follow
+            weights = rng.integers(1, 4, size=k)
+            i, j = offset[origin] + i, offset[target] + j
+            blocks[FOLLOW].append((i, j, np.ones(k)))
+            blocks[REBLOG].append((i[reblog], j[reblog], weights[reblog]))
     layers = {name: _Layer(len(ids), *map(np.concatenate, zip(*blocks[name]))) for name in LAYERS}
     return LayeredGraph(ids, layers), roles
 
 
 def synth_events(cfg: SynthConfig, g: LayeredGraph, roles: dict[str, str]) -> _CodedEvents:
     """Reblog cascades rooted at producers, spreading along reblog
-    in-neighbors wave by wave; every event references a graph reblog edge."""
+    in-neighbors wave by wave; every event references a graph reblog edge.
+    A holder's in-neighbors outside the tree each join with
+    cascade_join_prob, one uniform draw per candidate in in-view order."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(60)[40])
+    join = cfg.cascade_join_prob
     producers = sorted(n for n, r in roles.items() if r.startswith("producer"))
     lay = g.layer(REBLOG)
     indptr, indices = lay.in_indptr.tolist(), lay.in_indices.tolist()
@@ -157,16 +167,18 @@ def synth_events(cfg: SynthConfig, g: LayeredGraph, roles: dict[str, str]) -> _C
             for depth in range(1, depth_limit + 1):
                 joined: list[int] = []
                 for holder in holders:
-                    for actor in indices[indptr[holder]:indptr[holder + 1]]:
-                        if actor in in_tree:
-                            continue
-                        if rng.random() < cfg.cascade_join_prob:
-                            actors.append(actor)
-                            sources.append(holder)
-                            posts.append(post)
-                            times.append(t0 + depth)
-                            in_tree.add(actor)
-                            joined.append(actor)
+                    cand = [a for a in indices[indptr[holder]:indptr[holder + 1]]
+                            if a not in in_tree]
+                    if not cand:
+                        continue
+                    new = [a for a, x in zip(cand, rng.random(len(cand)).tolist()) if x < join]
+                    in_tree.update(new)
+                    joined += new
+                    actors.extend(new)
+                    sources.extend([holder] * len(new))
+                # a wave shares its post and time
+                posts.extend([post] * len(joined))
+                times.extend([t0 + depth] * len(joined))
                 holders = joined
                 if not holders:
                     break
@@ -311,18 +323,25 @@ def paradox_fixture(n: int = 10_000, seed: int = 0, exponent: float = 2.5,
     probability proportional to an independent zipf attractiveness, so a
     random out-neighbor is size-biased toward heavy rebloggers. Counts are
     each node's total reblog degree (activity in the window).
+
+    Each node's targets are distinct draws from p (successive sampling):
+    every node's targets are drawn with replacement in one call, and only
+    the repeats within a node are redrawn, until none is left.
     """
     rng = np.random.default_rng(seed)
     out_deg = np.minimum(rng.zipf(exponent, size=n), n // 10)
     attractiveness = np.minimum(rng.zipf(exponent, size=n), 10_000).astype(np.float64)
     p = attractiveness / attractiveness.sum()
-    edges: list[tuple[str, str, float, str]] = []
-    for u in range(n):
-        k = int(out_deg[u])
-        targets = rng.choice(n, size=k, replace=False, p=p) if k else []
-        for v in targets:
-            if int(v) != u:
-                edges.append((f"n{u}", f"n{int(v)}", 1.0, REBLOG))
-    g = build_graph(edges)
+    source = np.repeat(np.arange(n), out_deg)
+    target = rng.choice(n, size=len(source), p=p)
+    while True:
+        repeat = np.ones(len(source), dtype=bool)
+        repeat[np.unique(source * n + target, return_index=True)[1]] = False
+        if not repeat.any():
+            break
+        target[repeat] = rng.choice(n, size=int(repeat.sum()), p=p)
+    keep = source != target
+    g = build_graph((f"n{u}", f"n{v}", 1.0, REBLOG)
+                    for u, v in zip(source[keep].tolist(), target[keep].tolist()))
     total = g.out_degrees(REBLOG) + g.in_degrees(REBLOG)
     return g, {g.id_of(i): int(total[i]) for i in np.flatnonzero(total)}

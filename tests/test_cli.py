@@ -22,6 +22,11 @@ def fixture_dir(tmp_path_factory):
     return base / "fx"
 
 
+def edge_nodes(fixture_dir):
+    return {node for line in (fixture_dir / "edges.tsv").read_text().splitlines()
+            for node in line.split("\t")[:2]}
+
+
 def producers_of(fixture_dir):
     labels = read_labels_csv(str(fixture_dir / "labels.csv"))
     return sorted(n for n, r in labels.items() if r.startswith("producer"))
@@ -191,8 +196,9 @@ def test_communities_writes_partition(fixture_dir, tmp_path, capsys):
     assert "modularity=" in capsys.readouterr().out
     rows = out.read_text().splitlines()
     assert rows[0] == "node,community"
-    labels = read_labels_csv(str(fixture_dir / "labels.csv"))
-    assert len(rows) - 1 == len(labels)
+    nodes = edge_nodes(fixture_dir)
+    assert {row.split(",")[0] for row in rows[1:]} == nodes
+    assert len(rows) - 1 == len(nodes)
 
 
 def test_connectivity_density_with_labels(fixture_dir, tmp_path):
@@ -266,6 +272,20 @@ def test_diffusion_stage(fixture_dir, tmp_path, capsys):
     assert set(classes) == set(labels)
     reach = json.loads((out / "reach.json").read_text())
     assert sum(reach["class_counts"].values()) == len(labels)
+
+
+def test_diffusion_classes_match_pipeline(fixture_dir, tmp_path):
+    """Labelled nodes without an edge get a class too, so the file route
+    writes the classes and reach of `pipeline` on the same fixture."""
+    assert set(read_labels_csv(str(fixture_dir / "labels.csv"))) - edge_nodes(fixture_dir)
+    run, out = tmp_path / "run", tmp_path / "diff"
+    assert main(["pipeline", "--config", str(fixture_dir / "synth.cfg"),
+                 "--seed", "7", "--out", str(run)]) == 0
+    assert main(["diffusion", "--edges", str(fixture_dir / "edges.tsv"),
+                 "--events", str(fixture_dir / "events.tsv"),
+                 "--labels", str(fixture_dir / "labels.csv"), "--out", str(out)]) == 0
+    for name in ("classes.csv", "reach.json"):
+        assert (out / name).read_bytes() == (run / name).read_bytes(), name
 
 
 def test_diffusion_efficiency_set(fixture_dir, tmp_path, capsys):

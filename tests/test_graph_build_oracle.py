@@ -1,10 +1,10 @@
 """The array-built graph store against the dict-of-dicts construction it
 replaced, kept here verbatim as oracles: the `_Layer` constructor that
 walked `{u: {v: w}}`, `build_graph`, `induced_subgraph`, the sequential
-swap chain of `rewire_null_model`, `planted_graph`, and `synth_events`
-walking reblog in-neighbours by node id, here taken from `g.edges` and
-compared with the coded events of the new one read back as rows
-(`log_helpers.event_rows`). The batched chain
+swap chain of `rewire_null_model`, `planted_graph` with its dense block
+masks, and `synth_events` walking reblog in-neighbours by node id, here
+taken from `g.edges` and compared with the coded events of the new one
+read back as rows (`log_helpers.event_rows`). The batched chain
 that replaced the sequential one is checked byte for byte against a
 pair-by-pair Python reference of its rule, and in distribution against the
 sequential chain.
@@ -13,6 +13,12 @@ Every comparison is exact: node ids, diagnostics, and each layer
 array byte for byte with its dtype, including the in-view. Duplicate
 reblog weights are summed in input order, so a summation that regroups
 them (pairwise, blocked) shows up as a different last bit.
+
+The exception is `planted_graph`. Its sparse sampler draws a binomial
+count and a uniform set of cells per block, not the dense masks, so it
+is checked in law: exact structure, and per-block follow counts,
+reblog thinning and single-cell frequencies within binomial bounds, with
+the dense sampler held to the same bounds.
 """
 
 from __future__ import annotations
@@ -444,16 +450,6 @@ def _scaled(seed: int, factor: int) -> SynthConfig:
                       if name.startswith("p_")})
 
 
-@pytest.mark.parametrize("seed", [3, 11])
-@pytest.mark.parametrize("factor", [1, 4])
-def test_planted_graph_matches_oracle(seed, factor):
-    cfg = _scaled(seed, factor)
-    got, got_roles = planted_graph(cfg)
-    want, want_roles = oracle_planted_graph(cfg)
-    assert got_roles == want_roles
-    assert_same_graph(got, want)
-
-
 @pytest.mark.parametrize("seed", [3, 11, 29])
 @pytest.mark.parametrize("factor", [1, 4])
 def test_synth_events_match_oracle(seed, factor):
@@ -464,19 +460,114 @@ def test_synth_events_match_oracle(seed, factor):
     assert all(type(x) is str for ev in got for x in (ev.actor, ev.source))
 
 
-@settings(max_examples=40, deadline=None)
+# -- planted_graph in law, with the dense sampler as the reference -----------
+
+SIZE_KEYS = ("n_producer_one", "n_producer_two", "n_bridge_one", "n_bridge_two", "n_outer")
+PROB_KEYS = ("p_intra_producer", "p_inter_producer", "p_producer_bridge",
+             "p_intra_bridge", "p_bridge_outer", "p_outer_producer", "p_outer_outer")
+# standard deviations a binomial count may stray from its mean; a normal
+# variable strays further with probability below 6e-7
+Z = 5.0
+
+
+def within_binomial(count, trials, p) -> bool:
+    count, trials, p = np.broadcast_arrays(count, trials, p)
+    return bool((np.abs(count - trials * p) <= Z * np.sqrt(trials * p * (1 - p))).all())
+
+
+def block_counts(g: LayeredGraph, roles: dict[str, str], layer: str,
+                 weight: float | None = None) -> np.ndarray:
+    """A layer's edge counts per (origin group, target group) block, of the
+    edges with weight `weight` if it is given."""
+    group = np.array([GROUPS.index(roles[node]) for node in g.node_ids], dtype=np.int64)
+    lay = g.layer(layer)
+    keep = lay.weight == weight if weight is not None else np.ones(lay.n_edges, dtype=bool)
+    k = len(GROUPS)
+    return np.bincount(group[lay.src[keep]] * k + group[lay.dst[keep]],
+                       minlength=k * k).reshape(k, k)
+
+
+def block_cells(cfg: SynthConfig) -> np.ndarray:
+    """Cells per block: rows x cols, less the self cells of a diagonal one."""
+    n = np.array([cfg.sizes()[grp] for grp in GROUPS], dtype=np.int64)
+    return np.outer(n, n) - np.diag(n)
+
+
+def block_probs(cfg: SynthConfig) -> np.ndarray:
+    return np.array([[_follow_prob(cfg, o, t) for t in GROUPS] for o in GROUPS])
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1),
        st.tuples(*[st.integers(0, 12)] * 5),
        st.tuples(*[st.sampled_from((0.0, 0.05, 0.3, 1.0))] * 7),
        st.sampled_from((0.0, 0.5, 1.0)))
-def test_small_planted_graphs_match_oracle(seed, sizes, probs, reblog):
-    cfg = SynthConfig(seed=seed, **dict(zip(
-        ("n_producer_one", "n_producer_two", "n_bridge_one", "n_bridge_two", "n_outer"), sizes)),
-        **dict(zip(("p_intra_producer", "p_inter_producer", "p_producer_bridge",
-                    "p_intra_bridge", "p_bridge_outer", "p_outer_producer",
-                    "p_outer_outer"), probs)),
-        reblog_given_follow=reblog)
-    got, got_roles = planted_graph(cfg)
+def test_small_planted_graphs_exact_structure(seed, sizes, probs, reblog):
+    """Node ids and roles as the dense sampler's; no self-loop or repeated
+    cell; reblog edges a subset of follow edges with weights 1, 2 or 3; and
+    every block or thinning with probability 0 or 1 exactly empty or full."""
+    cfg = SynthConfig(seed=seed, **dict(zip(SIZE_KEYS, sizes)),
+                      **dict(zip(PROB_KEYS, probs)), reblog_given_follow=reblog)
+    got, roles = planted_graph(cfg)
     want, want_roles = oracle_planted_graph(cfg)
-    assert got_roles == want_roles
-    assert_same_graph(got, want)
+    assert roles == want_roles and got.node_ids == want.node_ids
+    assert Counter(roles.values()) == +Counter(cfg.sizes())
+    keys = {}
+    for name in LAYERS:
+        lay = got.layer(name)
+        assert not (lay.src == lay.dst).any()
+        keys[name] = lay.src * got.n_nodes + lay.dst
+        assert len(np.unique(keys[name])) == lay.n_edges
+    assert np.isin(keys[REBLOG], keys[FOLLOW]).all()
+    assert set(got.layer(FOLLOW).weight.tolist()) <= {1.0}
+    assert set(got.layer(REBLOG).weight.tolist()) <= {1.0, 2.0, 3.0}
+    follows, cells, p = block_counts(got, roles, FOLLOW), block_cells(cfg), block_probs(cfg)
+    assert (follows[p == 0] == 0).all() and (follows[p == 1] == cells[p == 1]).all()
+    if reblog in (0.0, 1.0):
+        assert got.n_edges(REBLOG) == reblog * got.n_edges(FOLLOW)
+
+
+@pytest.mark.parametrize("factor", [1, 4])
+def test_planted_block_counts_within_binomial_bounds(factor):
+    """Summed over 60 seeds, each block's follow count is Binomial(60 *
+    cells, p): for the sparse sampler and for the dense one alike."""
+    cfg = _scaled(0, factor)
+    seeds = range(60)
+    trials, p = len(seeds) * block_cells(cfg), block_probs(cfg)
+    for sampler in (planted_graph, oracle_planted_graph):
+        total = sum(block_counts(*sampler(replace(cfg, seed=s)), FOLLOW) for s in seeds)
+        assert within_binomial(total, trials, p), sampler.__name__
+
+
+def test_planted_reblog_thinning_within_binomial_bounds():
+    """Summed over 100 seeds, each block's reblog count is
+    Binomial(follow count, reblog_given_follow), and each of the weights
+    1, 2 and 3 takes a third of the reblog edges."""
+    cfg = replace(SynthConfig(), reblog_given_follow=0.3)
+    follows, reblogs = 0, 0
+    weights = {w: 0 for w in (1.0, 2.0, 3.0)}
+    for seed in range(100):
+        g, roles = planted_graph(replace(cfg, seed=seed))
+        follows = follows + block_counts(g, roles, FOLLOW)
+        reblogs = reblogs + block_counts(g, roles, REBLOG)
+        for w in weights:
+            weights[w] = weights[w] + block_counts(g, roles, REBLOG, weight=w)
+    assert within_binomial(reblogs, follows, cfg.reblog_given_follow)
+    assert within_binomial(reblogs.sum(), follows.sum(), cfg.reblog_given_follow)
+    for count in weights.values():
+        assert within_binomial(count, reblogs, 1 / 3)
+
+
+def test_planted_diagonal_block_cell_frequencies():
+    """A lone group of 4: over 2,000 seeds each of the 12 off-diagonal
+    cells is drawn with a frequency within binomial bounds of p, and a
+    diagonal cell never."""
+    cfg = SynthConfig(n_producer_one=4, n_producer_two=0, n_bridge_one=0,
+                      n_bridge_two=0, n_outer=0, p_intra_producer=0.3)
+    seeds = range(2000)
+    hits = np.zeros((4, 4), dtype=np.int64)
+    for seed in seeds:
+        lay = planted_graph(replace(cfg, seed=seed))[0].layer(FOLLOW)
+        np.add.at(hits, (lay.src, lay.dst), 1)
+    assert np.diag(hits).sum() == 0
+    assert within_binomial(hits[~np.eye(4, dtype=bool)], len(seeds), 0.3)
