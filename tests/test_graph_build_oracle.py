@@ -497,18 +497,10 @@ def block_probs(cfg: SynthConfig) -> np.ndarray:
     return np.array([[_follow_prob(cfg, o, t) for t in GROUPS] for o in GROUPS])
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1),
-       st.tuples(*[st.integers(0, 12)] * 5),
-       st.tuples(*[st.sampled_from((0.0, 0.05, 0.3, 1.0))] * 7),
-       st.sampled_from((0.0, 0.5, 1.0)))
-def test_small_planted_graphs_exact_structure(seed, sizes, probs, reblog):
+def assert_planted_structure(cfg: SynthConfig, got: LayeredGraph,
+                             roles: dict[str, str]) -> None:
     """Node ids and roles as the dense sampler's; no self-loop or repeated
-    cell; reblog edges a subset of follow edges with weights 1, 2 or 3; and
-    every block or thinning with probability 0 or 1 exactly empty or full."""
-    cfg = SynthConfig(seed=seed, **dict(zip(SIZE_KEYS, sizes)),
-                      **dict(zip(PROB_KEYS, probs)), reblog_given_follow=reblog)
-    got, roles = planted_graph(cfg)
+    cell; reblog edges a subset of follow edges with weights 1, 2 or 3."""
     want, want_roles = oracle_planted_graph(cfg)
     assert roles == want_roles and got.node_ids == want.node_ids
     assert Counter(roles.values()) == +Counter(cfg.sizes())
@@ -521,6 +513,37 @@ def test_small_planted_graphs_exact_structure(seed, sizes, probs, reblog):
     assert np.isin(keys[REBLOG], keys[FOLLOW]).all()
     assert set(got.layer(FOLLOW).weight.tolist()) <= {1.0}
     assert set(got.layer(REBLOG).weight.tolist()) <= {1.0, 2.0, 3.0}
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("factor", [1, 4])
+def test_planted_graph_matches_oracle(seed, factor):
+    """On one scaled recipe the sparse sampler has the dense oracle's
+    structure, and each block's follow count differs from the oracle's by
+    no more than two independent Binomial(cells, p) counts may."""
+    cfg = _scaled(seed, factor)
+    got, roles = planted_graph(cfg)
+    assert_planted_structure(cfg, got, roles)
+    want, want_roles = oracle_planted_graph(cfg)
+    cells, p = block_cells(cfg), block_probs(cfg)
+    diff = block_counts(got, roles, FOLLOW) - block_counts(want, want_roles, FOLLOW)
+    assert (np.abs(diff) <= Z * np.sqrt(2 * cells * p * (1 - p))).all()
+    assert within_binomial(block_counts(got, roles, FOLLOW), cells, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.tuples(*[st.integers(0, 12)] * 5),
+       st.tuples(*[st.sampled_from((0.0, 0.05, 0.3, 1.0))] * 7),
+       st.sampled_from((0.0, 0.5, 1.0)))
+def test_small_planted_graphs_exact_structure(seed, sizes, probs, reblog):
+    """Node ids and roles as the dense sampler's; no self-loop or repeated
+    cell; reblog edges a subset of follow edges with weights 1, 2 or 3; and
+    every block or thinning with probability 0 or 1 exactly empty or full."""
+    cfg = SynthConfig(seed=seed, **dict(zip(SIZE_KEYS, sizes)),
+                      **dict(zip(PROB_KEYS, probs)), reblog_given_follow=reblog)
+    got, roles = planted_graph(cfg)
+    assert_planted_structure(cfg, got, roles)
     follows, cells, p = block_counts(got, roles, FOLLOW), block_cells(cfg), block_probs(cfg)
     assert (follows[p == 0] == 0).all() and (follows[p == 1] == cells[p == 1]).all()
     if reblog in (0.0, 1.0):
