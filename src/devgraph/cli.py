@@ -35,7 +35,7 @@ from .connectivity import (
     write_group_matrix_json,
 )
 from .demographics import (
-    DEFAULT_BANDS,
+    ACTIVE_CLASSES,
     age_histogram,
     class_demographics,
     engagement_by_age,
@@ -46,7 +46,6 @@ from .demographics import (
     write_engagement_csv,
 )
 from .diffusion import (
-    ConsumerClass,
     build_trees,
     bridge_nodes,
     classify_nodes,
@@ -71,7 +70,7 @@ from .graph import (
     write_edge_tsv,
     write_labels_csv,
 )
-from .ingest import decoded_lines, read_phrases, read_query_log, write_phrases
+from .ingest import _csv_rows, read_phrases, read_query_log, write_phrases
 from .intervention import (
     BY_DEGREE,
     BY_VOLUME,
@@ -175,13 +174,6 @@ def _read(command: str, reader, path: str):
     return result
 
 
-def _load_graph(command: str, path: str):
-    """load_graph, reporting on stderr what it skipped."""
-    g = load_graph(path)
-    _report_skipped(command, g.diagnostics, path)
-    return g
-
-
 def _with_nodes(g: LayeredGraph, nodes) -> LayeredGraph:
     """g with the nodes of `nodes` that it lacks appended in sorted order,
     without edges."""
@@ -190,25 +182,18 @@ def _with_nodes(g: LayeredGraph, nodes) -> LayeredGraph:
         return g
     n = g.n_nodes + len(extra)
     return LayeredGraph(g.node_ids + tuple(extra),
-                        {name: _Layer(n, *g.edge_arrays(name)) for name in LAYERS},
-                        diagnostics=g.diagnostics)
+                        {name: _Layer(n, *g.edge_arrays(name)) for name in LAYERS})
 
 
 def _read_node_set(path: str, diagnostics: Counter) -> set[str]:
-    return {line.strip() for line in decoded_lines(path, diagnostics) if line.strip()}
+    return set(read_phrases(path, diagnostics))
 
 
 def _read_counts_csv(path: str, diagnostics: Counter) -> dict[str, int]:
-    """node,count rows; a row without a comma or with a count that is not an
-    integer is skipped and counted as malformed_rows."""
-    out: dict[str, int] = {}
-    for line in decoded_lines(path, diagnostics, header="node,count"):
-        node, _, value = line.partition(",")
-        try:
-            out[node] = int(value)
-        except ValueError:
-            diagnostics["malformed_rows"] += 1
-    return out
+    """node,count rows; a row with a count that is not an integer is
+    skipped and counted as malformed_rows."""
+    return dict(_csv_rows(path, "node,count", "malformed_rows",
+                          lambda node, value: (node, int(value)), diagnostics))
 
 
 def _resolve_roles(command: str, args) -> dict[str, str]:
@@ -301,8 +286,7 @@ def _demographics(classes, demo, out):
     out = _outdir(out)
     stats = class_demographics(classes, demo)
     write_class_demographics_csv(stats, str(out / "class_demographics.csv"))
-    write_age_histogram_csv(age_histogram(classes, demo), DEFAULT_BANDS,
-                            str(out / "age_histogram.csv"))
+    write_age_histogram_csv(age_histogram(classes, demo), str(out / "age_histogram.csv"))
     engagement = _try(lambda: engagement_by_age(classes, demo))
     if engagement["value"] is not None:
         write_engagement_csv(engagement["value"], str(out / "engagement.csv"))
@@ -370,14 +354,16 @@ def cmd_extract(args) -> int:
 
 def cmd_stats(args) -> int:
     config = _config_of(args)
-    g = _load_graph("stats", args.edges)
+    diagnostics: Counter = Counter()
+    g = load_graph(args.edges, diagnostics)
+    _report_skipped("stats", diagnostics, args.edges)
     layer = args.layer
     if g.n_nodes == 0 or g.n_edges(layer) == 0:
         raise ValueError("empty graph")
     st = network_stats(g, layer, seed=args.seed,
                        **_given(args, config, exact_paths=bool, path_samples=int))
     payload = {"layer": layer, **st.as_dict(),
-               "diagnostics": dict(sorted(g.diagnostics.items()))}
+               "diagnostics": dict(sorted(diagnostics.items()))}
     _json_dump(payload, Path(args.out))
     print(f"stats[{layer}]: n={st.n} e={st.e} <k>={st.avg_degree:.4g} "
           f"spl={st.avg_shortest_path:.4g} exact={st.paths_exact}")
@@ -386,7 +372,7 @@ def cmd_stats(args) -> int:
 
 def cmd_communities(args) -> int:
     config = _config_of(args)
-    g = _load_graph("communities", args.edges)
+    g = _read("communities", load_graph, args.edges)
     part = louvain(g, args.layer, seed=args.seed, **_given(args, config, tol=float))
     write_partition_csv(part, args.out)
     n_comm = len(set(part.assignment.values()))
@@ -399,8 +385,10 @@ _MODES = {"avg_volume": AVG_VOLUME, "density": DENSITY, "null_ratio": NULL_RATIO
 
 def cmd_connectivity(args) -> int:
     config = _config_of(args)
-    g = _load_graph("connectivity", args.edges)
+    g = _read("connectivity", load_graph, args.edges)
     roles = _resolve_roles("connectivity", args)
+    # every labelled node counts in its group's size, with or without an edge
+    g = _with_nodes(g, roles)
     mode = _MODES[args.mode]
     if mode == NULL_RATIO and args.seed is None:
         raise UsageError("--seed is required for null_ratio")
@@ -415,7 +403,7 @@ def cmd_connectivity(args) -> int:
 
 
 def cmd_diffusion(args) -> int:
-    g = _load_graph("diffusion", args.edges)
+    g = _read("diffusion", load_graph, args.edges)
     roles = _resolve_roles("diffusion", args)
     # every labelled node gets a class, with or without an edge
     g = _with_nodes(g, roles)
@@ -433,7 +421,7 @@ def cmd_diffusion(args) -> int:
 
 def cmd_perception(args) -> int:
     config = _config_of(args)
-    g = _load_graph("perception", args.edges)
+    g = _read("perception", load_graph, args.edges)
     active = _read("perception", _read_node_set, args.active)
     exclude = _read("perception", _read_node_set, args.exclude) if args.exclude else None
     curve = perception_curve(g, args.layer, active, exclude=exclude,
@@ -457,7 +445,7 @@ def cmd_intervene(args) -> int:
     if args.strategy == "degree":
         if not args.edges:
             raise UsageError("--edges is required for the degree strategy")
-        ranking, label = rank_by_degree(_load_graph("intervene", args.edges)), BY_DEGREE
+        ranking, label = rank_by_degree(_read("intervene", load_graph, args.edges)), BY_DEGREE
     elif args.strategy == "greedy":
         ranking, label = adaptive_greedy_ranking(trees, max(sizes)), "Greedy"
     else:
@@ -513,7 +501,7 @@ def cmd_pipeline(args) -> int:
     g, roles, fx, events, demo = _write_fixture(cfg, out)
 
     log = _read("pipeline", read_query_log, str(out / "log.tsv"))
-    extraction = _extract(log, read_phrases(str(out / "seeds.txt")), out)
+    extraction = _extract(log, _read("pipeline", read_phrases, str(out / "seeds.txt")), out)
 
     stats = {layer: network_stats(g, layer, seed=cfg.seed).as_dict()
              for layer in LAYERS if g.n_edges(layer) > 0}
@@ -537,9 +525,7 @@ def cmd_pipeline(args) -> int:
         "bridges": _try(lambda: spread_efficiency(bridge_nodes(roles), trees)),
     }
 
-    active = producers | {n for n, c in classes.items()
-                          if c in (ConsumerClass.ACTIVE_DIRECT,
-                                   ConsumerClass.ACTIVE_INDIRECT)}
+    active = producers | {n for n, c in classes.items() if c in ACTIVE_CLASSES}
     degree = g.out_degrees(REBLOG) + g.in_degrees(REBLOG)
     counts = {node: int(degree[g.index_of(node)]) for node in active
               if degree[g.index_of(node)] > 0}

@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import LayeredGraph
-from .ingest import decoded_lines
+from .ingest import _csv_rows
 
 
 @dataclass(frozen=True)
@@ -61,11 +61,11 @@ def _q(adj: sp.csr_matrix, loops: list[float], m: float, comm) -> float:
     return sum(ec / m - (dc / two_m) ** 2 for ec, dc in zip(e.tolist(), d.tolist()))
 
 
-def modularity(g: LayeredGraph, layer: str, p: Partition | dict[str, int]) -> float:
-    """Weighted undirected modularity of a partition over the full node set."""
+def modularity(g: LayeredGraph, layer: str, assignment: dict[str, int]) -> float:
+    """Weighted undirected modularity of a node -> community assignment
+    over the full node set."""
     if g.n_nodes == 0:
         raise ValueError("empty graph")
-    assignment = p.assignment if isinstance(p, Partition) else p
     missing = [node for node in g.node_ids if node not in assignment]
     if missing:
         raise ValueError(f"partition misses {len(missing)} nodes, e.g. {missing[0]!r}")
@@ -166,35 +166,18 @@ def write_partition_csv(p: Partition, path: str) -> None:
 
 
 def read_partition_csv(path: str, diagnostics: Counter | None = None) -> dict[str, int]:
-    """node,community rows; a row whose community is not an integer is
-    skipped and counted as malformed_rows, and a line that is not valid
-    UTF-8 as undecodable_lines (see `decoded_lines`)."""
-    if diagnostics is None:
-        diagnostics = Counter()
-    out: dict[str, int] = {}
-    for line in decoded_lines(path, diagnostics, header="node,community"):
-        node, _, c = line.partition(",")
-        try:
-            out[node] = int(c)
-        except ValueError:
-            diagnostics["malformed_rows"] += 1
-    return out
+    """node,community rows (see `_csv_rows`); a row whose community is not
+    an integer is skipped and counted as malformed_rows."""
+    return dict(_csv_rows(path, "node,community", "malformed_rows",
+                          lambda node, c: (node, int(c)), diagnostics))
 
 
 def read_role_map_csv(path: str, diagnostics: Counter | None = None) -> dict[int, str]:
-    """community,role rows naming each community's functional role; a row
-    whose community is not an integer is skipped and counted as
-    malformed_rows, and a line that is not valid UTF-8 as undecodable_lines."""
-    if diagnostics is None:
-        diagnostics = Counter()
-    out: dict[int, str] = {}
-    for line in decoded_lines(path, diagnostics, header="community,role"):
-        c, _, role = line.partition(",")
-        try:
-            out[int(c)] = role
-        except ValueError:
-            diagnostics["malformed_rows"] += 1
-    return out
+    """community,role rows naming each community's functional role (see
+    `_csv_rows`); a row whose community is not an integer is skipped and
+    counted as malformed_rows."""
+    return dict(_csv_rows(path, "community,role", "malformed_rows",
+                          lambda c, role: (int(c), role), diagnostics))
 
 
 def write_role_map_csv(role_map: dict[int, str], path: str) -> None:
@@ -204,8 +187,7 @@ def write_role_map_csv(role_map: dict[int, str], path: str) -> None:
             fh.write(f"{c},{role_map[c]}\n")
 
 
-def roles_from_partition(p: Partition | dict[str, int], role_map: dict[int, str]) -> dict[str, str]:
+def roles_from_partition(assignment: dict[str, int], role_map: dict[int, str]) -> dict[str, str]:
     """Node -> role via the community -> role mapping; unmapped communities
     get role "other"."""
-    assignment = p.assignment if isinstance(p, Partition) else p
     return {node: role_map.get(c, "other") for node, c in assignment.items()}

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,7 +124,7 @@ def rewire_null_model(g: LayeredGraph, layer: str, seed,
         _swap_batch(src, dst, g.n_nodes, perm[:h], perm[h:2 * h])
     rewired = _Layer(g.n_nodes, src, dst, weight)
     layers = {name: (rewired if name == layer else g.layer(name)) for name in LAYERS}
-    return LayeredGraph(g.node_ids, layers, diagnostics=Counter(g.diagnostics))
+    return LayeredGraph(g.node_ids, layers)
 
 
 def _swap_batch(src: np.ndarray, dst: np.ndarray, n: int,

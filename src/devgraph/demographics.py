@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import ConsumerClass
-from .ingest import decoded_lines
+from .ingest import _csv_rows
 
 GENDERS = ("male", "female")
 DEFAULT_BANDS = tuple((lo, lo + 5) for lo in range(13, 73, 5))
@@ -49,22 +49,14 @@ class ClassDemographics:
 
 
 def read_demographics_csv(path: str, diagnostics: Counter | None = None) -> dict[str, DemographicRecord]:
-    """node,age,gender rows; malformed rows, ages outside (0, 120) and lines
-    that are not valid UTF-8 (see `decoded_lines`) are dropped and tallied."""
+    """node,age,gender rows (see `_csv_rows`); malformed rows and ages
+    outside (0, 120) are dropped and tallied."""
     if diagnostics is None:
         diagnostics = Counter()
     out: dict[str, DemographicRecord] = {}
-    for line in decoded_lines(path, diagnostics, header="node,age,gender"):
-        parts = line.split(",")
-        if len(parts) != 3:
-            diagnostics["malformed_demographics"] += 1
-            continue
-        node, age_text, gender = parts
-        try:
-            age = int(age_text)
-        except ValueError:
-            diagnostics["malformed_demographics"] += 1
-            continue
+    for node, age, gender in _csv_rows(path, "node,age,gender", "malformed_demographics",
+                                       lambda node, age, gender: (node, int(age), gender),
+                                       diagnostics):
         if not 0 < age < 120:
             diagnostics["age_out_of_range"] += 1
             continue
@@ -139,24 +131,22 @@ class EngagementCurve:
 
 
 def engagement_by_age(classes: dict[str, ConsumerClass],
-                      demo: dict[str, DemographicRecord],
-                      bands: tuple[tuple[int, int], ...] = DEFAULT_BANDS,
-                      active_classes: frozenset[ConsumerClass] = ACTIVE_CLASSES,
-                      ) -> dict[str, EngagementCurve]:
-    """Per gender: the share of covered users in each age band who are
-    active consumers, min-max normalized per gender. Bands with no covered
-    users carry None and stay out of the normalization."""
+                      demo: dict[str, DemographicRecord]) -> dict[str, EngagementCurve]:
+    """Per gender: the share of covered users in each age band of
+    DEFAULT_BANDS who are active consumers (ACTIVE_CLASSES), min-max
+    normalized per gender. Bands with no covered users carry None and stay
+    out of the normalization."""
     curves: dict[str, EngagementCurve] = {}
     for gender in GENDERS:
-        totals = [0] * len(bands)
-        active = [0] * len(bands)
+        totals = [0] * len(DEFAULT_BANDS)
+        active = [0] * len(DEFAULT_BANDS)
         for node, rec in demo.items():
             if rec.gender != gender or node not in classes:
                 continue
-            for i, (lo, hi) in enumerate(bands):
+            for i, (lo, hi) in enumerate(DEFAULT_BANDS):
                 if lo <= rec.age < hi:
                     totals[i] += 1
-                    if classes[node] in active_classes:
+                    if classes[node] in ACTIVE_CLASSES:
                         active[i] += 1
                     break
         raw: list[float | None] = [a / t if t else None for a, t in zip(active, totals)]
@@ -166,7 +156,7 @@ def engagement_by_age(classes: dict[str, ConsumerClass],
         norm_present = min_max_normalize(present)
         it = iter(norm_present)
         normalized = [next(it) if x is not None else None for x in raw]
-        curves[gender] = EngagementCurve(gender=gender, bands=tuple(bands),
+        curves[gender] = EngagementCurve(gender=gender, bands=DEFAULT_BANDS,
                                          raw=tuple(raw), normalized=tuple(normalized))
     return curves
 
@@ -202,26 +192,23 @@ def write_class_demographics_csv(stats: dict[str, ClassDemographics], path: str)
 
 
 def age_histogram(classes: dict[str, ConsumerClass],
-                  demo: dict[str, DemographicRecord],
-                  bands: tuple[tuple[int, int], ...] = DEFAULT_BANDS,
-                  ) -> dict[str, list[int]]:
-    """Per-class covered-user counts per age band."""
-    hist = {cls.value: [0] * len(bands) for cls in ConsumerClass}
+                  demo: dict[str, DemographicRecord]) -> dict[str, list[int]]:
+    """Per-class covered-user counts per age band of DEFAULT_BANDS."""
+    hist = {cls.value: [0] * len(DEFAULT_BANDS) for cls in ConsumerClass}
     for node, cls in classes.items():
         rec = demo.get(node)
         if rec is None:
             continue
-        for i, (lo, hi) in enumerate(bands):
+        for i, (lo, hi) in enumerate(DEFAULT_BANDS):
             if lo <= rec.age < hi:
                 hist[cls.value][i] += 1
                 break
     return hist
 
 
-def write_age_histogram_csv(hist: dict[str, list[int]],
-                            bands: tuple[tuple[int, int], ...], path: str) -> None:
+def write_age_histogram_csv(hist: dict[str, list[int]], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("class,band_lo,band_hi,count\n")
         for name in sorted(hist):
-            for (lo, hi), count in zip(bands, hist[name]):
+            for (lo, hi), count in zip(DEFAULT_BANDS, hist[name]):
                 fh.write(f"{name},{lo},{hi},{count}\n")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import FOLLOW, LayeredGraph
-from .ingest import decoded_lines
+from .ingest import _csv_rows, decoded_lines
 
 
 class ConsumerClass(enum.Enum):
@@ -130,16 +130,19 @@ def _parse_events(lines: list[str], diagnostics: Counter):
 
 
 def write_events_tsv(events: _CodedEvents, path: str) -> None:
-    """One actor, source, post, time row per event, written by columns;
-    each distinct timestamp is formatted once."""
+    """One actor, source, post, time row per event, written by columns in
+    slices of _BATCH rows; each distinct timestamp of a slice is formatted
+    once."""
     ids, posts = np.array(events.ids, dtype=object), np.array(events.posts, dtype=object)
-    # unique bit patterns, so 0.0 and -0.0 keep their own text
-    bits, at = np.unique(events.ts.view(np.int64), return_inverse=True)
-    ts = np.array([f"{t:g}" for t in bits.view(np.float64).tolist()], dtype=object)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(map("{}\t{}\t{}\t{}\n".format, ids[events.actor].tolist(),
-                          ids[events.source].tolist(), posts[events.post].tolist(),
-                          ts[at].tolist()))
+        for lo in range(0, len(events), _BATCH):
+            rows = slice(lo, lo + _BATCH)
+            # unique bit patterns, so 0.0 and -0.0 keep their own text
+            bits, at = np.unique(events.ts[rows].view(np.int64), return_inverse=True)
+            ts = np.array([f"{t:g}" for t in bits.view(np.float64).tolist()], dtype=object)
+            fh.writelines(map("{}\t{}\t{}\t{}\n".format, ids[events.actor[rows]].tolist(),
+                              ids[events.source[rows]].tolist(),
+                              posts[events.post[rows]].tolist(), ts[at].tolist()))
 
 
 class DiffusionForest:
@@ -341,16 +344,7 @@ def write_classes_csv(classes: dict[str, ConsumerClass], path: str) -> None:
 
 
 def read_classes_csv(path: str, diagnostics: Counter | None = None) -> dict[str, ConsumerClass]:
-    """node,class rows; a row without a comma or with an unknown class is
-    skipped and counted as malformed_rows, and a line that is not valid
-    UTF-8 as undecodable_lines (see `decoded_lines`)."""
-    if diagnostics is None:
-        diagnostics = Counter()
-    out: dict[str, ConsumerClass] = {}
-    for line in decoded_lines(path, diagnostics, header="node,class"):
-        node, _, value = line.partition(",")
-        try:
-            out[node] = ConsumerClass(value)
-        except ValueError:
-            diagnostics["malformed_rows"] += 1
-    return out
+    """node,class rows (see `_csv_rows`); a row with an unknown class is
+    skipped and counted as malformed_rows."""
+    return dict(_csv_rows(path, "node,class", "malformed_rows",
+                          lambda node, value: (node, ConsumerClass(value)), diagnostics))

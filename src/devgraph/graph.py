@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .ingest import decoded_lines
+from .ingest import _csv_rows, decoded_lines
 
 FOLLOW = "F"
 REBLOG = "R"
@@ -51,12 +51,10 @@ class _Layer:
 class LayeredGraph:
     """Immutable two-layer directed graph over a shared node universe."""
 
-    def __init__(self, ids: Iterable[str], layers: dict[str, _Layer],
-                 diagnostics: Counter | None = None):
+    def __init__(self, ids: Iterable[str], layers: dict[str, _Layer]):
         self._ids: tuple[str, ...] = tuple(ids)
         self._index: dict[str, int] = {b: i for i, b in enumerate(self._ids)}
         self._layers = layers
-        self.diagnostics: Counter = diagnostics if diagnostics is not None else Counter()
 
     # -- node universe ------------------------------------------------
 
@@ -111,17 +109,19 @@ class LayeredGraph:
         return self.layer(layer).csr(self.n_nodes, weighted=weighted)
 
 
-def build_graph(edges: Iterable[tuple]) -> LayeredGraph:
+def build_graph(edges: Iterable[tuple], diagnostics: Counter | None = None) -> LayeredGraph:
     """Build a LayeredGraph from (src, dst, weight, layer) tuples.
 
     Node indices are assigned in first-seen order. Self-loops are dropped
-    and counted; duplicate follow edges deduplicate, duplicate reblog
-    edges accumulate weight. Malformed entries are skipped and counted.
+    and counted in `diagnostics`; duplicate follow edges deduplicate,
+    duplicate reblog edges accumulate weight. Malformed entries are
+    skipped and counted.
     """
+    if diagnostics is None:
+        diagnostics = Counter()
     index: dict[str, int] = {}
     ids: list[str] = []
     pairs: dict[str, tuple[list, list, list]] = {name: ([], [], []) for name in LAYERS}
-    diagnostics: Counter = Counter()
 
     def intern(node: str) -> int:
         i = index.get(node)
@@ -159,14 +159,16 @@ def build_graph(edges: Iterable[tuple]) -> LayeredGraph:
         weights = (np.bincount(inverse, weights=ws, minlength=len(keys)) if name == REBLOG
                    else np.ones(len(keys)))
         layers[name] = _Layer(n, *divmod(keys, n), weights)
-    return LayeredGraph(ids, layers, diagnostics=diagnostics)
+    return LayeredGraph(ids, layers)
 
 
-def load_graph(path: str) -> LayeredGraph:
+def load_graph(path: str, diagnostics: Counter | None = None) -> LayeredGraph:
     """Load a graph from an edge-list TSV: src<TAB>dst<TAB>weight<TAB>layer.
     Rows without four fields and lines that are not valid UTF-8 are
-    skipped and counted in the graph's diagnostics."""
-    diagnostics: Counter = Counter()
+    skipped and counted in `diagnostics`, as are the entries build_graph
+    drops."""
+    if diagnostics is None:
+        diagnostics = Counter()
 
     def parse(lines):
         for line in lines:
@@ -176,9 +178,7 @@ def load_graph(path: str) -> LayeredGraph:
             else:
                 diagnostics["malformed_lines"] += 1
 
-    g = build_graph(parse(decoded_lines(path, diagnostics)))
-    g.diagnostics.update(diagnostics)
-    return g
+    return build_graph(parse(decoded_lines(path, diagnostics)), diagnostics)
 
 
 def write_edge_tsv(g: LayeredGraph, path: str) -> None:
@@ -188,20 +188,16 @@ def write_edge_tsv(g: LayeredGraph, path: str) -> None:
                 fh.write(f"{src}\t{dst}\t{w:g}\t{layer}\n")
 
 
+def _label(node: str, group: str) -> tuple[str, str]:
+    if not group:
+        raise ValueError("empty group")
+    return node, group
+
+
 def read_labels_csv(path: str, diagnostics: Counter | None = None) -> dict[str, str]:
-    """Read a node,group CSV (header optional); a row without a node or a
-    group is skipped and counted as malformed_labels, and so is a line that
-    is not valid UTF-8, as undecodable_lines (see `decoded_lines`)."""
-    if diagnostics is None:
-        diagnostics = Counter()
-    labels: dict[str, str] = {}
-    for line in decoded_lines(path, diagnostics, header="node,group"):
-        node, _, group = line.partition(",")
-        if node and group:
-            labels[node] = group
-        else:
-            diagnostics["malformed_labels"] += 1
-    return labels
+    """Read a node,group CSV (header optional; see `_csv_rows`); a row
+    without a node or a group is skipped and counted as malformed_labels."""
+    return dict(_csv_rows(path, "node,group", "malformed_labels", _label, diagnostics))
 
 
 def write_labels_csv(labels: dict[str, str], path: str) -> None:

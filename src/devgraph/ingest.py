@@ -1,12 +1,12 @@
 """Query-log parsing and normalization into an integer-coded log, and the
-line reader shared by the file readers."""
+line and row readers shared by the file readers."""
 
 from __future__ import annotations
 
 import re
 from array import array
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -52,12 +52,10 @@ def blog_id_from_url(url: str) -> str | None:
     return label or None
 
 
-def decoded_lines(path: str, diagnostics: Counter | None = None,
-                  header: str | None = None) -> Iterator[str]:
+def decoded_lines(path: str, diagnostics: Counter | None = None) -> Iterator[str]:
     """The non-empty lines of a UTF-8 file, split as in text mode (at LF,
     CRLF and CR); a line that is not valid UTF-8 is skipped and counted as
-    `undecodable_lines`. For a CSV with a `header`, lines are stripped and
-    the header line (in any case) is left out."""
+    `undecodable_lines`."""
     if diagnostics is None:
         diagnostics = Counter()
     # surrogateescape decodes each bad byte to a lone surrogate, which UTF-8
@@ -71,12 +69,34 @@ def decoded_lines(path: str, diagnostics: Counter | None = None,
                 except UnicodeEncodeError:
                     diagnostics["undecodable_lines"] += 1
                     continue
-            if header is not None:
-                line = line.strip()
-                if line.lower() == header:
-                    continue
             if line:
                 yield line
+
+
+def _csv_rows(path: str, header: str, reason: str, parse: Callable,
+              diagnostics: Counter | None = None) -> Iterator:
+    """parse(*fields) of each row of a comma-separated table whose columns
+    are named by `header`. Lines are stripped and blank ones skipped, and
+    so is the header line, in any case, wherever it appears. A row whose
+    field count differs from the header's, whose first field is empty or
+    whose parse raises ValueError is skipped and counted under `reason`; a
+    line that is not valid UTF-8 is counted as `undecodable_lines`."""
+    if diagnostics is None:
+        diagnostics = Counter()
+    width = header.count(",") + 1
+    for line in decoded_lines(path, diagnostics):
+        line = line.strip()
+        if not line or line.lower() == header:
+            continue
+        fields = line.split(",")
+        try:
+            if len(fields) != width or not fields[0]:
+                raise ValueError(line)
+            row = parse(*fields)
+        except ValueError:
+            diagnostics[reason] += 1
+            continue
+        yield row
 
 
 class _CodedLog:

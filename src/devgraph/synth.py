@@ -295,16 +295,15 @@ FEMALE_ENGAGEMENT_RATES = {13: 0.30, 18: 0.80, 23: 0.90, 28: 0.50, 33: 0.30,
                            63: 0.03, 68: 0.02}
 
 
-def engagement_fixture(per_cell: int = 40,
-                       male_rates: dict[int, float] = MALE_ENGAGEMENT_RATES,
-                       female_rates: dict[int, float] = FEMALE_ENGAGEMENT_RATES,
-                       ) -> tuple[dict[str, ConsumerClass], dict[str, DemographicRecord]]:
+def engagement_fixture(per_cell: int = 40) -> tuple[dict[str, ConsumerClass],
+                                                  dict[str, DemographicRecord]]:
     """Noise-free engagement planting: exactly round(rate * per_cell) active
-    consumers per (gender, band) cell, so the planted rate tables are the
-    oracle for the normalized curves (male peak 38-52, female peak 23-27)."""
+    consumers per (gender, band) cell, so the planted rate tables
+    MALE_ENGAGEMENT_RATES and FEMALE_ENGAGEMENT_RATES are the oracle for the
+    normalized curves (male peak 38-52, female peak 23-27)."""
     classes: dict[str, ConsumerClass] = {}
     demo: dict[str, DemographicRecord] = {}
-    for gender, rates in (("male", male_rates), ("female", female_rates)):
+    for gender, rates in (("male", MALE_ENGAGEMENT_RATES), ("female", FEMALE_ENGAGEMENT_RATES)):
         for lo, rate in rates.items():
             n_active = round(rate * per_cell)
             for j in range(per_cell):

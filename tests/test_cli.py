@@ -288,6 +288,22 @@ def test_diffusion_classes_match_pipeline(fixture_dir, tmp_path):
         assert (out / name).read_bytes() == (run / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("mode", ["density", "avg_volume"])
+def test_connectivity_matches_pipeline(fixture_dir, tmp_path, mode):
+    """Labelled nodes without an edge count in their group's size, so the
+    file route writes `pipeline`'s matrix. null_ratio is left out: the file
+    route numbers the nodes in another order, so its rewirings draw
+    differently."""
+    assert set(read_labels_csv(str(fixture_dir / "labels.csv"))) - edge_nodes(fixture_dir)
+    run, out = tmp_path / "run", tmp_path / f"{mode}.csv"
+    assert main(["pipeline", "--config", str(fixture_dir / "synth.cfg"),
+                 "--seed", "7", "--out", str(run)]) == 0
+    assert main(["connectivity", "--edges", str(fixture_dir / "edges.tsv"),
+                 "--labels", str(fixture_dir / "labels.csv"), "--layer", "R",
+                 "--mode", mode, "--out", str(out)]) == 0
+    assert out.read_bytes() == (run / f"matrix_{mode}.csv").read_bytes()
+
+
 def test_diffusion_efficiency_set(fixture_dir, tmp_path, capsys):
     nodes = tmp_path / "set.txt"
     nodes.write_text("\n".join(producers_of(fixture_dir)) + "\n")

@@ -136,7 +136,7 @@ class TestLouvain:
     def test_returned_modularity_consistent(self):
         g, _ = clique_ring()
         p = louvain(g, FOLLOW, seed=9)
-        assert p.modularity == modularity(g, FOLLOW, p)
+        assert p.modularity == modularity(g, FOLLOW, p.assignment)
 
     def test_dense_ids_from_zero(self):
         g = two_triangles()
@@ -194,7 +194,7 @@ class TestIO:
 
     def test_roles_from_partition(self):
         p = Partition(assignment={"a": 0, "b": 1, "c": 2}, modularity=0.0)
-        roles = roles_from_partition(p, {0: "producer", 1: "bridge"})
+        roles = roles_from_partition(p.assignment, {0: "producer", 1: "bridge"})
         assert roles == {"a": "producer", "b": "bridge", "c": "other"}
 
 

@@ -549,3 +549,16 @@ def test_events_writer_matches_oracle_on_default_fixture():
     g, roles = planted_graph(cfg)
     events = synth_events(cfg, g, roles)
     assert written(diffusion.write_events_tsv, events) == written(write_events_tsv, events)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cascades(st.sampled_from(WRITE_STAMPS)), st.integers(1, 4))
+def test_events_writer_matches_oracle_in_small_slices(events, batch):
+    """Slices of a few rows, so that rows and timestamps meet slice ends."""
+    coded = coded_events(events)
+    saved, diffusion._BATCH = diffusion._BATCH, batch
+    try:
+        got = written(diffusion.write_events_tsv, coded)
+    finally:
+        diffusion._BATCH = saved
+    assert got == written(write_events_tsv, coded)

@@ -1,6 +1,7 @@
 """Layered graph construction and structural statistics."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -44,16 +45,19 @@ class TestBuild:
         assert list(g.edges(REBLOG)) == [("a", "b", 5.0)]
 
     def test_self_loops_dropped_and_counted(self):
-        g = build_graph([F("a", "a"), R("b", "b"), F("a", "b")])
+        diagnostics = Counter()
+        g = build_graph([F("a", "a"), R("b", "b"), F("a", "b")], diagnostics)
         assert g.n_edges(FOLLOW) == 1
-        assert g.diagnostics["self_loops_dropped"] == 2
+        assert diagnostics["self_loops_dropped"] == 2
         # loop endpoints still join the node universe
         assert g.has_node("b")
 
     def test_malformed_skipped(self):
-        g = build_graph([F("a", "b"), ("a",), ("a", "b", "x", FOLLOW), ("a", "b", 1.0, "Z")])
+        diagnostics = Counter()
+        g = build_graph([F("a", "b"), ("a",), ("a", "b", "x", FOLLOW), ("a", "b", 1.0, "Z")],
+                        diagnostics)
         assert g.n_edges(FOLLOW) == 1
-        assert g.diagnostics["malformed_edges"] == 3
+        assert diagnostics["malformed_edges"] == 3
 
     def test_unknown_node_raises(self):
         g = build_graph([F("a", "b")])
@@ -102,9 +106,10 @@ class TestRoundTrip:
     def test_load_skips_malformed_lines(self, tmp_path):
         p = tmp_path / "edges.tsv"
         p.write_text("a\tb\t1\tF\nbroken line\n\nc\td\t2\tR\n")
-        g = load_graph(str(p))
+        diagnostics = Counter()
+        g = load_graph(str(p), diagnostics)
         assert g.n_edges(FOLLOW) == 1 and g.n_edges(REBLOG) == 1
-        assert g.diagnostics["malformed_lines"] == 1
+        assert diagnostics["malformed_lines"] == 1
 
 
 class TestSubgraph:

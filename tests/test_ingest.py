@@ -225,10 +225,7 @@ def _read_query_log(path: str, diagnostics: Counter) -> list[tuple[str, str]]:
 
 
 def _read_edges(path: str, diagnostics: Counter) -> list[tuple[str, str, float]]:
-    """load_graph's edges; its counters come on the graph, not through a
-    diagnostics argument."""
-    g = load_graph(path)
-    diagnostics.update(g.diagnostics)
+    g = load_graph(path, diagnostics)
     return [edge for layer in LAYERS for edge in g.edges(layer)]
 
 
