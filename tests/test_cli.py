@@ -3,6 +3,7 @@ import json
 import pytest
 
 from devgraph.cli import main
+from devgraph.demographics import ACTIVE_CLASSES
 from devgraph.diffusion import ConsumerClass, DiffusionForest, read_classes_csv
 from devgraph.graph import read_labels_csv
 from devgraph.ingest import read_phrases
@@ -331,6 +332,29 @@ def test_perception_stage(fixture_dir, tmp_path, capsys):
     rows = out.read_text().splitlines()
     assert rows[0] == "threshold,fraction,layer"
     assert len(rows) == 1 + 5  # thresholds 0, 0.25, 0.5, 0.75, 1
+
+
+def test_perception_matches_pipeline(fixture_dir, tmp_path):
+    """With pipeline's active set (producers and the active consumer
+    classes) and its excluded set (producers), the file route writes
+    `pipeline`'s curve. The command reads no labels, so its population is
+    the nodes of edges.tsv: labelled nodes without an edge are outside it,
+    and its excluded_zero_outdegree count is lower than report.json's."""
+    run = tmp_path / "run"
+    assert main(["pipeline", "--config", str(fixture_dir / "synth.cfg"),
+                 "--seed", "7", "--out", str(run)]) == 0
+    producers = producers_of(fixture_dir)
+    classes = read_classes_csv(str(run / "classes.csv"))
+    active = tmp_path / "active.txt"
+    active.write_text("".join(f"{n}\n" for n in sorted(
+        set(producers) | {n for n, c in classes.items() if c in ACTIVE_CLASSES})))
+    exclude = tmp_path / "exclude.txt"
+    exclude.write_text("".join(f"{n}\n" for n in producers))
+    out = tmp_path / "perception.csv"
+    assert main(["perception", "--edges", str(fixture_dir / "edges.tsv"), "--layer", "F",
+                 "--active", str(active), "--exclude", str(exclude),
+                 "--step", "0.05", "--out", str(out)]) == 0
+    assert out.read_bytes() == (run / "perception.csv").read_bytes()
 
 
 @pytest.mark.parametrize("step", ["0", "-0.5", "3", "nan"])

@@ -1,6 +1,7 @@
-"""Seed-11 outputs of `pipeline` and of the file-reading subcommands,
-pinned in tests/golden/: report.json verbatim, and the stdout and the
-sha256 of every other output file.
+"""Seed-11 outputs of `pipeline`, at the default scale and at M scale, and
+of the file-reading subcommands, pinned in tests/golden/: the default
+run's report.json verbatim, and the stdout and the sha256 of every other
+output file.
 
 Gate 9 compares two runs of the same build with each other, so it cannot
 see a change that alters both runs; these goldens can. Recapture them,
@@ -14,14 +15,17 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 from devgraph.cli import main
 from devgraph.diffusion import producer_nodes
 from devgraph.graph import read_labels_csv
+from devgraph.synth import SynthConfig
 
 GOLDEN = Path(__file__).parent / "golden"
 SEED = 11
+M_SCALE = 16
 
 
 def _run(argv: list[str], root: Path) -> str:
@@ -45,6 +49,28 @@ def pipeline_outputs(root: Path) -> dict:
     del files["report.json"]
     return {"stdout": stdout, "files": files,
             "report": (out / "report.json").read_text(encoding="utf-8")}
+
+
+def write_m_config(path: Path) -> None:
+    """The M recipe: every group size times 16 and every block probability
+    divided by 16, so the mean degree stays fixed."""
+    cfg = SynthConfig(seed=SEED)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for f in fields(SynthConfig):
+            value = getattr(cfg, f.name)
+            if f.name.startswith("n_") and f.name != "n_noise_blogs":
+                value *= M_SCALE
+            elif f.name.startswith("p_"):
+                value /= M_SCALE
+            fh.write(f"{f.name}={value}\n")
+
+
+def pipeline_m_outputs(root: Path) -> dict:
+    cfg, out = root / "m.cfg", root / "pipeline_m"
+    write_m_config(cfg)
+    stdout = _run(["pipeline", "--config", str(cfg), "--seed", str(SEED),
+                   "--out", str(out)], root)
+    return {"stdout": stdout, "files": _digests(out)}
 
 
 def subcommand_outputs(root: Path) -> dict:
@@ -84,6 +110,19 @@ def subcommand_outputs(root: Path) -> dict:
                          "--out", str(out / "demographics")],
         "connectivity_density": ["connectivity", "--edges", edges, "--labels", labels,
                                  "--mode", "density", "--out", str(out / "density.csv")],
+        "connectivity_avg_volume": ["connectivity", "--edges", edges, "--labels", labels,
+                                    "--mode", "avg_volume",
+                                    "--out", str(out / "avg_volume.csv")],
+        "connectivity_null_ratio": ["connectivity", "--edges", edges, "--labels", labels,
+                                    "--mode", "null_ratio", "--seed", str(SEED),
+                                    "--samples", "2", "--out", str(out / "null_ratio.csv"),
+                                    "--json-out", str(out / "null_ratio.json")],
+        "stats_follow": ["stats", "--edges", edges, "--layer", "F",
+                         "--out", str(out / "stats_F.json")],
+        "stats_reblog": ["stats", "--edges", edges, "--layer", "R",
+                         "--out", str(out / "stats_R.json")],
+        "extract": ["extract", "--log", str(fx / "log.tsv"), "--seeds", str(fx / "seeds.txt"),
+                    "--out", str(out / "extract")],
     }
     stdout = {name: _run(argv, root) for name, argv in commands.items()}
     return {"stdout": stdout, "files": _digests(out)}
@@ -110,13 +149,19 @@ def test_subcommands_match_golden(tmp_path):
     assert subcommand_outputs(tmp_path) == _golden("subcommands_seed11.json")
 
 
+def test_pipeline_m_matches_golden(tmp_path):
+    assert pipeline_m_outputs(tmp_path) == _golden("pipeline_m_seed11.json")
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         pipe = pipeline_outputs(Path(tmp))
         subs = subcommand_outputs(Path(tmp))
+        pipe_m = pipeline_m_outputs(Path(tmp))
     GOLDEN.mkdir(exist_ok=True)
     (GOLDEN / "pipeline_seed11_report.json").write_text(pipe.pop("report"), encoding="utf-8")
-    for name, data in (("pipeline_seed11.json", pipe), ("subcommands_seed11.json", subs)):
+    for name, data in (("pipeline_seed11.json", pipe), ("subcommands_seed11.json", subs),
+                       ("pipeline_m_seed11.json", pipe_m)):
         with open(GOLDEN / name, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(data, fh, indent=2, sort_keys=True)
             fh.write("\n")
