@@ -32,7 +32,6 @@ from .connectivity import (
     _check_swaps_per_edge,
     group_matrix,
     write_group_matrix_csv,
-    write_group_matrix_json,
 )
 from .demographics import (
     ACTIVE_CLASSES,
@@ -70,7 +69,7 @@ from .graph import (
     write_edge_tsv,
     write_labels_csv,
 )
-from .ingest import _csv_rows, read_phrases, read_query_log, write_phrases
+from .ingest import _csv_rows, _key_values, read_phrases, read_query_log, write_phrases
 from .intervention import (
     BY_DEGREE,
     BY_VOLUME,
@@ -108,20 +107,6 @@ class UsageError(Exception):
 
 # -- option plumbing ----------------------------------------------------
 
-def _kv_file(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"bad config line: {line!r}")
-            out[key.strip()] = value.strip()
-    return out
-
-
 def _cast(text: str, kind):
     if kind is bool:
         if text.lower() in ("1", "true", "yes", "on"):
@@ -146,7 +131,7 @@ def _given(args, config: dict[str, str], **kinds) -> dict:
 
 
 def _config_of(args) -> dict[str, str]:
-    return _kv_file(args.config) if getattr(args, "config", None) else {}
+    return _key_values(args.config) if getattr(args, "config", None) else {}
 
 
 # -- reading, with what was skipped named on stderr ---------------------
@@ -264,7 +249,7 @@ def _diffusion(g, roles, trees, diagnostics: Counter, out):
     out = _outdir(out)
     write_classes_csv(classes, str(out / "classes.csv"))
     report = reach_report(classes, trees)
-    _json_dump({**report.as_dict(),
+    _json_dump({**asdict(report),
                 "trees": len(trees),
                 "diagnostics": dict(sorted(diagnostics.items()))},
                out / "reach.json")
@@ -362,7 +347,7 @@ def cmd_stats(args) -> int:
         raise ValueError("empty graph")
     st = network_stats(g, layer, seed=args.seed,
                        **_given(args, config, exact_paths=bool, path_samples=int))
-    payload = {"layer": layer, **st.as_dict(),
+    payload = {"layer": layer, **asdict(st),
                "diagnostics": dict(sorted(diagnostics.items()))}
     _json_dump(payload, Path(args.out))
     print(f"stats[{layer}]: n={st.n} e={st.e} <k>={st.avg_degree:.4g} "
@@ -396,7 +381,7 @@ def cmd_connectivity(args) -> int:
                        **_given(args, config, samples=int, swaps_per_edge=int))
     write_group_matrix_csv(mat, args.out)
     if args.json_out:
-        write_group_matrix_json(mat, args.json_out)
+        _json_dump(mat.as_dict(), Path(args.json_out))
     print(f"connectivity[{args.mode}]: groups={','.join(mat.groups)}"
           + (f" flags={len(mat.flags)}" if mat.flags else ""))
     return 0
@@ -503,7 +488,7 @@ def cmd_pipeline(args) -> int:
     log = _read("pipeline", read_query_log, str(out / "log.tsv"))
     extraction = _extract(log, _read("pipeline", read_phrases, str(out / "seeds.txt")), out)
 
-    stats = {layer: network_stats(g, layer, seed=cfg.seed).as_dict()
+    stats = {layer: asdict(network_stats(g, layer, seed=cfg.seed))
              for layer in LAYERS if g.n_edges(layer) > 0}
 
     part = louvain(g, FOLLOW, seed=cfg.seed)
@@ -570,7 +555,7 @@ def cmd_pipeline(args) -> int:
         "communities": {"modularity": part.modularity,
                         "count": len(comm_sizes), "sizes": comm_sizes},
         "connectivity": connectivity,
-        "diffusion": {"trees": len(trees), "reach": reach.as_dict(),
+        "diffusion": {"trees": len(trees), "reach": asdict(reach),
                       "efficiency": efficiency},
         "perception": {**_fields(curve, "layer"), "paradox_fraction": paradox},
         "intervention": {**shrinkage, "underage": underage},

@@ -3,7 +3,6 @@ and the degree-preserving double-edge-swap null model."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -64,30 +63,39 @@ def group_matrix(g: LayeredGraph, layer: str, roles: dict[str, str], mode: str,
                  group_order: tuple[str, ...] | None = None,
                  samples: int = 10, seed: int | None = None,
                  swaps_per_edge: int = 10) -> GroupMatrix:
-    """Role-pair connectivity. AvgVolume normalizes counts by origin-group
-    size; Density by the number of possible ordered pairs; NullRatio by the
-    mean count over degree-preserving rewirings."""
+    """Role-pair connectivity: the unweighted E(A->B) counts over a base
+    that depends on the mode. AvgVolume divides by the origin group's size;
+    Density by the number of possible ordered pairs; NullRatio by the mean
+    count over `samples` seeded degree-preserving rewirings.
+
+    A cell over a zero base reports 0. Density flags each such cell as a
+    size-1 diagonal; NullRatio reports a positive count over a zero null
+    mean as +inf and flags it.
+    """
     if mode == NULL_RATIO:
-        return null_ratio_matrix(g, layer, roles, samples=samples, seed=seed,
-                                 group_order=group_order, swaps_per_edge=swaps_per_edge)
+        if seed is None:
+            raise ValueError("seed required for null-model sampling")
+        _check_samples(samples)
+    elif mode not in (AVG_VOLUME, DENSITY):
+        raise ValueError(f"unknown mode: {mode!r}")
     groups = _group_order(roles, group_order)
     counts, sizes = _edge_counts(g, layer, roles, groups)
-    k = len(groups)
-    values = np.zeros((k, k), dtype=np.float64)
+    if mode == AVG_VOLUME:
+        base = np.broadcast_to(sizes[:, None], counts.shape)
+    elif mode == DENSITY:
+        base = np.outer(sizes, sizes) - np.diag(sizes)
+    else:
+        rewired = (rewire_null_model(g, layer, seed=child, swaps_per_edge=swaps_per_edge)
+                   for child in np.random.SeedSequence(seed).spawn(samples))
+        base = sum(_edge_counts(r, layer, roles, groups)[0] for r in rewired) / samples
+    values = np.divide(counts, base, out=np.zeros(counts.shape), where=base > 0)
     flags: list[str] = []
-    for i in range(k):
-        for j in range(k):
-            if mode == AVG_VOLUME:
-                values[i, j] = counts[i, j] / sizes[i]
-            elif mode == DENSITY:
-                possible = sizes[i] * (sizes[i] - 1) if i == j else sizes[i] * sizes[j]
-                if possible == 0:
-                    values[i, j] = 0.0
-                    flags.append(f"size-1 diagonal for {groups[i]}: density reported as 0")
-                else:
-                    values[i, j] = counts[i, j] / possible
-            else:
-                raise ValueError(f"unknown mode: {mode!r}")
+    for i, j in np.argwhere(base == 0).tolist():
+        if mode == DENSITY:
+            flags.append(f"size-1 diagonal for {groups[i]}: density reported as 0")
+        elif counts[i, j] > 0:  # NullRatio; an AvgVolume zero base has no edges
+            values[i, j] = math.inf
+            flags.append(f"zero null mean for {groups[i]}->{groups[j]}")
     return GroupMatrix(groups=groups, values=_freeze(values), mode=mode,
                        flags=tuple(flags))
 
@@ -164,43 +172,6 @@ def _swap_batch(src: np.ndarray, dst: np.ndarray, n: int,
     dst[i[ok]], dst[j[ok]] = e[ok], b[ok]
 
 
-def null_ratio_matrix(g: LayeredGraph, layer: str, roles: dict[str, str],
-                      samples: int = 10, seed: int | None = None,
-                      group_order: tuple[str, ...] | None = None,
-                      swaps_per_edge: int = 10) -> GroupMatrix:
-    """Observed E(A->B) over its mean across seeded rewired samples.
-
-    Cells with zero observed edges report 0; a positive observation over a
-    zero null mean reports +inf and is flagged.
-    """
-    if seed is None:
-        raise ValueError("seed required for null-model sampling")
-    _check_samples(samples)
-    groups = _group_order(roles, group_order)
-    observed, _ = _edge_counts(g, layer, roles, groups)
-    total = np.zeros_like(observed, dtype=np.float64)
-    child_seeds = np.random.SeedSequence(seed).spawn(samples)
-    for child in child_seeds:
-        sample = rewire_null_model(g, layer, seed=child, swaps_per_edge=swaps_per_edge)
-        counts, _ = _edge_counts(sample, layer, roles, groups)
-        total += counts
-    mean = total / samples
-    k = len(groups)
-    values = np.zeros((k, k), dtype=np.float64)
-    flags: list[str] = []
-    for i in range(k):
-        for j in range(k):
-            if observed[i, j] == 0:
-                values[i, j] = 0.0
-            elif mean[i, j] == 0:
-                values[i, j] = math.inf
-                flags.append(f"zero null mean for {groups[i]}->{groups[j]}")
-            else:
-                values[i, j] = observed[i, j] / mean[i, j]
-    return GroupMatrix(groups=groups, values=_freeze(values), mode=NULL_RATIO,
-                       flags=tuple(flags))
-
-
 def _freeze(values: np.ndarray) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(x) for x in row) for row in values)
 
@@ -212,8 +183,3 @@ def write_group_matrix_csv(mat: GroupMatrix, path: str) -> None:
             cells = ",".join("inf" if math.isinf(x) else f"{x:.10g}" for x in row)
             fh.write(f"{grp},{cells}\n")
 
-
-def write_group_matrix_json(mat: GroupMatrix, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(mat.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

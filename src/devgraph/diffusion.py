@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import FOLLOW, LayeredGraph
-from .ingest import _csv_rows, decoded_lines
+from .ingest import _csv_rows, _ranked, decoded_lines
 
 
 class ConsumerClass(enum.Enum):
@@ -52,15 +52,6 @@ class _CodedEvents:
 
     def __len__(self) -> int:
         return len(self.ts)
-
-
-def _ranked(names: list[str], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The names that `codes` use, sorted, and each code's rank among them."""
-    used = np.flatnonzero(np.bincount(codes, minlength=len(names))).tolist()
-    order = sorted(used, key=names.__getitem__)
-    rank = np.full(len(names), -1, dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    return [names[i] for i in order], rank
 
 
 # lines parsed at a time: about 1 MB of a typical events file
@@ -284,11 +275,6 @@ class ReachReport:
     class_counts: dict[str, int]
     flows: dict[str, dict[str, int]]
     amplification: float | None
-
-    def as_dict(self) -> dict:
-        return {"class_counts": dict(self.class_counts),
-                "flows": {k: dict(v) for k, v in self.flows.items()},
-                "amplification": self.amplification}
 
 
 def reach_report(classes: dict[str, ConsumerClass], forest: DiffusionForest) -> ReachReport:

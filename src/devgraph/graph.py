@@ -28,8 +28,9 @@ _PATH_CHUNK = 512
 
 
 class _Layer:
-    """Frozen adjacency for one layer: CSR out-view plus an in-view, built
-    from distinct (src, dst) pairs given in any order."""
+    """Frozen adjacency for one layer, built from distinct (src, dst) pairs
+    given in any order: the edges sorted by (src, dst), whose dst and weight
+    with out_indptr make the CSR out-view, plus an in-view."""
 
     def __init__(self, n_nodes: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray):
         order = np.lexsort((dst, src))
@@ -38,14 +39,12 @@ class _Layer:
         self.weight = np.asarray(weight, dtype=np.float64)[order]
         self.n_edges = len(order)
         self.out_indptr = np.concatenate(([0], np.cumsum(np.bincount(self.src, minlength=n_nodes))))
-        self.out_indices = self.dst
-        self.out_weights = self.weight
         self.in_indptr = np.concatenate(([0], np.cumsum(np.bincount(self.dst, minlength=n_nodes))))
         self.in_indices = self.src[np.lexsort((self.src, self.dst))]
 
     def csr(self, n_nodes: int, weighted: bool = True) -> sp.csr_matrix:
         data = self.weight if weighted else np.ones(self.n_edges, dtype=np.float64)
-        return sp.csr_matrix((data, self.out_indices, self.out_indptr), shape=(n_nodes, n_nodes))
+        return sp.csr_matrix((data, self.dst, self.out_indptr), shape=(n_nodes, n_nodes))
 
 
 class LayeredGraph:
@@ -249,15 +248,6 @@ class NetworkStats:
     avg_shortest_path: float
     diameter: float
     paths_exact: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n, "e": self.e,
-            "avg_degree": self.avg_degree, "density": self.density,
-            "reciprocity": self.reciprocity, "clustering": self.clustering,
-            "avg_shortest_path": self.avg_shortest_path, "diameter": self.diameter,
-            "paths_exact": self.paths_exact,
-        }
 
 
 def mean_degree_and_density(n_nodes: int, n_edges: int) -> tuple[float, float]:

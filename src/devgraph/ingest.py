@@ -1,5 +1,6 @@
-"""Query-log parsing and normalization into an integer-coded log, and the
-line and row readers shared by the file readers."""
+"""Query-log parsing and normalization into an integer-coded log, and what
+the readers share: the line, row and key=value readers, and the ranking of
+a vocabulary in sorted order."""
 
 from __future__ import annotations
 
@@ -99,6 +100,32 @@ def _csv_rows(path: str, header: str, reason: str, parse: Callable,
         yield row
 
 
+def _key_values(path: str) -> dict[str, str]:
+    """The entries of a flat key=value file, keys and values stripped; blank
+    lines and lines starting with # are skipped, and a line without = is a
+    ValueError. A later entry for a key wins."""
+    out: dict[str, str] = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ValueError(f"bad config line: {line!r}")
+            out[key.strip()] = value.strip()
+    return out
+
+
+def _ranked(names: list[str], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The names that `codes` use, sorted, and each code's rank among them."""
+    used = np.flatnonzero(np.bincount(codes, minlength=len(names))).tolist()
+    order = sorted(used, key=names.__getitem__)
+    rank = np.full(len(names), -1, dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return [names[i] for i in order], rank
+
+
 class _CodedLog:
     """A query log encoded into integer arrays: the distinct (blog, query)
     pairs with their click counts, and per blog its total clicks and
@@ -112,15 +139,13 @@ class _CodedLog:
 
     def __init__(self, queries: list[str], blogs: list[str],
                  query: np.ndarray, blog: np.ndarray):
-        order = sorted(range(len(blogs)), key=blogs.__getitem__)
-        rank = np.empty(len(blogs), dtype=np.int64)
-        rank[order] = np.arange(len(blogs))
+        self.blog_ids, rank = _ranked(blogs, blog)
         n_queries = max(len(queries), 1)
         keys, self.pair_clicks = np.unique(rank[blog] * n_queries + query,
                                            return_counts=True)
-        used, self.pair_blog = np.unique(keys // n_queries, return_inverse=True)
+        # every ranked blog has a pair, so the ranks are the blog codes
+        self.pair_blog = keys // n_queries
         kept, self.pair_query = np.unique(keys % n_queries, return_inverse=True)
-        self.blog_ids = [blogs[order[i]] for i in used.tolist()]
         self.blog_code = {b: i for i, b in enumerate(self.blog_ids)}
         self.queries = np.array([queries[i] for i in kept.tolist()], dtype=object)
         self.query_code = {q: i for i, q in enumerate(self.queries)}

@@ -10,8 +10,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .demographics import DemographicRecord
-from .diffusion import ConsumerClass, _CodedEvents
+from .diffusion import ConsumerClass, _CodedEvents, producer_nodes
 from .graph import FOLLOW, REBLOG, LAYERS, LayeredGraph, _Layer, build_graph
+from .ingest import _key_values
 
 GROUPS = ("producer_one", "producer_two", "bridge_one", "bridge_two", "outer")
 _PREFIX = {"producer_one": "p1", "producer_two": "p2",
@@ -50,20 +51,13 @@ class SynthConfig:
 
 
 def read_config(path: str) -> SynthConfig:
-    """Flat key=value file; unknown keys rejected."""
+    """Flat key=value file (see `_key_values`); unknown keys rejected."""
     allowed = {f.name: f.type for f in fields(SynthConfig)}
     kwargs: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep or key not in allowed:
-                raise ValueError(f"bad config line: {line!r}")
-            value = value.strip()
-            kwargs[key] = float(value) if "float" in str(allowed[key]) else int(value)
+    for key, value in _key_values(path).items():
+        if key not in allowed:
+            raise ValueError(f"unknown config key: {key!r}")
+        kwargs[key] = float(value) if "float" in str(allowed[key]) else int(value)
     return SynthConfig(**kwargs)
 
 
@@ -149,7 +143,7 @@ def synth_events(cfg: SynthConfig, g: LayeredGraph, roles: dict[str, str]) -> _C
     cascade_join_prob, one uniform draw per candidate in in-view order."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(60)[40])
     join = cfg.cascade_join_prob
-    producers = sorted(n for n, r in roles.items() if r.startswith("producer"))
+    producers = sorted(producer_nodes(roles))
     lay = g.layer(REBLOG)
     indptr, indices = lay.in_indptr.tolist(), lay.in_indices.tolist()
     # the events' columns: graph indices of actor and source, post index, time
@@ -271,11 +265,12 @@ def synth_demographics(cfg: SynthConfig, roles: dict[str, str]) -> dict[str, Dem
     """Seeded ages and genders: producers skew older and male, the rest
     younger and balanced; coverage per demo_coverage."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(60)[50])
+    producers = producer_nodes(roles)
     out: dict[str, DemographicRecord] = {}
     for node in sorted(roles):
         if rng.random() > cfg.demo_coverage:
             continue
-        if roles[node].startswith("producer"):
+        if node in producers:
             age = int(np.clip(round(rng.normal(38, 8)), 18, 69))
             gender = "male" if rng.random() < 0.82 else "female"
         else:

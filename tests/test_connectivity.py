@@ -11,10 +11,8 @@ from devgraph.connectivity import (
     DENSITY,
     NULL_RATIO,
     group_matrix,
-    null_ratio_matrix,
     rewire_null_model,
     write_group_matrix_csv,
-    write_group_matrix_json,
 )
 from devgraph.graph import FOLLOW, REBLOG, build_graph
 
@@ -55,6 +53,20 @@ class TestGroupMatrix:
         m = group_matrix(g, FOLLOW, {"a": "A", "b": "B"}, DENSITY)
         assert m.cell("A", "A") == 0.0
         assert any("size-1 diagonal" in f for f in m.flags)
+
+    def test_group_outside_graph_reads_zero(self):
+        """A role whose nodes are all outside the graph has size 0, so its
+        cells are over a zero base and read 0, not nan."""
+        g = build_graph([F("a", "b")])
+        roles = {"a": "A", "b": "A", "z": "Z"}
+        vol = group_matrix(g, FOLLOW, roles, AVG_VOLUME)
+        assert vol.values == ((0.5, 0.0), (0.0, 0.0)) and vol.flags == ()
+        dens = group_matrix(g, FOLLOW, roles, DENSITY)
+        assert dens.values == ((0.5, 0.0), (0.0, 0.0))
+
+    def test_unknown_mode_error(self):
+        with pytest.raises(ValueError, match="unknown mode"):
+            group_matrix(build_graph([]), FOLLOW, {}, "Volume")
 
     def test_missing_role_error(self):
         g = build_graph([F("a", "b")])
@@ -165,13 +177,13 @@ class TestNullRatio:
         edges = [F(u, v) for u in nodes for v in nodes if u != v]
         g = build_graph(edges)
         roles = {n: ("A" if i < 3 else "B") for i, n in enumerate(nodes)}
-        m = null_ratio_matrix(g, FOLLOW, roles, samples=3, seed=5, swaps_per_edge=0)
+        m = group_matrix(g, FOLLOW, roles, NULL_RATIO, samples=3, seed=5, swaps_per_edge=0)
         assert all(x == 1.0 for row in m.values for x in row)
 
     def test_seed_required(self):
         g = build_graph([F("a", "b"), F("c", "d")])
         with pytest.raises(ValueError, match="seed"):
-            null_ratio_matrix(g, FOLLOW, {"a": "A", "b": "A", "c": "A", "d": "A"})
+            group_matrix(g, FOLLOW, {"a": "A", "b": "A", "c": "A", "d": "A"}, NULL_RATIO)
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_samples_below_one_error(self, monkeypatch, samples):
@@ -181,8 +193,8 @@ class TestNullRatio:
         monkeypatch.setattr(connectivity, "rewire_null_model", None)
         g = build_graph([F("a", "b"), F("c", "d")])
         with pytest.raises(ValueError, match="^samples must be at least 1$"):
-            null_ratio_matrix(g, FOLLOW, {"a": "A", "b": "A", "c": "B", "d": "B"},
-                              samples=samples, seed=0)
+            group_matrix(g, FOLLOW, {"a": "A", "b": "A", "c": "B", "d": "B"}, NULL_RATIO,
+                         samples=samples, seed=0)
 
     def test_planted_two_clique_structure(self):
         rng = np.random.default_rng(12)
@@ -196,7 +208,7 @@ class TestNullRatio:
         edges.append(F("n13", "n1"))
         g = build_graph(edges)
         roles = {n: ("A" if int(n[1:]) < 12 else "B") for n in g.node_ids}
-        m = null_ratio_matrix(g, FOLLOW, roles, samples=20, seed=31)
+        m = group_matrix(g, FOLLOW, roles, NULL_RATIO, samples=20, seed=31)
         assert m.cell("A", "A") > 1.2
         assert m.cell("B", "B") > 1.2
         assert m.cell("A", "B") < 0.5
@@ -212,7 +224,7 @@ class TestNullRatio:
                 edges.append((f"n{u}", f"n{v}", 1.0, FOLLOW))
         g = build_graph(edges)
         roles = {n: f"G{int(n[1:]) % 2}" for n in g.node_ids}
-        m = null_ratio_matrix(g, FOLLOW, roles, samples=50, seed=77)
+        m = group_matrix(g, FOLLOW, roles, NULL_RATIO, samples=50, seed=77)
         for row in m.values:
             for x in row:
                 assert 0.5 <= x <= 2.0
@@ -220,7 +232,7 @@ class TestNullRatio:
     def test_zero_observed_reports_zero(self):
         g = build_graph([F("a1", "a2"), F("a2", "a1"), F("b1", "b2"), F("b2", "b1")])
         roles = {"a1": "A", "a2": "A", "b1": "B", "b2": "B"}
-        m = null_ratio_matrix(g, FOLLOW, roles, samples=4, seed=1, swaps_per_edge=0)
+        m = group_matrix(g, FOLLOW, roles, NULL_RATIO, samples=4, seed=1, swaps_per_edge=0)
         assert m.cell("A", "B") == 0.0
 
 
@@ -235,11 +247,9 @@ class TestOutput:
         assert lines[1] == "A,0,1"
         assert lines[2] == "B,0,0"
 
-    def test_json_inf_encoding(self, tmp_path):
+    def test_json_inf_encoding(self):
         from devgraph.connectivity import GroupMatrix
         m = GroupMatrix(groups=("A",), values=((math.inf,),), mode=NULL_RATIO,
                         flags=("zero null mean for A->A",))
-        p = tmp_path / "matrix.json"
-        write_group_matrix_json(m, str(p))
-        data = json.loads(p.read_text())
+        data = json.loads(json.dumps(m.as_dict(), allow_nan=False))
         assert data["values"][0][0] == "inf"

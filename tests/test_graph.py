@@ -73,7 +73,7 @@ class TestBuild:
         g = build_graph([F("a", "b"), F("a", "c"), F("b", "c"), R("c", "a", 2.0)])
         lay = g.layer(FOLLOW)
         assert lay.out_indptr.tolist() == [0, 2, 3, 3]
-        assert lay.out_indices.tolist() == [1, 2, 2]
+        assert lay.dst.tolist() == [1, 2, 2]
         assert lay.in_indptr.tolist() == [0, 0, 1, 3]
         assert lay.in_indices.tolist() == [0, 0, 1]
         assert g.out_degrees(FOLLOW).tolist() == [2, 1, 0]

@@ -73,8 +73,6 @@ class DictLayer:
         self.n_edges = len(srcs)
         counts = np.bincount(self.src, minlength=n_nodes) if self.n_edges else np.zeros(n_nodes, dtype=np.int64)
         self.out_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        self.out_indices = self.dst
-        self.out_weights = self.weight
         order = np.lexsort((self.src, self.dst)) if self.n_edges else np.array([], dtype=np.int64)
         in_counts = np.bincount(self.dst, minlength=n_nodes) if self.n_edges else np.zeros(n_nodes, dtype=np.int64)
         self.in_indptr = np.concatenate(([0], np.cumsum(in_counts))).astype(np.int64)
@@ -306,8 +304,7 @@ def oracle_synth_events(cfg: SynthConfig, g: LayeredGraph,
 
 # -- comparison ---------------------------------------------------------------
 
-ARRAYS = ("src", "dst", "weight", "out_indptr", "out_indices", "out_weights",
-          "in_indptr", "in_indices")
+ARRAYS = ("src", "dst", "weight", "out_indptr", "in_indptr", "in_indices")
 
 
 def assert_same_graph(got: LayeredGraph, want: LayeredGraph) -> None:
