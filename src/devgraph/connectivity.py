@@ -68,9 +68,10 @@ def group_matrix(g: LayeredGraph, layer: str, roles: dict[str, str], mode: str,
     Density by the number of possible ordered pairs; NullRatio by the mean
     count over `samples` seeded degree-preserving rewirings.
 
-    A cell over a zero base reports 0. Density flags each such cell as a
-    size-1 diagonal; NullRatio reports a positive count over a zero null
-    mean as +inf and flags it.
+    A cell over a zero base reports 0. Density flags each such cell as the
+    diagonal of a one-node group or as a cell of a group with no node in
+    `g`, which it names; NullRatio reports a positive count over a zero
+    null mean as +inf and flags it.
     """
     if mode == NULL_RATIO:
         if seed is None:
@@ -91,8 +92,12 @@ def group_matrix(g: LayeredGraph, layer: str, roles: dict[str, str], mode: str,
     values = np.divide(counts, base, out=np.zeros(counts.shape), where=base > 0)
     flags: list[str] = []
     for i, j in np.argwhere(base == 0).tolist():
-        if mode == DENSITY:
+        if mode == DENSITY and sizes[i] and sizes[j]:
             flags.append(f"size-1 diagonal for {groups[i]}: density reported as 0")
+        elif mode == DENSITY:  # a group with no node in g
+            empty = groups[j] if sizes[i] else groups[i]
+            flags.append(f"no node of {empty} in the graph: density of "
+                         f"{groups[i]}->{groups[j]} reported as 0")
         elif counts[i, j] > 0:  # NullRatio; an AvgVolume zero base has no edges
             values[i, j] = math.inf
             flags.append(f"zero null mean for {groups[i]}->{groups[j]}")

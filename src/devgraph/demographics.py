@@ -123,12 +123,6 @@ class EngagementCurve:
     raw: tuple[float | None, ...]
     normalized: tuple[float | None, ...]
 
-    def band_value(self, lo: int) -> float | None:
-        for (b_lo, _), v in zip(self.bands, self.normalized):
-            if b_lo == lo:
-                return v
-        raise KeyError(lo)
-
 
 def engagement_by_age(classes: dict[str, ConsumerClass],
                       demo: dict[str, DemographicRecord]) -> dict[str, EngagementCurve]:

@@ -150,32 +150,51 @@ class DiffusionForest:
         self.ids = events.ids
         self.index = {n: i for i, n in enumerate(self.ids)}
         n, n_posts = max(len(self.ids), 1), len(events.posts)
-        # each (post, actor)'s earliest event, ties to the earlier row
+        # each (post, actor)'s earliest event, ties to the earlier row; each
+        # event-length temporary is freed once dead, and an array is narrowed
+        # by rebinding, so that few of them are alive at once
         key = events.post * n + events.actor
         order = np.lexsort((events.ts, key))
         key = key[order]
         first = np.flatnonzero(np.diff(key, prepend=-1))
-        key, source = key[first], events.source[order[first]]
-        post, actor = np.divmod(key, n)
+        source = events.source[order[first]]
+        del order
+        key = key[first]
+        del first
+        post = key // n
         # the source's own appearance in the post, if it has one
-        want = post * n + source
-        up = np.minimum(np.searchsorted(key, want), max(len(key) - 1, 0))
+        want = post * n
+        want += source
+        del source
+        up = np.searchsorted(key, want)
+        np.minimum(up, max(len(key) - 1, 0), out=up)
         found = key[up] == want
         roots = np.unique(want[~found])
+        del want
+        actor = key % n
+        del key
         n_roots = np.bincount(roots // n, minlength=n_posts)
         root_of = np.full(n_posts, -1, dtype=np.int64)
         root_of[roots // n] = roots % n
+        # post ascends, so its run lengths restore it once the loop is done
+        runs = np.bincount(post, minlength=n_posts)
+        del post
         # pointer doubling: jump[w] ends at -1 iff w's chain reaches the root
         jump = np.where(found, up, -1)
         pending = np.flatnonzero(jump >= 0)
         while pending.size:
-            jump[pending] = jump[jump[pending]]
-            left = pending[jump[pending] >= 0]
+            hop = jump[jump[pending]]
+            jump[pending] = hop
+            settled = hop < 0
+            del hop
             # every round settles some chain unless only cycles are left
-            if left.size == pending.size:
+            if not settled.any():
                 break
-            pending = left
+            pending = pending[~settled]
+        del pending
+        post = np.repeat(np.arange(n_posts), runs)
         cyclic = np.bincount(post[jump >= 0], minlength=n_posts) > 0
+        del jump
         for reason, skip in (("cyclic_posts", (n_roots == 0) | ((n_roots == 1) & cyclic)),
                              ("multi_origin_posts", n_roots > 1)):
             if skip.any():
@@ -188,14 +207,28 @@ class DiffusionForest:
         n_trees = len(tree_posts)
         tree_of = np.full(n_posts, -1, dtype=np.int64)
         tree_of[tree_posts] = np.arange(n_trees)
+        # kept events, in order, become the appearances after the roots: a
+        # kept event's is n_trees plus its index less the events of the
+        # dropped posts up to its own
+        up -= np.cumsum(np.where(keep, 0, runs))[post]
+        up += n_trees
         below = np.flatnonzero(keep[post])
-        app = np.full(len(post), -1, dtype=np.int64)
-        app[below] = n_trees + np.arange(len(below))
-        hang = tree_of[post[below]]
+        up = up[below]
+        post = post[below]
         inner = found[below]
-        hang[inner] = app[up[below][inner]]
-        self.node = np.concatenate((root_of[tree_posts], actor[below]))
-        self.parent = np.concatenate((np.full(n_trees, -1, dtype=np.int64), hang))
+        del found
+        size = n_trees + len(below)
+        self.parent = np.full(size, -1, dtype=np.int64)
+        hang = self.parent[n_trees:]
+        # mode "clip" (the indices are in range) writes to out unbuffered
+        np.take(tree_of, post, out=hang, mode="clip")
+        del post
+        # an appearance whose source appears in the post hangs from it
+        hang[inner] = up[inner]
+        del up
+        self.node = np.empty(size, dtype=np.int64)
+        self.node[:n_trees] = root_of[tree_posts]
+        np.take(actor, below, out=self.node[n_trees:], mode="clip")
 
     @property
     def n_nodes(self) -> int:

@@ -264,16 +264,28 @@ def _undirected_projection(g: LayeredGraph, layer: str) -> sp.csr_matrix:
     return u.tocsr()
 
 
-# rows of the projection squared at a time by _triangles
-_TRIANGLE_ROWS = 2048
+# 2-paths per row block of _triangles, which bounds the block's product
+_TRIANGLE_WEDGES = 1 << 18
 
 
 def _triangles(u: sp.csr_matrix) -> np.ndarray:
     """Twice each node's triangle count: row sums of (u @ u) masked by u,
-    formed over row blocks so that the whole square is never held."""
-    blocks = (u[i:i + _TRIANGLE_ROWS] for i in range(0, u.shape[0], _TRIANGLE_ROWS))
-    return np.concatenate([np.asarray((rows @ u).multiply(rows).sum(axis=1)).ravel()
-                           for rows in blocks])
+    formed over row blocks so that the whole square is never held.
+
+    A row's 2-paths number the sum of its neighbours' degrees. A block
+    takes rows while their 2-paths fit in _TRIANGLE_WEDGES; a row over the
+    budget is a block of its own."""
+    # 2-paths of the rows up to each row
+    paths = np.cumsum(u @ np.diff(u.indptr))
+    counts = []
+    lo = 0
+    while lo < u.shape[0]:
+        before = paths[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(paths, before + _TRIANGLE_WEDGES, side="right")), lo + 1)
+        rows = u[lo:hi]
+        counts.append(np.asarray((rows @ u).multiply(rows).sum(axis=1)).ravel())
+        lo = hi
+    return np.concatenate(counts)
 
 
 # set bits per byte value; np.bitwise_count needs numpy >= 2.0

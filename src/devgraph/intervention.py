@@ -29,15 +29,26 @@ class ShrinkageCurve:
 
 def rank_by_volume(forest: DiffusionForest) -> list[str]:
     """Roots and spreaders ordered by how many distinct blogs sit strictly
-    below them across all trees; ties break by node id."""
-    n = forest.n_nodes
-    above, app = _root_paths(forest)
-    strict = above != app
-    pairs = forest.node[above[strict]] * n + forest.node[app[strict]]
-    del above, app, strict
-    pairs.sort()
-    distinct = pairs[np.flatnonzero(np.diff(pairs, prepend=-1))]
-    reach = np.bincount(distinct // n, minlength=n)
+    below them across all trees; ties break by node id.
+
+    The (ancestor, blog) pairs are gathered one ancestor level at a time,
+    each level's distinct, so the pairs of all levels are never held."""
+    n, node, parent = forest.n_nodes, forest.node, forest.parent
+    levels = [np.empty(0, dtype=np.int64)]
+    app = np.flatnonzero(parent >= 0)
+    above = parent[app]
+    while app.size:
+        keys = node[above]
+        keys *= n
+        keys += node[app]
+        levels.append(_distinct(keys))
+        del keys
+        above = parent[above]
+        up = above >= 0
+        app, above = app[up], above[up]
+    pairs = np.concatenate(levels)
+    del levels
+    reach = np.bincount(_distinct(pairs) // n, minlength=n)
     # node codes follow id order, so the code breaks ties
     candidates = np.flatnonzero(_candidates(forest))
     order = candidates[np.lexsort((candidates, -reach[candidates]))]
@@ -52,6 +63,16 @@ def rank_by_degree(g: LayeredGraph) -> list[str]:
 
 
 _NEVER = np.iinfo(np.int64).max
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of keys, ascending; sorts keys in place
+    (np.unique's hash path is far slower on large int64 input)."""
+    keys.sort()
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return keys[new]
 
 
 def _candidates(forest: DiffusionForest) -> np.ndarray:

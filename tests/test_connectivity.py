@@ -64,6 +64,29 @@ class TestGroupMatrix:
         dens = group_matrix(g, FOLLOW, roles, DENSITY)
         assert dens.values == ((0.5, 0.0), (0.0, 0.0))
 
+    def test_empty_group_flag_names_the_group(self):
+        """A zero Density base next to a group with no node in the graph
+        names that group; only a one-node group's diagonal is "size-1"."""
+        g = build_graph([F("a", "b"), F("b", "c")])
+        roles = {"a": "A", "b": "A", "c": "C", "z": "Z"}
+        dens = group_matrix(g, FOLLOW, roles, DENSITY)
+        assert dens.flags == (
+            "no node of Z in the graph: density of A->Z reported as 0",
+            "size-1 diagonal for C: density reported as 0",
+            "no node of Z in the graph: density of C->Z reported as 0",
+            "no node of Z in the graph: density of Z->A reported as 0",
+            "no node of Z in the graph: density of Z->C reported as 0",
+            "no node of Z in the graph: density of Z->Z reported as 0",
+        )
+        g = build_graph([F("a", "b")])
+        dens = group_matrix(g, FOLLOW, {"a": "A", "b": "A", "z": "Z"}, DENSITY)
+        assert not any("size-1" in f for f in dens.flags)
+        assert dens.flags == (
+            "no node of Z in the graph: density of A->Z reported as 0",
+            "no node of Z in the graph: density of Z->A reported as 0",
+            "no node of Z in the graph: density of Z->Z reported as 0",
+        )
+
     def test_unknown_mode_error(self):
         with pytest.raises(ValueError, match="unknown mode"):
             group_matrix(build_graph([]), FOLLOW, {}, "Volume")

@@ -18,6 +18,11 @@ from devgraph.demographics import (
 from devgraph.diffusion import ConsumerClass
 
 
+def by_band(curve):
+    """Normalized value by band start; a missing band raises KeyError."""
+    return dict(zip((lo for lo, _ in curve.bands), curve.normalized))
+
+
 def rec(node, age, gender="male"):
     return DemographicRecord(node=node, age=age, gender=gender)
 
@@ -115,18 +120,18 @@ class TestEngagement:
         assert max(x for x in m.normalized if x is not None) == 1.0
         assert min(x for x in m.normalized if x is not None) == 0.0
         # peak locations match the planted ground truth
-        assert m.band_value(43) == 1.0
-        assert f.band_value(18) == 1.0
+        assert by_band(m)[43] == 1.0
+        assert by_band(f)[18] == 1.0
 
     def test_crossing_shape(self):
         classes, demo, _, _ = planted_population()
         curves = engagement_by_age(classes, demo)
-        m, f = curves["male"], curves["female"]
+        m, f = by_band(curves["male"]), by_band(curves["female"])
         # female dominates in the 20s, male dominates 38-53
         for lo in (18, 23):
-            assert f.band_value(lo) > m.band_value(lo)
+            assert f[lo] > m[lo]
         for lo in (38, 43, 48):
-            assert m.band_value(lo) > f.band_value(lo)
+            assert m[lo] > f[lo]
 
     def test_empty_band_excluded(self):
         classes = {}
@@ -159,9 +164,10 @@ class TestEngagement:
                 classes[fnode] = (ConsumerClass.ACTIVE_DIRECT
                                   if lo == 23 and j < 4 else ConsumerClass.PASSIVE)
         curves = engagement_by_age(classes, demo)
-        assert curves["male"].band_value(18) == 1.0
-        assert curves["male"].band_value(13) == 0.0
-        assert curves["male"].band_value(23) == 0.0
+        male = by_band(curves["male"])
+        assert male[18] == 1.0
+        assert male[13] == 0.0
+        assert male[23] == 0.0
 
     def test_flat_engagement_error(self):
         classes = {}

@@ -1,6 +1,8 @@
 """Oracles for the structural statistics: the bit-parallel BFS in
-`_path_stats` against the per-source scipy search it replaced, and
-`network_stats` against networkx on the seed-11 fixture."""
+`_path_stats` against the per-source scipy search it replaced, the
+2-path-budget blocks of `_triangles` against the fixed row blocks they
+replaced and networkx, and `network_stats` against networkx on the seed-11
+fixture."""
 
 import networkx as nx
 import numpy as np
@@ -10,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
+from devgraph import graph
 from devgraph.graph import (
     FOLLOW,
     LAYERS,
     _PATH_CHUNK,
     _path_stats,
+    _triangles,
     build_graph,
     gwcc,
     network_stats,
@@ -41,6 +45,17 @@ def dijkstra_path_stats(u: sp.csr_matrix, n: int, exact: bool, path_samples: int
         diameter = max(diameter, dist.max())
     spl = total / (len(sources) * (n - 1))
     return spl, diameter
+
+
+# rows of the projection squared at a time by row_block_triangles
+_TRIANGLE_ROWS = 2048
+
+
+def row_block_triangles(u: sp.csr_matrix) -> np.ndarray:
+    """The previous `_triangles`, verbatim: blocks of 2,048 rows."""
+    blocks = (u[i:i + _TRIANGLE_ROWS] for i in range(0, u.shape[0], _TRIANGLE_ROWS))
+    return np.concatenate([np.asarray((rows @ u).multiply(rows).sum(axis=1)).ravel()
+                           for rows in blocks])
 
 
 def set_reciprocity(src, dst) -> float:
@@ -144,6 +159,44 @@ def test_disconnected_is_inf(pairs, n):
     u = undirected(n, pairs)
     assert _path_stats(u, n, True, 1000, None) == (np.inf, np.inf)
     same(_path_stats(u, n, True, 1000, None), dijkstra_path_stats(u, n, True, 1000, None))
+
+
+def check_triangles(u: sp.csr_matrix, budget: int) -> None:
+    """`_triangles` under a 2-path budget equals the row-block oracle and
+    twice networkx's per-node triangle counts."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_TRIANGLE_WEDGES", budget)
+        got = _triangles(u)
+    assert np.array_equal(got, row_block_triangles(u))
+    tri = nx.triangles(nx.from_scipy_sparse_array(u))
+    assert got.tolist() == [2 * tri[i] for i in range(u.shape[0])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_nodes=300), st.one_of(st.integers(1, 64), st.just(1 << 18)))
+def test_triangles_match_row_blocks(case, budget):
+    u, _n = case
+    check_triangles(u, budget)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 5, 1 << 18])
+def test_triangles_without_two_paths(budget):
+    u = undirected(5, [])
+    assert not u.nnz
+    check_triangles(u, budget)
+
+
+@pytest.mark.parametrize("budget", [1, 5, 29, 30, 31, 1 << 18])
+def test_triangles_hub_over_budget(budget):
+    """Node 0 joins 30 leaves, and ten leaf pairs close triangles through
+    it: its 2-paths (the sum of its leaves' degrees, 50) exceed every small
+    budget, so it forms a block of its own between its neighbours' rows."""
+    pairs = [(0, leaf) for leaf in range(1, 31)]
+    pairs += [(leaf, leaf + 1) for leaf in range(1, 21, 2)]
+    pairs += [(31, 32), (32, 33), (31, 33)]
+    u = undirected(34, pairs)
+    assert (u @ np.diff(u.indptr))[0] == 50
+    check_triangles(u, budget)
 
 
 @settings(max_examples=60, deadline=None)

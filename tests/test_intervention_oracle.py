@@ -1,7 +1,10 @@
 """The forest-flattening intervention code against the tree-walking
 definitions it replaced, kept here verbatim as oracles: exact equality of
 greedy rankings (ties included), shrinkage curves with their warnings, and
-underage thresholds or their errors, over random overlapping forests.
+underage thresholds or their errors, over random overlapping forests. The
+level-by-level `rank_by_volume` is checked against the all-levels pair set
+it replaced, over forests whose deep chains repeat (ancestor, blog) pairs
+within and across levels.
 
 The tree-walking definitions of the baseline and of the consumers still
 reached (`baseline_consumers`, `reached_consumers`) live only here now;
@@ -11,15 +14,20 @@ that `tree_helpers.trees_of` rebuilds from the forest.
 
 from collections.abc import Sequence
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from devgraph.diffusion import build_trees, producer_nodes
+from devgraph.diffusion import DiffusionForest
 from devgraph.intervention import (
     ShrinkageCurve,
     UnderageThreshold,
+    _candidates,
+    _root_paths,
     adaptive_greedy_ranking,
+    rank_by_volume,
     shrinkage_curve,
     underage_exposure_threshold,
 )
@@ -56,6 +64,22 @@ def reached_consumers(trees: Sequence[DiffusionTree], removed: set[str]) -> set[
                         nxt.append(child)
             frontier = nxt
     return reached
+
+
+def pair_set_rank_by_volume(forest: DiffusionForest) -> list[str]:
+    """The previous `rank_by_volume`, verbatim: every level's pairs at once."""
+    n = forest.n_nodes
+    above, app = _root_paths(forest)
+    strict = above != app
+    pairs = forest.node[above[strict]] * n + forest.node[app[strict]]
+    del above, app, strict
+    pairs.sort()
+    distinct = pairs[np.flatnonzero(np.diff(pairs, prepend=-1))]
+    reach = np.bincount(distinct // n, minlength=n)
+    # node codes follow id order, so the code breaks ties
+    candidates = np.flatnonzero(_candidates(forest))
+    order = candidates[np.lexsort((candidates, -reach[candidates]))]
+    return [forest.ids[c] for c in order.tolist()]
 
 
 def oracle_shrinkage_curve(trees, ranking, sizes, strategy="ByVolume"):
@@ -152,6 +176,44 @@ def forests(draw):
     return build_trees(coded_events(events), roots)
 
 
+@st.composite
+def deep_forests(draw):
+    """Posts that each hang one chain of 5 to 10 levels below its root, plus
+    a few branches. The chains are slices of one shared chain, some with a
+    node left out. Two posts on the whole chain repeat every (ancestor,
+    blog) pair at the same level, and a post without the chain's second
+    node repeats the pairs that span it one level closer; a node is a root
+    in some trees and deeper in others."""
+    chain = draw(st.lists(st.sampled_from(POOL), min_size=8, max_size=11, unique=True))
+    paths = [chain, chain, chain[:1] + chain[2:]]
+    for _ in range(draw(st.integers(0, 3))):
+        path = chain[draw(st.integers(0, 1)):]
+        if draw(st.booleans()):
+            path = path[:1] + path[2:] if draw(st.booleans()) else path[:-1]
+        paths.append(path)
+    events, roots = [], set()
+    for post, path in enumerate(draw(st.permutations(paths))):
+        rest = [n for n in POOL if n not in path]
+        branches = draw(st.lists(st.sampled_from(rest), max_size=3, unique=True)) if rest else []
+        placed = [path[0]]
+        for t, m in enumerate(path[1:] + branches):
+            src = placed[-1] if m in path else placed[draw(st.integers(0, len(placed) - 1))]
+            events.append(ReblogEvent(m, src, f"p{post}", float(t)))
+            placed.append(m)
+        roots.add(path[0])
+    return build_trees(coded_events(events), roots)
+
+
+def depth(forest: DiffusionForest) -> int:
+    """Edges on the longest root path."""
+    levels, cur = 0, np.flatnonzero(forest.parent >= 0)
+    while cur.size:
+        levels += 1
+        cur = forest.parent[cur]
+        cur = cur[cur >= 0]
+    return levels
+
+
 rankings = st.lists(st.sampled_from(POOL + ["unknown"]), max_size=10)
 sizes_lists = st.lists(st.integers(-3, 15), max_size=6).map(sorted)
 ages_maps = st.dictionaries(st.sampled_from(POOL + ["unknown"]), st.integers(10, 30))
@@ -162,6 +224,19 @@ ages_maps = st.dictionaries(st.sampled_from(POOL + ["unknown"]), st.integers(10,
 def test_greedy_matches_oracle(forest, size):
     assert adaptive_greedy_ranking(forest, size) \
         == oracle_adaptive_greedy_ranking(trees_of(forest), size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(deep_forests())
+def test_rank_by_volume_matches_pair_set_on_deep_forests(forest):
+    assert depth(forest) >= 5
+    assert rank_by_volume(forest) == pair_set_rank_by_volume(forest)
+
+
+@settings(max_examples=150, deadline=None)
+@given(forests())
+def test_rank_by_volume_matches_pair_set(forest):
+    assert rank_by_volume(forest) == pair_set_rank_by_volume(forest)
 
 
 @settings(max_examples=150, deadline=None)
@@ -183,6 +258,10 @@ def default_forest():
     cfg = SynthConfig(seed=11)
     g, roles = planted_graph(cfg)
     return build_trees(synth_events(cfg, g, roles), producer_nodes(roles))
+
+
+def test_rank_by_volume_matches_pair_set_on_default_fixture(default_forest):
+    assert rank_by_volume(default_forest) == pair_set_rank_by_volume(default_forest)
 
 
 def test_greedy_matches_oracle_on_default_fixture(default_forest):

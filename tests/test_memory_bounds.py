@@ -1,0 +1,91 @@
+"""Transient-memory guards: the tracemalloc peaks of `_triangles`,
+`build_trees` and `rank_by_volume` on the seed-11 fixture at 4x scale
+(every group size times 4, every block probability divided by 4), each
+bounded by a stated multiple of the bytes of the function's input arrays.
+
+Each function keeps little of what it allocates, so its peak is set by
+its temporaries: clustering's row-block product, the per-event arrays of
+the forest build, and the (ancestor, blog) pairs of the volume ranking.
+The bounds leave room above the peaks measured here with numpy 2.4 and
+scipy 1.17 (about 17x, 1.5x and 2.1x) and sit below those of the previous
+versions (about 40x, 3.6x and 9x): 2,048-row blocks, one of which held
+the whole square at this scale, a forest build that kept every
+event-length array alive to the end, and a ranking that held every
+ancestor level's pairs at once.
+"""
+
+import tracemalloc
+from dataclasses import fields, replace
+
+import pytest
+
+from devgraph.diffusion import build_trees, producer_nodes
+from devgraph.graph import (
+    FOLLOW,
+    _triangles,
+    _undirected_projection,
+    gwcc,
+    induced_subgraph,
+)
+from devgraph.intervention import rank_by_volume
+from devgraph.synth import SynthConfig, planted_graph, synth_events
+
+SCALE = 4
+
+# peak over input array bytes
+TRIANGLES_BOUND = 24
+BUILD_TREES_BOUND = 2
+RANK_BY_VOLUME_BOUND = 3
+
+
+def scaled_config() -> SynthConfig:
+    cfg = SynthConfig(seed=11)
+    changes = {}
+    for f in fields(SynthConfig):
+        value = getattr(cfg, f.name)
+        if f.name.startswith("n_") and f.name != "n_noise_blogs":
+            changes[f.name] = value * SCALE
+        elif f.name.startswith("p_"):
+            changes[f.name] = value / SCALE
+    return replace(cfg, **changes)
+
+
+@pytest.fixture(scope="module")
+def fixture():
+    cfg = scaled_config()
+    g, roles = planted_graph(cfg)
+    return g, synth_events(cfg, g, roles), producer_nodes(roles)
+
+
+def peak_bytes(fn, *args) -> int:
+    """tracemalloc's peak while fn runs, its result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def nbytes(*arrays) -> int:
+    return sum(a.nbytes for a in arrays)
+
+
+def test_triangles_peak(fixture):
+    g, _events, _producers = fixture
+    u = _undirected_projection(induced_subgraph(g, gwcc(g, FOLLOW)), FOLLOW)
+    bound = TRIANGLES_BOUND * nbytes(u.data, u.indices, u.indptr)
+    assert peak_bytes(_triangles, u) <= bound
+
+
+def test_build_trees_peak(fixture):
+    _g, events, producers = fixture
+    bound = BUILD_TREES_BOUND * nbytes(events.actor, events.source, events.post, events.ts)
+    assert peak_bytes(build_trees, events, producers) <= bound
+
+
+def test_rank_by_volume_peak(fixture):
+    _g, events, producers = fixture
+    forest = build_trees(events, producers)
+    bound = RANK_BY_VOLUME_BOUND * nbytes(forest.node, forest.parent)
+    assert peak_bytes(rank_by_volume, forest) <= bound

@@ -223,12 +223,15 @@ def test_engagement_fixture_peaks_and_crossing():
     classes, demo = engagement_fixture(per_cell=40)
     curves = engagement_by_age(classes, demo)
     male, female = curves["male"], curves["female"]
-    assert male.band_value(43) == 1.0
-    assert female.band_value(23) == 1.0
+    # normalized value by band start; a missing band raises KeyError
+    male_at = dict(zip((lo for lo, _ in male.bands), male.normalized))
+    female_at = dict(zip((lo for lo, _ in female.bands), female.normalized))
+    assert male_at[43] == 1.0
+    assert female_at[23] == 1.0
     for lo in (18, 23):
-        assert female.band_value(lo) > male.band_value(lo)
+        assert female_at[lo] > male_at[lo]
     for lo in (38, 43, 48):
-        assert male.band_value(lo) > female.band_value(lo)
+        assert male_at[lo] > female_at[lo]
     assert [lo for lo, _ in male.bands] == [lo for lo, _ in DEFAULT_BANDS]
 
 
