@@ -1,5 +1,5 @@
 """Seeded Louvain clustering and weighted undirected modularity on the
-symmetrized projection of one graph layer, held as a scipy CSR matrix."""
+symmetrized projection of one graph layer, held as CSR arrays."""
 
 from __future__ import annotations
 
@@ -8,9 +8,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .graph import LayeredGraph
+from .graph import _CSR, LayeredGraph, _entry_rows, _indptr
 from .ingest import _csv_rows
 
 
@@ -27,14 +26,17 @@ class Partition:
         return out
 
 
-def _summed(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, size: int) -> sp.csr_matrix:
-    """size x size CSR matrix with the weights of repeated (row, col) pairs
-    added. Unlike `a + a.T`, it keeps an entry that adds up to 0, so every
-    edge makes its ends neighbours whatever its weight."""
-    return sp.csr_matrix((weights, (rows, cols)), shape=(size, size))
+def _summed(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, size: int) -> _CSR:
+    """size x size CSR arrays with the weights of repeated (row, col) pairs
+    added in input order (np.bincount). Unlike `a + a.T`, it keeps an entry
+    that adds up to 0, so every edge makes its ends neighbours whatever its
+    weight."""
+    keys, inverse = np.unique(rows * size + cols, return_inverse=True)
+    return _CSR(_indptr(keys // size, size), keys % size,
+                np.bincount(inverse, weights=weights, minlength=len(keys)))
 
 
-def _projection(g: LayeredGraph, layer: str) -> tuple[sp.csr_matrix, float]:
+def _projection(g: LayeredGraph, layer: str) -> tuple[_CSR, float]:
     """Undirected weighted projection w(u,v) = w(u->v) + w(v->u), and its
     total weight m."""
     lay = g.layer(layer)
@@ -50,13 +52,13 @@ def _first_seen(comm) -> np.ndarray:
     return np.array([dense.setdefault(c, len(dense)) for c in comm], dtype=np.int64)
 
 
-def _q(adj: sp.csr_matrix, loops: list[float], m: float, comm) -> float:
+def _q(adj: _CSR, loops: list[float], m: float, comm) -> float:
     """Q = sum_c (e_c/m - (d_c/2m)^2); loops count once in e_c, twice in d_c."""
     labels = _first_seen(comm)
-    a, loops = adj.tocoo(), np.asarray(loops, dtype=np.float64)
-    d = np.bincount(labels, np.bincount(a.row, a.data, len(labels)) + 2.0 * loops)
-    inside = (a.row < a.col) & (labels[a.row] == labels[a.col])
-    e = np.bincount(labels, loops) + np.bincount(labels[a.row[inside]], a.data[inside], len(d))
+    row, col, loops = _entry_rows(adj), adj.indices, np.asarray(loops, dtype=np.float64)
+    d = np.bincount(labels, np.bincount(row, adj.data, len(labels)) + 2.0 * loops)
+    inside = (row < col) & (labels[row] == labels[col])
+    e = np.bincount(labels, loops) + np.bincount(labels[row[inside]], adj.data[inside], len(d))
     two_m = 2.0 * m
     return sum(ec / m - (dc / two_m) ** 2 for ec, dc in zip(e.tolist(), d.tolist()))
 
@@ -75,7 +77,7 @@ def modularity(g: LayeredGraph, layer: str, assignment: dict[str, int]) -> float
     return _q(adj, [0.0] * g.n_nodes, m, [assignment[node] for node in g.node_ids])
 
 
-def _local_move(adj: sp.csr_matrix, loops: list[float], m: float,
+def _local_move(adj: _CSR, loops: list[float], m: float,
                 comm: list[int], rng: random.Random) -> bool:
     bounds = adj.indptr.tolist()
     cols, weights = adj.indices.tolist(), adj.data.tolist()
@@ -113,18 +115,17 @@ def _local_move(adj: sp.csr_matrix, loops: list[float], m: float,
             return moved_any
 
 
-def _aggregate(adj: sp.csr_matrix, loops: list[float],
-               comm: list[int]) -> tuple[sp.csr_matrix, list[float], np.ndarray]:
+def _aggregate(adj: _CSR, loops: list[float],
+               comm: list[int]) -> tuple[_CSR, list[float], np.ndarray]:
     """One node per community, numbered by first appearance: edges between
     communities add up, and the edges inside one become its self-loop."""
     labels = _first_seen(comm)
     size = int(labels.max()) + 1
-    a = adj.tocoo()
-    cu, cv = labels[a.row], labels[a.col]
+    cu, cv = labels[_entry_rows(adj)], labels[adj.indices]
     inner = cu == cv
     # an inner edge is stored once per direction
-    new_loops = np.bincount(labels, loops) + np.bincount(cu[inner], a.data[inner], size) / 2.0
-    agg = _summed(cu[~inner], cv[~inner], a.data[~inner], size)
+    new_loops = np.bincount(labels, loops) + np.bincount(cu[inner], adj.data[inner], size) / 2.0
+    agg = _summed(cu[~inner], cv[~inner], adj.data[~inner], size)
     return agg, new_loops.tolist(), labels
 
 
@@ -141,7 +142,7 @@ def louvain(g: LayeredGraph, layer: str, seed: int, tol: float = 1e-7) -> Partit
     membership = np.arange(g.n_nodes)
     q_prev = _q(adj, loops, m, range(g.n_nodes))
     while True:
-        comm = list(range(adj.shape[0]))
+        comm = list(range(len(adj.indptr) - 1))
         moved = _local_move(adj, loops, m, comm, rng)
         q_now = _q(adj, loops, m, comm)
         if q_now < q_prev - 1e-12:

@@ -10,10 +10,9 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .ingest import _csv_rows, decoded_lines
 
@@ -27,6 +26,24 @@ EXACT_PATH_LIMIT = 10_000
 _PATH_CHUNK = 512
 
 
+def _indptr(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """CSR row pointers of the entries in rows `rows`, once stored in row order."""
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
+
+
+class _CSR(NamedTuple):
+    """A square sparse matrix as CSR arrays, each row's columns ascending;
+    `data` is None for a 0/1 pattern."""
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray | None
+
+
+def _entry_rows(m: _CSR) -> np.ndarray:
+    """The row of each stored entry of a CSR matrix, in storage order."""
+    return np.repeat(np.arange(len(m.indptr) - 1), np.diff(m.indptr))
+
+
 class _Layer:
     """Frozen adjacency for one layer, built from distinct (src, dst) pairs
     given in any order: the edges sorted by (src, dst), whose dst and weight
@@ -38,13 +55,9 @@ class _Layer:
         self.dst = np.asarray(dst, dtype=np.int64)[order]
         self.weight = np.asarray(weight, dtype=np.float64)[order]
         self.n_edges = len(order)
-        self.out_indptr = np.concatenate(([0], np.cumsum(np.bincount(self.src, minlength=n_nodes))))
-        self.in_indptr = np.concatenate(([0], np.cumsum(np.bincount(self.dst, minlength=n_nodes))))
+        self.out_indptr = _indptr(self.src, n_nodes)
+        self.in_indptr = _indptr(self.dst, n_nodes)
         self.in_indices = self.src[np.lexsort((self.src, self.dst))]
-
-    def csr(self, n_nodes: int, weighted: bool = True) -> sp.csr_matrix:
-        data = self.weight if weighted else np.ones(self.n_edges, dtype=np.float64)
-        return sp.csr_matrix((data, self.dst, self.out_indptr), shape=(n_nodes, n_nodes))
 
 
 class LayeredGraph:
@@ -103,9 +116,6 @@ class LayeredGraph:
         """Internal-index (src, dst, weight) arrays for the layer."""
         lay = self.layer(layer)
         return lay.src.copy(), lay.dst.copy(), lay.weight.copy()
-
-    def adjacency(self, layer: str, weighted: bool = True) -> sp.csr_matrix:
-        return self.layer(layer).csr(self.n_nodes, weighted=weighted)
 
 
 def build_graph(edges: Iterable[tuple], diagnostics: Counter | None = None) -> LayeredGraph:
@@ -222,17 +232,38 @@ def induced_subgraph(g: LayeredGraph, keep: Iterable[str]) -> LayeredGraph:
     return LayeredGraph(ids, layers)
 
 
+def _weak_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Each node's weakly connected component, named by its smallest node
+    index: min-label hooking and pointer jumping over the edge arrays.
+
+    `parent` only ever points to a smaller index in the same component.
+    A round hooks the larger root of each edge whose ends disagree onto
+    the smaller one, then jumps pointers until every node points at a
+    root; it ends when no edge joins two roots."""
+    parent = np.arange(n)
+    while True:
+        ru, rv = parent[src], parent[dst]
+        split = ru != rv
+        if not split.any():
+            return parent
+        ru, rv = ru[split], rv[split]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+
+
 def gwcc(g: LayeredGraph, layer: str) -> set[str]:
     """Giant weakly connected component of the layer; ties go to the
     component containing the smallest node index."""
     if g.n_nodes == 0:
         raise ValueError("empty graph")
-    a = g.adjacency(layer, weighted=False)
-    _, comp = csgraph.connected_components(a, directed=True, connection="weak")
-    sizes = np.bincount(comp)
-    min_idx = np.full(len(sizes), g.n_nodes, dtype=np.int64)
-    np.minimum.at(min_idx, comp, np.arange(g.n_nodes))
-    best = min(range(len(sizes)), key=lambda c: (-sizes[c], min_idx[c]))
+    lay = g.layer(layer)
+    comp = _weak_components(g.n_nodes, lay.src, lay.dst)
+    # components are named by their smallest index, and argmax takes the first
+    best = int(np.argmax(np.bincount(comp)))
     return {g.id_of(i) for i in np.flatnonzero(comp == best)}
 
 
@@ -257,35 +288,59 @@ def mean_degree_and_density(n_nodes: int, n_edges: int) -> tuple[float, float]:
     return n_edges / n_nodes, n_edges / (n_nodes * (n_nodes - 1))
 
 
-def _undirected_projection(g: LayeredGraph, layer: str) -> sp.csr_matrix:
-    a = g.adjacency(layer, weighted=False)
-    u = a + a.T
-    u.data = np.ones_like(u.data)
-    return u.tocsr()
+def _undirected_projection(g: LayeredGraph, layer: str) -> _CSR:
+    """The layer's undirected simple projection as a 0/1 pattern: the
+    distinct keys u*n+v of its edges taken both ways."""
+    lay, n = g.layer(layer), g.n_nodes
+    keys = np.sort(np.concatenate((lay.src * n + lay.dst, lay.dst * n + lay.src)))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    return _CSR(_indptr(keys // n, n), keys % n, None)
 
 
-# 2-paths per row block of _triangles, which bounds the block's product
-_TRIANGLE_WEDGES = 1 << 18
+# wedges (pairs of one node's out-neighbours) per block of _triangles
+_TRIANGLE_WEDGES = 1 << 14
 
 
-def _triangles(u: sp.csr_matrix) -> np.ndarray:
-    """Twice each node's triangle count: row sums of (u @ u) masked by u,
-    formed over row blocks so that the whole square is never held.
+def _triangles(u: _CSR) -> np.ndarray:
+    """Twice each node's triangle count in the symmetric 0/1 pattern `u`, by
+    degree-ordered triangle listing (Schank & Wagner, WEA 2005).
 
-    A row's 2-paths number the sum of its neighbours' degrees. A block
-    takes rows while their 2-paths fit in _TRIANGLE_WEDGES; a row over the
-    budget is a block of its own."""
-    # 2-paths of the rows up to each row
-    paths = np.cumsum(u @ np.diff(u.indptr))
-    counts = []
+    Each edge points from the lower to the higher (degree, index) rank, so
+    a triangle's lowest node sees the other two as a wedge: a pair of its
+    out-neighbours. A wedge closes when its pair's key row*n+col is among
+    u's, which are ascending, so one searchsorted looks them all up. Nodes
+    are taken in blocks while their wedges fit in _TRIANGLE_WEDGES; a node
+    over the budget is a block of its own."""
+    indices = np.asarray(u.indices, dtype=np.int64)
+    n = len(u.indptr) - 1
+    deg = np.diff(u.indptr)
+    rows = _entry_rows(u)
+    keys = rows * n + indices
+    up = (deg[rows] < deg[indices]) | ((deg[rows] == deg[indices]) & (rows < indices))
+    src, dst = rows[up], indices[up]
+    del rows, up
+    out_ptr = _indptr(src, n)
+    out_deg = np.diff(out_ptr)
+    # wedges of the nodes up to each node
+    wedges = np.cumsum(out_deg * (out_deg - 1) // 2)
+    counts = np.zeros(n, dtype=np.int64)
     lo = 0
-    while lo < u.shape[0]:
-        before = paths[lo - 1] if lo else 0
-        hi = max(int(np.searchsorted(paths, before + _TRIANGLE_WEDGES, side="right")), lo + 1)
-        rows = u[lo:hi]
-        counts.append(np.asarray((rows @ u).multiply(rows).sum(axis=1)).ravel())
+    while lo < n:
+        before = wedges[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(wedges, before + _TRIANGLE_WEDGES, side="right")), lo + 1)
+        if wedges[hi - 1] > before:
+            # each out-edge pairs with the later out-edges of its node
+            first = np.arange(out_ptr[lo], out_ptr[hi])
+            later = np.repeat(out_ptr[lo + 1:hi + 1], out_deg[lo:hi]) - first - 1
+            a = np.repeat(first, later)
+            b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
+            wanted = dst[a] * n + dst[b]
+            found = keys[np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)]
+            closed = found == wanted
+            for ends in (src[a[closed]], dst[a[closed]], dst[b[closed]]):
+                np.add.at(counts, ends, 2)
         lo = hi
-    return np.concatenate(counts)
+    return counts
 
 
 # set bits per byte value; np.bitwise_count needs numpy >= 2.0
@@ -296,17 +351,19 @@ def _popcount(bits: np.ndarray) -> int:
     return int(_POPCOUNT[bits.view(np.uint8)].sum(dtype=np.int64))
 
 
-def _path_stats(u: sp.csr_matrix, n: int, exact: bool, path_samples: int,
+def _path_stats(u: _CSR, n: int, exact: bool, path_samples: int,
                 seed) -> tuple[float, float]:
     """Mean distance over ordered (source, other node) pairs and the largest
     distance, from every node or from a seeded sample of sources.
 
     Bit-parallel BFS (Then et al., VLDB 2014): each chunk of up to
     _PATH_CHUNK sources keeps one bit per source in an (n, words) uint64
-    frontier and visited set. A level ORs the frontier rows of every node's
+    frontier and visited set. A level ORs the frontier rows of each node's
     neighbours with one reduceat over the CSR arrays, and the new bits at
-    level d add d per bit to an exact integer total. A source that misses a
-    node makes both results inf."""
+    level d add d per bit to an exact integer total. The level gathers only
+    the entries that can add a bit: a row that some source has not reached
+    yet, and a neighbour on the frontier. A source that misses a node makes
+    both results inf."""
     if exact:
         sources = np.arange(n)
     else:
@@ -314,10 +371,8 @@ def _path_stats(u: sp.csr_matrix, n: int, exact: bool, path_samples: int,
             raise ValueError("seed required for sampled path estimation")
         rng = np.random.default_rng(seed)
         sources = np.sort(rng.choice(n, size=min(path_samples, n), replace=False))
-    # reduceat over the nonempty rows only: an empty row would copy its
-    # neighbour's element, or raise when it starts at nnz
-    rows = np.flatnonzero(np.diff(u.indptr))
-    starts = u.indptr[rows]
+    indices = u.indices
+    entry_rows = _entry_rows(u)
     total = 0
     diameter = 0
     for lo in range(0, len(sources), _PATH_CHUNK):
@@ -326,21 +381,29 @@ def _path_stats(u: sp.csr_matrix, n: int, exact: bool, path_samples: int,
         frontier = np.zeros((n, (len(idx) + 63) // 64), dtype=np.uint64)
         frontier[idx, bit // 64] = np.uint64(1) << (bit % 64).astype(np.uint64)
         visited = frontier.copy()
+        # a visited row with every source's bit set
+        full = np.bitwise_or.reduce(frontier, axis=0)
         reached = len(idx)
         level = 0
         while True:
-            nxt = np.zeros_like(frontier)
-            if rows.size:
-                nxt[rows] = np.bitwise_or.reduceat(frontier[u.indices], starts, axis=0)
-            nxt &= ~visited
-            found = _popcount(nxt)
+            live = np.flatnonzero((visited != full).any(axis=1)[entry_rows]
+                                  & frontier.any(axis=1)[indices])
+            if not live.size:
+                break
+            rows = entry_rows[live]
+            # reduceat over nonempty runs of one row each
+            starts = np.flatnonzero(np.diff(rows, prepend=-1))
+            rows = rows[starts]
+            new = np.bitwise_or.reduceat(frontier[indices[live]], starts, axis=0) & ~visited[rows]
+            found = _popcount(new)
             if not found:
                 break
             level += 1
             total += level * found
             reached += found
-            visited |= nxt
-            frontier = nxt
+            visited[rows] |= new
+            frontier = np.zeros_like(frontier)
+            frontier[rows] = new
         if reached < len(idx) * n:
             return np.inf, np.inf
         diameter = max(diameter, level)
@@ -372,7 +435,7 @@ def network_stats(g: LayeredGraph, layer: str, exact_paths: bool = False,
     reciprocity = reciprocal / e if e else 0.0
 
     u = _undirected_projection(sub, layer)
-    deg = np.asarray(u.sum(axis=1)).ravel()
+    deg = np.diff(u.indptr)
     tri = _triangles(u)
     denom = deg * (deg - 1)
     local = np.divide(tri, denom, out=np.zeros(n), where=denom > 0)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -832,3 +836,19 @@ def test_bad_class_and_count_rows_skipped(fixture_dir, tmp_path, capsys, command
         return ({p.name: p.read_bytes() for p in out.iterdir()} if out.is_dir()
                 else out.read_bytes())
     assert contents(dirty_out) == contents(clean_out)
+
+
+def test_pipeline_imports_no_scipy(tmp_path):
+    """numpy is the only numerical dependency at run time: a whole
+    `pipeline` run, in a fresh interpreter, loads no scipy module."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys\n"
+            "from devgraph.cli import main\n"
+            f"assert main(['pipeline', '--seed', '11', '--out', {str(tmp_path)!r}]) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert 'scipy' not in sys.modules, loaded\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+    assert (tmp_path / "report.json").is_file()

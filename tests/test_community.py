@@ -4,7 +4,9 @@ import itertools
 import random
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
@@ -201,11 +203,15 @@ class TestIO:
 def assert_communities_connected(g, layer, part):
     """Each community induces a connected subgraph of the layer's
     undirected projection."""
-    adj = g.adjacency(layer)
-    adj = adj + adj.T
+    lay = g.layer(layer)
     for members in part.communities().values():
-        idx = sorted(g.index_of(n) for n in members)
-        n_parts, _ = connected_components(adj[idx][:, idx], directed=False)
+        idx = np.array(sorted(g.index_of(n) for n in members))
+        inside = np.isin(lay.src, idx) & np.isin(lay.dst, idx)
+        adj = sp.coo_matrix((np.ones(int(inside.sum())),
+                             (np.searchsorted(idx, lay.src[inside]),
+                              np.searchsorted(idx, lay.dst[inside]))),
+                            shape=(len(idx), len(idx)))
+        n_parts, _ = connected_components(adj, directed=False)
         assert n_parts == 1, (layer, sorted(members))
 
 

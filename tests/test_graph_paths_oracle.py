@@ -1,8 +1,9 @@
 """Oracles for the structural statistics: the bit-parallel BFS in
 `_path_stats` against the per-source scipy search it replaced, the
-2-path-budget blocks of `_triangles` against the fixed row blocks they
-replaced and networkx, and `network_stats` against networkx on the seed-11
-fixture."""
+degree-ordered triangle listing in `_triangles` against the scipy
+row-block products it replaced and networkx, the hook-and-jump components
+behind `gwcc` against scipy's `connected_components`, and `network_stats`
+against networkx on the seed-11 fixture."""
 
 import networkx as nx
 import numpy as np
@@ -19,6 +20,7 @@ from devgraph.graph import (
     _PATH_CHUNK,
     _path_stats,
     _triangles,
+    _weak_components,
     build_graph,
     gwcc,
     network_stats,
@@ -56,6 +58,39 @@ def row_block_triangles(u: sp.csr_matrix) -> np.ndarray:
     blocks = (u[i:i + _TRIANGLE_ROWS] for i in range(0, u.shape[0], _TRIANGLE_ROWS))
     return np.concatenate([np.asarray((rows @ u).multiply(rows).sum(axis=1)).ravel()
                            for rows in blocks])
+
+
+def two_path_block_triangles(u: sp.csr_matrix, budget: int) -> np.ndarray:
+    """The previous `_triangles`, verbatim but for the budget argument: row
+    sums of (u @ u) masked by u, over blocks of rows whose 2-paths fit in
+    `budget`; a row over the budget is a block of its own."""
+    # 2-paths of the rows up to each row
+    paths = np.cumsum(u @ np.diff(u.indptr))
+    counts = []
+    lo = 0
+    while lo < u.shape[0]:
+        before = paths[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(paths, before + budget, side="right")), lo + 1)
+        rows = u[lo:hi]
+        counts.append(np.asarray((rows @ u).multiply(rows).sum(axis=1)).ravel())
+        lo = hi
+    return np.concatenate(counts)
+
+
+def csgraph_gwcc(g, layer: str) -> set[str]:
+    """The previous `gwcc`, verbatim but for building the matrix from the
+    layer's arrays: scipy's weak components, ties to the smallest index."""
+    if g.n_nodes == 0:
+        raise ValueError("empty graph")
+    lay = g.layer(layer)
+    a = sp.csr_matrix((np.ones(lay.n_edges), lay.dst, lay.out_indptr),
+                      shape=(g.n_nodes, g.n_nodes))
+    _, comp = csgraph.connected_components(a, directed=True, connection="weak")
+    sizes = np.bincount(comp)
+    min_idx = np.full(len(sizes), g.n_nodes, dtype=np.int64)
+    np.minimum.at(min_idx, comp, np.arange(g.n_nodes))
+    best = min(range(len(sizes)), key=lambda c: (-sizes[c], min_idx[c]))
+    return {g.id_of(i) for i in np.flatnonzero(comp == best)}
 
 
 def set_reciprocity(src, dst) -> float:
@@ -162,12 +197,13 @@ def test_disconnected_is_inf(pairs, n):
 
 
 def check_triangles(u: sp.csr_matrix, budget: int) -> None:
-    """`_triangles` under a 2-path budget equals the row-block oracle and
+    """`_triangles` under a wedge budget equals both row-block oracles and
     twice networkx's per-node triangle counts."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_TRIANGLE_WEDGES", budget)
         got = _triangles(u)
     assert np.array_equal(got, row_block_triangles(u))
+    assert np.array_equal(got, two_path_block_triangles(u, budget))
     tri = nx.triangles(nx.from_scipy_sparse_array(u))
     assert got.tolist() == [2 * tri[i] for i in range(u.shape[0])]
 
@@ -189,14 +225,77 @@ def test_triangles_without_two_paths(budget):
 @pytest.mark.parametrize("budget", [1, 5, 29, 30, 31, 1 << 18])
 def test_triangles_hub_over_budget(budget):
     """Node 0 joins 30 leaves, and ten leaf pairs close triangles through
-    it: its 2-paths (the sum of its leaves' degrees, 50) exceed every small
-    budget, so it forms a block of its own between its neighbours' rows."""
+    it. The hub ranks highest, so it has no wedges and its triangles are
+    listed from the leaves. Nodes 34-42 form a 9-clique: node 34 ranks
+    lowest in it, so its 8 out-neighbours make 28 wedges, over every small
+    budget, and it forms a block of its own."""
     pairs = [(0, leaf) for leaf in range(1, 31)]
     pairs += [(leaf, leaf + 1) for leaf in range(1, 21, 2)]
     pairs += [(31, 32), (32, 33), (31, 33)]
-    u = undirected(34, pairs)
-    assert (u @ np.diff(u.indptr))[0] == 50
+    pairs += [(a, b) for a in range(34, 43) for b in range(a + 1, 43)]
+    u = undirected(43, pairs)
+    deg = np.diff(u.indptr)
+    assert deg[0] == deg.max() == 30 and deg[34:43].tolist() == [8] * 9
     check_triangles(u, budget)
+
+
+@st.composite
+def edge_arrays(draw):
+    """Directed (src, dst) arrays over n nodes: random edges, possibly none,
+    with self-loops and repeats, and optionally a run of nodes chained in
+    decreasing label order with each link pointing either way, so that the
+    smallest label sits at the far end of a long path."""
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(0, n))
+    src, dst = rng.integers(0, n, size=(2, m))
+    if n > 1 and draw(st.booleans()):
+        chain = np.sort(rng.choice(n, size=draw(st.integers(2, n)), replace=False))[::-1]
+        flip = rng.random(len(chain) - 1) < 0.5
+        a, b = chain[:-1], chain[1:]
+        src = np.concatenate((src, np.where(flip, b, a)))
+        dst = np.concatenate((dst, np.where(flip, a, b)))
+    return n, src, dst
+
+
+def min_label_components(n: int, src, dst) -> np.ndarray:
+    """scipy's weak components, each named by its smallest node index."""
+    a = sp.coo_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+    _, comp = csgraph.connected_components(a, directed=True, connection="weak")
+    smallest = np.full(comp.max() + 1, n)
+    np.minimum.at(smallest, comp, np.arange(n))
+    return smallest[comp]
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_arrays())
+def test_weak_components_match_csgraph(case):
+    n, src, dst = case
+    assert np.array_equal(_weak_components(n, src, dst), min_label_components(n, src, dst))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 5000])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_weak_components_on_decreasing_paths(n, reverse):
+    """One path n-1, n-2, ..., 0, its links all pointing down or all up,
+    beside an isolated node n: the label of node 0 has to travel n-1 links."""
+    a, b = np.arange(n - 1, 0, -1), np.arange(n - 2, -1, -1)
+    src, dst = (b, a) if reverse else (a, b)
+    got = _weak_components(n + 1, src, dst)
+    assert got.tolist() == [0] * n + [n]
+    assert np.array_equal(got, min_label_components(n + 1, src, dst))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30), st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29),
+                                              st.sampled_from(LAYERS)), max_size=60))
+def test_gwcc_matches_csgraph(n, pairs):
+    """Equal-size components included, so the tie rule is exercised."""
+    g = build_graph([(f"n{a % n}", f"n{b % n}", 1.0, layer) for a, b, layer in pairs]
+                    + [(f"n{i}", f"n{i}", 1.0, FOLLOW) for i in range(n)])
+    if g.n_nodes:
+        for layer in LAYERS:
+            assert gwcc(g, layer) == csgraph_gwcc(g, layer)
 
 
 @settings(max_examples=60, deadline=None)
