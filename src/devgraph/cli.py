@@ -69,7 +69,7 @@ from .graph import (
     write_edge_tsv,
     write_labels_csv,
 )
-from .ingest import _csv_rows, _key_values, read_phrases, read_query_log, write_phrases
+from .ingest import _csv_rows, _key_values, _write_lines, read_phrases, read_query_log, write_phrases
 from .intervention import (
     BY_DEGREE,
     BY_VOLUME,
@@ -205,9 +205,7 @@ def _sizes(args, config: dict[str, str]) -> tuple[int, ...]:
 
 
 def _json_dump(obj, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_lines(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
 
 
 def _outdir(path) -> Path:
@@ -299,8 +297,7 @@ def _write_fixture(cfg: SynthConfig, out: Path):
     demo = synth_demographics(cfg, roles)
     write_edge_tsv(g, str(out / "edges.tsv"))
     write_labels_csv(roles, str(out / "labels.csv"))
-    with open(out / "log.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(fx.log_lines) + "\n")
+    _write_lines(out / "log.tsv", ["\n".join(fx.log_lines) + "\n"])
     write_phrases(fx.seed_phrases, str(out / "seeds.txt"))
     write_events_tsv(events, str(out / "events.tsv"))
     write_demographics_csv(demo, str(out / "demographics.csv"))
@@ -560,7 +557,8 @@ def cmd_pipeline(args) -> int:
         "perception": {**_fields(curve, "layer"), "paradox_fraction": paradox},
         "intervention": {**shrinkage, "underage": underage},
         "demographics": {
-            "classes": {name: s.as_dict() for name, s in demo_stats.items()},
+            "classes": {name: {"class": name, **_fields(s, "class_name")}
+                        for name, s in demo_stats.items()},
             "engagement": engagement},
     }
     _json_dump(report, out / "report.json")

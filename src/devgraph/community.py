@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import _CSR, LayeredGraph, _entry_rows, _indptr
-from .ingest import _csv_rows
+from .ingest import _csv_rows, _write_rows
 
 
 @dataclass(frozen=True)
@@ -160,10 +160,7 @@ def louvain(g: LayeredGraph, layer: str, seed: int, tol: float = 1e-7) -> Partit
 
 
 def write_partition_csv(p: Partition, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("node,community\n")
-        for node in sorted(p.assignment):
-            fh.write(f"{node},{p.assignment[node]}\n")
+    _write_rows(path, "node,community", sorted(p.assignment.items()))
 
 
 def read_partition_csv(path: str, diagnostics: Counter | None = None) -> dict[str, int]:
@@ -182,10 +179,7 @@ def read_role_map_csv(path: str, diagnostics: Counter | None = None) -> dict[int
 
 
 def write_role_map_csv(role_map: dict[int, str], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("community,role\n")
-        for c in sorted(role_map):
-            fh.write(f"{c},{role_map[c]}\n")
+    _write_rows(path, "community,role", sorted(role_map.items()))
 
 
 def roles_from_partition(assignment: dict[str, int], role_map: dict[int, str]) -> dict[str, str]:

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import LAYERS, LayeredGraph, _Layer
+from .ingest import _write_rows
 
 AVG_VOLUME = "AvgVolume"
 DENSITY = "Density"
@@ -182,9 +183,6 @@ def _freeze(values: np.ndarray) -> tuple[tuple[float, ...], ...]:
 
 
 def write_group_matrix_csv(mat: GroupMatrix, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("origin," + ",".join(mat.groups) + "\n")
-        for grp, row in zip(mat.groups, mat.values):
-            cells = ",".join("inf" if math.isinf(x) else f"{x:.10g}" for x in row)
-            fh.write(f"{grp},{cells}\n")
+    _write_rows(path, "origin," + ",".join(mat.groups),
+                ((grp, *row) for grp, row in zip(mat.groups, mat.values)))
 

@@ -4,12 +4,12 @@ curves over age bands with min-max normalization."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .diffusion import ConsumerClass
-from .ingest import _csv_rows
+from .ingest import _csv_rows, _write_rows
 
 GENDERS = ("male", "female")
 DEFAULT_BANDS = tuple((lo, lo + 5) for lo in range(13, 73, 5))
@@ -37,16 +37,6 @@ class ClassDemographics:
     female_fraction: float | None
     unknown_gender: int
 
-    def as_dict(self) -> dict:
-        return {
-            "class": self.class_name, "size": self.size, "covered": self.covered,
-            "coverage": self.coverage, "mean_age": self.mean_age,
-            "median_age": self.median_age, "std_age": self.std_age,
-            "under_18": self.under_18, "male_fraction": self.male_fraction,
-            "female_fraction": self.female_fraction,
-            "unknown_gender": self.unknown_gender,
-        }
-
 
 def read_demographics_csv(path: str, diagnostics: Counter | None = None) -> dict[str, DemographicRecord]:
     """node,age,gender rows (see `_csv_rows`); malformed rows and ages
@@ -68,11 +58,8 @@ def read_demographics_csv(path: str, diagnostics: Counter | None = None) -> dict
 
 
 def write_demographics_csv(demo: dict[str, DemographicRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("node,age,gender\n")
-        for node in sorted(demo):
-            rec = demo[node]
-            fh.write(f"{node},{rec.age},{rec.gender}\n")
+    _write_rows(path, "node,age,gender",
+                ((node, demo[node].age, demo[node].gender) for node in sorted(demo)))
 
 
 def class_demographics(classes: dict[str, ConsumerClass],
@@ -156,33 +143,16 @@ def engagement_by_age(classes: dict[str, ConsumerClass],
 
 
 def write_engagement_csv(curves: dict[str, EngagementCurve], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("gender,band_lo,band_hi,raw,normalized\n")
-        for gender in sorted(curves):
-            c = curves[gender]
-            for (lo, hi), raw, norm in zip(c.bands, c.raw, c.normalized):
-                r = "" if raw is None else f"{raw:.10g}"
-                n = "" if norm is None else f"{norm:.10g}"
-                fh.write(f"{gender},{lo},{hi},{r},{n}\n")
+    _write_rows(path, "gender,band_lo,band_hi,raw,normalized",
+                ((gender, lo, hi, raw, norm) for gender, c in sorted(curves.items())
+                 for (lo, hi), raw, norm in zip(c.bands, c.raw, c.normalized)))
 
 
 def write_class_demographics_csv(stats: dict[str, ClassDemographics], path: str) -> None:
-    cols = ("class", "size", "covered", "coverage", "mean_age", "median_age",
-            "std_age", "under_18", "male_fraction", "female_fraction", "unknown_gender")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for name in sorted(stats):
-            d = stats[name].as_dict()
-            cells = []
-            for c in cols:
-                v = d[c]
-                if v is None:
-                    cells.append("")
-                elif isinstance(v, float):
-                    cells.append(f"{v:.10g}")
-                else:
-                    cells.append(str(v))
-            fh.write(",".join(cells) + "\n")
+    # the dataclass's fields are the columns, in order
+    _write_rows(path, "class,size,covered,coverage,mean_age,median_age,std_age,"
+                "under_18,male_fraction,female_fraction,unknown_gender",
+                (astuple(stats[name]) for name in sorted(stats)))
 
 
 def age_histogram(classes: dict[str, ConsumerClass],
@@ -201,8 +171,6 @@ def age_histogram(classes: dict[str, ConsumerClass],
 
 
 def write_age_histogram_csv(hist: dict[str, list[int]], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("class,band_lo,band_hi,count\n")
-        for name in sorted(hist):
-            for (lo, hi), count in zip(DEFAULT_BANDS, hist[name]):
-                fh.write(f"{name},{lo},{hi},{count}\n")
+    _write_rows(path, "class,band_lo,band_hi,count",
+                ((name, lo, hi, count) for name in sorted(hist)
+                 for (lo, hi), count in zip(DEFAULT_BANDS, hist[name])))

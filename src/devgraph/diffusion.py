@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import FOLLOW, LayeredGraph
-from .ingest import _csv_rows, _ranked, decoded_lines
+from .ingest import _csv_rows, _ranked, _write_lines, _write_rows, decoded_lines
 
 
 class ConsumerClass(enum.Enum):
@@ -122,18 +122,21 @@ def _parse_events(lines: list[str], diagnostics: Counter):
 
 def write_events_tsv(events: _CodedEvents, path: str) -> None:
     """One actor, source, post, time row per event, written by columns in
-    slices of _BATCH rows; each distinct timestamp of a slice is formatted
-    once."""
+    slices of _BATCH rows, one slice's lines at a time; each distinct
+    timestamp of a slice is formatted once."""
     ids, posts = np.array(events.ids, dtype=object), np.array(events.posts, dtype=object)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+
+    def slices():
         for lo in range(0, len(events), _BATCH):
             rows = slice(lo, lo + _BATCH)
             # unique bit patterns, so 0.0 and -0.0 keep their own text
             bits, at = np.unique(events.ts[rows].view(np.int64), return_inverse=True)
             ts = np.array([f"{t:g}" for t in bits.view(np.float64).tolist()], dtype=object)
-            fh.writelines(map("{}\t{}\t{}\t{}\n".format, ids[events.actor[rows]].tolist(),
-                              ids[events.source[rows]].tolist(),
-                              posts[events.post[rows]].tolist(), ts[at].tolist()))
+            yield map("{}\t{}\t{}\t{}\n".format, ids[events.actor[rows]].tolist(),
+                      ids[events.source[rows]].tolist(),
+                      posts[events.post[rows]].tolist(), ts[at].tolist())
+
+    _write_lines(path, itertools.chain.from_iterable(slices()))
 
 
 class DiffusionForest:
@@ -356,10 +359,7 @@ def spread_efficiency(U: set[str], forest: DiffusionForest, inverse: bool = Fals
 
 
 def write_classes_csv(classes: dict[str, ConsumerClass], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("node,class\n")
-        for node in sorted(classes):
-            fh.write(f"{node},{classes[node].value}\n")
+    _write_rows(path, "node,class", ((node, classes[node].value) for node in sorted(classes)))
 
 
 def read_classes_csv(path: str, diagnostics: Counter | None = None) -> dict[str, ConsumerClass]:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .ingest import _CodedLog, normalize_query
+from .ingest import _CodedLog, _write_rows, normalize_query
 
 RATIO_VOLUME = "volume"
 RATIO_UNIQUE = "unique"
@@ -130,7 +130,4 @@ def _row(state: SeedState) -> TrajectoryRow:
 
 
 def write_trajectory_csv(trajectory: Iterable[TrajectoryRow], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("iteration,keywords,blogs,queries\n")
-        for row in trajectory:
-            fh.write(f"{row.iteration},{row.keywords},{row.blogs},{row.queries}\n")
+    _write_rows(path, "iteration,keywords,blogs,queries", map(astuple, trajectory))

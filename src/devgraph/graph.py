@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ingest import _csv_rows, decoded_lines
+from .ingest import _csv_rows, _write_lines, _write_rows, decoded_lines
 
 FOLLOW = "F"
 REBLOG = "R"
@@ -124,19 +124,28 @@ def build_graph(edges: Iterable[tuple], diagnostics: Counter | None = None) -> L
     Node indices are assigned in first-seen order. Self-loops are dropped
     and counted in `diagnostics`; duplicate follow edges deduplicate,
     duplicate reblog edges accumulate weight. Malformed entries are
-    skipped and counted.
+    skipped and counted, and so is an edge with an id that no
+    comma-separated table could hold: one with a comma, or with
+    whitespace at either end.
     """
     if diagnostics is None:
         diagnostics = Counter()
+    # a node's index, or -1 for an id no table can hold; each id is checked
+    # when first seen
     index: dict[str, int] = {}
     ids: list[str] = []
     pairs: dict[str, tuple[list, list, list]] = {name: ([], [], []) for name in LAYERS}
 
+    def known(node: str) -> int | None:
+        i = index.get(node)
+        if i is None and ("," in node or node != node.strip()):
+            i = index[node] = -1
+        return i
+
     def intern(node: str) -> int:
         i = index.get(node)
         if i is None:
-            i = len(ids)
-            index[node] = i
+            i = index[node] = len(ids)
             ids.append(node)
         return i
 
@@ -148,10 +157,12 @@ def build_graph(edges: Iterable[tuple], diagnostics: Counter | None = None) -> L
         except (TypeError, ValueError):
             diagnostics["malformed_edges"] += 1
             continue
-        if layer not in LAYERS or not src or not dst:
+        u, v = known(src), known(dst)
+        if layer not in LAYERS or not src or not dst or u == -1 or v == -1:
             diagnostics["malformed_edges"] += 1
             continue
-        u, v = intern(src), intern(dst)
+        if u is None or v is None:
+            u, v = intern(src), intern(dst)
         if u == v:
             diagnostics["self_loops_dropped"] += 1
             continue
@@ -191,10 +202,8 @@ def load_graph(path: str, diagnostics: Counter | None = None) -> LayeredGraph:
 
 
 def write_edge_tsv(g: LayeredGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for layer in LAYERS:
-            for src, dst, w in g.edges(layer):
-                fh.write(f"{src}\t{dst}\t{w:g}\t{layer}\n")
+    _write_lines(path, (f"{src}\t{dst}\t{w:g}\t{layer}\n"
+                        for layer in LAYERS for src, dst, w in g.edges(layer)))
 
 
 def _label(node: str, group: str) -> tuple[str, str]:
@@ -210,10 +219,7 @@ def read_labels_csv(path: str, diagnostics: Counter | None = None) -> dict[str, 
 
 
 def write_labels_csv(labels: dict[str, str], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("node,group\n")
-        for node in sorted(labels):
-            fh.write(f"{node},{labels[node]}\n")
+    _write_rows(path, "node,group", sorted(labels.items()))
 
 
 def induced_subgraph(g: LayeredGraph, keep: Iterable[str]) -> LayeredGraph:

@@ -1,6 +1,6 @@
 """Query-log parsing and normalization into an integer-coded log, and what
-the readers share: the line, row and key=value readers, and the ranking of
-a vocabulary in sorted order."""
+the readers and writers share: the line, row and key=value readers, the
+line and table writers, and the ranking of a vocabulary in sorted order."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import re
 from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
+from itertools import chain
 
 import numpy as np
 
@@ -35,9 +36,7 @@ def read_phrases(path: str, diagnostics: Counter | None = None) -> list[str]:
 
 
 def write_phrases(phrases: Iterable[str], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for p in sorted(phrases):
-            fh.write(p + "\n")
+    _write_lines(path, (p + "\n" for p in sorted(phrases)))
 
 
 def blog_id_from_url(url: str) -> str | None:
@@ -98,6 +97,31 @@ def _csv_rows(path: str, header: str, reason: str, parse: Callable,
             diagnostics[reason] += 1
             continue
         yield row
+
+
+def _write_lines(path, lines: Iterable[str]) -> None:
+    """Write `lines`, each ending in a newline, to `path` as UTF-8 with LF
+    line ends; every file the package writes is written here."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(lines)
+
+
+def _cell(value) -> str:
+    """A table cell: empty for None, %.10g for a float (numpy's float64 is
+    one; inf reads inf), str of anything else."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.10g}"
+    return str(value)
+
+
+def _write_rows(path, header: str, rows: Iterable[Iterable]) -> None:
+    """A comma-separated table: the `header` line, then one line per row of
+    `_cell`s. `_csv_rows` reads it back unless a cell holds a comma or a row
+    starts or ends in whitespace."""
+    _write_lines(path, chain([header + "\n"],
+                             (",".join(map(_cell, row)) + "\n" for row in rows)))
 
 
 def _key_values(path: str) -> dict[str, str]:

@@ -3,13 +3,15 @@ measure how far the observed diffusion trees shrink."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .graph import REBLOG, LayeredGraph
 from .diffusion import DiffusionForest
+from .ingest import _write_rows
 
 BY_VOLUME = "ByVolume"
 BY_DEGREE = "ByDegree"
@@ -33,19 +35,16 @@ def rank_by_volume(forest: DiffusionForest) -> list[str]:
 
     The (ancestor, blog) pairs are gathered one ancestor level at a time,
     each level's distinct, so the pairs of all levels are never held."""
-    n, node, parent = forest.n_nodes, forest.node, forest.parent
+    n, node = forest.n_nodes, forest.node
     levels = [np.empty(0, dtype=np.int64)]
-    app = np.flatnonzero(parent >= 0)
-    above = parent[app]
-    while app.size:
+    # strictly below: the walk's first level is each appearance itself
+    for app, above in islice(_ancestor_levels(forest), 1, None):
         keys = node[above]
         keys *= n
         keys += node[app]
         levels.append(_distinct(keys))
-        del keys
-        above = parent[above]
-        up = above >= 0
-        app, above = app[up], above[up]
+        # free this level before the walk makes the next
+        del keys, app, above
     pairs = np.concatenate(levels)
     del levels
     reach = np.bincount(_distinct(pairs) // n, minlength=n)
@@ -83,17 +82,26 @@ def _candidates(forest: DiffusionForest) -> np.ndarray:
     return mask
 
 
+def _ancestor_levels(forest: DiffusionForest) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The root paths of the non-root appearances, one level at a time: at
+    each level, (app, above) pairs each appearance app whose path reaches
+    that level with its appearance above there. The first level is app
+    itself, the last the root."""
+    app = above = np.flatnonzero(forest.parent >= 0)
+    while app.size:
+        yield app, above
+        above = forest.parent[above]
+        up = above >= 0
+        app, above = app[up], above[up]
+
+
 def _root_paths(forest: DiffusionForest) -> tuple[np.ndarray, np.ndarray]:
     """(above, app) for each non-root appearance app and each appearance
     above on its root path, app itself and the root included."""
     above, apps = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    app = cur = np.flatnonzero(forest.parent >= 0)
-    while app.size:
+    for app, cur in _ancestor_levels(forest):
         above.append(cur)
         apps.append(app)
-        cur = forest.parent[cur]
-        up = cur >= 0
-        app, cur = app[up], cur[up]
     return np.concatenate(above), np.concatenate(apps)
 
 
@@ -218,8 +226,6 @@ def adaptive_greedy_ranking(forest: DiffusionForest, size: int) -> list[str]:
 
 
 def write_shrinkage_csv(curves: Iterable[ShrinkageCurve], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("removed,reached_fraction,strategy\n")
-        for curve in curves:
-            for k, v in zip(curve.sizes, curve.reached_fraction):
-                fh.write(f"{k},{v:.10g},{curve.strategy}\n")
+    _write_rows(path, "removed,reached_fraction,strategy",
+                ((k, v, curve.strategy) for curve in curves
+                 for k, v in zip(curve.sizes, curve.reached_fraction)))

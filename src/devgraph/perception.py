@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import LayeredGraph
+from .ingest import _write_rows
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,6 @@ def volume_paradox_fraction(g: LayeredGraph, layer: str,
 
 
 def write_curves_csv(curves: Iterable[PerceptionCurve], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("threshold,fraction,layer\n")
-        for curve in curves:
-            for t, v in zip(curve.thresholds, curve.fraction_at_least):
-                fh.write(f"{t:.4g},{v:.10g},{curve.layer}\n")
+    _write_rows(path, "threshold,fraction,layer",
+                ((f"{t:.4g}", v, curve.layer) for curve in curves
+                 for t, v in zip(curve.thresholds, curve.fraction_at_least)))

@@ -12,7 +12,7 @@ import numpy as np
 from .demographics import DemographicRecord
 from .diffusion import ConsumerClass, _CodedEvents, producer_nodes
 from .graph import FOLLOW, REBLOG, LAYERS, LayeredGraph, _Layer, build_graph
-from .ingest import _key_values
+from .ingest import _key_values, _write_lines
 
 GROUPS = ("producer_one", "producer_two", "bridge_one", "bridge_two", "outer")
 _PREFIX = {"producer_one": "p1", "producer_two": "p2",
@@ -62,9 +62,8 @@ def read_config(path: str) -> SynthConfig:
 
 
 def write_config(cfg: SynthConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for f in fields(SynthConfig):
-            fh.write(f"{f.name}={getattr(cfg, f.name)}\n")
+    # str() of a float round-trips; %.10g would not
+    _write_lines(path, (f"{f.name}={getattr(cfg, f.name)}\n" for f in fields(SynthConfig)))
 
 
 def _node_names(cfg: SynthConfig) -> dict[str, list[str]]:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from devgraph.cli import main
+from devgraph.community import read_partition_csv, write_role_map_csv
 from devgraph.demographics import ACTIVE_CLASSES
 from devgraph.diffusion import ConsumerClass, DiffusionForest, read_classes_csv
 from devgraph.graph import read_labels_csv
@@ -521,6 +522,32 @@ def test_dropped_edge_rows_skipped_and_reported(fixture_dir, tmp_path, capsys, c
         assert dirty_files["stats.json"][1] == {
             "malformed_edges": 1, "malformed_lines": 1, "self_loops_dropped": 1,
             "undecodable_lines": 1}
+
+
+@pytest.mark.parametrize("node", ["a,b", " a", "a "],
+                         ids=["comma", "leading-space", "trailing-space"])
+def test_ids_no_table_can_hold_skipped(fixture_dir, tmp_path, capsys, node):
+    """An edge with a node id that no comma-separated table can hold (a
+    comma splits the row, and readers strip rows and node-set lines) is
+    skipped and counted, so the partition that `communities` writes reads
+    back whole in `connectivity` and `diffusion`."""
+    edges = tmp_path / "edges.tsv"
+    edges.write_text((fixture_dir / "edges.tsv").read_text()
+                     + f"p1_0000\t{node}\t1\tF\n{node}\tp1_0001\t2\tR\n")
+    partition, role_map = tmp_path / "partition.csv", tmp_path / "map.csv"
+    assert main(["communities", "--edges", str(edges), "--seed", "0",
+                 "--out", str(partition)]) == 0
+    write_role_map_csv({c: "core" for c in set(read_partition_csv(str(partition)).values())},
+                       str(role_map))
+    roles = ["--partition", str(partition), "--role-map", str(role_map)]
+    assert main(["connectivity", "--edges", str(edges), *roles, "--mode", "density",
+                 "--out", str(tmp_path / "m.csv")]) == 0
+    assert main(["diffusion", "--edges", str(edges), "--events", str(fixture_dir / "events.tsv"),
+                 *roles, "--out", str(tmp_path / "diffusion")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"{command}: skipped malformed_edges=2 in edges.tsv"
+        for command in ("communities", "connectivity", "diffusion")]
+    assert set(read_partition_csv(str(partition))) == edge_nodes(fixture_dir)
 
 
 @pytest.mark.parametrize("command", ["diffusion", "intervene"])

@@ -59,6 +59,15 @@ class TestBuild:
         assert g.n_edges(FOLLOW) == 1
         assert diagnostics["malformed_edges"] == 3
 
+    def test_ids_no_table_can_hold_skipped(self):
+        """An edge with an id that holds a comma, or whitespace at either
+        end, is malformed; its other end does not join the node universe."""
+        diagnostics = Counter()
+        g = build_graph([F("a,b", "c"), R("d", " e", 2.0), F("f ", "f "), F("x", "y"),
+                         F("c", "a,b")], diagnostics)
+        assert g.node_ids == ("x", "y")
+        assert diagnostics == Counter(malformed_edges=4)
+
     def test_unknown_node_raises(self):
         g = build_graph([F("a", "b")])
         with pytest.raises(ValueError, match="zzz"):

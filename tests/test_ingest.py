@@ -1,10 +1,12 @@
 """Normalization, the line reader and the readers built on it, and blog-hit
 aggregation."""
 
+import ast
 import io
 import os
 import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -214,6 +216,40 @@ def test_phrase_file_round_trip(tmp_path):
     p = tmp_path / "phrases.txt"
     write_phrases({"b phrase", "a phrase"}, str(p))
     assert read_phrases(str(p)) == ["a phrase", "b phrase"]
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether a call opens a file for writing: `open(path, mode)` or
+    `p.open(mode)` with a mode that is not a read-only literal, or
+    `write_text` / `write_bytes`."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    position = 1 if isinstance(func, ast.Name) else 0
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[position:position + 1]
+    return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str)
+                    and not set(m.value) & set("wax+")) for m in modes)
+
+
+def test_only_write_lines_opens_files_for_writing():
+    """Every file the package writes goes through `ingest._write_lines`,
+    so the on-disk format is set in one place."""
+    writers = []
+
+    def visit(node: ast.AST, module: str, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and _opens_for_writing(node):
+            writers.append((module, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "devgraph").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "<module>")
+    assert writers == [("ingest.py", "_write_lines")]
 
 
 def _read_events(path: str, diagnostics: Counter) -> list[ReblogEvent]:
