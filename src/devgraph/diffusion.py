@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import FOLLOW, LayeredGraph
-from .ingest import _csv_rows, _ranked, _write_lines, _write_rows, decoded_lines
+from .ingest import _coded_rows, _csv_rows, _used, _ranked, _write_lines, _write_rows
 
 
 class ConsumerClass(enum.Enum):
@@ -54,7 +54,7 @@ class _CodedEvents:
         return len(self.ts)
 
 
-# lines parsed at a time: about 1 MB of a typical events file
+# rows per slice of write_events_tsv
 _BATCH = 1 << 15
 
 
@@ -62,62 +62,44 @@ def read_events_tsv(path: str, diagnostics: Counter | None = None) -> _CodedEven
     """actor<TAB>source<TAB>post_id<TAB>timestamp rows; self-reblogs, rows
     with an empty actor or source, a NaN timestamp or the wrong number of
     fields are dropped and tallied as malformed_events, and so are lines
-    that are not valid UTF-8 (see `decoded_lines`)."""
+    that are not valid UTF-8 (see `decoded_lines`).
+
+    The file is read in chunks (see `ingest._coded_rows`); each distinct
+    timestamp of a chunk is parsed once, and each distinct id and post
+    looked up once."""
     if diagnostics is None:
         diagnostics = Counter()
-    lines = decoded_lines(path, diagnostics)
-    batches = iter(lambda: list(itertools.islice(lines, _BATCH)), [])
     node_code: dict[str, int] = {}
     post_code: dict[str, int] = {}
-
-    def coded(code: dict[str, int], names: list[str]) -> np.ndarray:
-        return np.fromiter(map(code.__getitem__, names), dtype=np.int64, count=len(names))
-
-    columns: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int64)] for _ in range(3)]
+    # int32 codes until _CodedEvents ranks them into int64 ones: the columns
+    # are held twice while they are joined
+    columns: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int32)] for _ in range(3)]
     times = [np.empty(0, dtype=np.float64)]
-    for batch in batches:
-        actors, sources, posts, ts = _parse_events(batch, diagnostics)
+    for codes, values in _coded_rows(path, 4, "malformed_events", diagnostics):
+        stamps = np.full(len(values), np.nan)
+        for i in _used(codes[:, 3], len(values)).tolist():
+            try:
+                stamps[i] = float(values[i])
+            except ValueError:
+                pass
+        actor, source, ts = codes[:, 0], codes[:, 1], stamps[codes[:, 3]]
+        bad = np.isnan(ts) | (actor == source)
+        if "" in values:
+            bad |= (actor == values.index("")) | (source == values.index(""))
+        if bad.any():
+            diagnostics["malformed_events"] += int(np.count_nonzero(bad))
+            codes, ts = codes[~bad], ts[~bad]
         # codes in first-seen order; _CodedEvents ranks them
-        for code, names in ((node_code, itertools.chain(actors, sources)), (post_code, posts)):
-            new = dict.fromkeys(names).keys() - code.keys()
-            code.update(zip(new, itertools.count(len(code))))
-        for column, code, names in zip(columns, (node_code, node_code, post_code),
-                                       (actors, sources, posts)):
-            column.append(coded(code, names))
+        for column, code, cols in ((columns[:2], node_code, codes[:, :2]),
+                                   (columns[2:], post_code, codes[:, 2:3])):
+            used = _used(cols, len(values))
+            local = np.zeros(len(values), dtype=np.int32)
+            local[used] = [code.setdefault(values[i], len(code)) for i in used.tolist()]
+            for j, col in enumerate(column):
+                col.append(local[cols[:, j]])
         times.append(ts)
-        del actors, sources, posts, ts
     return _CodedEvents(list(node_code), list(post_code),
                         *map(np.concatenate, columns), np.concatenate(times))
-
-
-def _parse_events(lines: list[str], diagnostics: Counter):
-    """The columns of a batch of lines, split and parsed in bulk; a batch
-    with any malformed row is parsed line by line instead, which keeps the
-    rows in order and counts each malformed one."""
-    if set(map(str.count, lines, itertools.repeat("\t"))) == {3}:
-        fields = "\t".join(lines).split("\t")
-        actors, sources = fields[0::4], fields[1::4]
-        try:
-            ts = np.fromiter(map(float, fields[3::4]), dtype=np.float64, count=len(lines))
-        except ValueError:
-            ts = None
-        if (ts is not None and not np.isnan(ts).any() and "" not in actors
-                and "" not in sources and not any(map(str.__eq__, actors, sources))):
-            return actors, sources, fields[2::4], ts
-    rows: list[tuple[str, str, str, float]] = []
-    for line in lines:
-        try:
-            actor, source, post_id, ts_text = line.split("\t")
-            t = float(ts_text)
-        except ValueError:
-            diagnostics["malformed_events"] += 1
-            continue
-        if t != t or not actor or not source or actor == source:
-            diagnostics["malformed_events"] += 1
-            continue
-        rows.append((actor, source, post_id, t))
-    actors, sources, posts, ts = (list(col) for col in zip(*rows)) if rows else ([], [], [], [])
-    return actors, sources, posts, np.array(ts, dtype=np.float64)
 
 
 def write_events_tsv(events: _CodedEvents, path: str) -> None:

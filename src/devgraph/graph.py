@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ingest import _csv_rows, _write_lines, _write_rows, decoded_lines
+from .ingest import _coded_rows, _csv_rows, _used, _write_lines, _write_rows
 
 FOLLOW = "F"
 REBLOG = "R"
@@ -170,9 +170,16 @@ def build_graph(edges: Iterable[tuple], diagnostics: Counter | None = None) -> L
         us.append(u)
         vs.append(v)
         ws.append(weight)
+    return _graph(ids, pairs)
+
+
+def _graph(ids: list[str], edges: dict[str, tuple]) -> LayeredGraph:
+    """The graph over `ids` whose layers hold the (src, dst, weight) index
+    entries of `edges`, by layer name: duplicate follow edges deduplicate,
+    and duplicate reblog edges add their weights in input order."""
     n = len(ids)
     layers = {}
-    for name, (us, vs, ws) in pairs.items():
+    for name, (us, vs, ws) in edges.items():
         keys, inverse = np.unique(np.asarray(us, dtype=np.int64) * n + np.asarray(vs, dtype=np.int64),
                                   return_inverse=True)
         # bincount adds each pair's weights in input order
@@ -185,20 +192,58 @@ def build_graph(edges: Iterable[tuple], diagnostics: Counter | None = None) -> L
 def load_graph(path: str, diagnostics: Counter | None = None) -> LayeredGraph:
     """Load a graph from an edge-list TSV: src<TAB>dst<TAB>weight<TAB>layer.
     Rows without four fields and lines that are not valid UTF-8 are
-    skipped and counted in `diagnostics`, as are the entries build_graph
-    drops."""
+    skipped and counted in `diagnostics`, and so are the entries that
+    build_graph drops: the graph is build_graph's over the rows, node
+    order included.
+
+    The file is read in chunks (see `ingest._coded_rows`); each distinct
+    id, weight and layer of a chunk is checked or parsed once."""
     if diagnostics is None:
         diagnostics = Counter()
-
-    def parse(lines):
-        for line in lines:
-            parts = line.split("\t")
-            if len(parts) == 4:
-                yield parts
-            else:
-                diagnostics["malformed_lines"] += 1
-
-    return build_graph(parse(decoded_lines(path, diagnostics)), diagnostics)
+    index: dict[str, int] = {}
+    pairs = {name: ([np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)],
+                    [np.empty(0)]) for name in LAYERS}
+    for codes, values in _coded_rows(path, 4, "malformed_lines", diagnostics):
+        n = len(values)
+        good_id = np.zeros(n, dtype=bool)
+        ids = _used(codes[:, :2], n)
+        good_id[ids] = [node != "" and "," not in node and node == node.strip()
+                        for node in map(values.__getitem__, ids.tolist())]
+        weight, good_weight = np.zeros(n), np.zeros(n, dtype=bool)
+        for i in _used(codes[:, 2], n).tolist():
+            try:
+                weight[i] = float(values[i])
+            except ValueError:
+                continue
+            good_weight[i] = True
+        layer = np.full(n, -1)
+        for j, name in enumerate(LAYERS):
+            if name in values:
+                layer[values.index(name)] = j
+        kept = (good_id[codes[:, 0]] & good_id[codes[:, 1]] & good_weight[codes[:, 2]]
+                & (layer[codes[:, 3]] >= 0))
+        if not kept.all():
+            diagnostics["malformed_edges"] += int(np.count_nonzero(~kept))
+            codes = codes[kept]
+        # the ends of kept edges join the nodes in first-seen order, src
+        # before dst, as build_graph interns them
+        seen = codes[:, :2].ravel()
+        first = np.full(n, len(seen))
+        np.minimum.at(first, seen, np.arange(len(seen)))
+        ends = np.flatnonzero(first < len(seen))
+        ends = ends[np.argsort(first[ends])]
+        node = np.zeros(n, dtype=np.int64)
+        node[ends] = [index.setdefault(values[i], len(index)) for i in ends.tolist()]
+        u, v = node[codes[:, 0]], node[codes[:, 1]]
+        loop = u == v
+        if loop.any():
+            diagnostics["self_loops_dropped"] += int(np.count_nonzero(loop))
+        for j, name in enumerate(LAYERS):
+            edge = ~loop & (layer[codes[:, 3]] == j)
+            for column, entries in zip(pairs[name], (u, v, weight[codes[:, 2]])):
+                column.append(entries[edge])
+    return _graph(list(index), {name: tuple(map(np.concatenate, columns))
+                                for name, columns in pairs.items()})
 
 
 def write_edge_tsv(g: LayeredGraph, path: str) -> None:

@@ -1,14 +1,16 @@
 """Query-log parsing and normalization into an integer-coded log, and what
 the readers and writers share: the line, row and key=value readers, the
-line and table writers, and the ranking of a vocabulary in sorted order."""
+chunked coder of tab-separated fields, the line and table writers, and the
+ranking of a vocabulary in sorted order."""
 
 from __future__ import annotations
 
+import io
 import re
 from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 
@@ -56,38 +58,189 @@ def decoded_lines(path: str, diagnostics: Counter | None = None) -> Iterator[str
     """The non-empty lines of a UTF-8 file, split as in text mode (at LF,
     CRLF and CR); a line that is not valid UTF-8 is skipped and counted as
     `undecodable_lines`."""
+    with open(path, "rb") as fh:
+        yield from _decoded(fh, diagnostics)
+
+
+def _decoded(raw, diagnostics: Counter | None = None) -> Iterator[str]:
+    """`decoded_lines` of the binary stream `raw`."""
     if diagnostics is None:
         diagnostics = Counter()
     # surrogateescape decodes each bad byte to a lone surrogate, which UTF-8
     # cannot encode back; line breaks are ASCII, so no bad byte hides one
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    diagnostics["undecodable_lines"] += 1
-                    continue
-            if line:
-                yield line
+    for line in io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape"):
+        line = line.rstrip("\n")
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                diagnostics["undecodable_lines"] += 1
+                continue
+        if line:
+            yield line
+
+
+# bytes read at a time by _coded_rows; a smaller chunk merges its distinct
+# values into the reader's vocabulary more often, a larger one holds more
+_CHUNK = 1 << 20
+
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+# _MASKS[r] keeps the low r bytes of a little-endian word
+_MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
+
+
+def _coded_rows(path: str, width: int, reason: str,
+                diagnostics: Counter) -> Iterator[tuple[np.ndarray, list[str]]]:
+    """The rows of `width` tab-separated fields of the file at `path`, a
+    chunk of about _CHUNK bytes at a time: per chunk, a (rows, width) array
+    of codes into a list of the chunk's distinct field values, equal
+    values sharing a code.
+
+    The rows are those that `decoded_lines` and `str.split` give, and a
+    line with another number of fields is skipped and counted under
+    `reason`. A chunk that is valid UTF-8, holds no CR but in a CRLF and
+    whose every line has width - 1 tabs has its fields found in bulk and
+    coded by their bytes, so only its distinct values are decoded; any
+    other chunk is read line by line.
+    """
+    with open(path, "rb") as fh:
+        for chunk in _chunks(fh, _CHUNK):
+            coded = _coded_spans(chunk, width)
+            if coded is None:
+                coded = _coded_lines(chunk, width, reason, diagnostics)
+            yield coded
+
+
+def _chunks(fh, size: int) -> Iterator[bytes]:
+    """The bytes of the binary file `fh` in chunks of about `size`, each cut
+    after a line break (an LF, or a CR that no LF follows), so that no line
+    and no CRLF spans two chunks."""
+    parts: list[bytes] = []
+    while block := fh.read(size):
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
+        if cut:
+            yield b"".join((*parts, block[:cut]))
+            parts, block = [], block[cut:]
+        if block:
+            parts.append(block)
+    if parts:
+        yield b"".join(parts)
+
+
+def _coded_lines(chunk: bytes, width: int, reason: str,
+                 diagnostics: Counter) -> tuple[np.ndarray, list[str]]:
+    """The chunk's rows coded from its lines as `decoded_lines` gives them."""
+    fields: list[str] = []
+    for line in _decoded(io.BytesIO(chunk), diagnostics):
+        row = line.split("\t")
+        if len(row) == width:
+            fields += row
+        else:
+            diagnostics[reason] += 1
+    code = dict(zip(dict.fromkeys(fields), count()))
+    codes = np.fromiter(map(code.__getitem__, fields), dtype=np.int64, count=len(fields))
+    return codes.reshape(-1, width), list(code)
+
+
+def _used(codes: np.ndarray, n: int) -> np.ndarray:
+    """The codes below `n` that occur in `codes`, ascending."""
+    return np.flatnonzero(np.bincount(codes.ravel(), minlength=n))
+
+
+def _fold(key: np.ndarray, word: np.ndarray) -> np.ndarray:
+    return (key ^ word) * _MIX
+
+
+def _coded_spans(chunk: bytes, width: int) -> tuple[np.ndarray, list[str]] | None:
+    """The chunk's rows coded from the bytes of their fields, or None for a
+    chunk that is not valid UTF-8, holds a CR other than in a CRLF, has a
+    line with other than width - 1 tabs, or whose field keys collide.
+
+    Each field's bytes are read as little-endian 64-bit words, masked past
+    its end, and folded with its length into a key; fields with equal keys
+    share a code once their words and lengths are checked equal."""
+    if not chunk.isascii():
+        try:
+            chunk.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    crlf = chunk.count(b"\r")
+    if crlf != chunk.count(b"\r\n"):
+        return None
+    if not chunk.endswith(b"\n"):
+        chunk += b"\n"
+    data = np.frombuffer(chunk, dtype=np.uint8)
+    ends = np.flatnonzero((data == 9) | (data == 10))
+    lf = data[ends] == 10
+    # every width-th delimiter an LF and no other: every line has width - 1 tabs
+    if len(ends) % width or not lf[width - 1::width].all() or np.count_nonzero(lf) * width != len(ends):
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lengths = ends - starts
+    if crlf:
+        # a line's last field ends before its CRLF, as text mode reads it
+        lengths[width - 1::width] -= data[ends[width - 1::width] - 1] == 13
+    # words[i] is the 8 bytes from byte i; the padding is masked off
+    words = np.ndarray(len(chunk), dtype="<u8", buffer=chunk + bytes(8), strides=(1,))
+
+    def word(k: int, spans) -> np.ndarray:
+        return words[starts[spans] + 8 * k] & _MASKS[np.minimum(lengths[spans] - 8 * k, 8)]
+
+    # the first word of every field (0 for an empty one), then the later
+    # words of the longer fields
+    first_words = word(0, slice(None))
+    keys = _fold(lengths.astype(np.uint64), first_words)
+    longer = [np.flatnonzero(lengths > 8 * k) for k in range(1, -(-int(lengths.max()) // 8))]
+    for k, spans in enumerate(longer, 1):
+        keys[spans] = _fold(keys[spans], word(k, spans))
+    # one sort of the keys, each with its field's index in place of its low
+    # bits (a product's low bits mix least), groups equal keys; that adds
+    # only collisions, which the check below catches
+    low = (np.uint64(1) << np.uint64(max(1, (len(keys) - 1).bit_length()))) - np.uint64(1)
+    packed = np.sort((keys & ~low) | np.arange(len(keys), dtype=np.uint64))
+    order = (packed & low).astype(np.int64)
+    key = packed & ~low
+    new = np.concatenate(([True], key[1:] != key[:-1]))
+    group = np.empty(len(keys), dtype=np.int64)
+    group[order] = np.cumsum(new) - 1
+    # codes in first-seen order; the first field with each code stands for
+    # it, and every other must equal it
+    first = np.sort(order[new])
+    code = np.empty(len(first), dtype=np.int64)
+    code[group[first]] = np.arange(len(first))
+    codes = code[group]
+    rep = first[codes]
+    if not (np.array_equal(lengths[rep], lengths) and np.array_equal(first_words[rep], first_words)
+            and all(np.array_equal(word(k, spans), word(k, rep[spans]))
+                    for k, spans in enumerate(longer, 1))):
+        return None
+    # the fields that stand for the codes, each with its delimiter made a
+    # tab, decode at once
+    size = lengths[first] + 1
+    end = np.cumsum(size)
+    text = data[np.repeat(starts[first] - (end - size), size) + np.arange(end[-1])]
+    text[end - 1] = 9
+    values = text.tobytes().decode("utf-8").split("\t")[:-1]
+    return codes.reshape(-1, width), values
 
 
 def _csv_rows(path: str, header: str, reason: str, parse: Callable,
               diagnostics: Counter | None = None) -> Iterator:
     """parse(*fields) of each row of a comma-separated table whose columns
     are named by `header`. Lines are stripped and blank ones skipped, and
-    so is the header line, in any case, wherever it appears. A row whose
-    field count differs from the header's, whose first field is empty or
-    whose parse raises ValueError is skipped and counted under `reason`; a
-    line that is not valid UTF-8 is counted as `undecodable_lines`."""
+    so is the header line, in any case, if it is the first line that is
+    not. A row whose field count differs from the header's, whose first
+    field is empty or whose parse raises ValueError is skipped and counted
+    under `reason`; a line that is not valid UTF-8 is counted as
+    `undecodable_lines`."""
     if diagnostics is None:
         diagnostics = Counter()
     width = header.count(",") + 1
-    for line in decoded_lines(path, diagnostics):
-        line = line.strip()
-        if not line or line.lower() == header:
-            continue
+    lines = filter(None, map(str.strip, decoded_lines(path, diagnostics)))
+    first = next(lines, None)
+    if first is not None and first.lower() != header:
+        lines = chain([first], lines)
+    for line in lines:
         fields = line.split(",")
         try:
             if len(fields) != width or not fields[0]:

@@ -25,7 +25,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devgraph import diffusion, intervention
+from devgraph import diffusion, ingest, intervention
 from devgraph.diffusion import (
     ConsumerClass,
     ReachReport,
@@ -386,7 +386,7 @@ def nonzero(counter: Counter) -> dict:
 def read_both(data: bytes, batch: int):
     """(the old reader's events with NaN rows dropped, its counters with them
     counted as malformed_events), and the coded reader's events and
-    counters, read in batches of `batch` lines."""
+    counters, read in chunks of about `batch` bytes."""
     import tempfile
     from pathlib import Path
     with tempfile.TemporaryDirectory() as tmp:
@@ -394,11 +394,11 @@ def read_both(data: bytes, batch: int):
         Path(path).write_bytes(data)
         old_diag, new_diag = Counter(), Counter()
         old = read_events_tsv(path, old_diag)
-        saved, diffusion._BATCH = diffusion._BATCH, batch
+        saved, ingest._CHUNK = ingest._CHUNK, batch
         try:
             new = diffusion.read_events_tsv(path, new_diag)
         finally:
-            diffusion._BATCH = saved
+            ingest._CHUNK = saved
     kept = [e for e in old if not math.isnan(e.timestamp)]
     old_diag["malformed_events"] += len(old) - len(kept)
     return (kept, old_diag), (new, new_diag)

@@ -166,10 +166,10 @@ PADDING = (b"", b"", b" ", b"\t", b"  ")
 
 @st.composite
 def table_lines(draw, header: str, pools: tuple) -> list[bytes]:
-    """Lines (without their breaks) of a table: rows of one field too few,
-    the header's count or one too many, from pools that hold empty and
-    padded fields and repeated keys; the header in any case, anywhere and
-    more than once; blank lines; and lines that are not UTF-8."""
+    """Lines (without their breaks) of a table: blank lines, then the header
+    in any case or no header, then rows of one field too few, the header's
+    count or one too many, from pools that hold empty and padded fields and
+    repeated keys, blank lines, and lines that are not UTF-8."""
     width = len(pools)
     headers = st.sampled_from([header, header.upper(), header.title(),
                                header.swapcase()]).map(str.encode)
@@ -180,11 +180,12 @@ def table_lines(draw, header: str, pools: tuple) -> list[bytes]:
         fields = [draw(st.sampled_from(pools[min(i, width - 1)])) for i in range(max(n, 1))]
         return b",".join(fields)
 
-    line = st.one_of(row(), row(), row(), row(), headers, st.sampled_from((b"", b"  ")),
-                     row().map(lambda r: r + b"\xff"))
-    lines = draw(st.lists(st.tuples(st.sampled_from(PADDING), line, st.sampled_from(PADDING)),
-                          max_size=14))
-    return [left + body + right for left, body, right in lines]
+    blank = st.sampled_from((b"", b"  "))
+    line = st.one_of(row(), row(), row(), row(), blank, row().map(lambda r: r + b"\xff"))
+    lines = (draw(st.lists(blank, max_size=2)) + draw(st.lists(headers, max_size=1))
+             + draw(st.lists(line, max_size=14)))
+    return [draw(st.sampled_from(PADDING)) + body + draw(st.sampled_from(PADDING))
+            for body in lines]
 
 
 def touched(line: bytes, header: str) -> bool:
