@@ -148,6 +148,7 @@ def _used(codes: np.ndarray, n: int) -> np.ndarray:
 
 
 def _fold(key: np.ndarray, word: np.ndarray) -> np.ndarray:
+    """Keys with one more 64-bit word of their fields folded in."""
     return (key ^ word) * _MIX
 
 

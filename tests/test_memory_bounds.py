@@ -17,10 +17,10 @@ alive to the end, and a ranking that held every ancestor level's pairs at
 once.
 
 The reader holds one chunk of the file at a time, and coding a chunk
-takes about a dozen arrays of one 8-byte entry per field, about 11 times
+takes about a dozen arrays of one 8-byte entry per field, about 12.6 times
 the chunk's bytes for events.tsv; its output columns are concatenated from
 the chunks' at the end. On the 4x file (1.9 MB, 52,127 rows) its peak is
-about 5.3 times the output columns plus one chunk; the line-by-line reader
+about 5.6 times the output columns plus one chunk; the line-by-line reader
 it replaced peaked at 7.6 times its output columns alone.
 
 Clustering's basis stays the bytes of the projection as a float64 matrix
