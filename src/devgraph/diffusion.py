@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import FOLLOW, LayeredGraph
-from .ingest import _coded_rows, _csv_rows, _used, _ranked, _write_lines, _write_rows
+from .ingest import _coded_rows, _csv_rows, _distinct, _used, _ranked, _write_lines, _write_rows
 
 
 class ConsumerClass(enum.Enum):
@@ -102,10 +102,17 @@ def read_events_tsv(path: str, diagnostics: Counter | None = None) -> _CodedEven
                         *map(np.concatenate, columns), np.concatenate(times))
 
 
+def _stamp(t: float) -> str:
+    """t as %g if that reads back as t (NaN reads as itself), else repr(t)."""
+    text = f"{t:g}"
+    return text if float(text) == t or t != t else repr(t)
+
+
 def write_events_tsv(events: _CodedEvents, path: str) -> None:
     """One actor, source, post, time row per event, written by columns in
     slices of _BATCH rows, one slice's lines at a time; each distinct
-    timestamp of a slice is formatted once."""
+    timestamp of a slice is formatted once, with %g where that reads back
+    to the same float and with repr where %g would round it."""
     ids, posts = np.array(events.ids, dtype=object), np.array(events.posts, dtype=object)
 
     def slices():
@@ -113,7 +120,7 @@ def write_events_tsv(events: _CodedEvents, path: str) -> None:
             rows = slice(lo, lo + _BATCH)
             # unique bit patterns, so 0.0 and -0.0 keep their own text
             bits, at = np.unique(events.ts[rows].view(np.int64), return_inverse=True)
-            ts = np.array([f"{t:g}" for t in bits.view(np.float64).tolist()], dtype=object)
+            ts = np.array(list(map(_stamp, bits.view(np.float64).tolist())), dtype=object)
             yield map("{}\t{}\t{}\t{}\n".format, ids[events.actor[rows]].tolist(),
                       ids[events.source[rows]].tolist(),
                       posts[events.post[rows]].tolist(), ts[at].tolist())
@@ -154,7 +161,7 @@ class DiffusionForest:
         up = np.searchsorted(key, want)
         np.minimum(up, max(len(key) - 1, 0), out=up)
         found = key[up] == want
-        roots = np.unique(want[~found])
+        roots = _distinct(want[~found])
         del want
         actor = key % n
         del key

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ingest import _coded_rows, _csv_rows, _used, _write_lines, _write_rows
+from .ingest import _codes, _coded_rows, _csv_rows, _used, _write_lines, _write_rows
 
 FOLLOW = "F"
 REBLOG = "R"
@@ -126,84 +126,33 @@ def build_graph(edges: Iterable[tuple], diagnostics: Counter | None = None) -> L
     duplicate reblog edges accumulate weight. Malformed entries are
     skipped and counted, and so is an edge with an id that no
     comma-separated table could hold: one with a comma, or with
-    whitespace at either end.
+    whitespace at either end. The entries go to `_edge_graph` as one
+    chunk; one that is not four hashable fields is malformed at once.
     """
     if diagnostics is None:
         diagnostics = Counter()
-    # a node's index, or -1 for an id no table can hold; each id is checked
-    # when first seen
-    index: dict[str, int] = {}
-    ids: list[str] = []
-    pairs: dict[str, tuple[list, list, list]] = {name: ([], [], []) for name in LAYERS}
-
-    def known(node: str) -> int | None:
-        i = index.get(node)
-        if i is None and ("," in node or node != node.strip()):
-            i = index[node] = -1
-        return i
-
-    def intern(node: str) -> int:
-        i = index.get(node)
-        if i is None:
-            i = index[node] = len(ids)
-            ids.append(node)
-        return i
-
+    fields: list = []
     for entry in edges:
         try:
             src, dst, weight, layer = entry
-            src, dst = str(src), str(dst)
-            weight = float(weight)
+            row = str(src), str(dst), weight, layer
+            hash(row)
         except (TypeError, ValueError):
             diagnostics["malformed_edges"] += 1
             continue
-        u, v = known(src), known(dst)
-        if layer not in LAYERS or not src or not dst or u == -1 or v == -1:
-            diagnostics["malformed_edges"] += 1
-            continue
-        if u is None or v is None:
-            u, v = intern(src), intern(dst)
-        if u == v:
-            diagnostics["self_loops_dropped"] += 1
-            continue
-        us, vs, ws = pairs[layer]
-        us.append(u)
-        vs.append(v)
-        ws.append(weight)
-    return _graph(ids, pairs)
+        fields += row
+    return _edge_graph([_codes(fields, 4)], diagnostics)
 
 
-def _graph(ids: list[str], edges: dict[str, tuple]) -> LayeredGraph:
-    """The graph over `ids` whose layers hold the (src, dst, weight) index
-    entries of `edges`, by layer name: duplicate follow edges deduplicate,
-    and duplicate reblog edges add their weights in input order."""
-    n = len(ids)
-    layers = {}
-    for name, (us, vs, ws) in edges.items():
-        keys, inverse = np.unique(np.asarray(us, dtype=np.int64) * n + np.asarray(vs, dtype=np.int64),
-                                  return_inverse=True)
-        # bincount adds each pair's weights in input order
-        weights = (np.bincount(inverse, weights=ws, minlength=len(keys)) if name == REBLOG
-                   else np.ones(len(keys)))
-        layers[name] = _Layer(n, *divmod(keys, n), weights)
-    return LayeredGraph(ids, layers)
-
-
-def load_graph(path: str, diagnostics: Counter | None = None) -> LayeredGraph:
-    """Load a graph from an edge-list TSV: src<TAB>dst<TAB>weight<TAB>layer.
-    Rows without four fields and lines that are not valid UTF-8 are
-    skipped and counted in `diagnostics`, and so are the entries that
-    build_graph drops: the graph is build_graph's over the rows, node
-    order included.
-
-    The file is read in chunks (see `ingest._coded_rows`); each distinct
-    id, weight and layer of a chunk is checked or parsed once."""
-    if diagnostics is None:
-        diagnostics = Counter()
+def _edge_graph(chunks: Iterable[tuple[np.ndarray, list]], diagnostics: Counter) -> LayeredGraph:
+    """build_graph's graph of (src, dst, weight, layer) rows given as
+    chunks, each a (rows, 4) array of codes into the chunk's distinct
+    values; each distinct id, weight and layer of a chunk is checked or
+    parsed once."""
     index: dict[str, int] = {}
     pairs = {name: ([np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)],
                     [np.empty(0)]) for name in LAYERS}
-    for codes, values in _coded_rows(path, 4, "malformed_lines", diagnostics):
+    for codes, values in chunks:
         n = len(values)
         good_id = np.zeros(n, dtype=bool)
         ids = _used(codes[:, :2], n)
@@ -213,7 +162,7 @@ def load_graph(path: str, diagnostics: Counter | None = None) -> LayeredGraph:
         for i in _used(codes[:, 2], n).tolist():
             try:
                 weight[i] = float(values[i])
-            except ValueError:
+            except (TypeError, ValueError):
                 continue
             good_weight[i] = True
         layer = np.full(n, -1)
@@ -226,7 +175,7 @@ def load_graph(path: str, diagnostics: Counter | None = None) -> LayeredGraph:
             diagnostics["malformed_edges"] += int(np.count_nonzero(~kept))
             codes = codes[kept]
         # the ends of kept edges join the nodes in first-seen order, src
-        # before dst, as build_graph interns them
+        # before dst
         seen = codes[:, :2].ravel()
         first = np.full(n, len(seen))
         np.minimum.at(first, seen, np.arange(len(seen)))
@@ -242,8 +191,29 @@ def load_graph(path: str, diagnostics: Counter | None = None) -> LayeredGraph:
             edge = ~loop & (layer[codes[:, 3]] == j)
             for column, entries in zip(pairs[name], (u, v, weight[codes[:, 2]])):
                 column.append(entries[edge])
-    return _graph(list(index), {name: tuple(map(np.concatenate, columns))
-                                for name, columns in pairs.items()})
+    n = len(index)
+    layers = {}
+    for name, columns in pairs.items():
+        us, vs, ws = map(np.concatenate, columns)
+        keys, inverse = np.unique(us * n + vs, return_inverse=True)
+        # bincount adds each pair's weights in input order
+        weights = (np.bincount(inverse, weights=ws, minlength=len(keys)) if name == REBLOG
+                   else np.ones(len(keys)))
+        layers[name] = _Layer(n, *divmod(keys, n), weights)
+    return LayeredGraph(list(index), layers)
+
+
+def load_graph(path: str, diagnostics: Counter | None = None) -> LayeredGraph:
+    """Load a graph from an edge-list TSV: src<TAB>dst<TAB>weight<TAB>layer.
+    Rows without four fields and lines that are not valid UTF-8 are
+    skipped and counted in `diagnostics`, and so are the entries that
+    build_graph drops: the graph is build_graph's over the rows, node
+    order included.
+
+    The file is read in chunks (see `ingest._coded_rows`)."""
+    if diagnostics is None:
+        diagnostics = Counter()
+    return _edge_graph(_coded_rows(path, 4, "malformed_lines", diagnostics), diagnostics)
 
 
 def write_edge_tsv(g: LayeredGraph, path: str) -> None:

@@ -137,6 +137,13 @@ def _coded_lines(chunk: bytes, width: int, reason: str,
             fields += row
         else:
             diagnostics[reason] += 1
+    return _codes(fields, width)
+
+
+def _codes(fields: list, width: int) -> tuple[np.ndarray, list]:
+    """The flat row-major `fields` as a (rows, width) array of codes into
+    the list of their distinct values in first-seen order; the fields must
+    be hashable, and equal ones share a code."""
     code = dict(zip(dict.fromkeys(fields), count()))
     codes = np.fromiter(map(code.__getitem__, fields), dtype=np.int64, count=len(fields))
     return codes.reshape(-1, width), list(code)
@@ -145,6 +152,17 @@ def _coded_lines(chunk: bytes, width: int, reason: str,
 def _used(codes: np.ndarray, n: int) -> np.ndarray:
     """The codes below `n` that occur in `codes`, ascending."""
     return np.flatnonzero(np.bincount(codes.ravel(), minlength=n))
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of keys, ascending; sorts keys in place
+    (np.unique's hash path is far slower on large int64 input, and its
+    first call imports numpy.ma)."""
+    keys.sort()
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return keys[new]
 
 
 def _fold(key: np.ndarray, word: np.ndarray) -> np.ndarray:

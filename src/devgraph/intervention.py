@@ -11,7 +11,7 @@ import numpy as np
 
 from .graph import REBLOG, LayeredGraph
 from .diffusion import DiffusionForest
-from .ingest import _write_rows
+from .ingest import _distinct, _write_rows
 
 BY_VOLUME = "ByVolume"
 BY_DEGREE = "ByDegree"
@@ -62,16 +62,6 @@ def rank_by_degree(g: LayeredGraph) -> list[str]:
 
 
 _NEVER = np.iinfo(np.int64).max
-
-
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of keys, ascending; sorts keys in place
-    (np.unique's hash path is far slower on large int64 input)."""
-    keys.sort()
-    new = np.empty(len(keys), dtype=bool)
-    new[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    return keys[new]
 
 
 def _candidates(forest: DiffusionForest) -> np.ndarray:

@@ -4,9 +4,11 @@ The library holds a reblog event log as a `_CodedEvents` and a query log as
 a `_CodedLog`, both integer-coded. `coded_events` builds the first from a
 list of `ReblogEvent` rows and `event_rows` lists its rows back, in order;
 `coded_log` builds the second from (query, blog) pairs, one per click, and
-`log_rows` lists its pairs back, sorted.
+`log_rows` lists its pairs back, sorted. `stamp_text` is the events.tsv
+text of a timestamp, for the writer oracles.
 """
 
+import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -22,6 +24,13 @@ class ReblogEvent:
     source: str
     post_id: str
     timestamp: float
+
+
+def stamp_text(t: float) -> str:
+    """%g where it reads back to the same float64 bits, repr otherwise; a
+    NaN reads back as the text "nan" either way."""
+    text = f"{t:g}"
+    return text if struct.pack("<d", float(text)) == struct.pack("<d", t) else repr(t)
 
 
 def _vocabulary(names: Iterable[str]) -> tuple[list[str], np.ndarray]:

@@ -218,7 +218,9 @@ class TestEfficiency:
 
 class TestEventsIO:
     def test_round_trip(self, tmp_path):
-        events = [ev("a", "p", ts=1.5), ev("b", "a", ts=2)]
+        """Also times that %g would round to 6 digits."""
+        events = [ev("a", "p", ts=1.5), ev("b", "a", ts=2), ev("c", "a", ts=1000001),
+                  ev("d", "c", ts=1.4e9 + 1)]
         p = tmp_path / "events.tsv"
         write_events_tsv(coded_events(events), str(p))
         assert event_rows(read_events_tsv(str(p))) == events

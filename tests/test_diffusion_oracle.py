@@ -13,7 +13,9 @@ difference: the old reader kept NaN timestamps, which made trees depend on
 row order; they are now skipped and counted as malformed_events.
 
 The column-wise `write_events_tsv` is checked byte for byte against the
-row-by-row f-string writer it replaced.
+row-by-row f-string writer it replaced, whose `%g` timestamps now follow
+the writer's rule (`log_helpers.stamp_text`): `%g` where it reads back
+exactly, `repr` where it would round.
 """
 
 import itertools
@@ -36,7 +38,7 @@ from devgraph.graph import FOLLOW, LayeredGraph, build_graph
 from devgraph.ingest import decoded_lines
 from devgraph.synth import SynthConfig, planted_graph, synth_events
 
-from log_helpers import ReblogEvent, coded_events, event_rows
+from log_helpers import ReblogEvent, coded_events, event_rows, stamp_text
 from tree_helpers import DiffusionTree, forest_of, trees_of
 from test_intervention_oracle import (
     oracle_adaptive_greedy_ranking,
@@ -72,7 +74,7 @@ def read_events_tsv(path: str, diagnostics: Counter | None = None) -> list[Reblo
 def write_events_tsv(events, path: str) -> None:
     ids, posts = events.ids, events.posts
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(f"{ids[a]}\t{ids[s]}\t{posts[p]}\t{t:g}\n"
+        fh.writelines(f"{ids[a]}\t{ids[s]}\t{posts[p]}\t{stamp_text(t)}\n"
                       for a, s, p, t in zip(events.actor.tolist(), events.source.tolist(),
                                             events.post.tolist(), events.ts.tolist()))
 
@@ -524,7 +526,8 @@ def test_reader_accounts_for_every_line(data, batch):
 
 # -- the events writer ----------------------------------------------------------
 
-# timestamps whose %g text tells signs, exponents and rounding apart
+# timestamps whose text tells signs, exponents and rounding apart, and
+# some that %g would round
 WRITE_STAMPS = STAMPS + [math.nan, 0.1, 1 / 3, 1e-7, 123456.5, 1234567.0, 2.0**60, -1e300]
 
 

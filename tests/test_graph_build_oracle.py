@@ -342,15 +342,18 @@ NODES = ("a", "b", "c", "d", "e", "f")
 AWKWARD = (0.1, 0.2, 0.3, 1 / 3, 1e16, -1e16, 1.0, 2.5, 1e-8, -0.0, 3)
 weights = st.one_of(st.sampled_from(AWKWARD),
                     st.floats(allow_nan=False, width=64),
-                    st.sampled_from(AWKWARD).map(repr))
+                    st.sampled_from(AWKWARD).map(repr),
+                    st.sampled_from((" 2.5 ", "1_0", True)))
 layers = st.sampled_from((FOLLOW, REBLOG, REBLOG))
-edge = st.tuples(st.sampled_from(NODES), st.sampled_from(NODES), weights, layers)
+# ints as ids, read as their str; 3 is also a weight
+edge = st.tuples(st.sampled_from(NODES + (1, 3)), st.sampled_from(NODES + (1, 3)), weights, layers)
 self_loop = st.sampled_from(NODES + ("lone",)).flatmap(
     lambda n: st.tuples(st.just(n), st.just(n), weights, layers))
 malformed = st.sampled_from((
     ("a",), None, ("a", "b", "x", FOLLOW), ("a", "b", None, REBLOG),
     ("a", "b", 1.0, "Z"), ("", "b", 1.0, FOLLOW), ("a", "", 1.0, REBLOG),
     ("g", "h", 1.0, "Z"), (1, 2, 3, REBLOG, "extra"),
+    ("a", "b", [1], REBLOG), ("a", "b", 1.0, [FOLLOW]), ("a", "b", "F", FOLLOW),
 ))
 
 

@@ -58,6 +58,8 @@ from devgraph.intervention import ShrinkageCurve, write_shrinkage_csv
 from devgraph.perception import PerceptionCurve, write_curves_csv
 from devgraph.synth import SynthConfig, write_config
 
+from log_helpers import stamp_text
+
 # -- the oracles ---------------------------------------------------------------
 
 
@@ -99,14 +101,14 @@ def oracle_write_classes_csv(classes: dict[str, ConsumerClass], path: str) -> No
 def oracle_write_events_tsv(events: _CodedEvents, path: str) -> None:
     """One actor, source, post, time row per event, written by columns in
     slices of _BATCH rows; each distinct timestamp of a slice is formatted
-    once."""
+    once, with `%g` as before where that reads back exactly."""
     ids, posts = np.array(events.ids, dtype=object), np.array(events.posts, dtype=object)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for lo in range(0, len(events), _BATCH):
             rows = slice(lo, lo + _BATCH)
             # unique bit patterns, so 0.0 and -0.0 keep their own text
             bits, at = np.unique(events.ts[rows].view(np.int64), return_inverse=True)
-            ts = np.array([f"{t:g}" for t in bits.view(np.float64).tolist()], dtype=object)
+            ts = np.array([stamp_text(t) for t in bits.view(np.float64).tolist()], dtype=object)
             fh.writelines(map("{}\t{}\t{}\t{}\n".format, ids[events.actor[rows]].tolist(),
                               ids[events.source[rows]].tolist(),
                               posts[events.post[rows]].tolist(), ts[at].tolist()))
