@@ -103,7 +103,7 @@ def read_events_tsv(path: str, diagnostics: Counter | None = None) -> _CodedEven
 
 
 def _stamp(t: float) -> str:
-    """t as %g if that reads back as t (NaN reads as itself), else repr(t)."""
+    """t as %g if that reads back as t, else as repr(t); a NaN as "nan"."""
     text = f"{t:g}"
     return text if float(text) == t or t != t else repr(t)
 

@@ -13,9 +13,9 @@ difference: the old reader kept NaN timestamps, which made trees depend on
 row order; they are now skipped and counted as malformed_events.
 
 The column-wise `write_events_tsv` is checked byte for byte against the
-row-by-row f-string writer it replaced, whose `%g` timestamps now follow
-the writer's rule (`log_helpers.stamp_text`): `%g` where it reads back
-exactly, `repr` where it would round.
+row-by-row f-string writer it replaced, with each timestamp written by
+`log_helpers.stamp_text`: `%g` where it reads back exactly, `repr` where
+it would round.
 """
 
 import itertools

@@ -101,7 +101,7 @@ def oracle_write_classes_csv(classes: dict[str, ConsumerClass], path: str) -> No
 def oracle_write_events_tsv(events: _CodedEvents, path: str) -> None:
     """One actor, source, post, time row per event, written by columns in
     slices of _BATCH rows; each distinct timestamp of a slice is formatted
-    once, with `%g` as before where that reads back exactly."""
+    once, by `stamp_text`."""
     ids, posts = np.array(events.ids, dtype=object), np.array(events.posts, dtype=object)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for lo in range(0, len(events), _BATCH):
