@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import io
 import re
-from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, count
@@ -44,10 +43,7 @@ def write_phrases(phrases: Iterable[str], path: str) -> None:
 def blog_id_from_url(url: str) -> str | None:
     """Host label immediately before the platform domain, lowercased;
     None for non-platform URLs."""
-    host = url.lower()
-    if "://" in host:
-        host = host.split("://", 1)[1]
-    host = host.split("/", 1)[0].split(":", 1)[0]
+    host = _host(url.lower()).split(":", 1)[0]
     if not host.endswith(_PLATFORM_SUFFIX):
         return None
     label = host[: -len(_PLATFORM_SUFFIX)].rsplit(".", 1)[-1]
@@ -166,25 +162,47 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 
 
 def _fold(key: np.ndarray, word: np.ndarray) -> np.ndarray:
-    """Keys with one more 64-bit word of their fields folded in."""
-    return (key ^ word) * _MIX
+    """Keys with one more 64-bit word of their fields folded in. A
+    product's low bits depend only on its factors' low bits, so the shift
+    brings the high bits down for the next multiply to spread; without it,
+    a difference in the high bytes of one word could cancel one in the
+    next."""
+    key = (key ^ word) * _MIX
+    return key ^ (key >> np.uint64(32))
+
+
+def _words(chunk: bytes) -> np.ndarray:
+    """words[i] is the 8 bytes of the chunk from byte i as a little-endian
+    word, zero past its end."""
+    return np.ndarray(len(chunk), dtype="<u8", buffer=chunk + bytes(8), strides=(1,))
 
 
 def _coded_spans(chunk: bytes, width: int) -> tuple[np.ndarray, list[str]] | None:
-    """The chunk's rows coded from the bytes of their fields, or None for a
-    chunk that is not valid UTF-8, holds a CR other than in a CRLF, has a
-    line with other than width - 1 tabs, or whose field keys collide.
+    """The chunk's rows coded from the bytes of their fields (see
+    `_field_spans` and `_span_codes`), or None for a chunk that they cannot
+    code."""
+    spans = _field_spans(chunk, width)
+    if spans is None:
+        return None
+    coded = _span_codes(*spans)
+    if coded is None:
+        return None
+    codes, values = coded
+    return codes.reshape(-1, width), values
 
-    Each field's bytes are read as little-endian 64-bit words, masked past
-    its end, and folded with its length into a key; fields with equal keys
-    share a code once their words and lengths are checked equal."""
+
+def _field_spans(chunk: bytes, width: int) -> tuple[bytes, np.ndarray, np.ndarray] | None:
+    """The chunk, ended by an LF, with the start and length of each of its
+    fields in row-major order, as `decoded_lines` and `str.split` give
+    them; None for a chunk that is not valid UTF-8, holds a CR other than
+    in a CRLF or has a line with other than width - 1 tabs."""
     if not chunk.isascii():
         try:
             chunk.decode("utf-8")
         except UnicodeDecodeError:
             return None
-    crlf = chunk.count(b"\r")
-    if crlf != chunk.count(b"\r\n"):
+    crlf = chunk.count(b"\r") if b"\r" in chunk else 0
+    if crlf and crlf != chunk.count(b"\r\n"):
         return None
     if not chunk.endswith(b"\n"):
         chunk += b"\n"
@@ -199,20 +217,34 @@ def _coded_spans(chunk: bytes, width: int) -> tuple[np.ndarray, list[str]] | Non
     if crlf:
         # a line's last field ends before its CRLF, as text mode reads it
         lengths[width - 1::width] -= data[ends[width - 1::width] - 1] == 13
-    # words[i] is the 8 bytes from byte i; the padding is masked off
-    words = np.ndarray(len(chunk), dtype="<u8", buffer=chunk + bytes(8), strides=(1,))
+    return chunk, starts, lengths
+
+
+def _span_codes(chunk: bytes, starts: np.ndarray,
+                lengths: np.ndarray) -> tuple[np.ndarray, list[str]] | None:
+    """The spans of `chunk` at `starts` of `lengths` bytes as codes into the
+    list of their distinct values in first-seen order; None if their keys
+    collide. Each span must be valid UTF-8, hold no tab and end before the
+    chunk does.
+
+    Each span's bytes are read as little-endian 64-bit words, masked past
+    its end, and folded with its length into a key; spans with equal keys
+    share a code once their words and lengths are checked equal."""
+    if not len(starts):
+        return np.empty(0, dtype=np.int64), []
+    words = _words(chunk)
 
     def word(k: int, spans) -> np.ndarray:
         return words[starts[spans] + 8 * k] & _MASKS[np.minimum(lengths[spans] - 8 * k, 8)]
 
-    # the first word of every field (0 for an empty one), then the later
-    # words of the longer fields
+    # the first word of every span (0 for an empty one), then the later
+    # words of the longer spans
     first_words = word(0, slice(None))
     keys = _fold(lengths.astype(np.uint64), first_words)
     longer = [np.flatnonzero(lengths > 8 * k) for k in range(1, -(-int(lengths.max()) // 8))]
     for k, spans in enumerate(longer, 1):
         keys[spans] = _fold(keys[spans], word(k, spans))
-    # one sort of the keys, each with its field's index in place of its low
+    # one sort of the keys, each with its span's index in place of its low
     # bits (a product's low bits mix least), groups equal keys; that adds
     # only collisions, which the check below catches
     low = (np.uint64(1) << np.uint64(max(1, (len(keys) - 1).bit_length()))) - np.uint64(1)
@@ -222,7 +254,7 @@ def _coded_spans(chunk: bytes, width: int) -> tuple[np.ndarray, list[str]] | Non
     new = np.concatenate(([True], key[1:] != key[:-1]))
     group = np.empty(len(keys), dtype=np.int64)
     group[order] = np.cumsum(new) - 1
-    # codes in first-seen order; the first field with each code stands for
+    # codes in first-seen order; the first span with each code stands for
     # it, and every other must equal it
     first = np.sort(order[new])
     code = np.empty(len(first), dtype=np.int64)
@@ -233,14 +265,19 @@ def _coded_spans(chunk: bytes, width: int) -> tuple[np.ndarray, list[str]] | Non
             and all(np.array_equal(word(k, spans), word(k, rep[spans]))
                     for k, spans in enumerate(longer, 1))):
         return None
-    # the fields that stand for the codes, each with its delimiter made a
-    # tab, decode at once
-    size = lengths[first] + 1
+    # the spans that stand for the codes, each with the byte after it made
+    # a tab, decode at once; their byte indices are a running sum of steps
+    # of 1 that jump at each span's start, one array the size of the text
+    data = np.frombuffer(chunk, dtype=np.uint8)
+    at, size = starts[first], lengths[first] + 1
     end = np.cumsum(size)
-    text = data[np.repeat(starts[first] - (end - size), size) + np.arange(end[-1])]
+    index = np.ones(end[-1], dtype=np.int64)
+    index[0] = at[0]
+    index[end[:-1]] = at[1:] - (at[:-1] + size[:-1]) + 1
+    text = data[np.cumsum(index, out=index)]
     text[end - 1] = 9
     values = text.tobytes().decode("utf-8").split("\t")[:-1]
-    return codes.reshape(-1, width), values
+    return codes, values
 
 
 def _csv_rows(path: str, header: str, reason: str, parse: Callable,
@@ -380,38 +417,128 @@ def read_query_log(path: str, diagnostics: Counter | None = None) -> _CodedLog:
     and tallied, and so are lines that are not valid UTF-8 (see
     `decoded_lines`).
 
-    Rows are coded by raw query and host as they are read; then each
-    distinct raw query is normalized once and each distinct host resolved
-    to its blog once.
+    The file is read a chunk at a time (see `_coded_rows`), and each
+    chunk's good rows are coded by raw query and host; then each distinct
+    raw query is normalized once and each distinct host resolved to its
+    blog once.
     """
     if diagnostics is None:
         diagnostics = Counter()
     raw_queries: dict[str, int] = {}
     hosts: dict[str, int] = {}
-    query_col, host_col = array("q"), array("q")
-    for line in decoded_lines(path, diagnostics):
-        try:
-            ts_text, query, url, _region = line.split("\t")
-            ts = float(ts_text)
-        except ValueError:
-            diagnostics["malformed_lines"] += 1
-            continue
-        if not ts >= 0 or not url:
-            diagnostics["malformed_lines"] += 1
-            continue
-        # the host as blog_id_from_url finds it, before lowercasing
-        _, scheme, rest = url.partition("://")
-        host = (rest if scheme else url).split("/", 1)[0]
-        query_col.append(raw_queries.setdefault(query, len(raw_queries)))
-        host_col.append(hosts.setdefault(host, len(hosts)))
+    query_cols, host_cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    with open(path, "rb") as fh:
+        for chunk in _chunks(fh, _CHUNK):
+            coded = _log_spans(chunk, diagnostics)
+            if coded is None:
+                coded = _log_lines(chunk, diagnostics)
+            codes, values = coded
+            query, host = np.split(codes, 2)
+            # the queries come first, so they hold the codes below n, in the
+            # order the queries were first seen
+            n = int(query.max()) + 1 if len(query) else 0
+            raw_code = np.fromiter((raw_queries.setdefault(q, len(raw_queries)) for q in values[:n]),
+                                   dtype=np.int64, count=n)
+            used = _used(host, len(values))
+            host_code = np.empty(len(values), dtype=np.int64)
+            host_code[used] = [hosts.setdefault(values[c], len(hosts)) for c in used.tolist()]
+            query_cols.append(raw_code[query])
+            host_cols.append(host_code[host])
     queries: dict[str, int] = {}
     query_of = np.array([queries.setdefault(normalize_query(q), len(queries))
                          for q in raw_queries], dtype=np.int64)
     blogs: dict[str, int] = {}
     blog_of = np.array([-1 if b is None else blogs.setdefault(b, len(blogs))
                         for b in map(blog_id_from_url, hosts)], dtype=np.int64)
-    query, blog = query_of[np.asarray(query_col)], blog_of[np.asarray(host_col)]
+    query, blog = query_of[np.concatenate(query_cols)], blog_of[np.concatenate(host_cols)]
     platform = blog >= 0
     if not platform.all():
         diagnostics["non_platform_urls"] += int(np.count_nonzero(~platform))
     return _CodedLog(list(queries), list(blogs), query[platform], blog[platform])
+
+
+def _log_spans(chunk: bytes, diagnostics: Counter) -> tuple[np.ndarray, list[str]] | None:
+    """The queries, then the hosts, of the chunk's good log rows, coded
+    from their bytes by `_span_codes` into one list of distinct values;
+    None, having counted nothing, for a chunk that `_field_spans` or
+    `_span_codes` cannot read.
+
+    A timestamp of 1 to 32 ASCII digits is good as it stands; any other is
+    decoded and parsed. A host is cut from its URL's bytes as `_host` cuts
+    it from the text: `:` and `/` are ASCII, so no byte of a multibyte
+    character matches them. No URL and no region is decoded."""
+    spans = _field_spans(chunk, 4)
+    if spans is None:
+        return None
+    chunk, starts, lengths = spans
+    starts, lengths = starts.reshape(-1, 4), lengths.reshape(-1, 4)
+    good = _digit_spans(_words(chunk), starts[:, 0], lengths[:, 0])
+    for i in np.flatnonzero(~good).tolist():
+        at = int(starts[i, 0])
+        good[i] = _stamp_ok(chunk[at:at + int(lengths[i, 0])].decode("utf-8"))
+    good &= lengths[:, 2] > 0
+    rows = np.flatnonzero(good)
+    url, end = starts[rows, 2], starts[rows, 2] + lengths[rows, 2]
+    data = np.frombuffer(chunk, dtype=np.uint8)
+    slash = np.flatnonzero(data == 47)
+    # each "://" is a colon before two slashes (the chunk ends in an LF, so
+    # a slash at byte 0 finds no colon at byte -1); the first one at or
+    # after a URL's start, if it ends inside the URL, ends its scheme
+    scheme = slash[:-1][np.diff(slash) == 1] - 1
+    scheme = np.append(scheme[data[scheme] == 58], len(data))
+    after = scheme[np.searchsorted(scheme, url)] + 3
+    host = np.where(after <= end, after, url)
+    slash = np.append(slash, len(data))
+    host_end = np.minimum(slash[np.searchsorted(slash, host)], end)
+    coded = _span_codes(chunk, np.concatenate((starts[rows, 1], host)),
+                        np.concatenate((lengths[rows, 1], host_end - host)))
+    if coded is not None and len(rows) < len(good):
+        diagnostics["malformed_lines"] += len(good) - len(rows)
+    return coded
+
+
+def _digit_spans(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Which spans, in the chunk of `words` (see `_words`), are 1 to 32
+    ASCII digits: text that `float` parses to a number >= 0."""
+    digits = (lengths > 0) & (lengths <= 32)
+    for k in range(4):
+        at = np.flatnonzero(digits & (lengths > 8 * k))
+        if not len(at):
+            break
+        text = words[starts[at] + 8 * k].view(np.uint8).reshape(-1, 8)
+        past = np.arange(8) >= (lengths[at] - 8 * k)[:, None]
+        digits[at] = ((text - np.uint8(48) < 10) | past).all(axis=1)
+    return digits
+
+
+def _log_lines(chunk: bytes, diagnostics: Counter) -> tuple[np.ndarray, list[str]]:
+    """`_log_spans`'s result for any chunk, from its lines as `_coded_lines`
+    codes them: each distinct timestamp is parsed once, and each distinct
+    URL cut to its host once."""
+    codes, values = _coded_lines(chunk, 4, "malformed_lines", diagnostics)
+    stamp_ok = np.zeros(len(values), dtype=bool)
+    for c in _used(codes[:, 0], len(values)).tolist():
+        stamp_ok[c] = _stamp_ok(values[c])
+    host_of = {c: _host(values[c]) for c in _used(codes[:, 2], len(values)).tolist()}
+    url_ok = np.array([v != "" for v in values], dtype=bool)
+    rows = codes[stamp_ok[codes[:, 0]] & url_ok[codes[:, 2]]]
+    if len(rows) < len(codes):
+        diagnostics["malformed_lines"] += len(codes) - len(rows)
+    fields = [values[c] for c in rows[:, 1].tolist()] + [host_of[c] for c in rows[:, 2].tolist()]
+    codes, values = _codes(fields, 1)
+    return codes.ravel(), values
+
+
+def _stamp_ok(text: str) -> bool:
+    """Whether a timestamp's text is a number >= 0 (not NaN)."""
+    try:
+        return float(text) >= 0
+    except ValueError:
+        return False
+
+
+def _host(url: str) -> str:
+    """The text after the URL's first `://`, or all of it if it has none, up
+    to its first `/`: the host with its port, if any."""
+    _, scheme, rest = url.partition("://")
+    return (rest if scheme else url).split("/", 1)[0]

@@ -4,12 +4,15 @@ it replaced, kept here verbatim as oracles: `QueryRecord`,
 from the records.
 
 Hypothesis writes random query logs (upper-case and non-ASCII hosts, ports,
-`://` inside the path, digit-only queries and platform tokens, bad
-timestamps, rows of 3 or 5 fields, bad bytes, CR and CRLF line ends) and
-checks that both give the same vocabulary, blogs, per-(blog, query) click
-counts, per-blog totals and counters. The one intended difference: the old
-reader kept a NaN timestamp, so the random logs hold none; `test_ingest.py`
-checks that it is now skipped and counted.
+`://` inside the path or the region, digit-only queries and platform
+tokens, timestamps that are all digits and that are not, bad timestamps,
+rows of 3 or 5 fields, bad bytes, CR and CRLF line ends) and checks that
+both give the same vocabulary, blogs, per-(blog, query) click counts,
+per-blog totals and counters. The chunk size is patched down to 1-64
+bytes, so that chunk cuts fall inside lines and one log mixes chunks
+coded from their bytes with chunks read line by line. The one intended
+difference: the old reader kept a NaN timestamp, so the random logs hold
+none; `test_ingest.py` checks that it is now skipped and counted.
 """
 
 from __future__ import annotations
@@ -24,9 +27,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from devgraph import ingest
 from devgraph.ingest import blog_id_from_url, decoded_lines, normalize_query, read_query_log
 
 from log_helpers import log_rows
+from test_span_reader_oracle import chunk_size
 
 
 # -- the per-record reader and its coding, verbatim ---------------------------
@@ -114,7 +119,11 @@ class OracleCodedLog:
 
 # -- random query logs ----------------------------------------------------------
 
-STAMPS = ["1", "0", "-0", "2.5", "1e3", " 7 ", "inf", "-inf", "-5", "x", ""]
+# all digits (a leading zero, 20 of them) and not: a sign, an underscore,
+# a non-ASCII digit that float reads as 3.0, a fraction, and digits before
+# a bad byte in the first word or the second
+STAMPS = ["1", "0", "-0", "2.5", "1e3", " 7 ", "inf", "-inf", "-5", "x", "",
+          "007", "12345678901234567890", "+5", "1_0", "\u0663", "1.5", "1 2", "123456789x"]
 # platform tokens, digit-only and upper-case queries, and one that
 # normalizes to nothing
 QUERIES = ["cats", "Cats 2", "Tumblr cats", "tmblr", "42", "", "  a  b ", "ÉCOLE",
@@ -126,6 +135,8 @@ DOMAINS = [".tumblr.com", ".TUMBLR.COM", ".Tumblr.com", ".example.com",
            ".tumblr.com.evil.org", "tumblr.com", ""]
 PORTS = ["", ":80", ":"]
 PATHS = ["", "/", "/post/1", "/x://bar.tumblr.com/y", "://baz.tumblr.com", "/a:b"]
+# regions with the bytes a host is cut at, which the URL's cut must not see
+REGIONS = ["US", "://", "a/b", "http://x.tumblr.com/"]
 
 urls = st.one_of(
     st.tuples(*map(st.sampled_from, (SCHEMES, LABELS, DOMAINS, PORTS, PATHS))).map("".join),
@@ -139,7 +150,7 @@ def log_files(draw):
     out = []
     for _ in range(draw(st.integers(0, 30))):
         fields = [draw(st.sampled_from(STAMPS)), draw(st.sampled_from(QUERIES)),
-                  draw(urls), "US"]
+                  draw(urls), draw(st.sampled_from(REGIONS))]
         width = draw(st.sampled_from([4] * 8 + [3, 5]))
         line = "\t".join((fields + ["extra"])[:width]).encode("utf-8")
         if draw(st.integers(0, 9)) == 0:
@@ -158,20 +169,23 @@ def summary(log) -> tuple:
             log.unique_queries.tolist())
 
 
-def read_both(data: bytes):
+def read_both(data: bytes, size: int = ingest._CHUNK):
+    """(oracle's log, its counters) and (reader's, with chunks of `size`
+    bytes, its counters)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "log.tsv")
         Path(path).write_bytes(data)
         old_diag, new_diag = Counter(), Counter()
         old = OracleCodedLog(oracle_read_query_log(path, old_diag))
-        new = read_query_log(path, new_diag)
+        with chunk_size(size):
+            new = read_query_log(path, new_diag)
     return (old, old_diag), (new, new_diag)
 
 
 @settings(max_examples=400, deadline=None)
-@given(log_files())
-def test_reader_matches_oracle(data):
-    (old, old_diag), (new, new_diag) = read_both(data)
+@given(log_files(), st.integers(1, 64))
+def test_reader_matches_oracle(data, size):
+    (old, old_diag), (new, new_diag) = read_both(data, size)
     assert summary(new) == summary(old)
     assert new.query_code.keys() == old.query_code.keys()
     assert new.blog_code == old.blog_code
@@ -193,3 +207,28 @@ def test_hosts_spelt_many_ways(tmp_path):
     (old, old_diag), (new, new_diag) = read_both(path.read_bytes())
     assert summary(new) == summary(old)
     assert new_diag == old_diag
+
+
+def test_clean_log_never_read_line_by_line(monkeypatch):
+    """A log whose every line has four fields, some ended by CRLF, is coded
+    from its bytes in every chunk: also its rows with a timestamp that is
+    not all digits, a bad timestamp or an empty URL, and its hosts, which a
+    `://` in the query, the region or the next line must not move."""
+    rows = [b"%d\tq %d\thttp://b%d.tumblr.com/post/%d\tUS\n" % (i, i % 7, i % 5, i)
+            for i in range(60)]
+    rows += [b"2.5\tq\tb1.tumblr.com\t://x.tumblr.com/\r\n",
+             b" 7 \tq\tb2.tumblr.com/p\tUS\n",
+             "\u0663\tq\tb3.tumblr.com\tUS\n".encode("utf-8"),
+             b"x\tq\thttp://b1.tumblr.com/\tUS\n",
+             b"-5\tq\thttp://b1.tumblr.com/\tUS\n",
+             b"1\tq\t\tUS\n",
+             b"1\tq\tb4.tumblr.com\tUS\n", b"1\thttp://q.tumblr.com/\tb5.tumblr.com/x\tUS\n"]
+    data = b"".join(rows * 3)
+
+    def line_by_line(*args):
+        raise AssertionError("a clean chunk was read line by line")
+
+    monkeypatch.setattr(ingest, "_coded_lines", line_by_line)
+    (old, old_diag), (new, new_diag) = read_both(data, 256)
+    assert summary(new) == summary(old)
+    assert new_diag == old_diag == {"malformed_lines": 9}

@@ -283,3 +283,13 @@ def test_colliding_keys_still_read_exactly(fixture_files, fold):
         assert_same_reads(data, ingest._CHUNK)
     finally:
         ingest._fold = saved
+
+
+def test_fields_that_differ_in_two_words_code_in_bulk():
+    """Two URLs that differ in one byte of their second word and one of their
+    fifth get distinct keys, so their chunk is coded from its bytes."""
+    chunk = (b"http://zzdtpmkzp2_0009.tumblr.com/post/189\n"
+             b"http://zzdtpmkzb2_0009.tumblr.com/post/389\n")
+    codes, values = ingest._coded_spans(chunk, 1)
+    assert codes.tolist() == [[0], [1]]
+    assert values == chunk.decode().split()
