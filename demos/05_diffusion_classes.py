@@ -10,19 +10,24 @@ Ends with the reach summary and the spread efficiency of the producers.
 import numpy as np
 
 from devgraph.diffusion import (
+    bridge_nodes,
     build_trees,
     classify_nodes,
     producer_nodes,
     reach_report,
     spread_efficiency,
 )
+from devgraph.graph import id_codes, id_mask
 from devgraph.synth import SynthConfig, planted_graph, synth_events
 
 cfg = SynthConfig(seed=3)
 g, roles = planted_graph(cfg)
 events = synth_events(cfg, g, roles)
-producers = producer_nodes(roles)
-forest = build_trees(events, producers)
+# ids become node codes once: role masks over the graph, and the graph code
+# of each event node (every one is in the graph here)
+producers = id_mask(g.node_ids, producer_nodes(roles))
+at = id_codes(g.node_ids, events.ids)
+forest = build_trees(events, producers[at])
 
 print(f"events: {len(events)}   trees kept: {len(forest)}")
 # climb every appearance to its tree's root, counting the hops
@@ -34,8 +39,8 @@ while (up := forest.parent[tree] >= 0).any():
 print(f"deepest cascade: {depth.max()} hops, "
       f"largest: {np.bincount(tree).max()} nodes")
 
-classes = classify_nodes(g, forest, roles)
-report = reach_report(classes, forest)
+classes = classify_nodes(g, forest, at, producers, id_mask(g.node_ids, bridge_nodes(roles)))
+report = reach_report(classes, forest, at)
 
 print("\nclass              count")
 for name, count in sorted(report.class_counts.items(), key=lambda kv: -kv[1]):
@@ -47,6 +52,6 @@ for src, row in sorted(report.flows.items()):
     for dst, n in sorted(row.items(), key=lambda kv: -kv[1]):
         print(f"  {dst:18s} <- {src:18s} {n:4d}")
 
-eta = spread_efficiency(producers, forest)
+eta = spread_efficiency(producers[at], int(producers.sum()), forest)
 print(f"\nproducer spread efficiency: {eta:.4f} "
       f"(outside reblogs per own reblog per member)")

@@ -8,22 +8,32 @@ how many accounts see a neighborhood that reblogs more than they do.
 
 import numpy as np
 
-from devgraph.diffusion import ConsumerClass, build_trees, classify_nodes, producer_nodes
-from devgraph.graph import FOLLOW, REBLOG
+from devgraph.diffusion import (
+    ConsumerClass,
+    bridge_nodes,
+    build_trees,
+    class_mask,
+    classify_nodes,
+    producer_nodes,
+)
+from devgraph.graph import FOLLOW, REBLOG, id_codes, id_mask
 from devgraph.perception import perception_curve, volume_paradox_fraction
 from devgraph.synth import SynthConfig, paradox_fixture, planted_graph, synth_events
 
 cfg = SynthConfig(seed=3)
 g, roles = planted_graph(cfg)
-producers = producer_nodes(roles)
-forest = build_trees(synth_events(cfg, g, roles), producers)
-classes = classify_nodes(g, forest, roles)
+events = synth_events(cfg, g, roles)
+producers = id_mask(g.node_ids, producer_nodes(roles))
+# the graph code of each event node
+at = id_codes(g.node_ids, events.ids)
+forest = build_trees(events, producers[at])
+classes = classify_nodes(g, forest, at, producers, id_mask(g.node_ids, bridge_nodes(roles)))
 
-active = producers | {n for n, c in classes.items()
-                      if c in (ConsumerClass.ACTIVE_DIRECT, ConsumerClass.ACTIVE_INDIRECT)}
+active = producers | class_mask(classes, (ConsumerClass.ACTIVE_DIRECT,
+                                          ConsumerClass.ACTIVE_INDIRECT))
 curve = perception_curve(g, FOLLOW, active, exclude=producers, step=0.10)
 
-print(f"active deviant accounts: {len(active)} of {g.n_nodes}")
+print(f"active deviant accounts: {active.sum()} of {g.n_nodes}")
 print(f"eligible observers: {curve.eligible} "
       f"(skipped {curve.excluded_zero_outdegree} with nobody followed)\n")
 print("threshold  share seeing at least that fraction")
@@ -33,10 +43,9 @@ for t, f in zip(curve.thresholds, curve.fraction_at_least):
 
 # the paradox needs heavy tails to bite; use the zipf fixture for contrast
 # each reblog counts for both its actor and its source
-volume = np.bincount(np.concatenate(forest.edges()), minlength=forest.n_nodes)
-counts = {forest.ids[i]: c for i, c in enumerate(volume.tolist()) if c}
-planted = volume_paradox_fraction(g, FOLLOW, counts, exclude=producers)
+volume = np.bincount(at[np.concatenate(forest.edges())], minlength=g.n_nodes)
+planted = volume_paradox_fraction(g, FOLLOW, volume, volume > 0, exclude=producers)
 hg, hcounts = paradox_fixture(n=10_000, seed=3)
-heavy = volume_paradox_fraction(hg, REBLOG, hcounts)
+heavy = volume_paradox_fraction(hg, REBLOG, hcounts, hcounts > 0)
 print(f"\nbelow their neighborhood mean: {planted:.3f} (planted graph), "
       f"{heavy:.3f} (heavy-tailed graph)")

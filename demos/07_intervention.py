@@ -7,6 +7,7 @@ Also reports the smallest removal that ends all underage exposure.
 """
 
 from devgraph.diffusion import build_trees, producer_nodes
+from devgraph.graph import id_codes, id_mask, id_values
 from devgraph.intervention import (
     adaptive_greedy_ranking,
     rank_by_degree,
@@ -18,12 +19,15 @@ from devgraph.synth import SynthConfig, planted_graph, synth_demographics, synth
 
 cfg = SynthConfig(seed=3)
 g, roles = planted_graph(cfg)
-trees = build_trees(synth_events(cfg, g, roles), producer_nodes(roles))
+events = synth_events(cfg, g, roles)
+trees = build_trees(events, id_mask(events.ids, producer_nodes(roles)))
 
 sizes = [0, 1, 2, 5, 10, 20, 40]
 curves = [
     shrinkage_curve(trees, rank_by_volume(trees), sizes, strategy="ByVolume"),
-    shrinkage_curve(trees, rank_by_degree(g), sizes, strategy="ByDegree"),
+    # the degree ranking holds graph codes; the curve reads the forest's
+    shrinkage_curve(trees, id_codes(trees.ids, g.node_ids)[rank_by_degree(g)], sizes,
+                    strategy="ByDegree"),
     shrinkage_curve(trees, adaptive_greedy_ranking(trees, max(sizes)), sizes,
                     strategy="Greedy"),
 ]
@@ -36,8 +40,9 @@ for c in curves:
     for w in c.warnings:
         print(f"  {c.strategy}: {w}")
 
-demo = synth_demographics(cfg, roles)
-ages = {n: r.age for n, r in demo.items() if r.age is not None}
+# each forest node's age, NaN where the table has none
+ages = id_values(trees.ids, {n: r.age for n, r in synth_demographics(cfg, roles).items()},
+                 float("nan"))
 threshold = underage_exposure_threshold(trees, rank_by_volume(trees), ages)
 if threshold.note:
     print(f"\nunderage exposure: {threshold.note}")

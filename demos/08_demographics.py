@@ -7,7 +7,14 @@ can be compared by shape rather than by base rate.
 """
 
 from devgraph.demographics import class_demographics, engagement_by_age
-from devgraph.diffusion import build_trees, classify_nodes, producer_nodes
+from devgraph.diffusion import (
+    bridge_nodes,
+    build_trees,
+    classes_by_id,
+    classify_nodes,
+    producer_nodes,
+)
+from devgraph.graph import id_codes, id_mask
 from devgraph.synth import (
     SynthConfig,
     engagement_fixture,
@@ -18,8 +25,13 @@ from devgraph.synth import (
 
 cfg = SynthConfig(seed=3)
 g, roles = planted_graph(cfg)
-trees = build_trees(synth_events(cfg, g, roles), producer_nodes(roles))
-classes = classify_nodes(g, trees, roles)
+events = synth_events(cfg, g, roles)
+producers = id_mask(g.node_ids, producer_nodes(roles))
+at = id_codes(g.node_ids, events.ids)
+trees = build_trees(events, producers[at])
+# the demographics tables are keyed by id
+classes = classes_by_id(g.node_ids, classify_nodes(
+    g, trees, at, producers, id_mask(g.node_ids, bridge_nodes(roles))))
 demo = synth_demographics(cfg, roles)
 
 stats = class_demographics(classes, demo)

@@ -14,7 +14,10 @@ import json
 import sys
 from collections import Counter
 from dataclasses import asdict, fields, replace
+from itertools import compress
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .community import (
@@ -47,6 +50,8 @@ from .demographics import (
 from .diffusion import (
     build_trees,
     bridge_nodes,
+    class_mask,
+    classes_by_id,
     classify_nodes,
     producer_nodes,
     reach_report,
@@ -63,6 +68,9 @@ from .graph import (
     REBLOG,
     LayeredGraph,
     _Layer,
+    id_codes,
+    id_mask,
+    id_values,
     load_graph,
     network_stats,
     read_labels_csv,
@@ -159,10 +167,10 @@ def _read(command: str, reader, path: str):
     return result
 
 
-def _with_nodes(g: LayeredGraph, nodes) -> LayeredGraph:
-    """g with the nodes of `nodes` that it lacks appended in sorted order,
+def _with_nodes(g: LayeredGraph, nodes: dict) -> LayeredGraph:
+    """g with the keys of `nodes` that it lacks appended in sorted order,
     without edges."""
-    extra = sorted(set(nodes).difference(g.node_ids))
+    extra = sorted(compress(nodes, (id_codes(g.node_ids, nodes) < 0).tolist()))
     if not extra:
         return g
     n = g.n_nodes + len(extra)
@@ -179,6 +187,11 @@ def _read_counts_csv(path: str, diagnostics: Counter) -> dict[str, int]:
     skipped and counted as malformed_rows."""
     return dict(_csv_rows(path, "node,count", "malformed_rows",
                           lambda node, value: (node, int(value)), diagnostics))
+
+
+def _role_masks(g: LayeredGraph, roles: dict[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """The masks of the producers and of the bridges over g's nodes."""
+    return id_mask(g.node_ids, producer_nodes(roles)), id_mask(g.node_ids, bridge_nodes(roles))
 
 
 def _resolve_roles(command: str, args) -> dict[str, str]:
@@ -235,18 +248,18 @@ def _trees(command: str, roles, events_path: str, events=None):
     diagnostics: Counter = Counter()
     if events is None:
         events = read_events_tsv(events_path, diagnostics=diagnostics)
-    trees = build_trees(events, producer_nodes(roles), diagnostics=diagnostics)
+    trees = build_trees(events, id_mask(events.ids, producer_nodes(roles)), diagnostics=diagnostics)
     _report_skipped(command, diagnostics, events_path)
     return trees, diagnostics
 
 
-def _diffusion(g, roles, trees, diagnostics: Counter, out):
+def _diffusion(g, trees, at, producers, bridges, diagnostics: Counter, out):
     """Consumer classes and the reach report, into classes.csv and
-    reach.json."""
-    classes = classify_nodes(g, trees, roles)
+    reach.json; `at` is the graph code of each forest node."""
+    classes = classify_nodes(g, trees, at, producers, bridges)
     out = _outdir(out)
-    write_classes_csv(classes, str(out / "classes.csv"))
-    report = reach_report(classes, trees)
+    write_classes_csv(g.node_ids, classes, str(out / "classes.csv"))
+    report = reach_report(classes, trees, at)
     _json_dump({**asdict(report),
                 "trees": len(trees),
                 "diagnostics": dict(sorted(diagnostics.items()))},
@@ -357,7 +370,7 @@ def cmd_communities(args) -> int:
     g = _read("communities", load_graph, args.edges)
     part = louvain(g, args.layer, seed=args.seed, **_given(args, config, tol=float))
     write_partition_csv(part, args.out)
-    n_comm = len(set(part.assignment.values()))
+    n_comm = len(np.unique(part.membership))
     print(f"communities: {n_comm} communities, modularity={part.modularity:.6f}")
     return 0
 
@@ -390,10 +403,12 @@ def cmd_diffusion(args) -> int:
     # every labelled node gets a class, with or without an edge
     g = _with_nodes(g, roles)
     trees, diagnostics = _trees("diffusion", roles, args.events)
-    _classes, report = _diffusion(g, roles, trees, diagnostics, args.out)
+    _classes, report = _diffusion(g, trees, id_codes(g.node_ids, trees.ids),
+                                  *_role_masks(g, roles), diagnostics, args.out)
     if args.efficiency_set:
-        eta = spread_efficiency(_read("diffusion", _read_node_set, args.efficiency_set),
-                                trees, inverse=bool(args.inverse))
+        members = _read("diffusion", _read_node_set, args.efficiency_set)
+        eta = spread_efficiency(id_mask(trees.ids, members), len(members), trees,
+                                inverse=bool(args.inverse))
         print(f"diffusion: trees={len(trees)} efficiency={eta:.6g}")
     else:
         print(f"diffusion: trees={len(trees)} "
@@ -404,16 +419,18 @@ def cmd_diffusion(args) -> int:
 def cmd_perception(args) -> int:
     config = _config_of(args)
     g = _read("perception", load_graph, args.edges)
-    active = _read("perception", _read_node_set, args.active)
-    exclude = _read("perception", _read_node_set, args.exclude) if args.exclude else None
+    active = id_mask(g.node_ids, _read("perception", _read_node_set, args.active))
+    exclude = (id_mask(g.node_ids, _read("perception", _read_node_set, args.exclude))
+               if args.exclude else None)
     curve = perception_curve(g, args.layer, active, exclude=exclude,
                              **_given(args, config, step=float))
     write_curves_csv([curve], args.out)
     line = (f"perception[{args.layer}]: eligible={curve.eligible} "
             f"excluded_zero_outdegree={curve.excluded_zero_outdegree}")
     if args.counts:
-        frac = volume_paradox_fraction(
-            g, args.layer, _read("perception", _read_counts_csv, args.counts), exclude=exclude)
+        table = _read("perception", _read_counts_csv, args.counts)
+        frac = volume_paradox_fraction(g, args.layer, id_values(g.node_ids, table, 0.0),
+                                       id_mask(g.node_ids, table), exclude=exclude)
         line += f" paradox_fraction={frac:.6f}"
     print(line)
     return 0
@@ -427,7 +444,8 @@ def cmd_intervene(args) -> int:
     if args.strategy == "degree":
         if not args.edges:
             raise UsageError("--edges is required for the degree strategy")
-        ranking, label = rank_by_degree(_read("intervene", load_graph, args.edges)), BY_DEGREE
+        g = _read("intervene", load_graph, args.edges)
+        ranking, label = id_codes(trees.ids, g.node_ids)[rank_by_degree(g)], BY_DEGREE
     elif args.strategy == "greedy":
         ranking, label = adaptive_greedy_ranking(trees, max(sizes)), "Greedy"
     else:
@@ -436,7 +454,7 @@ def cmd_intervene(args) -> int:
     # the threshold can fail, so it comes before any output is written
     if args.ages:
         demo = _read("intervene", read_demographics_csv, args.ages)
-        ages = {n: r.age for n, r in demo.items()}
+        ages = id_values(trees.ids, {n: r.age for n, r in demo.items()}, np.nan)
         try:
             thr = underage_exposure_threshold(trees, ranking, ages,
                                               **_given(args, config, cutoff=int))
@@ -490,7 +508,7 @@ def cmd_pipeline(args) -> int:
 
     part = louvain(g, FOLLOW, seed=cfg.seed)
     write_partition_csv(part, str(out / "partition.csv"))
-    comm_sizes = sorted(Counter(part.assignment.values()).values(), reverse=True)
+    comm_sizes = sorted(np.bincount(part.membership).tolist(), reverse=True)
 
     connectivity = {}
     for name, mode in _MODES.items():
@@ -500,32 +518,30 @@ def cmd_pipeline(args) -> int:
         connectivity[name] = mat.as_dict()
 
     trees, diagnostics = _trees("pipeline", roles, "events.tsv", events)
-    classes, reach = _diffusion(g, roles, trees, diagnostics, out)
-    producers = producer_nodes(roles)
-    efficiency = {
-        "producers": _try(lambda: spread_efficiency(producers, trees, inverse=True)),
-        "bridges": _try(lambda: spread_efficiency(bridge_nodes(roles), trees)),
-    }
+    producers, bridges = _role_masks(g, roles)
+    at = id_codes(g.node_ids, trees.ids)
+    classes, reach = _diffusion(g, trees, at, producers, bridges, diagnostics, out)
+    efficiency = {name: _try(lambda: spread_efficiency(
+        members[at] & (at >= 0), int(members.sum()), trees, inverse=name == "producers"))
+        for name, members in (("producers", producers), ("bridges", bridges))}
 
-    active = producers | {n for n, c in classes.items() if c in ACTIVE_CLASSES}
+    active = producers | class_mask(classes, ACTIVE_CLASSES)
     degree = g.out_degrees(REBLOG) + g.in_degrees(REBLOG)
-    counts = {node: int(degree[g.index_of(node)]) for node in active
-              if degree[g.index_of(node)] > 0}
     curve = perception_curve(g, FOLLOW, active, exclude=producers, step=step)
     write_curves_csv([curve], str(out / "perception.csv"))
-    paradox = _try(lambda: volume_paradox_fraction(g, FOLLOW, counts,
+    paradox = _try(lambda: volume_paradox_fraction(g, FOLLOW, degree, active & (degree > 0),
                                                    exclude=producers))
 
     rankings = {"by_volume": (rank_by_volume(trees), BY_VOLUME),
-                "by_degree": (rank_by_degree(g), BY_DEGREE)}
+                "by_degree": (id_codes(trees.ids, g.node_ids)[rank_by_degree(g)], BY_DEGREE)}
     curves = _intervention(trees, rankings.values(), sizes,
                            str(out / "shrinkage.csv"))
     shrinkage = {key: _fields(sc, "strategy") for key, sc in zip(rankings, curves)}
-    ages = {n: r.age for n, r in demo.items()}
+    ages = id_values(trees.ids, {n: r.age for n, r in demo.items()}, np.nan)
     underage = _try(lambda: asdict(underage_exposure_threshold(
         trees, rankings["by_volume"][0], ages)))
 
-    demo_stats, engagement = _demographics(classes, demo, out)
+    demo_stats, engagement = _demographics(classes_by_id(g.node_ids, classes), demo, out)
     if engagement["value"] is not None:
         engagement["value"] = {gender: _fields(c, "gender")
                                for gender, c in engagement["value"].items()}

@@ -13,17 +13,12 @@ from .graph import _CSR, LayeredGraph, _entry_rows, _indptr
 from .ingest import _csv_rows, _write_rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Node-to-community assignment with community ids dense from 0."""
-    assignment: dict[str, int]
+    """Each node's community, dense from 0 by first appearance, and its id."""
+    node_ids: tuple[str, ...]
+    membership: np.ndarray
     modularity: float
-
-    def communities(self) -> dict[int, set[str]]:
-        out: dict[int, set[str]] = {}
-        for node, c in self.assignment.items():
-            out.setdefault(c, set()).add(node)
-        return out
 
 
 def _summed(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, size: int) -> _CSR:
@@ -63,18 +58,17 @@ def _q(adj: _CSR, loops: list[float], m: float, comm) -> float:
     return sum(ec / m - (dc / two_m) ** 2 for ec, dc in zip(e.tolist(), d.tolist()))
 
 
-def modularity(g: LayeredGraph, layer: str, assignment: dict[str, int]) -> float:
-    """Weighted undirected modularity of a node -> community assignment
-    over the full node set."""
+def modularity(g: LayeredGraph, layer: str, membership: np.ndarray) -> float:
+    """Weighted undirected modularity of the community labels
+    `membership[i]` of the nodes i, over the full node set."""
     if g.n_nodes == 0:
         raise ValueError("empty graph")
-    missing = [node for node in g.node_ids if node not in assignment]
-    if missing:
-        raise ValueError(f"partition misses {len(missing)} nodes, e.g. {missing[0]!r}")
+    if len(membership) != g.n_nodes:
+        raise ValueError(f"partition has {len(membership)} labels for {g.n_nodes} nodes")
     adj, m = _projection(g, layer)
     if m == 0:
         raise ValueError("no edges")
-    return _q(adj, [0.0] * g.n_nodes, m, [assignment[node] for node in g.node_ids])
+    return _q(adj, [0.0] * g.n_nodes, m, np.asarray(membership).tolist())
 
 
 def _local_move(adj: _CSR, loops: list[float], m: float,
@@ -155,12 +149,12 @@ def louvain(g: LayeredGraph, layer: str, seed: int, tol: float = 1e-7) -> Partit
         q_prev = q_now
         if stop:
             break
-    assignment = dict(zip(g.node_ids, _first_seen(membership.tolist()).tolist()))
-    return Partition(assignment=assignment, modularity=modularity(g, layer, assignment))
+    membership = _first_seen(membership.tolist())
+    return Partition(g.node_ids, membership, modularity(g, layer, membership))
 
 
 def write_partition_csv(p: Partition, path: str) -> None:
-    _write_rows(path, "node,community", sorted(p.assignment.items()))
+    _write_rows(path, "node,community", sorted(zip(p.node_ids, p.membership.tolist())))
 
 
 def read_partition_csv(path: str, diagnostics: Counter | None = None) -> dict[str, int]:

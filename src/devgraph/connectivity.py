@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import LAYERS, LayeredGraph, _Layer
+from .graph import LAYERS, LayeredGraph, _Layer, id_codes
 from .ingest import _write_rows
 
 AVG_VOLUME = "AvgVolume"
@@ -23,9 +23,6 @@ class GroupMatrix:
     values: tuple[tuple[float, ...], ...]
     mode: str
     flags: tuple[str, ...] = field(default=())
-
-    def cell(self, origin: str, target: str) -> float:
-        return self.values[self.groups.index(origin)][self.groups.index(target)]
 
     def as_dict(self) -> dict:
         # +inf cells become the string "inf" to keep the JSON strict
@@ -45,19 +42,17 @@ def _group_order(roles: dict[str, str], group_order: tuple[str, ...] | None) -> 
     return tuple(group_order)
 
 
-def _edge_counts(g: LayeredGraph, layer: str, roles: dict[str, str],
-                 groups: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Unweighted E(A->B) counts and group sizes."""
-    unassigned = [n for n in g.node_ids if n not in roles]
-    if unassigned:
-        raise ValueError(f"{len(unassigned)} nodes lack a role, e.g. {unassigned[0]!r}")
-    gi = {grp: i for i, grp in enumerate(groups)}
-    role_idx = np.array([gi[roles[n]] for n in g.node_ids], dtype=np.int64)
-    sizes = np.bincount(role_idx, minlength=len(groups)).astype(np.int64)
-    src, dst, _ = g.edge_arrays(layer)
-    counts = np.zeros((len(groups), len(groups)), dtype=np.int64)
-    np.add.at(counts, (role_idx[src], role_idx[dst]), 1)
-    return counts, sizes
+def _role_codes(g: LayeredGraph, roles: dict[str, str], groups: tuple[str, ...]) -> np.ndarray:
+    """Each node's group code: the position of its role in `groups`."""
+    row = id_codes(list(roles), g.node_ids)
+    if (unassigned := np.flatnonzero(row < 0)).size:
+        raise ValueError(f"{unassigned.size} nodes lack a role, e.g. {g.node_ids[unassigned[0]]!r}")
+    return id_codes(groups, roles.values())[row]
+
+
+def _edge_counts(role: np.ndarray, k: int, lay: _Layer) -> np.ndarray:
+    """Unweighted E(A->B) counts of the layer's edges between k groups by code."""
+    return np.bincount(role[lay.src] * k + role[lay.dst], minlength=k * k).reshape(k, k)
 
 
 def group_matrix(g: LayeredGraph, layer: str, roles: dict[str, str], mode: str,
@@ -81,7 +76,8 @@ def group_matrix(g: LayeredGraph, layer: str, roles: dict[str, str], mode: str,
     elif mode not in (AVG_VOLUME, DENSITY):
         raise ValueError(f"unknown mode: {mode!r}")
     groups = _group_order(roles, group_order)
-    counts, sizes = _edge_counts(g, layer, roles, groups)
+    role, k = _role_codes(g, roles, groups), len(groups)
+    counts, sizes = _edge_counts(role, k, g.layer(layer)), np.bincount(role, minlength=k)
     if mode == AVG_VOLUME:
         base = np.broadcast_to(sizes[:, None], counts.shape)
     elif mode == DENSITY:
@@ -89,7 +85,7 @@ def group_matrix(g: LayeredGraph, layer: str, roles: dict[str, str], mode: str,
     else:
         rewired = (rewire_null_model(g, layer, seed=child, swaps_per_edge=swaps_per_edge)
                    for child in np.random.SeedSequence(seed).spawn(samples))
-        base = sum(_edge_counts(r, layer, roles, groups)[0] for r in rewired) / samples
+        base = sum(_edge_counts(role, k, r.layer(layer)) for r in rewired) / samples
     values = np.divide(counts, base, out=np.zeros(counts.shape), where=base > 0)
     flags: list[str] = []
     for i, j in np.argwhere(base == 0).tolist():

@@ -6,6 +6,7 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,9 +139,8 @@ class DiffusionForest:
     node. node[a] is the node at appearance a and parent[a] the appearance
     it hangs from, -1 at a root."""
 
-    def __init__(self, events: _CodedEvents, producers: set[str], diagnostics: Counter):
+    def __init__(self, events: _CodedEvents, producers: np.ndarray, diagnostics: Counter):
         self.ids = events.ids
-        self.index = {n: i for i, n in enumerate(self.ids)}
         n, n_posts = max(len(self.ids), 1), len(events.posts)
         # each (post, actor)'s earliest event, ties to the earlier row; each
         # event-length temporary is freed once dead, and an array is narrowed
@@ -191,10 +191,8 @@ class DiffusionForest:
                              ("multi_origin_posts", n_roots > 1)):
             if skip.any():
                 diagnostics[reason] += int(np.count_nonzero(skip))
-        is_producer = np.fromiter((x in producers for x in self.ids), dtype=bool,
-                                  count=len(self.ids))
         keep = (n_roots == 1) & ~cyclic
-        keep[keep] = is_producer[root_of[keep]]
+        keep[keep] = producers[root_of[keep]]
         tree_posts = np.flatnonzero(keep)
         n_trees = len(tree_posts)
         tree_of = np.full(n_posts, -1, dtype=np.int64)
@@ -235,11 +233,12 @@ class DiffusionForest:
         return int(np.count_nonzero(self.parent < 0))
 
 
-def build_trees(events: _CodedEvents, producers: set[str],
+def build_trees(events: _CodedEvents, producers: np.ndarray,
                 diagnostics: Counter | None = None) -> DiffusionForest:
-    """Resolve per-post reblog chains into trees; only producer-rooted posts
-    yield trees. Repeat reblogs by the same actor keep the earliest event,
-    ties going to the earlier row. A post whose chain has a cycle or more
+    """Resolve per-post reblog chains into trees; only posts rooted at a
+    producer, masked in `producers` over `events.ids`, yield trees. Repeat
+    reblogs by the same actor keep the earliest event, ties going to the
+    earlier row. A post whose chain has a cycle or more
     than one origin is skipped and tallied as cyclic_posts or
     multi_origin_posts."""
     if diagnostics is None:
@@ -251,48 +250,52 @@ _CLASSES = tuple(ConsumerClass)
 _RANK = {cls: i for i, cls in enumerate(_CLASSES)}
 
 
-def classify_nodes(g: LayeredGraph, forest: DiffusionForest,
-                   roles: dict[str, str]) -> dict[str, ConsumerClass]:
-    """Assign every graph node to exactly one consumer class.
+def classify_nodes(g: LayeredGraph, forest: DiffusionForest, at: np.ndarray,
+                   producers: np.ndarray, bridges: np.ndarray) -> np.ndarray:
+    """Each graph node's class code, its position in ConsumerClass; `at` is
+    each forest node's graph code (-1 outside g), and the role masks are g's.
 
     Precedence: producer > bridge > active-direct (reblogged a producer's
     instance) > active-indirect (in a tree otherwise) > passive (follows a
     producer, in no tree) > involuntary (follows an active consumer only)
     > unexposed.
     """
-    producers = producer_nodes(roles)
-    nodes = g.node_ids
     above, below = forest.edges()
-    is_producer = np.fromiter((x in producers for x in forest.ids), dtype=bool,
-                              count=forest.n_nodes)
-    # the graph index of each forest node, -1 outside the graph
-    at = np.fromiter((g.index_of(x) if g.has_node(x) else -1 for x in forest.ids),
-                     dtype=np.int64, count=forest.n_nodes)
+    is_producer = np.zeros(forest.n_nodes, dtype=bool)
+    is_producer[at >= 0] = producers[at[at >= 0]]
     # set in reverse precedence order (the enum's), so the first class wins
-    code = np.full(len(nodes), _RANK[ConsumerClass.UNEXPOSED], dtype=np.int64)
+    code = np.full(g.n_nodes, _RANK[ConsumerClass.UNEXPOSED], dtype=np.int64)
     for cls, members in ((ConsumerClass.ACTIVE_INDIRECT, forest.node),
                          (ConsumerClass.ACTIVE_DIRECT, below[is_producer[above]])):
         hit = at[members]
         code[hit[hit >= 0]] = _RANK[cls]
-    for cls, members in ((ConsumerClass.BRIDGE, bridge_nodes(roles)),
-                         (ConsumerClass.PRODUCER, producers)):
-        code[np.fromiter((n in members for n in nodes), dtype=bool, count=len(nodes))] = \
-            _RANK[cls]
+    code[bridges] = _RANK[ConsumerClass.BRIDGE]
+    code[producers] = _RANK[ConsumerClass.PRODUCER]
 
     follow = g.layer(FOLLOW)
 
     def follows(mask: np.ndarray) -> np.ndarray:
-        return np.bincount(follow.src[mask[follow.dst]], minlength=len(nodes)) > 0
+        return np.bincount(follow.src[mask[follow.dst]], minlength=g.n_nodes) > 0
 
     rest = code == _RANK[ConsumerClass.UNEXPOSED]
     passive = rest & follows(code == _RANK[ConsumerClass.PRODUCER])
-    involuntary = rest & follows((code == _RANK[ConsumerClass.ACTIVE_DIRECT])
-                                 | (code == _RANK[ConsumerClass.ACTIVE_INDIRECT]))
+    involuntary = rest & follows(class_mask(code, (ConsumerClass.ACTIVE_DIRECT,
+                                                   ConsumerClass.ACTIVE_INDIRECT)))
     code[involuntary] = _RANK[ConsumerClass.INVOLUNTARY]
     code[passive] = _RANK[ConsumerClass.PASSIVE]
-    # those classed by role or tree first, then the rest, each in graph order
-    order = np.argsort(code >= _RANK[ConsumerClass.PASSIVE], kind="stable").tolist()
-    return {nodes[i]: _CLASSES[c] for i, c in zip(order, code[order].tolist())}
+    return code
+
+
+def class_mask(classes: np.ndarray, members: Iterable[ConsumerClass]) -> np.ndarray:
+    """Mask of the nodes whose class code is that of one of `members`."""
+    return np.isin(classes, [_RANK[cls] for cls in members])
+
+
+def classes_by_id(ids: Sequence[str], classes: np.ndarray) -> dict[str, ConsumerClass]:
+    """The class of each of `ids` by id, for the id-keyed demographics: those
+    classed by role or tree first, then the rest, each in `ids` order."""
+    order = np.argsort(classes >= _RANK[ConsumerClass.PASSIVE], kind="stable").tolist()
+    return {ids[i]: _CLASSES[c] for i, c in zip(order, classes[order].tolist())}
 
 
 @dataclass(frozen=True)
@@ -302,53 +305,51 @@ class ReachReport:
     amplification: float | None
 
 
-def reach_report(classes: dict[str, ConsumerClass], forest: DiffusionForest) -> ReachReport:
+def reach_report(classes: np.ndarray, forest: DiffusionForest, at: np.ndarray) -> ReachReport:
     """Class cardinalities, reblog-action flows between classes, and the
-    consumers-per-producer amplification ratio."""
-    counts = Counter(c.value for c in classes.values())
-    for cls in ConsumerClass:
-        counts.setdefault(cls.value, 0)
+    consumers-per-producer amplification ratio; `at` is each forest node's
+    graph code, -1 (its flows "unknown") outside the graph."""
     names = [cls.value for cls in _CLASSES] + ["unknown"]
-    kind = np.fromiter((_RANK[classes[x]] if x in classes else len(_CLASSES)
-                        for x in forest.ids), dtype=np.int64, count=forest.n_nodes)
+    counts = dict(zip(names, np.bincount(classes, minlength=len(_CLASSES)).tolist()))
+    kind = np.full(len(at), len(_CLASSES))
+    kind[at >= 0] = classes[at[at >= 0]]
     above, below = forest.edges()
     pairs = np.bincount(kind[above] * len(names) + kind[below], minlength=len(names) ** 2)
     flows: dict[str, dict[str, int]] = {}
     for pair in np.flatnonzero(pairs).tolist():
         src, dst = divmod(pair, len(names))
         flows.setdefault(names[src], {})[names[dst]] = int(pairs[pair])
-    consumers = (counts[ConsumerClass.ACTIVE_DIRECT.value]
-                 + counts[ConsumerClass.ACTIVE_INDIRECT.value]
-                 + counts[ConsumerClass.PASSIVE.value]
-                 + counts[ConsumerClass.INVOLUNTARY.value])
+    consumers = int(np.count_nonzero(class_mask(classes, (
+        ConsumerClass.ACTIVE_DIRECT, ConsumerClass.ACTIVE_INDIRECT,
+        ConsumerClass.PASSIVE, ConsumerClass.INVOLUNTARY))))
     n_producers = counts[ConsumerClass.PRODUCER.value]
     amplification = consumers / n_producers if n_producers else None
-    return ReachReport(class_counts=dict(counts), flows=flows,
-                       amplification=amplification)
+    return ReachReport(class_counts=counts, flows=flows, amplification=amplification)
 
 
-def spread_efficiency(U: set[str], forest: DiffusionForest, inverse: bool = False) -> float:
-    """eta = r_r / (r_d * |U|): reblogs received from outside U on instances
+def spread_efficiency(inside: np.ndarray, size: int, forest: DiffusionForest,
+                      inverse: bool = False) -> float:
+    """eta = r_r / (r_d * |U|) for a set U of `size` nodes, those in the
+    forest masked in `inside`: reblogs received from outside U on instances
     held by U, per reblog done by U, per member. inverse=True returns the
     reciprocal reading (reblogs done per received, size-weighted)."""
-    if not U:
+    if not size:
         raise ValueError("empty node set")
-    inside = np.fromiter((x in U for x in forest.ids), dtype=bool, count=forest.n_nodes)
     above, below = forest.edges()
     r_d = int(np.count_nonzero(inside[below]))
     r_r = int(np.count_nonzero(inside[above] & ~inside[below]))
     if r_d == 0:
         raise ValueError("set did no reblogging")
-    eta = r_r / (r_d * len(U))
+    eta = r_r / (r_d * size)
     if inverse:
         if r_r == 0:
             raise ValueError("set received no outside reblogs")
-        return (r_d * len(U)) / r_r
+        return (r_d * size) / r_r
     return eta
 
 
-def write_classes_csv(classes: dict[str, ConsumerClass], path: str) -> None:
-    _write_rows(path, "node,class", ((node, classes[node].value) for node in sorted(classes)))
+def write_classes_csv(ids: Sequence[str], classes: np.ndarray, path: str) -> None:
+    _write_rows(path, "node,class", sorted(zip(ids, [_CLASSES[c].value for c in classes.tolist()])))
 
 
 def read_classes_csv(path: str, diagnostics: Counter | None = None) -> dict[str, ConsumerClass]:

@@ -8,7 +8,7 @@ indices assigned in first-seen order; external ids are strings.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,7 +65,6 @@ class LayeredGraph:
 
     def __init__(self, ids: Iterable[str], layers: dict[str, _Layer]):
         self._ids: tuple[str, ...] = tuple(ids)
-        self._index: dict[str, int] = {b: i for i, b in enumerate(self._ids)}
         self._layers = layers
 
     # -- node universe ------------------------------------------------
@@ -77,18 +76,6 @@ class LayeredGraph:
     @property
     def node_ids(self) -> tuple[str, ...]:
         return self._ids
-
-    def has_node(self, node: str) -> bool:
-        return node in self._index
-
-    def index_of(self, node: str) -> int:
-        try:
-            return self._index[node]
-        except KeyError:
-            raise ValueError(f"unknown node: {node!r}") from None
-
-    def id_of(self, idx: int) -> str:
-        return self._ids[idx]
 
     # -- edges ---------------------------------------------------------
 
@@ -237,20 +224,40 @@ def write_labels_csv(labels: dict[str, str], path: str) -> None:
     _write_rows(path, "node,group", sorted(labels.items()))
 
 
-def induced_subgraph(g: LayeredGraph, keep: Iterable[str]) -> LayeredGraph:
-    """Subgraph over `keep`: edges with both endpoints kept, weights preserved."""
-    keep_idx = sorted(g.index_of(n) for n in set(keep))
-    ids = [g.id_of(i) for i in keep_idx]
-    mask = np.zeros(g.n_nodes, dtype=bool)
-    mask[keep_idx] = True
-    new_index = np.cumsum(mask) - 1
+def id_codes(ids: Sequence[str], keys: Iterable[str]) -> np.ndarray:
+    """The position in `ids` of each of `keys`, -1 for a key that `ids`
+    lacks, from one np.searchsorted over the ids in sorted order: where ids
+    become node codes."""
+    table, wanted = np.array(ids, dtype=object), np.fromiter(keys, dtype=object)
+    if not len(table):
+        return np.full(len(wanted), -1, dtype=np.int64)
+    order = np.argsort(table, kind="stable")
+    at = order[np.minimum(np.searchsorted(table[order], wanted), len(table) - 1)]
+    return np.where(table[at] == wanted, at, -1)
+
+
+def id_mask(ids: Sequence[str], keys: Iterable[str]) -> np.ndarray:
+    """Boolean mask over `ids` of those among `keys`."""
+    return np.isin(np.arange(len(ids)), id_codes(ids, keys))
+
+
+def id_values(ids: Sequence[str], table: dict[str, float], fill: float) -> np.ndarray:
+    """The table's value for each of `ids` as a float, `fill` where it has none."""
+    row = id_codes(list(table), ids)
+    return np.append(np.array(list(table.values()), dtype=np.float64), fill)[row]
+
+
+def induced_subgraph(g: LayeredGraph, keep: np.ndarray) -> LayeredGraph:
+    """Subgraph over the nodes of the mask `keep`, in graph order: edges
+    with both endpoints kept, weights preserved."""
+    new_index = np.cumsum(keep) - 1
     layers = {}
     for name in LAYERS:
         lay = g.layer(name)
-        sel = mask[lay.src] & mask[lay.dst]
-        layers[name] = _Layer(len(ids), new_index[lay.src[sel]], new_index[lay.dst[sel]],
-                              lay.weight[sel])
-    return LayeredGraph(ids, layers)
+        sel = keep[lay.src] & keep[lay.dst]
+        layers[name] = _Layer(int(np.count_nonzero(keep)), new_index[lay.src[sel]],
+                              new_index[lay.dst[sel]], lay.weight[sel])
+    return LayeredGraph(np.array(g.node_ids, dtype=object)[keep], layers)
 
 
 def _weak_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -276,8 +283,8 @@ def _weak_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
             parent = jumped
 
 
-def gwcc(g: LayeredGraph, layer: str) -> set[str]:
-    """Giant weakly connected component of the layer; ties go to the
+def gwcc(g: LayeredGraph, layer: str) -> np.ndarray:
+    """Mask of the layer's giant weakly connected component; ties go to the
     component containing the smallest node index."""
     if g.n_nodes == 0:
         raise ValueError("empty graph")
@@ -285,7 +292,7 @@ def gwcc(g: LayeredGraph, layer: str) -> set[str]:
     comp = _weak_components(g.n_nodes, lay.src, lay.dst)
     # components are named by their smallest index, and argmax takes the first
     best = int(np.argmax(np.bincount(comp)))
-    return {g.id_of(i) for i in np.flatnonzero(comp == best)}
+    return comp == best
 
 
 @dataclass
@@ -442,8 +449,7 @@ def network_stats(g: LayeredGraph, layer: str, exact_paths: bool = False,
     are estimated from `path_samples` seeded BFS sources and the diameter
     is a lower bound (paths_exact=False).
     """
-    component = gwcc(g, layer)
-    sub = induced_subgraph(g, component)
+    sub = induced_subgraph(g, gwcc(g, layer))
     n = sub.n_nodes
     if n < 2:
         raise ValueError("GWCC has fewer than 2 nodes")

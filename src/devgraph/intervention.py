@@ -1,5 +1,6 @@
 """Targeted-removal simulation: rank core nodes, erase their posts, and
-measure how far the observed diffusion trees shrink."""
+measure how far the observed diffusion trees shrink. A ranking is an array
+of the forest's node codes, -1 for a node outside the forest."""
 
 from __future__ import annotations
 
@@ -25,11 +26,8 @@ class ShrinkageCurve:
     strategy: str
     warnings: tuple[str, ...] = ()
 
-    def value(self, size: int) -> float:
-        return self.reached_fraction[self.sizes.index(size)]
 
-
-def rank_by_volume(forest: DiffusionForest) -> list[str]:
+def rank_by_volume(forest: DiffusionForest) -> np.ndarray:
     """Roots and spreaders ordered by how many distinct blogs sit strictly
     below them across all trees; ties break by node id.
 
@@ -50,15 +48,15 @@ def rank_by_volume(forest: DiffusionForest) -> list[str]:
     reach = np.bincount(_distinct(pairs) // n, minlength=n)
     # node codes follow id order, so the code breaks ties
     candidates = np.flatnonzero(_candidates(forest))
-    order = candidates[np.lexsort((candidates, -reach[candidates]))]
-    return [forest.ids[c] for c in order.tolist()]
+    return candidates[np.lexsort((candidates, -reach[candidates]))]
 
 
-def rank_by_degree(g: LayeredGraph) -> list[str]:
-    """Nodes by unweighted reblog in-degree, descending; ties by node id."""
+def rank_by_degree(g: LayeredGraph) -> np.ndarray:
+    """Graph node codes by unweighted reblog in-degree, descending; ties by id."""
     if g.n_edges(REBLOG) == 0:
         raise ValueError("reblog layer has no edges")
-    return [n for _, n in sorted(zip((-g.in_degrees(REBLOG)).tolist(), g.node_ids))]
+    by_id = np.argsort(np.array(g.node_ids, dtype=object), kind="stable")
+    return by_id[np.argsort(-g.in_degrees(REBLOG)[by_id], kind="stable")]
 
 
 _NEVER = np.iinfo(np.int64).max
@@ -95,17 +93,15 @@ def _root_paths(forest: DiffusionForest) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(above), np.concatenate(apps)
 
 
-def _death_rank(forest: DiffusionForest, ranking: Sequence[str]) -> np.ndarray:
+def _death_rank(forest: DiffusionForest, ranking: Sequence[int]) -> np.ndarray:
     """D(n) per node: the largest, over n's non-root appearances, of the
     smallest ranking position on the root path (root and n included).
     Erasing ranking[:k] leaves n reached iff D(n) >= k. Unranked nodes
     sit at position _NEVER; duplicates keep their first position; nodes
     with no non-root appearance get -1."""
     pos = np.full(forest.n_nodes, _NEVER, dtype=np.int64)
-    for i in range(len(ranking) - 1, -1, -1):
-        j = forest.index.get(ranking[i])
-        if j is not None:
-            pos[j] = i
+    codes, first = np.unique(np.asarray(ranking, dtype=np.int64), return_index=True)
+    pos[codes[codes >= 0]] = first[codes >= 0]
     # pointer doubling: least[a] covers ever more of a's root path
     least = pos[forest.node]
     jump = forest.parent.copy()
@@ -123,7 +119,7 @@ def _check_sizes(sizes: Sequence[int]) -> None:
         raise ValueError("removal sizes must be ascending")
 
 
-def shrinkage_curve(forest: DiffusionForest, ranking: Sequence[str],
+def shrinkage_curve(forest: DiffusionForest, ranking: Sequence[int],
                     sizes: Iterable[int] = DEFAULT_SIZES,
                     strategy: str = BY_VOLUME) -> ShrinkageCurve:
     """Fraction of baseline consumers still reached when the top-k ranked
@@ -153,14 +149,14 @@ class UnderageThreshold:
     note: str | None = None
 
 
-def underage_exposure_threshold(forest: DiffusionForest, ranking: Sequence[str],
-                                ages: dict[str, int], cutoff: int = 18) -> UnderageThreshold:
+def underage_exposure_threshold(forest: DiffusionForest, ranking: Sequence[int],
+                                ages: np.ndarray, cutoff: int = 18) -> UnderageThreshold:
     """Smallest removal prefix after which no known-underage consumer remains
     reached: one more than the largest death rank among underage baseline
-    consumers, found in one pass over the forest."""
-    underage = {n for n, a in ages.items() if a < cutoff}
+    consumers, found in one pass over the forest. `ages` holds each forest
+    node's age, NaN if unknown."""
     death = _death_rank(forest, ranking)
-    exposed = death[[forest.index[n] for n in underage if n in forest.index]]
+    exposed = death[ages < cutoff]
     exposed = exposed[exposed >= 0]
     if not exposed.size:
         return UnderageThreshold(0, note="no underage consumers in baseline")
@@ -171,7 +167,7 @@ def underage_exposure_threshold(forest: DiffusionForest, ranking: Sequence[str],
     return UnderageThreshold(last + 1)
 
 
-def adaptive_greedy_ranking(forest: DiffusionForest, size: int) -> list[str]:
+def adaptive_greedy_ranking(forest: DiffusionForest, size: int) -> np.ndarray:
     """Marginal-coverage greedy: repeatedly erase the node whose removal
     cuts the most still-reached consumers; ties go to the lowest id and a
     zero gain may still be picked. Myopic: when trees overlap heavily,
@@ -197,7 +193,7 @@ def adaptive_greedy_ranking(forest: DiffusionForest, size: int) -> list[str]:
     del order
     alive = forest.parent >= 0
 
-    chosen: list[str] = []
+    chosen: list[int] = []
     for _ in range(min(size, int(np.count_nonzero(open_)))):
         live = np.bincount(node[alive], minlength=n)
         start = np.flatnonzero(np.diff(key, prepend=-1))
@@ -206,13 +202,13 @@ def adaptive_greedy_ranking(forest: DiffusionForest, size: int) -> list[str]:
         gain = np.bincount(key[start][whole] // n, minlength=n)
         gain[~open_] = -1
         best = int(np.argmax(gain))
-        chosen.append(forest.ids[best])
+        chosen.append(best)
         open_[best] = False
         lo, hi = np.searchsorted(key, (best * n, best * n + n))
         alive[pair_app[lo:hi]] = False
         keep = alive[pair_app]
         key, pair_app = key[keep], pair_app[keep]
-    return chosen
+    return np.array(chosen, dtype=np.int64)
 
 
 def write_shrinkage_csv(curves: Iterable[ShrinkageCurve], path: str) -> None:

@@ -22,37 +22,29 @@ class PerceptionCurve:
     eligible: int
     excluded_zero_outdegree: int
 
-    def value(self, t: float) -> float:
-        return self.fraction_at_least[self.thresholds.index(t)]
-
-
-def _mask(g: LayeredGraph, nodes) -> np.ndarray:
-    """Boolean mask over node indices of the nodes in `nodes`."""
-    return np.fromiter((node in nodes for node in g.node_ids), dtype=bool, count=g.n_nodes)
-
 
 def _check_step(step: float) -> None:
     if not 0 < step <= 1:
         raise ValueError("step must be in (0, 1]")
 
 
-def perception_curve(g: LayeredGraph, layer: str, deviant_active: set[str],
-                     exclude: set[str] | None = None,
+def perception_curve(g: LayeredGraph, layer: str, deviant_active: np.ndarray,
+                     exclude: np.ndarray | None = None,
                      step: float = 0.01) -> PerceptionCurve:
     """ICDF over nodes of the fraction of out-neighbors (the accounts a node
-    observes) that are in deviant_active; `step` in (0, 1] spaces the
+    observes) in the node mask deviant_active; `step` in (0, 1] spaces the
     thresholds.
 
-    Nodes in `exclude` (typically the producers themselves) and nodes with
-    no out-neighbors are left out of the population; the zero-out-degree
-    count is reported on the curve. The counts are one bincount over the
-    layer's edge arrays.
+    Nodes in the mask `exclude` (typically the producers themselves) and
+    nodes with no out-neighbors are left out of the population; the
+    zero-out-degree count is reported on the curve. The counts are one
+    bincount over the layer's edge arrays.
     """
     _check_step(step)
     lay = g.layer(layer)
     degree = g.out_degrees(layer)
-    hits = np.bincount(lay.src[_mask(g, deviant_active)[lay.dst]], minlength=g.n_nodes)
-    kept = ~_mask(g, exclude or set())
+    hits = np.bincount(lay.src[deviant_active[lay.dst]], minlength=g.n_nodes)
+    kept = np.ones(g.n_nodes, dtype=bool) if exclude is None else ~exclude
     eligible = kept & (degree > 0)
     if not eligible.any():
         raise ValueError("no eligible nodes: every node lacks out-neighbors")
@@ -67,25 +59,24 @@ def perception_curve(g: LayeredGraph, layer: str, deviant_active: set[str],
                            excluded_zero_outdegree=int(np.count_nonzero(kept & (degree == 0))))
 
 
-def volume_paradox_fraction(g: LayeredGraph, layer: str,
-                            reblog_counts: dict[str, int],
-                            exclude: set[str] | None = None) -> float:
+def volume_paradox_fraction(g: LayeredGraph, layer: str, reblog_counts: np.ndarray,
+                            counted: np.ndarray, exclude: np.ndarray | None = None) -> float:
     """Fraction of nodes whose own deviant reblog count falls strictly below
     the mean count of their out-neighbors.
 
-    Presence in reblog_counts marks a neighbor as eligible (posted or
-    reblogged at least once); nodes without any eligible neighbor are
-    excluded from the denominator. Neighbor counts and sums are bincounts
-    over the layer's edge arrays, added in out-neighbor order.
+    The mask `counted` marks the nodes with a count in reblog_counts (any
+    other counts 0) and so the eligible neighbors (posted or reblogged at
+    least once); nodes without any eligible neighbor, or in the mask
+    `exclude`, are excluded from the denominator. Neighbor counts and sums
+    are bincounts over the layer's edge arrays, added in out-neighbor order.
     """
     lay = g.layer(layer)
-    count = np.fromiter((reblog_counts.get(node, 0) for node in g.node_ids),
-                        dtype=np.float64, count=g.n_nodes)
-    sel = _mask(g, reblog_counts)[lay.dst]
+    count = np.where(counted, reblog_counts, 0).astype(np.float64)
+    sel = counted[lay.dst]
     src, dst = lay.src[sel], lay.dst[sel]
     n_eligible = np.bincount(src, minlength=g.n_nodes)
     total = np.bincount(src, weights=count[dst], minlength=g.n_nodes)
-    considered = ~_mask(g, exclude or set()) & (n_eligible > 0)
+    considered = n_eligible > 0 if exclude is None else ~exclude & (n_eligible > 0)
     if not considered.any():
         raise ValueError("no nodes with eligible out-neighbors")
     below = count[considered] < total[considered] / n_eligible[considered]

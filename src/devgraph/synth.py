@@ -11,7 +11,7 @@ import numpy as np
 
 from .demographics import DemographicRecord
 from .diffusion import ConsumerClass, _CodedEvents, producer_nodes
-from .graph import FOLLOW, REBLOG, LAYERS, LayeredGraph, _Layer, build_graph
+from .graph import FOLLOW, REBLOG, LAYERS, LayeredGraph, _Layer, build_graph, id_codes
 from .ingest import _key_values, _write_lines
 
 GROUPS = ("producer_one", "producer_two", "bridge_one", "bridge_two", "outer")
@@ -142,7 +142,7 @@ def synth_events(cfg: SynthConfig, g: LayeredGraph, roles: dict[str, str]) -> _C
     cascade_join_prob, one uniform draw per candidate in in-view order."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(60)[40])
     join = cfg.cascade_join_prob
-    producers = sorted(producer_nodes(roles))
+    producers = id_codes(g.node_ids, sorted(producer_nodes(roles))).tolist()
     lay = g.layer(REBLOG)
     indptr, indices = lay.in_indptr.tolist(), lay.in_indices.tolist()
     # the events' columns: graph indices of actor and source, post index, time
@@ -155,7 +155,7 @@ def synth_events(cfg: SynthConfig, g: LayeredGraph, roles: dict[str, str]) -> _C
             if cfg.max_cascade_depth <= 0:
                 continue
             depth_limit = min(int(rng.geometric(cfg.depth_geom_p)), cfg.max_cascade_depth)
-            holders = [g.index_of(producer)]
+            holders = [producer]
             in_tree = set(holders)
             for depth in range(1, depth_limit + 1):
                 joined: list[int] = []
@@ -309,13 +309,13 @@ def engagement_fixture(per_cell: int = 40) -> tuple[dict[str, ConsumerClass],
 
 
 def paradox_fixture(n: int = 10_000, seed: int = 0, exponent: float = 2.5,
-                    ) -> tuple[LayeredGraph, dict[str, int]]:
+                    ) -> tuple[LayeredGraph, np.ndarray]:
     """Heavy-tailed reblog graph for the friendship-paradox direction check.
 
     Out-degrees follow a zipf(exponent) law; targets are sampled with
     probability proportional to an independent zipf attractiveness, so a
     random out-neighbor is size-biased toward heavy rebloggers. Counts are
-    each node's total reblog degree (activity in the window).
+    each node's total reblog degree (activity in the window), by node code.
 
     Each node's targets are distinct draws from p (successive sampling):
     every node's targets are drawn with replacement in one call, and only
@@ -336,5 +336,4 @@ def paradox_fixture(n: int = 10_000, seed: int = 0, exponent: float = 2.5,
     keep = source != target
     g = build_graph((f"n{u}", f"n{v}", 1.0, REBLOG)
                     for u, v in zip(source[keep].tolist(), target[keep].tolist()))
-    total = g.out_degrees(REBLOG) + g.in_degrees(REBLOG)
-    return g, {g.id_of(i): int(total[i]) for i in np.flatnonzero(total)}
+    return g, g.out_degrees(REBLOG) + g.in_degrees(REBLOG)

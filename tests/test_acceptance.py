@@ -14,20 +14,11 @@ from devgraph.cli import main
 from devgraph.community import louvain
 from devgraph.connectivity import rewire_null_model
 from devgraph.demographics import engagement_by_age, min_max_normalize
-from devgraph.diffusion import (
-    ConsumerClass,
-    build_trees,
-    classify_nodes,
-)
+from devgraph import perception
+from devgraph.diffusion import ConsumerClass
 from devgraph.expansion import extract_deviant_graph
 from devgraph.graph import FOLLOW, REBLOG, build_graph, mean_degree_and_density
 from devgraph.ingest import read_query_log
-from devgraph.intervention import (
-    rank_by_degree,
-    rank_by_volume,
-    shrinkage_curve,
-)
-from devgraph.perception import perception_curve, volume_paradox_fraction
 from devgraph.synth import (
     SynthConfig,
     closure_fixture,
@@ -36,6 +27,16 @@ from devgraph.synth import (
     write_config,
 )
 
+from id_helpers import (
+    assignment,
+    build_trees,
+    classify_nodes,
+    perception_curve,
+    rank_by_degree,
+    rank_by_volume,
+    shrinkage_curve,
+    volume_paradox_fraction,
+)
 from log_helpers import ReblogEvent, coded_events
 from tree_helpers import trees_of
 
@@ -169,7 +170,7 @@ def _inline_q(g, layer, blocks):
 
 def _communities_of(partition):
     groups = {}
-    for node, c in partition.assignment.items():
+    for node, c in assignment(partition).items():
         groups.setdefault(c, set()).add(node)
     return {frozenset(s) for s in groups.values()}
 
@@ -355,7 +356,8 @@ def test_gate_6_shrinkage_properties():
     g, trees = _planted_hub()
     volume = shrinkage_curve(trees, rank_by_volume(trees), sizes=[0, 1, 5, 10, 11])
     degree = shrinkage_curve(trees, rank_by_degree(g), sizes=[0, 1, 5, 10, 11])
-    assert volume.value(0) == 1.0 and degree.value(0) == 1.0
+    assert volume.reached_fraction[volume.sizes.index(0)] == 1.0
+    assert degree.reached_fraction[degree.sizes.index(0)] == 1.0
     for prev, cur in (itertools.pairwise(volume.reached_fraction)):
         assert cur <= prev
     for prev, cur in (itertools.pairwise(degree.reached_fraction)):
@@ -422,7 +424,7 @@ def test_gate_7_perception():
             g = build_graph(edges)
             active = {x for x in g.node_ids if rng.random() < 0.4}
             curve = perception_curve(g, FOLLOW, active, step=0.1)
-            assert curve.value(0.0) == 1.0
+            assert curve.fraction_at_least[curve.thresholds.index(0.0)] == 1.0
             for prev, cur in itertools.pairwise(curve.fraction_at_least):
                 assert cur <= prev
             counts = {x: int(rng.integers(0, 21)) for x in g.node_ids
@@ -434,7 +436,7 @@ def test_gate_7_perception():
                 continue
             assert got == _brute_paradox(g, FOLLOW, counts, exclude)
     g, counts = paradox_fixture(n=10_000, seed=0, exponent=2.5)
-    frac = volume_paradox_fraction(g, REBLOG, counts)
+    frac = perception.volume_paradox_fraction(g, REBLOG, counts, counts > 0)
     assert frac > 0.5
     print(f"[GATE 7] perception monotone, paradox oracle exact, "
           f"heavy-tail fraction {frac:.3f} > 0.5: PASS")

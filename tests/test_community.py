@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
+from devgraph import community
 from devgraph.community import (
     Partition,
     louvain,
-    modularity,
     read_partition_csv,
     read_role_map_csv,
     roles_from_partition,
@@ -23,6 +23,8 @@ from devgraph.community import (
 )
 from devgraph.graph import FOLLOW, LAYERS, REBLOG, build_graph
 from devgraph.synth import SynthConfig, planted_graph
+
+from id_helpers import assignment, communities, modularity
 
 
 def F(u, v):
@@ -104,8 +106,8 @@ class TestModularity:
 
     def test_missing_node_error(self):
         g = undirected([("a", "b")])
-        with pytest.raises(ValueError, match="misses"):
-            modularity(g, FOLLOW, {"a": 0})
+        with pytest.raises(ValueError, match="1 labels for 2 nodes"):
+            community.modularity(g, FOLLOW, np.array([0]))
 
     def test_empty_graph_error(self):
         with pytest.raises(ValueError, match="empty"):
@@ -121,13 +123,13 @@ class TestLouvain:
     def test_two_triangles_exact(self):
         g = two_triangles()
         p = louvain(g, FOLLOW, seed=1)
-        groups = sorted(frozenset(s) for s in p.communities().values())
+        groups = sorted(frozenset(s) for s in communities(p).values())
         assert sorted(map(frozenset, [{"a", "b", "c"}, {"d", "e", "f"}])) == groups
 
     def test_clique_ring_exact(self):
         g, planted = clique_ring()
         p = louvain(g, FOLLOW, seed=3)
-        groups = {frozenset(s) for s in p.communities().values()}
+        groups = {frozenset(s) for s in communities(p).values()}
         assert groups == {frozenset(s) for s in planted}
 
     def test_edgeless_error(self):
@@ -138,17 +140,19 @@ class TestLouvain:
     def test_returned_modularity_consistent(self):
         g, _ = clique_ring()
         p = louvain(g, FOLLOW, seed=9)
-        assert p.modularity == modularity(g, FOLLOW, p.assignment)
+        assert p.modularity == modularity(g, FOLLOW, assignment(p))
 
     def test_dense_ids_from_zero(self):
         g = two_triangles()
         p = louvain(g, FOLLOW, seed=5)
-        ids = set(p.assignment.values())
+        ids = set(assignment(p).values())
         assert ids == set(range(len(ids)))
 
     def test_seeded_determinism(self):
         g, _ = clique_ring()
-        assert louvain(g, FOLLOW, seed=42) == louvain(g, FOLLOW, seed=42)
+        first, second = louvain(g, FOLLOW, seed=42), louvain(g, FOLLOW, seed=42)
+        assert np.array_equal(first.membership, second.membership)
+        assert first.modularity == second.modularity
 
     def test_matches_exhaustive_on_small_graphs(self):
         rng = random.Random(11)
@@ -177,14 +181,14 @@ class TestLouvain:
         g = build_graph([("a", "b", 10.0, REBLOG), ("c", "d", 10.0, REBLOG),
                          ("b", "c", 1.0, REBLOG), ("d", "a", 1.0, REBLOG)])
         p = louvain(g, REBLOG, seed=2)
-        assert p.assignment["a"] == p.assignment["b"]
-        assert p.assignment["c"] == p.assignment["d"]
-        assert p.assignment["a"] != p.assignment["c"]
+        assert assignment(p)["a"] == assignment(p)["b"]
+        assert assignment(p)["c"] == assignment(p)["d"]
+        assert assignment(p)["a"] != assignment(p)["c"]
 
 
 class TestIO:
     def test_partition_round_trip(self, tmp_path):
-        p = Partition(assignment={"b": 1, "a": 0}, modularity=0.0)
+        p = Partition(("b", "a"), np.array([1, 0]), modularity=0.0)
         path = tmp_path / "partition.csv"
         write_partition_csv(p, str(path))
         assert read_partition_csv(str(path)) == {"a": 0, "b": 1}
@@ -195,8 +199,8 @@ class TestIO:
         assert read_role_map_csv(str(path)) == {0: "producer", 1: "bridge"}
 
     def test_roles_from_partition(self):
-        p = Partition(assignment={"a": 0, "b": 1, "c": 2}, modularity=0.0)
-        roles = roles_from_partition(p.assignment, {0: "producer", 1: "bridge"})
+        p = Partition(("a", "b", "c"), np.array([0, 1, 2]), modularity=0.0)
+        roles = roles_from_partition(assignment(p), {0: "producer", 1: "bridge"})
         assert roles == {"a": "producer", "b": "bridge", "c": "other"}
 
 
@@ -204,8 +208,8 @@ def assert_communities_connected(g, layer, part):
     """Each community induces a connected subgraph of the layer's
     undirected projection."""
     lay = g.layer(layer)
-    for members in part.communities().values():
-        idx = np.array(sorted(g.index_of(n) for n in members))
+    for members in communities(part).values():
+        idx = np.array(sorted(g.node_ids.index(n) for n in members))
         inside = np.isin(lay.src, idx) & np.isin(lay.dst, idx)
         adj = sp.coo_matrix((np.ones(int(inside.sum())),
                              (np.searchsorted(idx, lay.src[inside]),
@@ -228,7 +232,7 @@ def scaled(cfg: SynthConfig, k: int) -> SynthConfig:
 def test_louvain_communities_connected_on_fixture(scale, layer):
     g, _ = planted_graph(scaled(SynthConfig(seed=11), scale))
     part = louvain(g, layer, seed=11)
-    assert len(part.communities()) > 1
+    assert len(communities(part)) > 1
     assert_communities_connected(g, layer, part)
 
 

@@ -27,31 +27,31 @@ class TestGroupMatrix:
         roles = {"a1": "A", "a2": "A", "b": "B"}
         dens = group_matrix(g, FOLLOW, roles, DENSITY)
         vol = group_matrix(g, FOLLOW, roles, AVG_VOLUME)
-        assert dens.cell("A", "B") == 1.0
-        assert vol.cell("A", "B") == 1.0
+        assert dens.values[dens.groups.index("A")][dens.groups.index("B")] == 1.0
+        assert vol.values[vol.groups.index("A")][vol.groups.index("B")] == 1.0
 
     def test_intra_group_density(self):
         g = build_graph([F("a1", "a2")])
         dens = group_matrix(g, FOLLOW, {"a1": "A", "a2": "A"}, DENSITY)
-        assert dens.cell("A", "A") == 0.5
+        assert dens.values[dens.groups.index("A")][dens.groups.index("A")] == 0.5
 
     def test_no_edges_zero_everywhere(self):
         g = build_graph([F("a", "b")])
         roles = {"a": "A", "b": "B"}
         for mode in (AVG_VOLUME, DENSITY):
             m = group_matrix(g, FOLLOW, roles, mode)
-            assert m.cell("B", "A") == 0.0
-            assert m.cell("A", "A") == 0.0
+            assert m.values[m.groups.index("B")][m.groups.index("A")] == 0.0
+            assert m.values[m.groups.index("A")][m.groups.index("A")] == 0.0
 
     def test_weights_ignored(self):
         g = build_graph([("a", "b", 9.0, REBLOG)])
         m = group_matrix(g, REBLOG, {"a": "A", "b": "B"}, AVG_VOLUME)
-        assert m.cell("A", "B") == 1.0
+        assert m.values[m.groups.index("A")][m.groups.index("B")] == 1.0
 
     def test_size_one_diagonal_flagged(self):
         g = build_graph([F("a", "b")])
         m = group_matrix(g, FOLLOW, {"a": "A", "b": "B"}, DENSITY)
-        assert m.cell("A", "A") == 0.0
+        assert m.values[m.groups.index("A")][m.groups.index("A")] == 0.0
         assert any("size-1 diagonal" in f for f in m.flags)
 
     def test_group_outside_graph_reads_zero(self):
@@ -232,10 +232,10 @@ class TestNullRatio:
         g = build_graph(edges)
         roles = {n: ("A" if int(n[1:]) < 12 else "B") for n in g.node_ids}
         m = group_matrix(g, FOLLOW, roles, NULL_RATIO, samples=20, seed=31)
-        assert m.cell("A", "A") > 1.2
-        assert m.cell("B", "B") > 1.2
-        assert m.cell("A", "B") < 0.5
-        assert m.cell("B", "A") < 0.5
+        assert m.values[m.groups.index("A")][m.groups.index("A")] > 1.2
+        assert m.values[m.groups.index("B")][m.groups.index("B")] > 1.2
+        assert m.values[m.groups.index("A")][m.groups.index("B")] < 0.5
+        assert m.values[m.groups.index("B")][m.groups.index("A")] < 0.5
 
     def test_random_graph_self_consistency(self):
         rng = np.random.default_rng(8)
@@ -256,7 +256,7 @@ class TestNullRatio:
         g = build_graph([F("a1", "a2"), F("a2", "a1"), F("b1", "b2"), F("b2", "b1")])
         roles = {"a1": "A", "a2": "A", "b1": "B", "b2": "B"}
         m = group_matrix(g, FOLLOW, roles, NULL_RATIO, samples=4, seed=1, swaps_per_edge=0)
-        assert m.cell("A", "B") == 0.0
+        assert m.values[m.groups.index("A")][m.groups.index("B")] == 0.0
 
 
 class TestOutput:

@@ -8,15 +8,13 @@ import pytest
 
 from devgraph.diffusion import (
     ConsumerClass,
-    build_trees,
-    classify_nodes,
     producer_nodes,
-    reach_report,
     read_events_tsv,
-    spread_efficiency,
     write_events_tsv,
 )
 from devgraph.graph import FOLLOW, build_graph
+
+from id_helpers import build_trees, classify_nodes, reach_report, spread_efficiency
 
 from log_helpers import ReblogEvent, coded_events, event_rows
 from tree_helpers import trees_of

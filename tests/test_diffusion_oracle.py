@@ -38,6 +38,7 @@ from devgraph.graph import FOLLOW, LayeredGraph, build_graph
 from devgraph.ingest import decoded_lines
 from devgraph.synth import SynthConfig, planted_graph, synth_events
 
+import id_helpers as ids
 from log_helpers import ReblogEvent, coded_events, event_rows, stamp_text
 from tree_helpers import DiffusionTree, forest_of, trees_of
 from test_intervention_oracle import (
@@ -415,7 +416,7 @@ def test_reader_and_trees_match_oracle(data, batch, producers):
     assert dict(new_diag) == nonzero(old_diag)
     old_diag, new_diag = Counter(), Counter()
     old_trees = build_trees(old, producers, old_diag)
-    new_trees = diffusion.build_trees(new, producers, new_diag)
+    new_trees = ids.build_trees(new, producers, new_diag)
     assert shape(trees_of(new_trees)) == shape(old_trees)
     assert len(new_trees) == len(old_trees)
     assert dict(new_diag) == nonzero(old_diag)
@@ -428,7 +429,7 @@ def test_trees_of_event_lists_match_oracle(events, producers):
     included, as `pipeline` passes the synthesized ones."""
     old_diag, new_diag = Counter(), Counter()
     old = build_trees(events, producers, old_diag)
-    new = diffusion.build_trees(coded_events(events), producers, new_diag)
+    new = ids.build_trees(coded_events(events), producers, new_diag)
     assert shape(trees_of(new)) == shape(old)
     assert dict(new_diag) == nonzero(old_diag)
 
@@ -436,30 +437,30 @@ def test_trees_of_event_lists_match_oracle(events, producers):
 def consumers_agree(g: LayeredGraph, roles: dict[str, str], old: list, new, node_sets,
                     rankings):
     old_classes = classify_nodes(g, old, roles)
-    new_classes = diffusion.classify_nodes(g, new, roles)
+    new_classes = ids.classify_nodes(g, new, roles)
     assert list(new_classes.items()) == list(old_classes.items())
-    assert diffusion.reach_report(new_classes, new) == reach_report(old_classes, old)
+    assert ids.reach_report(new_classes, new) == reach_report(old_classes, old)
     for U, inverse in itertools.product(node_sets, (False, True)):
-        assert outcome(diffusion.spread_efficiency, U, new, inverse) \
+        assert outcome(ids.spread_efficiency, U, new, inverse) \
             == outcome(spread_efficiency, U, old, inverse)
-    volume = intervention.rank_by_volume(new)
+    volume = ids.rank_by_volume(new)
     assert volume == rank_by_volume(old)
     candidates = intervention._candidates(new)
     for ranking in [volume, volume[::-1], *rankings]:
         old_forest = _Forest(old)
         old_death = dict(zip(old_forest.ids, old_forest.death_rank(ranking).tolist()))
-        new_death = intervention._death_rank(new, ranking).tolist()
+        new_death = intervention._death_rank(new, ids.ranking_codes(new, ranking)).tolist()
         assert {x: d for x, d in zip(new.ids, new_death) if x in old_death
                 or d != -1} == old_death
         assert {new.ids[i] for i in np.flatnonzero(candidates)} \
             == {old_forest.ids[i] for i in np.flatnonzero(old_forest.candidates())}
         sizes = [0, 1, 2, 5, len(ranking), len(ranking) + 3]
-        assert outcome(intervention.shrinkage_curve, new, ranking, sizes) \
+        assert outcome(ids.shrinkage_curve, new, ranking, sizes) \
             == outcome(oracle_shrinkage_curve, old, ranking, sizes)
         ages = {x: 17 for x in ranking[::3]}
-        assert outcome(intervention.underage_exposure_threshold, new, ranking, ages) \
+        assert outcome(ids.underage_exposure_threshold, new, ranking, ages) \
             == outcome(oracle_underage_exposure_threshold, old, ranking, ages)
-    assert intervention.adaptive_greedy_ranking(new, 6) \
+    assert ids.adaptive_greedy_ranking(new, 6) \
         == oracle_adaptive_greedy_ranking(old, 6)
 
 
@@ -479,15 +480,15 @@ def test_consumers_match_oracle(data, producers, roles, follows, node_sets, rank
     (old_events, _), (new_events, _) = read_both(data, 3)
     producers = producer_nodes(roles)
     old = build_trees(old_events, producers)
-    new = diffusion.build_trees(new_events, producers)
+    new = ids.build_trees(new_events, producers)
     g = build_graph([(u, v, 1.0, FOLLOW) for u, v in follows]
                     + [(x, x, 1.0, FOLLOW) for x in sorted(roles)])
     consumers_agree(g, roles, old, new, node_sets, rankings)
     # and on the forest that the test helper builds from the oracle's trees
     rebuilt = forest_of(old)
     assert shape(trees_of(rebuilt)) == shape(old)
-    assert diffusion.classify_nodes(g, rebuilt, roles) == classify_nodes(g, old, roles)
-    assert intervention.rank_by_volume(rebuilt) == rank_by_volume(old)
+    assert ids.classify_nodes(g, rebuilt, roles) == classify_nodes(g, old, roles)
+    assert ids.rank_by_volume(rebuilt) == rank_by_volume(old)
 
 
 def test_consumers_match_oracle_on_default_fixture():
@@ -495,7 +496,7 @@ def test_consumers_match_oracle_on_default_fixture():
     g, roles = planted_graph(cfg)
     events = synth_events(cfg, g, roles)
     producers = producer_nodes(roles)
-    old, new = build_trees(event_rows(events), producers), diffusion.build_trees(events, producers)
+    old, new = build_trees(event_rows(events), producers), ids.build_trees(events, producers)
     assert len(new) == len(old) == 120
     assert shape(trees_of(new)) == shape(old)
     ranking = sorted(new.ids, reverse=True)[:40]

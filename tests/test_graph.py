@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from devgraph import graph
 from devgraph.graph import (
     FOLLOW,
     REBLOG,
     LayeredGraph,
     build_graph,
-    gwcc,
-    induced_subgraph,
+    id_codes,
+    id_mask,
     load_graph,
     mean_degree_and_density,
     network_stats,
@@ -22,6 +23,8 @@ from devgraph.graph import (
     write_edge_tsv,
     write_labels_csv,
 )
+
+from id_helpers import gwcc, induced_subgraph
 
 
 def F(src, dst):
@@ -36,7 +39,7 @@ class TestBuild:
     def test_first_seen_indexing(self):
         g = build_graph([F("b", "a"), F("c", "b")])
         assert g.node_ids == ("b", "a", "c")
-        assert g.index_of("b") == 0 and g.id_of(2) == "c"
+        assert g.node_ids.index("b") == 0 and g.node_ids[2] == "c"
 
     def test_follow_dedup_reblog_accumulate(self):
         g = build_graph([F("a", "b"), F("a", "b"), R("a", "b", 2.0), R("a", "b", 3.0)])
@@ -50,7 +53,7 @@ class TestBuild:
         assert g.n_edges(FOLLOW) == 1
         assert diagnostics["self_loops_dropped"] == 2
         # loop endpoints still join the node universe
-        assert g.has_node("b")
+        assert "b" in g.node_ids
 
     def test_malformed_skipped(self):
         diagnostics = Counter()
@@ -68,10 +71,10 @@ class TestBuild:
         assert g.node_ids == ("x", "y")
         assert diagnostics == Counter(malformed_edges=4)
 
-    def test_unknown_node_raises(self):
+    def test_unknown_node_has_code_minus_one(self):
         g = build_graph([F("a", "b")])
-        with pytest.raises(ValueError, match="zzz"):
-            g.index_of("zzz")
+        assert id_codes(g.node_ids, ["zzz", "b", "a"]).tolist() == [-1, 1, 0]
+        assert id_mask(g.node_ids, {"zzz", "b"}).tolist() == [False, True]
 
     def test_unknown_layer_raises(self):
         g = build_graph([F("a", "b")])
@@ -133,10 +136,12 @@ class TestSubgraph:
         assert sub.n_edges(FOLLOW) == 0
         assert list(sub.edges(REBLOG)) == [("a", "c", 4.0)]
 
-    def test_unknown_node_raises(self):
-        g = build_graph([F("a", "b")])
-        with pytest.raises(ValueError):
-            induced_subgraph(g, ["a", "ghost"])
+    def test_keeps_the_masked_nodes_in_graph_order(self):
+        g = build_graph([F("c", "a"), F("a", "b"), R("b", "c", 2.0)])
+        sub = graph.induced_subgraph(g, np.array([True, False, True]))
+        assert sub.node_ids == ("c", "b")
+        assert sub.n_edges(FOLLOW) == 0
+        assert list(sub.edges(REBLOG)) == [("b", "c", 2.0)]
 
 
 class TestGwcc:

@@ -40,7 +40,6 @@ from devgraph.graph import (
     REBLOG,
     LayeredGraph,
     build_graph,
-    induced_subgraph,
 )
 from devgraph.synth import (
     GROUPS,
@@ -51,6 +50,7 @@ from devgraph.synth import (
     synth_events,
 )
 
+from id_helpers import induced_subgraph
 from log_helpers import ReblogEvent, event_rows
 
 
@@ -127,9 +127,9 @@ def oracle_build_graph(edges: Iterable[tuple]) -> tuple[LayeredGraph, Counter]:
 
 def oracle_induced_subgraph(g: LayeredGraph, keep: Iterable[str]) -> LayeredGraph:
     """Subgraph over `keep`: edges with both endpoints kept, weights preserved."""
-    keep_idx = sorted(g.index_of(n) for n in set(keep))
+    keep_idx = sorted(g.node_ids.index(n) for n in set(keep))
     remap = {old: new for new, old in enumerate(keep_idx)}
-    ids = [g.id_of(i) for i in keep_idx]
+    ids = [g.node_ids[i] for i in keep_idx]
     mask = np.zeros(g.n_nodes, dtype=bool)
     mask[keep_idx] = True
     layers = {}
@@ -419,10 +419,11 @@ def test_rewire_agrees_with_sequential_chain_in_distribution():
         if u != v and ((u < 30) == (v < 30) or rng.random() < 0.2):
             edges.add((u, v))
     g = build_graph([(f"n{u}", f"n{v}", 1.0, FOLLOW) for u, v in sorted(edges)])
-    roles = {n: "A" if int(n[1:]) < 30 else "B" for n in g.node_ids}
+    # group codes: A is 0, B is 1
+    role = np.array([int(int(n[1:]) >= 30) for n in g.node_ids])
 
     def a_to_b(sample: LayeredGraph) -> int:
-        return int(_edge_counts(sample, FOLLOW, roles, ("A", "B"))[0][0, 1])
+        return int(_edge_counts(role, 2, sample.layer(FOLLOW))[0, 1])
 
     seeds = np.random.SeedSequence(3).spawn(200)
     batched = np.array([a_to_b(rewire_null_model(g, FOLLOW, seed=c)) for c in seeds])

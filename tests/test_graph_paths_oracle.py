@@ -22,10 +22,11 @@ from devgraph.graph import (
     _triangles,
     _weak_components,
     build_graph,
-    gwcc,
     network_stats,
 )
 from devgraph.synth import SynthConfig, planted_graph
+
+from id_helpers import gwcc
 
 
 def dijkstra_path_stats(u: sp.csr_matrix, n: int, exact: bool, path_samples: int,
@@ -90,7 +91,7 @@ def csgraph_gwcc(g, layer: str) -> set[str]:
     min_idx = np.full(len(sizes), g.n_nodes, dtype=np.int64)
     np.minimum.at(min_idx, comp, np.arange(g.n_nodes))
     best = min(range(len(sizes)), key=lambda c: (-sizes[c], min_idx[c]))
-    return {g.id_of(i) for i in np.flatnonzero(comp == best)}
+    return {g.node_ids[i] for i in np.flatnonzero(comp == best)}
 
 
 def set_reciprocity(src, dst) -> float:

@@ -4,17 +4,16 @@ import random
 
 import pytest
 
-from devgraph.diffusion import build_trees
 from devgraph.graph import FOLLOW, REBLOG, build_graph
-from devgraph.intervention import (
-    BY_DEGREE,
-    BY_VOLUME,
+from devgraph.intervention import BY_DEGREE, BY_VOLUME, write_shrinkage_csv
+
+from id_helpers import (
     adaptive_greedy_ranking,
+    build_trees,
     rank_by_degree,
     rank_by_volume,
     shrinkage_curve,
     underage_exposure_threshold,
-    write_shrinkage_csv,
 )
 
 from test_intervention_oracle import baseline_consumers, reached_consumers
@@ -88,9 +87,9 @@ class TestShrinkage:
     def test_endpoints(self):
         trees = chain_trees()
         curve = shrinkage_curve(trees, rank_by_volume(trees), sizes=[0, 1, 2, 5])
-        assert curve.value(0) == 1.0
+        assert curve.reached_fraction[curve.sizes.index(0)] == 1.0
         # removing p1 and p2 erases every root
-        assert curve.value(5) == 0.0
+        assert curve.reached_fraction[curve.sizes.index(5)] == 0.0
 
     def test_shared_node_subtree_walked_in_every_tree(self):
         # a is a leaf under p1 in post x but has a child in post y; the

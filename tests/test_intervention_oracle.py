@@ -19,20 +19,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devgraph.diffusion import build_trees, producer_nodes
+from devgraph.diffusion import producer_nodes
 from devgraph.diffusion import DiffusionForest
 from devgraph.intervention import (
     ShrinkageCurve,
     UnderageThreshold,
     _candidates,
     _root_paths,
+)
+from devgraph.synth import SynthConfig, planted_graph, synth_events
+
+from id_helpers import (
     adaptive_greedy_ranking,
+    build_trees,
     rank_by_volume,
     shrinkage_curve,
     underage_exposure_threshold,
 )
-from devgraph.synth import SynthConfig, planted_graph, synth_events
-
 from log_helpers import ReblogEvent, coded_events
 from tree_helpers import DiffusionTree, trees_of
 

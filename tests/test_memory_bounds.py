@@ -55,6 +55,7 @@ from devgraph.graph import (
     _triangles,
     _undirected_projection,
     gwcc,
+    id_mask,
     induced_subgraph,
 )
 from devgraph.intervention import rank_by_volume
@@ -89,7 +90,8 @@ def scaled_config() -> SynthConfig:
 def fixture():
     cfg = scaled_config()
     g, roles = planted_graph(cfg)
-    return g, synth_events(cfg, g, roles), producer_nodes(roles)
+    events = synth_events(cfg, g, roles)
+    return g, events, id_mask(events.ids, producer_nodes(roles))
 
 
 def peak_bytes(fn, *args) -> int:

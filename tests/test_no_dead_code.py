@@ -1,10 +1,13 @@
-"""Every public top-level function and class in src/devgraph has a caller
-in src/ or demos/: nothing ships that only tests reach.
+"""Every public top-level function and class in src/devgraph, and every
+public method and property of a public class, has a caller in src/ or
+demos/: nothing ships that only tests reach.
 
 A name counts as used when it occurs, outside its own definition, in the
 AST of some module under src/ or demos/ (as a name, an attribute or an
-imported name). Names with a use that this cannot see go on ALLOWED with
-the reason.
+imported name). A method counts as used when some call there is
+`x.name(...)`, and a property when some attribute there is `x.name`, so
+that an enum's `.value` does not keep a `value()` method alive. Names with
+a use that this cannot see go on ALLOWED with the reason.
 """
 
 import ast
@@ -44,6 +47,53 @@ def _used_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return names
 
 
+def _methods(tree: ast.Module) -> dict[str, tuple[ast.AST, bool]]:
+    """Class.method -> (definition, is a property), over the public methods
+    of the public classes."""
+    out = {}
+    for cls in _definitions(tree).values():
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and not node.name.startswith("_"):
+                prop = any(isinstance(d, ast.Name) and d.id == "property"
+                           for d in node.decorator_list)
+                out[f"{cls.name}.{node.name}"] = node, prop
+    return out
+
+
+def _attribute_uses(tree: ast.AST, skip: ast.AST) -> tuple[set[str], set[str]]:
+    """(attributes called as x.name(...), all attributes) in `tree`,
+    leaving out the subtree `skip`."""
+    called, seen = set(), set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            called.add(node.func.attr)
+        elif isinstance(node, ast.Attribute):
+            seen.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return called, seen | called
+
+
+def _unused_methods() -> list[str]:
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualified, (node, prop) in _methods(trees[path]).items():
+            name = qualified.split(".")[1]
+            used = any(name in _attribute_uses(tree, node)[1 if prop else 0]
+                       for tree in trees.values())
+            if not used and qualified not in ALLOWED:
+                unused.append(f"{path.name}:{qualified}")
+    return unused
+
+
 def _unused() -> list[str]:
     sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
@@ -61,9 +111,14 @@ def test_every_public_definition_has_a_caller():
     assert _unused() == []
 
 
+def test_every_public_method_has_a_caller():
+    assert _unused_methods() == []
+
+
 def test_allowlist_names_exist():
     """A stale allowlist entry would hide nothing, but it misleads."""
     defined = set()
     for path in PACKAGE.glob("*.py"):
-        defined |= set(_definitions(ast.parse(path.read_text(encoding="utf-8"))))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined |= set(_definitions(tree)) | set(_methods(tree))
     assert set(ALLOWED) <= defined

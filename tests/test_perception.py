@@ -5,11 +5,9 @@ import random
 import pytest
 
 from devgraph.graph import FOLLOW, REBLOG, build_graph
-from devgraph.perception import (
-    perception_curve,
-    volume_paradox_fraction,
-    write_curves_csv,
-)
+from devgraph.perception import write_curves_csv
+
+from id_helpers import perception_curve, volume_paradox_fraction
 
 
 def F(u, v):
@@ -20,9 +18,9 @@ class TestCurve:
     def test_no_deviant_nodes(self):
         g = build_graph([F("a", "b"), F("b", "a")])
         c = perception_curve(g, FOLLOW, set())
-        assert c.value(0.0) == 1.0
-        assert c.value(0.01) == 0.0
-        assert c.value(1.0) == 0.0
+        assert c.fraction_at_least[c.thresholds.index(0.0)] == 1.0
+        assert c.fraction_at_least[c.thresholds.index(0.01)] == 0.0
+        assert c.fraction_at_least[c.thresholds.index(1.0)] == 0.0
 
     def test_all_neighbors_deviant(self):
         g = build_graph([F("a", "b"), F("b", "a")])
@@ -37,15 +35,15 @@ class TestCurve:
         # hub is the only node with out-neighbors: fraction 3/9
         assert c.eligible == 1
         assert c.excluded_zero_outdegree == 9
-        assert c.value(0.30) == 1.0
-        assert c.value(0.34) == 0.0
+        assert c.fraction_at_least[c.thresholds.index(0.30)] == 1.0
+        assert c.fraction_at_least[c.thresholds.index(0.34)] == 0.0
 
     def test_exclude_producers(self):
         g = build_graph([F("p", "a"), F("b", "p")])
         c = perception_curve(g, FOLLOW, {"p"}, exclude={"p"})
         # only b remains eligible; its single neighbor is deviant
         assert c.eligible == 1
-        assert c.value(1.0) == 1.0
+        assert c.fraction_at_least[c.thresholds.index(1.0)] == 1.0
 
     def test_monotone_non_increasing(self):
         rng = random.Random(5)
@@ -85,7 +83,7 @@ class TestCurve:
         g = build_graph(edges)
         deviant = {f"n{i}" for i in range(n) if rng.random() < p}
         c = perception_curve(g, FOLLOW, deviant)
-        assert abs(c.value(0.3) - 0.5) < 0.15
+        assert abs(c.fraction_at_least[c.thresholds.index(0.3)] - 0.5) < 0.15
 
 
 class TestParadox:

@@ -14,10 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from devgraph.diffusion import ConsumerClass, build_trees, classify_nodes, producer_nodes
+from devgraph.diffusion import ConsumerClass, producer_nodes
 from devgraph.graph import FOLLOW, LAYERS, REBLOG, LayeredGraph, build_graph
-from devgraph.perception import PerceptionCurve, perception_curve, volume_paradox_fraction
+from devgraph.perception import PerceptionCurve
 from devgraph.synth import SynthConfig, planted_graph, synth_events
+
+from id_helpers import build_trees, classify_nodes, perception_curve, volume_paradox_fraction
 
 
 def out_neighbors(g: LayeredGraph, layer: str) -> dict[str, list[str]]:
@@ -144,8 +146,8 @@ def test_pipeline_inputs_match_oracle_on_fixture(scale):
     active = producers | {n for n, c in classes.items()
                           if c in (ConsumerClass.ACTIVE_DIRECT, ConsumerClass.ACTIVE_INDIRECT)}
     degree = g.out_degrees(REBLOG) + g.in_degrees(REBLOG)
-    reblog_counts = {n: int(degree[g.index_of(n)]) for n in active
-                     if degree[g.index_of(n)] > 0}
+    reblog_counts = {n: int(d) for n, d in zip(g.node_ids, degree.tolist())
+                     if n in active and d > 0}
     for layer in LAYERS:
         for step in (0.05, 0.01):
             curve = perception_curve(g, layer, active, exclude=producers, step=step)

@@ -63,11 +63,11 @@ from log_helpers import stamp_text
 # -- the oracles ---------------------------------------------------------------
 
 
-def oracle_write_partition_csv(p: Partition, path: str) -> None:
+def oracle_write_partition_csv(assignment: dict[str, int], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("node,community\n")
-        for node in sorted(p.assignment):
-            fh.write(f"{node},{p.assignment[node]}\n")
+        for node in sorted(assignment):
+            fh.write(f"{node},{assignment[node]}\n")
 
 
 def oracle_write_role_map_csv(role_map: dict[int, str], path: str) -> None:
@@ -89,6 +89,18 @@ def oracle_write_edge_tsv(g, path: str) -> None:
         for layer in LAYERS:
             for src, dst, w in g.edges(layer):
                 fh.write(f"{src}\t{dst}\t{w:g}\t{layer}\n")
+
+
+def write_partition_by_id(assignment: dict[str, int], path: str) -> None:
+    """write_partition_csv of the partition whose nodes are the keys."""
+    write_partition_csv(Partition(tuple(assignment), np.array(list(assignment.values())), 0.0),
+                        path)
+
+
+def write_classes_by_id(classes: dict[str, ConsumerClass], path: str) -> None:
+    """write_classes_csv of the keys' classes, as class codes."""
+    codes = [tuple(ConsumerClass).index(c) for c in classes.values()]
+    write_classes_csv(tuple(classes), np.array(codes, dtype=np.int64), path)
 
 
 def oracle_write_classes_csv(classes: dict[str, ConsumerClass], path: str) -> None:
@@ -274,11 +286,11 @@ edges = st.lists(st.tuples(edge_ids, edge_ids, st.sampled_from([1.0, 0.5, 1 / 3,
                            st.sampled_from(LAYERS)), max_size=12)
 
 WRITERS = {
-    "partition": (write_partition_csv, oracle_write_partition_csv,
-                  st.dictionaries(text, ints_any).map(lambda a: Partition(a, 0.0))),
+    "partition": (write_partition_by_id, oracle_write_partition_csv,
+                  st.dictionaries(text, ints_any)),
     "role_map": (write_role_map_csv, oracle_write_role_map_csv, st.dictionaries(ints, text)),
     "labels": (write_labels_csv, oracle_write_labels_csv, st.dictionaries(text, text)),
-    "classes": (write_classes_csv, oracle_write_classes_csv,
+    "classes": (write_classes_by_id, oracle_write_classes_csv,
                 st.dictionaries(text, st.sampled_from(ConsumerClass))),
     "demographics": (write_demographics_csv, oracle_write_demographics_csv,
                      st.dictionaries(text, st.builds(DemographicRecord, text, ints_any, text))),
@@ -331,10 +343,10 @@ def test_writers_match_oracle(name, data):
 
 def test_writers_match_oracle_on_empty_tables():
     for value, writer, oracle in [
-            (Partition({}, 0.0), write_partition_csv, oracle_write_partition_csv),
+            ({}, write_partition_by_id, oracle_write_partition_csv),
             ({}, write_role_map_csv, oracle_write_role_map_csv),
             ({}, write_labels_csv, oracle_write_labels_csv),
-            ({}, write_classes_csv, oracle_write_classes_csv),
+            ({}, write_classes_by_id, oracle_write_classes_csv),
             ({}, write_demographics_csv, oracle_write_demographics_csv),
             ({}, write_engagement_csv, oracle_write_engagement_csv),
             ({}, write_class_demographics_csv, oracle_write_class_demographics_csv),
@@ -371,10 +383,10 @@ ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="
 
 ROUND_TRIPS = {
     "labels": (write_labels_csv, read_labels_csv, st.dictionaries(ids, ids)),
-    "partition": (lambda a, path: write_partition_csv(Partition(a, 0.0), path),
+    "partition": (write_partition_by_id,
                   read_partition_csv, st.dictionaries(ids, ints)),
     "role_map": (write_role_map_csv, read_role_map_csv, st.dictionaries(ints, ids)),
-    "classes": (write_classes_csv, read_classes_csv,
+    "classes": (write_classes_by_id, read_classes_csv,
                 st.dictionaries(ids, st.sampled_from(ConsumerClass))),
     "demographics": (write_demographics_csv, read_demographics_csv,
                      st.dictionaries(ids, st.tuples(st.integers(1, 119), st.sampled_from(

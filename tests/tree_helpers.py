@@ -9,8 +9,9 @@ forest's public arrays.
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from devgraph.diffusion import DiffusionForest, build_trees
+from devgraph.diffusion import DiffusionForest
 
+from id_helpers import build_trees
 from log_helpers import ReblogEvent, coded_events
 
 
