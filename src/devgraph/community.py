@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _CSR, LayeredGraph, _entry_rows, _indptr
+from .graph import _CSR, LayeredGraph, _entry_rows, _summed
 from .ingest import _csv_rows, _write_rows
 
 
@@ -19,16 +19,6 @@ class Partition:
     node_ids: tuple[str, ...]
     membership: np.ndarray
     modularity: float
-
-
-def _summed(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, size: int) -> _CSR:
-    """size x size CSR arrays with the weights of repeated (row, col) pairs
-    added in input order (np.bincount). Unlike `a + a.T`, it keeps an entry
-    that adds up to 0, so every edge makes its ends neighbours whatever its
-    weight."""
-    keys, inverse = np.unique(rows * size + cols, return_inverse=True)
-    return _CSR(_indptr(keys // size, size), keys % size,
-                np.bincount(inverse, weights=weights, minlength=len(keys)))
 
 
 def _projection(g: LayeredGraph, layer: str) -> tuple[_CSR, float]:

@@ -39,6 +39,8 @@ def _group_order(roles: dict[str, str], group_order: tuple[str, ...] | None) -> 
     missing = [grp for grp in group_order if grp not in present]
     if missing:
         raise ValueError(f"group of size 0: {missing[0]!r}")
+    if left_out := sorted(present.difference(group_order)):
+        raise ValueError(f"role {left_out[0]!r} is not in group_order {tuple(group_order)!r}")
     return tuple(group_order)
 
 

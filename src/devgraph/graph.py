@@ -32,11 +32,20 @@ def _indptr(rows: np.ndarray, n_rows: int) -> np.ndarray:
 
 
 class _CSR(NamedTuple):
-    """A square sparse matrix as CSR arrays, each row's columns ascending;
-    `data` is None for a 0/1 pattern."""
+    """A square sparse matrix as CSR arrays, each row's columns ascending."""
     indptr: np.ndarray
     indices: np.ndarray
-    data: np.ndarray | None
+    data: np.ndarray
+
+
+def _summed(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, size: int) -> _CSR:
+    """size x size CSR arrays with the weights of repeated (row, col) pairs
+    added in input order (np.bincount). Unlike `a + a.T`, it keeps an entry
+    that adds up to 0, so every edge makes its ends neighbours whatever its
+    weight."""
+    keys, inverse = np.unique(rows * size + cols, return_inverse=True)
+    return _CSR(_indptr(keys // size, size), keys % size,
+                np.bincount(inverse, weights=weights, minlength=len(keys)))
 
 
 def _entry_rows(m: _CSR) -> np.ndarray:
@@ -47,7 +56,7 @@ def _entry_rows(m: _CSR) -> np.ndarray:
 class _Layer:
     """Frozen adjacency for one layer, built from distinct (src, dst) pairs
     given in any order: the edges sorted by (src, dst), whose dst and weight
-    with out_indptr make the CSR out-view, plus an in-view."""
+    with out_indptr make the CSR out-view. It is the layer's only view."""
 
     def __init__(self, n_nodes: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray):
         order = np.lexsort((dst, src))
@@ -56,8 +65,6 @@ class _Layer:
         self.weight = np.asarray(weight, dtype=np.float64)[order]
         self.n_edges = len(order)
         self.out_indptr = _indptr(self.src, n_nodes)
-        self.in_indptr = _indptr(self.dst, n_nodes)
-        self.in_indices = self.src[np.lexsort((self.src, self.dst))]
 
 
 class LayeredGraph:
@@ -92,7 +99,7 @@ class LayeredGraph:
         return np.diff(self.layer(layer).out_indptr)
 
     def in_degrees(self, layer: str) -> np.ndarray:
-        return np.diff(self.layer(layer).in_indptr)
+        return np.bincount(self.layer(layer).dst, minlength=self.n_nodes)
 
     def edges(self, layer: str) -> Iterator[tuple[str, str, float]]:
         lay = self.layer(layer)
@@ -247,19 +254,6 @@ def id_values(ids: Sequence[str], table: dict[str, float], fill: float) -> np.nd
     return np.append(np.array(list(table.values()), dtype=np.float64), fill)[row]
 
 
-def induced_subgraph(g: LayeredGraph, keep: np.ndarray) -> LayeredGraph:
-    """Subgraph over the nodes of the mask `keep`, in graph order: edges
-    with both endpoints kept, weights preserved."""
-    new_index = np.cumsum(keep) - 1
-    layers = {}
-    for name in LAYERS:
-        lay = g.layer(name)
-        sel = keep[lay.src] & keep[lay.dst]
-        layers[name] = _Layer(int(np.count_nonzero(keep)), new_index[lay.src[sel]],
-                              new_index[lay.dst[sel]], lay.weight[sel])
-    return LayeredGraph(np.array(g.node_ids, dtype=object)[keep], layers)
-
-
 def _weak_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Each node's weakly connected component, named by its smallest node
     index: min-label hooking and pointer jumping over the edge arrays.
@@ -316,21 +310,12 @@ def mean_degree_and_density(n_nodes: int, n_edges: int) -> tuple[float, float]:
     return n_edges / n_nodes, n_edges / (n_nodes * (n_nodes - 1))
 
 
-def _undirected_projection(g: LayeredGraph, layer: str) -> _CSR:
-    """The layer's undirected simple projection as a 0/1 pattern: the
-    distinct keys u*n+v of its edges taken both ways."""
-    lay, n = g.layer(layer), g.n_nodes
-    keys = np.sort(np.concatenate((lay.src * n + lay.dst, lay.dst * n + lay.src)))
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    return _CSR(_indptr(keys // n, n), keys % n, None)
-
-
 # wedges (pairs of one node's out-neighbours) per block of _triangles
 _TRIANGLE_WEDGES = 1 << 14
 
 
 def _triangles(u: _CSR) -> np.ndarray:
-    """Twice each node's triangle count in the symmetric 0/1 pattern `u`, by
+    """Twice each node's triangle count in the symmetric pattern of `u`, by
     degree-ordered triangle listing (Schank & Wagner, WEA 2005).
 
     Each edge points from the lower to the higher (degree, index) rank, so
@@ -449,19 +434,27 @@ def network_stats(g: LayeredGraph, layer: str, exact_paths: bool = False,
     are estimated from `path_samples` seeded BFS sources and the diameter
     is a lower bound (paths_exact=False).
     """
-    sub = induced_subgraph(g, gwcc(g, layer))
-    n = sub.n_nodes
+    keep = gwcc(g, layer)
+    n = int(np.count_nonzero(keep))
     if n < 2:
         raise ValueError("GWCC has fewer than 2 nodes")
-    lay = sub.layer(layer)
-    e = lay.n_edges
+    # the GWCC's edges: both ends of an edge lie in one weak component, and
+    # numbering the kept nodes in graph order keeps the edges sorted
+    lay = g.layer(layer)
+    inside = keep[lay.src]
+    new_index = np.cumsum(keep) - 1
+    src, dst = new_index[lay.src[inside]], new_index[lay.dst[inside]]
+    e = len(src)
     avg_degree, density = mean_degree_and_density(n, e)
 
-    # an edge is reciprocated when its reverse's key src*n+dst is an edge key
-    reciprocal = int(np.count_nonzero(np.isin(lay.dst * n + lay.src, lay.src * n + lay.dst)))
-    reciprocity = reciprocal / e if e else 0.0
+    # an edge is reciprocated when its reverse's key is among the ascending
+    # keys src*n+dst
+    keys, wanted = src * n + dst, dst * n + src
+    found = keys[np.minimum(np.searchsorted(keys, wanted), e - 1)] == wanted
+    reciprocity = int(np.count_nonzero(found)) / e
 
-    u = _undirected_projection(sub, layer)
+    # the undirected simple projection; its data, each pair's edge count, goes unread
+    u = _summed(np.concatenate((src, dst)), np.concatenate((dst, src)), np.ones(2 * e), n)
     deg = np.diff(u.indptr)
     tri = _triangles(u)
     denom = deg * (deg - 1)

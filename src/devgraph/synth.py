@@ -11,7 +11,7 @@ import numpy as np
 
 from .demographics import DemographicRecord
 from .diffusion import ConsumerClass, _CodedEvents, producer_nodes
-from .graph import FOLLOW, REBLOG, LAYERS, LayeredGraph, _Layer, build_graph, id_codes
+from .graph import FOLLOW, REBLOG, LAYERS, LayeredGraph, _Layer, _indptr, build_graph, id_codes
 from .ingest import _key_values, _write_lines
 
 GROUPS = ("producer_one", "producer_two", "bridge_one", "bridge_two", "outer")
@@ -139,12 +139,14 @@ def synth_events(cfg: SynthConfig, g: LayeredGraph, roles: dict[str, str]) -> _C
     """Reblog cascades rooted at producers, spreading along reblog
     in-neighbors wave by wave; every event references a graph reblog edge.
     A holder's in-neighbors outside the tree each join with
-    cascade_join_prob, one uniform draw per candidate in in-view order."""
+    cascade_join_prob, one uniform draw per candidate in index order."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(60)[40])
     join = cfg.cascade_join_prob
     producers = id_codes(g.node_ids, sorted(producer_nodes(roles))).tolist()
     lay = g.layer(REBLOG)
-    indptr, indices = lay.in_indptr.tolist(), lay.in_indices.tolist()
+    # in-neighbours by dst; the layer ascends by src within each dst
+    indptr = _indptr(lay.dst, g.n_nodes).tolist()
+    indices = lay.src[np.argsort(lay.dst, kind="stable")].tolist()
     # the events' columns: graph indices of actor and source, post index, time
     actors, sources, posts, times = array("q"), array("q"), array("q"), array("d")
     n_posts = 0

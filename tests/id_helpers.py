@@ -123,6 +123,3 @@ def modularity(g: LayeredGraph, layer: str, assignment: dict[str, int]) -> float
 def gwcc(g: LayeredGraph, layer: str) -> set[str]:
     return set(compress(g.node_ids, graph.gwcc(g, layer).tolist()))
 
-
-def induced_subgraph(g: LayeredGraph, keep: Iterable[str]) -> LayeredGraph:
-    return graph.induced_subgraph(g, id_mask(g.node_ids, keep))

@@ -1,5 +1,6 @@
 """Modularity arithmetic and Louvain recovery against exhaustive oracles."""
 
+import functools
 import itertools
 import random
 from dataclasses import fields, replace
@@ -21,7 +22,7 @@ from devgraph.community import (
     write_partition_csv,
     write_role_map_csv,
 )
-from devgraph.graph import FOLLOW, LAYERS, REBLOG, build_graph
+from devgraph.graph import FOLLOW, LAYERS, REBLOG, LayeredGraph, build_graph
 from devgraph.synth import SynthConfig, planted_graph
 
 from id_helpers import assignment, communities, modularity
@@ -227,11 +228,23 @@ def scaled(cfg: SynthConfig, k: int) -> SynthConfig:
                       if f.name.startswith("p_")})
 
 
-@pytest.mark.parametrize("scale", [1, 4])
+@functools.cache
+def fixture_graph(scale: int) -> LayeredGraph:
+    """The seed-11 fixture's graph at `scale`, built once per session."""
+    return planted_graph(scaled(SynthConfig(seed=11), scale))[0]
+
+
+@functools.cache
+def fixture_louvain(scale: int, layer: str, seed: int) -> Partition:
+    """louvain on `fixture_graph(scale)`, run once per session."""
+    return louvain(fixture_graph(scale), layer, seed=seed)
+
+
+@pytest.mark.parametrize("scale", [1, 4, 16])
 @pytest.mark.parametrize("layer", LAYERS)
 def test_louvain_communities_connected_on_fixture(scale, layer):
-    g, _ = planted_graph(scaled(SynthConfig(seed=11), scale))
-    part = louvain(g, layer, seed=11)
+    g = fixture_graph(scale)
+    part = fixture_louvain(scale, layer, 11)
     assert len(communities(part)) > 1
     assert_communities_connected(g, layer, part)
 

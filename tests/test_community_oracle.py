@@ -1,7 +1,9 @@
 """The CSR Louvain and modularity against the list-of-dicts code they
 replaced, kept here verbatim as oracles. Partitions, modularity values and
 `ValueError` messages must match exactly (`==`), on small random graphs and
-on the seed-11 fixture at 1x and 4x.
+on the seed-11 fixture at 1x and 4x. On the fixture at 1x, 4x and 16x,
+Louvain's modularity must also reach the oracle's lowest over three seeds:
+the contract that a sweep in another node order must keep.
 
 Every weight drawn here is a small multiple of 0.5, so every sum of weights
 is exact whatever order it is added in; what is left to order is the
@@ -23,7 +25,7 @@ from devgraph.community import Partition, louvain
 from devgraph.graph import FOLLOW, LAYERS, REBLOG, LayeredGraph, build_graph
 from devgraph.synth import SynthConfig, planted_graph
 from id_helpers import assignment, modularity
-from test_community import scaled
+from test_community import fixture_graph, fixture_louvain, scaled
 
 
 def _symmetrized(g: LayeredGraph, layer: str) -> tuple[list[dict[int, float]], float]:
@@ -262,3 +264,17 @@ def test_louvain_matches_oracle_on_fixture(scale, layer):
         part = louvain(g, layer, seed=seed)
         assert (assignment(part), part.modularity) == oracle_louvain(g, layer, seed=seed)
         assert len(np.unique(part.membership)) > 1
+
+
+LOUVAIN_SEEDS = (0, 11, 29)
+
+
+@pytest.mark.parametrize("scale", [1, 4, 16])
+@pytest.mark.parametrize("layer", LAYERS)
+def test_louvain_modularity_reaches_oracle_floor_on_fixture(scale, layer):
+    """Each seed's Q is at least the smallest Q that the oracle gives over
+    the same seeds, at the same scale and layer."""
+    g = fixture_graph(scale)
+    floor = min(oracle_louvain(g, layer, seed=seed)[1] for seed in LOUVAIN_SEEDS)
+    for seed in LOUVAIN_SEEDS:
+        assert fixture_louvain(scale, layer, seed).modularity >= floor

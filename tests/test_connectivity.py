@@ -102,6 +102,12 @@ class TestGroupMatrix:
             group_matrix(g, FOLLOW, {"a": "A", "b": "A"}, DENSITY,
                          group_order=("A", "B"))
 
+    @pytest.mark.parametrize("mode", [AVG_VOLUME, DENSITY, NULL_RATIO])
+    def test_role_left_out_of_group_order_error(self, mode):
+        g = build_graph([F("a", "b")])
+        with pytest.raises(ValueError, match=r"role 'B' is not in group_order \('A',\)"):
+            group_matrix(g, FOLLOW, {"a": "A", "b": "B"}, mode, group_order=("A",), seed=0)
+
     def test_group_order_respected(self):
         g = build_graph([F("a", "b")])
         m = group_matrix(g, FOLLOW, {"a": "Z", "b": "A"}, AVG_VOLUME,

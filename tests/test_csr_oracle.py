@@ -1,6 +1,7 @@
-"""The CSR builder `_summed`, Louvain's weighted `_projection` and the
-statistics' `_undirected_projection` against the scipy COO-to-CSR sums
-they replaced, kept here as oracles.
+"""The CSR builder `_summed` and Louvain's weighted `_projection` against
+the scipy COO-to-CSR sums they replaced, kept here as oracles, and the
+projection's pattern, which the statistics read, against the statistics'
+former `a + a.T` 0/1 projection.
 
 With dyadic weights (small multiples of 0.5) every sum is exact whatever
 order it is added in, so `indptr`, `indices` and `data` must match exactly
@@ -15,8 +16,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devgraph.community import _projection, _summed
-from devgraph.graph import LAYERS, REBLOG, _undirected_projection, build_graph
+from devgraph.community import _projection
+from devgraph.graph import LAYERS, REBLOG, _summed, build_graph
 
 dyadic = st.integers(-6, 6).map(lambda k: k / 2)
 
@@ -90,11 +91,9 @@ def test_projections_match_coo(edges):
         want, want_m = coo_projection(g, layer)
         same_csr(adj, want)
         assert m == want_m
-        u = _undirected_projection(g, layer)
         pattern = sum_projection(g, layer)
-        assert np.array_equal(u.indptr, pattern.indptr)
-        assert np.array_equal(u.indices, pattern.indices)
-        assert u.data is None
+        assert np.array_equal(adj.indptr, pattern.indptr)
+        assert np.array_equal(adj.indices, pattern.indices)
 
 
 def test_projection_keeps_a_pair_that_cancels():

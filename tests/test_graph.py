@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devgraph import graph
 from devgraph.graph import (
     FOLLOW,
     REBLOG,
@@ -24,7 +23,7 @@ from devgraph.graph import (
     write_labels_csv,
 )
 
-from id_helpers import gwcc, induced_subgraph
+from id_helpers import gwcc
 
 
 def F(src, dst):
@@ -86,8 +85,6 @@ class TestBuild:
         lay = g.layer(FOLLOW)
         assert lay.out_indptr.tolist() == [0, 2, 3, 3]
         assert lay.dst.tolist() == [1, 2, 2]
-        assert lay.in_indptr.tolist() == [0, 0, 1, 3]
-        assert lay.in_indices.tolist() == [0, 0, 1]
         assert g.out_degrees(FOLLOW).tolist() == [2, 1, 0]
         assert g.in_degrees(FOLLOW).tolist() == [0, 1, 2]
         assert g.in_degrees(REBLOG).tolist() == [1, 0, 0]
@@ -126,22 +123,6 @@ class TestRoundTrip:
         g = load_graph(str(p), diagnostics)
         assert g.n_edges(FOLLOW) == 1 and g.n_edges(REBLOG) == 1
         assert diagnostics["malformed_lines"] == 1
-
-
-class TestSubgraph:
-    def test_induced(self):
-        g = build_graph([F("a", "b"), F("b", "c"), R("a", "c", 4.0)])
-        sub = induced_subgraph(g, ["a", "c"])
-        assert set(sub.node_ids) == {"a", "c"}
-        assert sub.n_edges(FOLLOW) == 0
-        assert list(sub.edges(REBLOG)) == [("a", "c", 4.0)]
-
-    def test_keeps_the_masked_nodes_in_graph_order(self):
-        g = build_graph([F("c", "a"), F("a", "b"), R("b", "c", 2.0)])
-        sub = graph.induced_subgraph(g, np.array([True, False, True]))
-        assert sub.node_ids == ("c", "b")
-        assert sub.n_edges(FOLLOW) == 0
-        assert list(sub.edges(REBLOG)) == [("b", "c", 2.0)]
 
 
 class TestGwcc:
@@ -232,8 +213,9 @@ class TestStats:
 
     def test_sampled_requires_seed(self):
         g = build_graph([F("a", "b"), F("b", "c")])
-        from devgraph.graph import _path_stats, _undirected_projection
-        u = _undirected_projection(g, FOLLOW)
+        from devgraph.community import _projection
+        from devgraph.graph import _path_stats
+        u, _m = _projection(g, FOLLOW)
         with pytest.raises(ValueError, match="seed"):
             _path_stats(u, 3, exact=False, path_samples=2, seed=None)
 
@@ -249,8 +231,11 @@ class TestStats:
                 edges.append((f"n{u}", f"n{v}", 1.0, FOLLOW))
         g = build_graph(edges)
         exact = network_stats(g, FOLLOW, exact_paths=True)
-        from devgraph.graph import _path_stats, _undirected_projection
-        u_mat = _undirected_projection(induced_subgraph(g, gwcc(g, FOLLOW)), FOLLOW)
+        from devgraph.community import _projection
+        from devgraph.graph import _path_stats
+        # the path n0 - n399 makes the GWCC the whole graph
+        assert len(gwcc(g, FOLLOW)) == n
+        u_mat, _m = _projection(g, FOLLOW)
         spl, diam = _path_stats(u_mat, exact.n, exact=False, path_samples=200, seed=5)
         assert abs(spl - exact.avg_shortest_path) / exact.avg_shortest_path < 0.05
         assert diam <= exact.diameter  # sampled diameter is a lower bound

@@ -1,16 +1,18 @@
 """The array-built graph store against the dict-of-dicts construction it
 replaced, kept here verbatim as oracles: the `_Layer` constructor that
-walked `{u: {v: w}}`, `build_graph`, `induced_subgraph`, the sequential
-swap chain of `rewire_null_model`, `planted_graph` with its dense block
-masks, and `synth_events` walking reblog in-neighbours by node id, here
-taken from `g.edges` and compared with the coded events of the new one
-read back as rows (`log_helpers.event_rows`). The batched chain
+walked `{u: {v: w}}` (less the in-view that `_Layer` no longer keeps),
+`build_graph`, `induced_subgraph` (the oracle of the GWCC that
+`network_stats` slices out of a layer), the sequential swap chain of
+`rewire_null_model`, `planted_graph` with its dense block masks, and
+`synth_events` walking reblog in-neighbours by node id, here taken from
+`g.edges` and compared with the coded events of the new one read back as
+rows (`log_helpers.event_rows`). The batched chain
 that replaced the sequential one is checked byte for byte against a
 pair-by-pair Python reference of its rule, and in distribution against the
 sequential chain.
 
-Every comparison is exact: node ids, build_graph's diagnostics, and each layer
-array byte for byte with its dtype, including the in-view. Duplicate
+Every comparison is exact: node ids, build_graph's diagnostics, and every
+attribute of each layer, arrays byte for byte with their dtype. Duplicate
 reblog weights are summed in input order, so a summation that regroups
 them (pairwise, blocked) shows up as a different last bit.
 
@@ -27,12 +29,14 @@ import math
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from devgraph import graph
 from devgraph.connectivity import _edge_counts, rewire_null_model
 from devgraph.graph import (
     FOLLOW,
@@ -40,6 +44,7 @@ from devgraph.graph import (
     REBLOG,
     LayeredGraph,
     build_graph,
+    network_stats,
 )
 from devgraph.synth import (
     GROUPS,
@@ -50,12 +55,12 @@ from devgraph.synth import (
     synth_events,
 )
 
-from id_helpers import induced_subgraph
+from id_helpers import gwcc
 from log_helpers import ReblogEvent, event_rows
 
 
 class DictLayer:
-    """Frozen adjacency for one layer: CSR out-view plus an in-view."""
+    """Frozen adjacency for one layer: the CSR out-view."""
 
     def __init__(self, n_nodes: int, adj: dict[int, dict[int, float]]):
         srcs: list[int] = []
@@ -73,10 +78,6 @@ class DictLayer:
         self.n_edges = len(srcs)
         counts = np.bincount(self.src, minlength=n_nodes) if self.n_edges else np.zeros(n_nodes, dtype=np.int64)
         self.out_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        order = np.lexsort((self.src, self.dst)) if self.n_edges else np.array([], dtype=np.int64)
-        in_counts = np.bincount(self.dst, minlength=n_nodes) if self.n_edges else np.zeros(n_nodes, dtype=np.int64)
-        self.in_indptr = np.concatenate(([0], np.cumsum(in_counts))).astype(np.int64)
-        self.in_indices = self.src[order]
 
 
 def oracle_build_graph(edges: Iterable[tuple]) -> tuple[LayeredGraph, Counter]:
@@ -304,18 +305,21 @@ def oracle_synth_events(cfg: SynthConfig, g: LayeredGraph,
 
 # -- comparison ---------------------------------------------------------------
 
-ARRAYS = ("src", "dst", "weight", "out_indptr", "in_indptr", "in_indices")
-
-
 def assert_same_graph(got: LayeredGraph, want: LayeredGraph) -> None:
+    """Same node ids, and every attribute of each layer the same: a field
+    that one layer has and the other lacks fails too."""
     assert got.node_ids == want.node_ids
     for name in LAYERS:
-        a, b = got.layer(name), want.layer(name)
-        assert a.n_edges == b.n_edges, name
-        for attr in ARRAYS:
-            x, y = getattr(a, attr), getattr(b, attr)
-            assert x.dtype == y.dtype and x.shape == y.shape, (name, attr)
-            assert x.tobytes() == y.tobytes(), (name, attr)
+        a, b = vars(got.layer(name)), vars(want.layer(name))
+        assert a.keys() == b.keys(), name
+        for attr, x in a.items():
+            y = b[attr]
+            assert type(x) is type(y), (name, attr)
+            if isinstance(x, np.ndarray):
+                assert x.dtype == y.dtype and x.shape == y.shape, (name, attr)
+                assert x.tobytes() == y.tobytes(), (name, attr)
+            else:
+                assert x == y, (name, attr)
 
 
 def assert_same_build(entries: list) -> None:
@@ -384,15 +388,52 @@ def test_build_graph_matches_oracle(entries):
     assert_same_build(entries)
 
 
+@st.composite
+def component_graphs(draw):
+    """Edges within one to four blocks of nodes, each block's ids apart,
+    interleaved: several weak components per layer, some edges reciprocated
+    and some nodes isolated (by a self-loop)."""
+    entries = []
+    for block in range(draw(st.integers(1, 4))):
+        size = draw(st.integers(1, 7))
+        end = st.integers(0, size - 1)
+        for u, v, layer, both in draw(st.lists(st.tuples(end, end, layers, st.booleans()),
+                                               max_size=3 * size)):
+            entries.append((f"{block}.{u}", f"{block}.{v}", 1.0, layer))
+            if both:
+                entries.append((f"{block}.{v}", f"{block}.{u}", 1.0, layer))
+    return draw(st.permutations(entries))
+
+
 @settings(max_examples=200, deadline=None)
-@given(edge_lists(), st.data())
-def test_induced_subgraph_matches_oracle(entries, data):
+@given(component_graphs(), st.sampled_from(LAYERS), st.integers(0, 2**32 - 1))
+def test_gwcc_slice_matches_oracle_subgraph(entries, layer, seed):
+    """network_stats on the GWCC's edges sliced from the layer equals
+    network_stats on the oracle's induced subgraph of the GWCC, with exact
+    and with sampled paths."""
     g = build_graph(entries)
-    want_g, _ = oracle_build_graph(entries)
-    ids = g.node_ids
-    keep = data.draw(st.one_of(st.just(set()), st.just(set(ids)),
-                               st.sets(st.sampled_from(ids)) if ids else st.just(set())))
-    assert_same_graph(induced_subgraph(g, keep), oracle_induced_subgraph(want_g, keep))
+    got = outcome(network_stats, g, layer, exact_paths=True)
+    if not g.n_nodes:
+        assert got == (ValueError, "empty graph")
+        return
+    sub = oracle_induced_subgraph(g, gwcc(g, layer))
+    assert got == outcome(network_stats, sub, layer, exact_paths=True)
+    with mock.patch.object(graph, "EXACT_PATH_LIMIT", 1):
+        sampled = outcome(network_stats, g, layer, path_samples=3, seed=seed)
+        assert sampled == outcome(network_stats, sub, layer, path_samples=3, seed=seed)
+
+
+def test_network_stats_builds_no_layer(monkeypatch):
+    """The statistics slice the GWCC out of the layer they have."""
+    g = build_graph([("a", "b", 1.0, FOLLOW), ("b", "c", 1.0, FOLLOW), ("x", "y", 1.0, FOLLOW),
+                     ("c", "a", 2.0, REBLOG), ("a", "c", 1.0, REBLOG), ("y", "x", 1.0, REBLOG)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("network_stats built a _Layer")
+
+    monkeypatch.setattr(graph._Layer, "__init__", refuse)
+    for layer in LAYERS:
+        assert network_stats(g, layer, exact_paths=True).n == 3 - (layer == REBLOG)
 
 
 @settings(max_examples=200, deadline=None)
@@ -436,8 +477,6 @@ def test_rewire_agrees_with_sequential_chain_in_distribution():
 
 def test_build_graph_empty_input():
     assert_same_build([])
-    assert_same_graph(induced_subgraph(build_graph([]), []),
-                      oracle_induced_subgraph(build_graph([]), []))
 
 
 def test_many_duplicate_reblog_weights_sum_in_input_order():

@@ -50,14 +50,8 @@ import pytest
 from devgraph import ingest
 from devgraph.diffusion import build_trees, producer_nodes, read_events_tsv, write_events_tsv
 from devgraph.ingest import read_query_log
-from devgraph.graph import (
-    FOLLOW,
-    _triangles,
-    _undirected_projection,
-    gwcc,
-    id_mask,
-    induced_subgraph,
-)
+from devgraph.community import _projection
+from devgraph.graph import FOLLOW, _triangles, gwcc, id_mask
 from devgraph.intervention import rank_by_volume
 from devgraph.synth import SynthConfig, closure_fixture, planted_graph, synth_events
 
@@ -110,7 +104,9 @@ def nbytes(*arrays) -> int:
 
 def test_triangles_peak(fixture):
     g, _events, _producers = fixture
-    u = _undirected_projection(induced_subgraph(g, gwcc(g, FOLLOW)), FOLLOW)
+    # the follow layer is one weak component, so this is its GWCC's projection
+    assert gwcc(g, FOLLOW).all()
+    u, _m = _projection(g, FOLLOW)
     # float64 data, int32 indices and int32 indptr
     bound = TRIANGLES_BOUND * (8 * len(u.indices) + 4 * len(u.indices) + 4 * len(u.indptr))
     assert peak_bytes(_triangles, u) <= bound
