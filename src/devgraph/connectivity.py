@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import LAYERS, LayeredGraph, _Layer, id_codes
+from .graph import LAYERS, LayeredGraph, _Layer, _sorted_order, id_codes
 from .ingest import _write_rows
 
 AVG_VOLUME = "AvgVolume"
@@ -153,20 +153,17 @@ def _swap_batch(src: np.ndarray, dst: np.ndarray, n: int,
     h = len(i)
     a, b, c, e = src[i], dst[i], src[j], dst[j]
     # new keys in sorted order, which also makes the lookups below cache-friendly
-    new = np.concatenate((a * n + e, c * n + b))
-    by_key = np.argsort(new)
-    new = new[by_key]
-    proposer = np.tile(np.arange(h), 2)[by_key]
+    new, by_key = _sorted_order(np.concatenate((a * n + e, c * n + b)), n * n)
+    proposer = by_key % h
     rejected = (a == e) | (c == b)
     # rule 3
     twin = new[1:] == new[:-1]
     rejected[proposer[1:][twin]] = True
     rejected[proposer[:-1][twin]] = True
     # rule 2, and rule 4 from the slot that owns each hit
-    keys = src * n + dst
-    order = np.argsort(keys)
-    pos = np.minimum(np.searchsorted(keys[order], new), len(keys) - 1)
-    hit = keys[order[pos]] == new
+    keys, order = _sorted_order(src * n + dst, n * n)
+    pos = np.minimum(np.searchsorted(keys, new), len(keys) - 1)
+    hit = keys[pos] == new
     rejected[proposer[hit]] = True
     pair_of = np.full(len(keys), -1, dtype=np.int64)
     pair_of[i] = pair_of[j] = np.arange(h)

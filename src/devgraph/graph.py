@@ -48,6 +48,18 @@ def _summed(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, size: int) 
                 np.bincount(inverse, weights=weights, minlength=len(keys)))
 
 
+def _sorted_order(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keys in [0, bound) sorted, and the stable order that sorts them: one
+    np.sort of each key shifted left with its index in the low bits, or,
+    where that does not fit in 63 bits, a stable argsort."""
+    bits = max(1, (len(keys) - 1).bit_length())
+    if (int(bound) - 1).bit_length() + bits > 63:
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
+    packed = np.sort((keys << bits) | np.arange(len(keys)))
+    return packed >> bits, packed & ((1 << bits) - 1)
+
+
 def _entry_rows(m: _CSR) -> np.ndarray:
     """The row of each stored entry of a CSR matrix, in storage order."""
     return np.repeat(np.arange(len(m.indptr) - 1), np.diff(m.indptr))

@@ -240,13 +240,18 @@ def fixture_louvain(scale: int, layer: str, seed: int) -> Partition:
     return louvain(fixture_graph(scale), layer, seed=seed)
 
 
+# the Louvain seeds of the fixture checks here and in test_community_oracle.py
+LOUVAIN_SEEDS = (0, 11, 29)
+
+
 @pytest.mark.parametrize("scale", [1, 4, 16])
 @pytest.mark.parametrize("layer", LAYERS)
 def test_louvain_communities_connected_on_fixture(scale, layer):
     g = fixture_graph(scale)
-    part = fixture_louvain(scale, layer, 11)
-    assert len(communities(part)) > 1
-    assert_communities_connected(g, layer, part)
+    for seed in LOUVAIN_SEEDS:
+        part = fixture_louvain(scale, layer, seed)
+        assert len(communities(part)) > 1
+        assert_communities_connected(g, layer, part)
 
 
 @settings(max_examples=200, deadline=None)

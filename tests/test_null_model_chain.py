@@ -152,3 +152,15 @@ def test_batch_ignores_pair_order_and_orientation():
                 pairs = [(j[k], i[k]) if f else (i[k], j[k]) for k, f in zip(order, flip)]
                 assert batch(src, state, 6, [p[0] for p in pairs],
                              [p[1] for p in pairs]) == want
+
+
+def test_batch_same_when_packed_keys_do_not_fit():
+    """With n = 2**50 the keys src * n + dst, packed with their indices,
+    need more than 63 bits, so the batch sorts them with argsort; it must
+    send every state where the packed sort does at the graph's own n."""
+    src, dst = GRAPHS["directed 3-cycle"]
+    for pairing in pairings(len(src)):
+        pairs = [sorted(p) for p in pairing]
+        i, j = [p[0] for p in pairs], [p[1] for p in pairs]
+        for state in sorted(swap_class(src, tuple(dst))):
+            assert batch(src, state, 2**50, i, j) == batch(src, state, 6, i, j)
