@@ -4,7 +4,6 @@ flows between classes, and spreading efficiency."""
 from __future__ import annotations
 
 import enum
-import itertools
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -12,7 +11,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import FOLLOW, LayeredGraph
-from .ingest import _coded_rows, _csv_rows, _distinct, _used, _ranked, _write_lines, _write_rows
+from .ingest import (
+    _BATCH,
+    _coded_rows,
+    _csv_rows,
+    _distinct,
+    _encoded,
+    _ranked,
+    _tsv_rows,
+    _used,
+    _write_lines,
+    _write_rows,
+)
 
 
 class ConsumerClass(enum.Enum):
@@ -53,10 +63,6 @@ class _CodedEvents:
 
     def __len__(self) -> int:
         return len(self.ts)
-
-
-# rows per slice of write_events_tsv
-_BATCH = 1 << 15
 
 
 def read_events_tsv(path: str, diagnostics: Counter | None = None) -> _CodedEvents:
@@ -110,23 +116,22 @@ def _stamp(t: float) -> str:
 
 
 def write_events_tsv(events: _CodedEvents, path: str) -> None:
-    """One actor, source, post, time row per event, written by columns in
-    slices of _BATCH rows, one slice's lines at a time; each distinct
-    timestamp of a slice is formatted once, with %g where that reads back
-    to the same float and with repr where %g would round it."""
-    ids, posts = np.array(events.ids, dtype=object), np.array(events.posts, dtype=object)
+    """One actor, source, post, time row per event, written in slices of
+    _BATCH rows, each slice's bytes joined from the encoded ids and posts
+    (see `ingest._tsv_rows`); each distinct timestamp of a slice is
+    formatted once, by `_stamp`."""
+    ids, posts = _encoded(events.ids, b"\t"), _encoded(events.posts, b"\t")
 
     def slices():
         for lo in range(0, len(events), _BATCH):
             rows = slice(lo, lo + _BATCH)
             # unique bit patterns, so 0.0 and -0.0 keep their own text
-            bits, at = np.unique(events.ts[rows].view(np.int64), return_inverse=True)
-            ts = np.array(list(map(_stamp, bits.view(np.float64).tolist())), dtype=object)
-            yield map("{}\t{}\t{}\t{}\n".format, ids[events.actor[rows]].tolist(),
-                      ids[events.source[rows]].tolist(),
-                      posts[events.post[rows]].tolist(), ts[at].tolist())
+            bits, stamp = np.unique(events.ts[rows].view(np.int64), return_inverse=True)
+            stamps = _encoded(map(_stamp, bits.view(np.float64).tolist()), b"\n")
+            yield _tsv_rows([ids[events.actor[rows]], ids[events.source[rows]],
+                             posts[events.post[rows]], stamps[stamp]])
 
-    _write_lines(path, itertools.chain.from_iterable(slices()))
+    _write_lines(path, slices())
 
 
 class DiffusionForest:

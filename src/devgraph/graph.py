@@ -8,13 +8,23 @@ indices assigned in first-seen order; external ids are strings.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .ingest import _codes, _coded_rows, _csv_rows, _used, _write_lines, _write_rows
+from .ingest import (
+    _BATCH,
+    _codes,
+    _coded_rows,
+    _csv_rows,
+    _encoded,
+    _tsv_rows,
+    _used,
+    _write_lines,
+    _write_rows,
+)
 
 FOLLOW = "F"
 REBLOG = "R"
@@ -112,11 +122,6 @@ class LayeredGraph:
 
     def in_degrees(self, layer: str) -> np.ndarray:
         return np.bincount(self.layer(layer).dst, minlength=self.n_nodes)
-
-    def edges(self, layer: str) -> Iterator[tuple[str, str, float]]:
-        lay = self.layer(layer)
-        for u, v, w in zip(lay.src, lay.dst, lay.weight):
-            yield self._ids[u], self._ids[v], float(w)
 
     def edge_arrays(self, layer: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Internal-index (src, dst, weight) arrays for the layer."""
@@ -223,8 +228,24 @@ def load_graph(path: str, diagnostics: Counter | None = None) -> LayeredGraph:
 
 
 def write_edge_tsv(g: LayeredGraph, path: str) -> None:
-    _write_lines(path, (f"{src}\t{dst}\t{w:g}\t{layer}\n"
-                        for layer in LAYERS for src, dst, w in g.edges(layer)))
+    """One src, dst, weight, layer row per edge, follow layer first, each
+    layer in its (src, dst) order; written in slices of _BATCH rows, each
+    slice's bytes joined from the encoded ids (see `ingest._tsv_rows`),
+    with each distinct weight of a slice formatted once, as %g."""
+    ids = _encoded(g.node_ids, b"\t")
+
+    def slices():
+        for name in LAYERS:
+            lay = g.layer(name)
+            for lo in range(0, lay.n_edges, _BATCH):
+                rows = slice(lo, lo + _BATCH)
+                # unique bit patterns, so 0.0 and -0.0 keep their own text
+                bits, weight = np.unique(lay.weight[rows].view(np.int64), return_inverse=True)
+                weights = _encoded((f"{w:g}\t{name}" for w in bits.view(np.float64).tolist()),
+                                   b"\n")
+                yield _tsv_rows([ids[lay.src[rows]], ids[lay.dst[rows]], weights[weight]])
+
+    _write_lines(path, slices())
 
 
 def _label(node: str, group: str) -> tuple[str, str]:

@@ -308,11 +308,29 @@ def _csv_rows(path: str, header: str, reason: str, parse: Callable,
         yield row
 
 
-def _write_lines(path, lines: Iterable[str]) -> None:
-    """Write `lines`, each ending in a newline, to `path` as UTF-8 with LF
-    line ends; every file the package writes is written here."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
+def _write_lines(path, lines: Iterable[str] | Iterable[bytes]) -> None:
+    """Write `lines` to `path`: text lines, each ending in a newline, as
+    UTF-8 with LF line ends, and bytes as they are; every file the package
+    writes is written here."""
+    with open(path, "wb") as fh:
+        fh.writelines(line if isinstance(line, bytes) else line.encode() for line in lines)
+
+
+# rows per slice of the tab-separated writers
+_BATCH = 1 << 12
+
+
+def _encoded(names: Iterable[str], end: bytes) -> np.ndarray:
+    """Each of `names` as UTF-8 bytes followed by `end` (the tab or newline
+    after a field), in an object array that field codes index."""
+    return np.array([name.encode() + end for name in names], dtype=object)
+
+
+def _tsv_rows(fields: list[np.ndarray]) -> bytes:
+    """The bytes of the rows whose field j is fields[j][i], each field
+    encoded with the tab or newline that follows it (see `_encoded`): one
+    join of the fields in row order."""
+    return b"".join(np.column_stack(fields).ravel().tolist())
 
 
 def _cell(value) -> str:

@@ -4,14 +4,24 @@ closure, and parameterized demographic tables."""
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field, fields
+from itertools import compress
 
 import numpy as np
 
 from .demographics import DemographicRecord
 from .diffusion import ConsumerClass, _CodedEvents, producer_nodes
-from .graph import FOLLOW, REBLOG, LAYERS, LayeredGraph, _Layer, _indptr, build_graph, id_codes
+from .graph import (
+    FOLLOW,
+    LAYERS,
+    REBLOG,
+    LayeredGraph,
+    _indptr,
+    _Layer,
+    _sorted_order,
+    build_graph,
+    id_codes,
+)
 from .ingest import _key_values, _write_lines
 
 GROUPS = ("producer_one", "producer_two", "bridge_one", "bridge_two", "outer")
@@ -135,50 +145,124 @@ def planted_graph(cfg: SynthConfig) -> tuple[LayeredGraph, dict[str, str]]:
     return LayeredGraph(ids, layers), roles
 
 
+# (holder, candidate) pairs per slice of a synth_events wave
+_PAIRS = 1 << 16
+
+
 def synth_events(cfg: SynthConfig, g: LayeredGraph, roles: dict[str, str]) -> _CodedEvents:
     """Reblog cascades rooted at producers, spreading along reblog
     in-neighbors wave by wave; every event references a graph reblog edge.
-    A holder's in-neighbors outside the tree each join with
-    cascade_join_prob, one uniform draw per candidate in index order."""
+
+    Each post draws its depth limit, then the waves of all posts advance
+    together (the independent cascade of Kempe, Kleinberg & Tardos, KDD
+    2003): each (holder, candidate) pair of a wave, a candidate being a
+    holder's in-neighbour outside the post's tree, draws one uniform, in
+    wave order and then holder order, and a candidate joins with
+    cascade_join_prob at its first success, from that pair's holder. A
+    wave's pairs are taken _PAIRS at a time, which changes no draw.
+    Events are listed by post, then wave, then holder, then candidate."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(60)[40])
-    join = cfg.cascade_join_prob
-    producers = id_codes(g.node_ids, sorted(producer_nodes(roles))).tolist()
+    n = g.n_nodes
+    producers = id_codes(g.node_ids, sorted(producer_nodes(roles)))
+    n_posts = len(producers) * cfg.posts_per_producer
+    post_ids = [f"post_{i:05d}" for i in range(n_posts)]
+    if cfg.max_cascade_depth > 0 and n_posts:
+        keys, sources = _waves(cfg, g, producers, rng)
+    else:
+        keys, sources = [], []
+    depth = np.repeat(np.arange(1, len(keys) + 1, dtype=np.int32), [len(k) for k in keys])
+    key = np.concatenate([np.empty(0, np.int64)] + keys)
+    del keys
+    # each wave lists its posts in ascending order, so a stable sort by post
+    # merges the waves
+    order = np.argsort(key // n, kind="stable")
+    key = key[order]
+    ts = depth[order].astype(np.float64)
+    source = np.concatenate([np.empty(0, np.int32)] + sources)[order]
+    del depth, sources, order
+    post, actor = (key // n).astype(np.int32), (key % n).astype(np.int32)
+    del key
+    ts += post * 10_000.0
+    return _CodedEvents(list(g.node_ids), post_ids, actor, source, post, ts)
+
+
+def _waves(cfg: SynthConfig, g: LayeredGraph, producers: np.ndarray,
+           rng) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """synth_events' waves: per wave, the (post * n + actor) keys that
+    joined, in pair order, and their sources."""
+    n = g.n_nodes
+    n_posts = len(producers) * cfg.posts_per_producer
+    limit = np.minimum(rng.geometric(cfg.depth_geom_p, n_posts), cfg.max_cascade_depth)
     lay = g.layer(REBLOG)
     # in-neighbours by dst; the layer ascends by src within each dst
-    indptr = _indptr(lay.dst, g.n_nodes).tolist()
-    indices = lay.src[np.argsort(lay.dst, kind="stable")].tolist()
-    # the events' columns: graph indices of actor and source, post index, time
-    actors, sources, posts, times = array("q"), array("q"), array("q"), array("d")
-    n_posts = 0
-    for producer in producers:
-        for _ in range(cfg.posts_per_producer):
-            post, n_posts = n_posts, n_posts + 1
-            t0 = post * 10_000
-            if cfg.max_cascade_depth <= 0:
-                continue
-            depth_limit = min(int(rng.geometric(cfg.depth_geom_p)), cfg.max_cascade_depth)
-            holders = [producer]
-            in_tree = set(holders)
-            for depth in range(1, depth_limit + 1):
-                joined: list[int] = []
-                for holder in holders:
-                    cand = [a for a in indices[indptr[holder]:indptr[holder + 1]]
-                            if a not in in_tree]
-                    if not cand:
-                        continue
-                    new = [a for a, x in zip(cand, rng.random(len(cand)).tolist()) if x < join]
-                    in_tree.update(new)
-                    joined += new
-                    actors.extend(new)
-                    sources.extend([holder] * len(new))
-                # a wave shares its post and time
-                posts.extend([post] * len(joined))
-                times.extend([t0 + depth] * len(joined))
-                holders = joined
-                if not holders:
-                    break
-    return _CodedEvents(list(g.node_ids), [f"post_{i:05d}" for i in range(n_posts)],
-                        *map(np.asarray, (actors, sources, posts, times)))
+    indptr = _indptr(lay.dst, n)
+    indices = lay.src[np.argsort(lay.dst, kind="stable")]
+    # every post's tree as ascending keys, and the holders of its last wave
+    frontier = np.arange(n_posts) * n + np.repeat(producers, cfg.posts_per_producer)
+    tree = frontier
+    keys: list[np.ndarray] = []
+    sources: list[np.ndarray] = []
+    for depth in range(1, cfg.max_cascade_depth + 1):
+        frontier = frontier[limit[frontier // n] >= depth]
+        frontier, source = _wave(frontier, n, indptr, indices, tree, cfg.cascade_join_prob, rng)
+        if not frontier.size:
+            break
+        keys.append(frontier)
+        sources.append(source)
+        # a stable sort merges the two ascending runs
+        tree = np.sort(np.concatenate((tree, frontier)), kind="stable")
+    return keys, sources
+
+
+def _among(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Which of `keys` the ascending array `table` holds."""
+    if not len(table):
+        return np.zeros(len(keys), dtype=bool)
+    return table[np.minimum(np.searchsorted(table, keys), len(table) - 1)] == keys
+
+
+def _wave(frontier: np.ndarray, n: int, indptr: np.ndarray, indices: np.ndarray,
+          tree: np.ndarray, join: float, rng) -> tuple[np.ndarray, np.ndarray]:
+    """One wave of synth_events from the holders' keys `frontier`, grouped
+    by post and in holder order within it, given every post's tree before
+    the wave as ascending keys: the keys that joined, in pair order, and
+    their sources (int32).
+
+    The holders are taken in slices with at most _PAIRS pairs between them
+    (or one holder). A post's holders are adjacent, so only the post a
+    slice starts in can have keys that joined in an earlier slice; those
+    are carried over and left out."""
+    holder = frontier % n
+    post = frontier - holder
+    deg = indptr[holder + 1] - indptr[holder]
+    ends = np.cumsum(deg)
+    starts = ends - deg
+    # a pair's in-neighbour sits at its index in the wave plus its holder's shift
+    shift = indptr[holder] - starts
+    bound = int(post[-1]) + n if len(post) else 1
+    carry = np.empty(0, np.int64)
+    keys, sources = [carry], [np.empty(0, np.int32)]
+    lo = 0
+    while lo < len(frontier):
+        hi = max(int(np.searchsorted(ends, starts[lo] + _PAIRS, side="right")), lo + 1)
+        at = np.repeat(np.arange(lo, hi), deg[lo:hi])
+        key = post[at] + indices[np.arange(starts[lo], ends[hi - 1]) + shift[at]]
+        # the trees of the slice's posts, which are adjacent in `tree`
+        window = tree[np.searchsorted(tree, post[lo]):np.searchsorted(tree, post[hi - 1] + n)]
+        fresh = np.flatnonzero(~_among(key, window))
+        hit = fresh[rng.random(len(fresh)) < join]
+        key, at = key[hit], at[hit]
+        # each key's first success, in pair order
+        ordered, order = _sorted_order(key, bound)
+        first = np.sort(order[np.diff(ordered, prepend=-1) != 0])
+        first = first[~_among(key[first], carry)]
+        keys.append(key[first])
+        sources.append(holder[at[first]].astype(np.int32))
+        # the joined keys of the post the next slice starts in
+        carry = np.sort(np.concatenate((carry, keys[-1])))
+        carry = carry[np.searchsorted(carry, post[hi - 1]):]
+        lo = hi
+    return np.concatenate(keys), np.concatenate(sources)
 
 
 _WAVE_WORDS = ("alpha", "bravo", "charlie", "delta")
@@ -262,25 +346,27 @@ def closure_fixture(cfg: SynthConfig) -> ClosureFixture:
     )
 
 
+# synth_demographics' gender codes
+_GENDERS = ("female", "male", "unknown")
+
+
 def synth_demographics(cfg: SynthConfig, roles: dict[str, str]) -> dict[str, DemographicRecord]:
     """Seeded ages and genders: producers skew older and male, the rest
-    younger and balanced; coverage per demo_coverage."""
+    younger and balanced; coverage per demo_coverage. Coverage, then the
+    covered nodes' ages, then their genders are drawn as arrays over the
+    nodes in id order."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(60)[50])
+    nodes = sorted(roles)
+    covered = rng.random(len(nodes)) <= cfg.demo_coverage
+    nodes = list(compress(nodes, covered.tolist()))
     producers = producer_nodes(roles)
-    out: dict[str, DemographicRecord] = {}
-    for node in sorted(roles):
-        if rng.random() > cfg.demo_coverage:
-            continue
-        if node in producers:
-            age = int(np.clip(round(rng.normal(38, 8)), 18, 69))
-            gender = "male" if rng.random() < 0.82 else "female"
-        else:
-            age = int(np.clip(round(rng.normal(27, 9)), 13, 69))
-            gender = "male" if rng.random() < 0.5 else "female"
-        if rng.random() < 0.05:
-            gender = "unknown"
-        out[node] = DemographicRecord(node=node, age=age, gender=gender)
-    return out
+    producer = np.fromiter((node in producers for node in nodes), dtype=bool, count=len(nodes))
+    ages = np.clip(np.round(rng.normal(np.where(producer, 38, 27), np.where(producer, 8, 9))),
+                   np.where(producer, 18, 13), 69).astype(np.int64)
+    male = rng.random(len(nodes)) < np.where(producer, 0.82, 0.5)
+    gender = np.where(rng.random(len(nodes)) < 0.05, 2, male.astype(np.int64))
+    return {node: DemographicRecord(node=node, age=age, gender=_GENDERS[g])
+            for node, age, g in zip(nodes, ages.tolist(), gender.tolist())}
 
 
 MALE_ENGAGEMENT_RATES = {13: 0.05, 18: 0.10, 23: 0.20, 28: 0.30, 33: 0.50,

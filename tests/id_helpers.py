@@ -123,3 +123,10 @@ def modularity(g: LayeredGraph, layer: str, assignment: dict[str, int]) -> float
 def gwcc(g: LayeredGraph, layer: str) -> set[str]:
     return set(compress(g.node_ids, graph.gwcc(g, layer).tolist()))
 
+
+
+def graph_edges(g: LayeredGraph, layer: str) -> list[tuple[str, str, float]]:
+    """The layer's (src, dst, weight) edges by id, in its (src, dst) order."""
+    src, dst, weight = g.edge_arrays(layer)
+    ids = g.node_ids
+    return [(ids[u], ids[v], w) for u, v, w in zip(src.tolist(), dst.tolist(), weight.tolist())]

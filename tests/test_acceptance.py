@@ -31,6 +31,7 @@ from id_helpers import (
     assignment,
     build_trees,
     classify_nodes,
+    graph_edges,
     perception_curve,
     rank_by_degree,
     rank_by_volume,
@@ -150,7 +151,7 @@ def _set_partitions(items):
 
 def _inline_q(g, layer, blocks):
     sym = {}
-    for u, v, w in g.edges(layer):
+    for u, v, w in graph_edges(g, layer):
         key = (min(u, v), max(u, v))
         sym[key] = sym.get(key, 0.0) + w
     m = sum(sym.values())
@@ -300,7 +301,7 @@ def _brute_classify(g, trees, roles):
     actives = {x for x, c in classes.items()
                if c in (ConsumerClass.ACTIVE_DIRECT, ConsumerClass.ACTIVE_INDIRECT)}
     followees = {node: set() for node in g.node_ids}
-    for src, dst, _ in g.edges(FOLLOW):
+    for src, dst, _ in graph_edges(g, FOLLOW):
         followees[src].add(dst)
     for node in g.node_ids:
         if node in classes:
@@ -397,7 +398,7 @@ def test_gate_6_shrinkage_properties():
 def _brute_paradox(g, layer, counts, exclude):
     exclude = exclude or set()
     followees = {node: [] for node in g.node_ids}
-    for src, dst, _ in g.edges(layer):
+    for src, dst, _ in graph_edges(g, layer):
         followees[src].append(dst)
     below = considered = 0
     for node in g.node_ids:

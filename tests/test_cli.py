@@ -87,6 +87,62 @@ def test_synth_seed_flag_overrides_config(tmp_path):
     assert "seed=9" in (tmp_path / "c" / "synth.cfg").read_text()
 
 
+@pytest.mark.parametrize("edge", ["posts_per_producer=0", "max_cascade_depth=0",
+                                  "cascade_join_prob=0.0", "reblog_given_follow=0.0",
+                                  "demo_coverage=0.0"])
+def test_synth_edge_configs(tmp_path, capsys, edge):
+    """A config that leaves no event or no demographic row still writes
+    the fixture: an empty events.tsv, or a demographics.csv with only its
+    header."""
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(f"seed=3\n{edge}\n", encoding="utf-8")
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "fx")]) == 0
+    out = capsys.readouterr().out
+    if edge.startswith("demo_coverage"):
+        assert (tmp_path / "fx" / "demographics.csv").read_text() == "node,age,gender\n"
+        assert " 0 demographic rows " in out
+    else:
+        assert (tmp_path / "fx" / "events.tsv").read_bytes() == b""
+        assert " 0 events, " in out
+
+
+def test_kept_parser_runs_as_a_fresh_one(tmp_path, capsys):
+    """Three subcommands, --version and two usage errors, run back to back
+    on the parser that main keeps, give the stdout, stderr, exit and files
+    that each gives on a freshly built parser."""
+    from devgraph import cli
+
+    def steps(root):
+        fx = str(root / "fx")
+        return [["synth", "--seed", "3", "--out", fx],
+                ["stats", "--edges", f"{fx}/edges.tsv", "--seed", "1",
+                 "--out", str(root / "stats.json")],
+                ["--version"], [], ["stats", "--layer", "X"],
+                ["diffusion", "--edges", f"{fx}/edges.tsv", "--events", f"{fx}/events.tsv",
+                 "--labels", f"{fx}/labels.csv", "--out", str(root / "diffusion")]]
+
+    def run(root, fresh):
+        results = []
+        for argv in steps(root):
+            if fresh:
+                cli._parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = f"exit {exc.code}"
+            out, err = capsys.readouterr()
+            results.append((code, out.replace(str(root), "<root>"),
+                            err.replace(str(root), "<root>")))
+        files = {str(p.relative_to(root)): p.read_bytes()
+                 for p in sorted(root.rglob("*")) if p.is_file()}
+        return results, files
+
+    kept, fresh = run(tmp_path / "kept", False), run(tmp_path / "fresh", True)
+    assert kept == fresh
+    codes = [code for code, _, _ in kept[0]]
+    assert codes == [0, 0, "exit 0", "exit 2", "exit 2", 0]
+
+
 def test_extract_recovers_closure(fixture_dir, tmp_path, capsys):
     rc = main(["extract", "--log", str(fixture_dir / "log.tsv"),
                "--seeds", str(fixture_dir / "seeds.txt"),

@@ -39,6 +39,7 @@ from devgraph.ingest import decoded_lines
 from devgraph.synth import SynthConfig, planted_graph, synth_events
 
 import id_helpers as ids
+from id_helpers import graph_edges
 from log_helpers import ReblogEvent, coded_events, event_rows, stamp_text
 from tree_helpers import DiffusionTree, forest_of, trees_of
 from test_intervention_oracle import (
@@ -166,7 +167,7 @@ def classify_nodes(g: LayeredGraph, trees: Sequence[DiffusionTree],
             actives.add(node)
 
     follows: dict[str, list[str]] = {node: [] for node in g.node_ids}
-    for src, dst, _ in g.edges(FOLLOW):
+    for src, dst, _ in graph_edges(g, FOLLOW):
         follows[src].append(dst)
     for node in g.node_ids:
         if node in classes:

@@ -4,9 +4,7 @@ walked `{u: {v: w}}` (less the in-view that `_Layer` no longer keeps),
 `build_graph`, `induced_subgraph` (the oracle of the GWCC that
 `network_stats` slices out of a layer), the sequential swap chain of
 `rewire_null_model`, `planted_graph` with its dense block masks, and
-`synth_events` walking reblog in-neighbours by node id, here taken from
-`g.edges` and compared with the coded events of the new one read back as
-rows (`log_helpers.event_rows`). The batched chain
+`synth_events` drawing one cascade holder at a time. The batched chain
 that replaced the sequential one is checked byte for byte against a
 pair-by-pair Python reference of its rule, and in distribution against the
 sequential chain.
@@ -16,16 +14,24 @@ attribute of each layer, arrays byte for byte with their dtype. Duplicate
 reblog weights are summed in input order, so a summation that regroups
 them (pairwise, blocked) shows up as a different last bit.
 
-The exception is `planted_graph`. Its sparse sampler draws a binomial
-count and a uniform set of cells per block, not the dense masks, so it
-is checked in law: exact structure, and per-block follow counts,
-reblog thinning and single-cell frequencies within binomial bounds, with
-the dense sampler held to the same bounds.
+The exceptions are `planted_graph` and `synth_events`. The sparse
+sampler draws a binomial count and a uniform set of cells per block, not
+the dense masks, so it is checked in law: exact structure, and per-block
+follow counts, reblog thinning and single-cell frequencies within
+binomial bounds, with the dense sampler held to the same bounds. The
+wave sampler draws one uniform per (holder, candidate) pair of a wave,
+where the per-holder one drew one per candidate still outside the tree,
+so it too is checked in law, with the per-holder sampler held to the same
+checks: the cascade invariants on the fixture, a candidate's join and
+source frequencies on a hand-built graph within binomial bounds, and the
+mean event count over 200 fixtures; and the wave sampler gives the same
+events under any pair budget.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import replace
@@ -36,14 +42,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devgraph import graph
+from devgraph import graph, synth
 from devgraph.connectivity import _edge_counts, rewire_null_model
+from devgraph.diffusion import _CodedEvents, producer_nodes
 from devgraph.graph import (
     FOLLOW,
     LAYERS,
     REBLOG,
     LayeredGraph,
+    _indptr,
     build_graph,
+    id_codes,
     network_stats,
 )
 from devgraph.synth import (
@@ -55,8 +64,8 @@ from devgraph.synth import (
     synth_events,
 )
 
-from id_helpers import gwcc
-from log_helpers import ReblogEvent, event_rows
+from id_helpers import graph_edges, gwcc
+from log_helpers import event_rows
 
 
 class DictLayer:
@@ -265,42 +274,51 @@ def oracle_planted_graph(cfg: SynthConfig) -> tuple[LayeredGraph, dict[str, str]
     return LayeredGraph(ids, layers), roles
 
 
-def oracle_synth_events(cfg: SynthConfig, g: LayeredGraph,
-                        roles: dict[str, str]) -> list[ReblogEvent]:
+def per_holder_synth_events(cfg: SynthConfig, g: LayeredGraph,
+                             roles: dict[str, str]) -> _CodedEvents:
     """Reblog cascades rooted at producers, spreading along reblog
-    in-neighbors wave by wave; every event references a graph reblog edge."""
-    in_neighbors: dict[str, list[str]] = {node: [] for node in g.node_ids}
-    for src, dst, _ in g.edges(REBLOG):
-        in_neighbors[dst].append(src)
+    in-neighbors wave by wave; every event references a graph reblog edge.
+    A holder's in-neighbors outside the tree each join with
+    cascade_join_prob, one uniform draw per candidate in index order."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(60)[40])
-    producers = sorted(n for n, r in roles.items() if r.startswith("producer"))
-    events: list[ReblogEvent] = []
-    post_index = 0
+    join = cfg.cascade_join_prob
+    producers = id_codes(g.node_ids, sorted(producer_nodes(roles))).tolist()
+    lay = g.layer(REBLOG)
+    # in-neighbours by dst; the layer ascends by src within each dst
+    indptr = _indptr(lay.dst, g.n_nodes).tolist()
+    indices = lay.src[np.argsort(lay.dst, kind="stable")].tolist()
+    # the events' columns: graph indices of actor and source, post index, time
+    actors, sources, posts, times = array("q"), array("q"), array("q"), array("d")
+    n_posts = 0
     for producer in producers:
         for _ in range(cfg.posts_per_producer):
-            post_id = f"post_{post_index:05d}"
-            t0 = post_index * 10_000
-            post_index += 1
+            post, n_posts = n_posts, n_posts + 1
+            t0 = post * 10_000
             if cfg.max_cascade_depth <= 0:
                 continue
             depth_limit = min(int(rng.geometric(cfg.depth_geom_p)), cfg.max_cascade_depth)
-            in_tree = {producer}
             holders = [producer]
+            in_tree = set(holders)
             for depth in range(1, depth_limit + 1):
-                joined: list[str] = []
+                joined: list[int] = []
                 for holder in holders:
-                    for actor in in_neighbors[holder]:
-                        if actor in in_tree:
-                            continue
-                        if rng.random() < cfg.cascade_join_prob:
-                            events.append(ReblogEvent(actor, holder, post_id,
-                                                      float(t0 + depth)))
-                            in_tree.add(actor)
-                            joined.append(actor)
+                    cand = [a for a in indices[indptr[holder]:indptr[holder + 1]]
+                            if a not in in_tree]
+                    if not cand:
+                        continue
+                    new = [a for a, x in zip(cand, rng.random(len(cand)).tolist()) if x < join]
+                    in_tree.update(new)
+                    joined += new
+                    actors.extend(new)
+                    sources.extend([holder] * len(new))
+                # a wave shares its post and time
+                posts.extend([post] * len(joined))
+                times.extend([t0 + depth] * len(joined))
                 holders = joined
                 if not holders:
                     break
-    return events
+    return _CodedEvents(list(g.node_ids), [f"post_{i:05d}" for i in range(n_posts)],
+                        *map(np.asarray, (actors, sources, posts, times)))
 
 
 # -- comparison ---------------------------------------------------------------
@@ -499,16 +517,6 @@ def _scaled(seed: int, factor: int) -> SynthConfig:
                       if name.startswith("p_")})
 
 
-@pytest.mark.parametrize("seed", [3, 11, 29])
-@pytest.mark.parametrize("factor", [1, 4])
-def test_synth_events_match_oracle(seed, factor):
-    cfg = _scaled(seed, factor)
-    g, roles = planted_graph(cfg)
-    got = event_rows(synth_events(cfg, g, roles))
-    assert got and got == oracle_synth_events(cfg, g, roles)
-    assert all(type(x) is str for ev in got for x in (ev.actor, ev.source))
-
-
 # -- planted_graph in law, with the dense sampler as the reference -----------
 
 SIZE_KEYS = ("n_producer_one", "n_producer_two", "n_bridge_one", "n_bridge_two", "n_outer")
@@ -643,3 +651,146 @@ def test_planted_diagonal_block_cell_frequencies():
         np.add.at(hits, (lay.src, lay.dst), 1)
     assert np.diag(hits).sum() == 0
     assert within_binomial(hits[~np.eye(4, dtype=bool)], len(seeds), 0.3)
+
+
+# -- synth_events in law, with the per-holder sampler as the reference ---------
+
+def depth_limits(cfg: SynthConfig, n_posts: int) -> np.ndarray:
+    """Each post's depth limit, the first draws of synth_events' stream."""
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(60)[40])
+    return np.minimum(rng.geometric(cfg.depth_geom_p, n_posts), cfg.max_cascade_depth)
+
+
+def assert_cascade_invariants(cfg: SynthConfig, g: LayeredGraph, roles: dict[str, str],
+                              events: _CodedEvents, limits: np.ndarray | None = None) -> None:
+    """Every event is a reblog edge; no (post, actor) appears twice, and
+    no post's producer is among its actors; an event's time is its post's
+    t0 plus its depth; its source is the post's producer at depth 1 and
+    otherwise an actor of the post that joined one wave earlier; and the
+    depth stays within the post's limit (max_cascade_depth where the
+    limits are not given)."""
+    producers = sorted(producer_nodes(roles))
+    n_posts = len(producers) * cfg.posts_per_producer
+    if limits is None:
+        limits = np.full(n_posts, max(cfg.max_cascade_depth, 0))
+    reblogs = {(u, v) for u, v, _ in graph_edges(g, REBLOG)}
+    depth_of: dict[tuple[str, str], int] = {}
+    rows = event_rows(events)
+    for ev in rows:
+        post = int(ev.post_id.removeprefix("post_"))
+        assert 0 <= post < n_posts and ev.post_id == f"post_{post:05d}"
+        depth = ev.timestamp - post * 10_000
+        assert depth == int(depth) and 1 <= depth <= limits[post], ev
+        assert (ev.actor, ev.source) in reblogs, ev
+        assert (ev.post_id, ev.actor) not in depth_of, ev
+        assert ev.actor != producers[post // cfg.posts_per_producer], ev
+        depth_of[ev.post_id, ev.actor] = int(depth)
+    for ev in rows:
+        post = int(ev.post_id.removeprefix("post_"))
+        depth = depth_of[ev.post_id, ev.actor]
+        if depth == 1:
+            assert ev.source == producers[post // cfg.posts_per_producer], ev
+        else:
+            assert depth_of.get((ev.post_id, ev.source)) == depth - 1, ev
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+@pytest.mark.parametrize("factor", [1, 4])
+def test_synth_events_match_oracle(seed, factor):
+    """Both samplers' events keep the cascade invariants on the fixture,
+    the wave sampler's within the depth limits it drew."""
+    cfg = _scaled(seed, factor)
+    g, roles = planted_graph(cfg)
+    events = synth_events(cfg, g, roles)
+    n_posts = len(producer_nodes(roles)) * cfg.posts_per_producer
+    assert len(events)
+    assert_cascade_invariants(cfg, g, roles, events, depth_limits(cfg, n_posts))
+    assert_cascade_invariants(cfg, g, roles, per_holder_synth_events(cfg, g, roles))
+    assert all(type(x) is str for ev in event_rows(events) for x in (ev.actor, ev.source))
+
+
+HOLDERS = 3
+JOIN = 0.5
+LAW_SEEDS = 2_000
+LAW_POSTS = 10
+
+
+def holders_graph() -> tuple[LayeredGraph, dict[str, str]]:
+    """A producer p whose in-neighbours are the holders h0, h1, h2, and a
+    candidate c that reblogs every holder and not p: in wave 2 of a post,
+    c is a candidate of each holder that joined in wave 1."""
+    holders = [f"h{i}" for i in range(HOLDERS)]
+    g = build_graph([(h, "p", 1.0, REBLOG) for h in holders]
+                    + [("c", h, 1.0, REBLOG) for h in holders])
+    return g, {"p": "producer_one", "c": "outer", **{h: "outer" for h in holders}}
+
+
+def wave_two_tally(sampler) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Over LAW_SEEDS seeds of LAW_POSTS posts of depth 2 on holders_graph:
+    per number j of holders in the tree after wave 1, the posts and the
+    posts that c joined; and, over the posts that all holders reached and c
+    joined, how often c's source was each holder in holder order."""
+    g, roles = holders_graph()
+    posts, joins = np.zeros((2, HOLDERS + 1), dtype=np.int64)
+    source = np.zeros(HOLDERS, dtype=np.int64)
+    for seed in range(LAW_SEEDS):
+        cfg = SynthConfig(seed=seed, posts_per_producer=LAW_POSTS, cascade_join_prob=JOIN,
+                          depth_geom_p=1e-12, max_cascade_depth=2)
+        held: dict[str, int] = {}
+        joined: dict[str, str] = {}
+        for ev in event_rows(sampler(cfg, g, roles)):
+            if ev.actor == "c":
+                joined[ev.post_id] = ev.source
+            else:
+                held[ev.post_id] = held.get(ev.post_id, 0) + 1
+        for post_id in (f"post_{i:05d}" for i in range(LAW_POSTS)):
+            j = held.get(post_id, 0)
+            posts[j] += 1
+            joins[j] += post_id in joined
+            if j == HOLDERS and post_id in joined:
+                source[int(joined[post_id][1:])] += 1
+    return posts, joins, source
+
+
+@pytest.mark.parametrize("sampler", [synth_events, per_holder_synth_events],
+                         ids=["waves", "per_holder"])
+def test_candidate_joins_at_first_success_in_holder_order(sampler):
+    """c joins with probability 1 - (1 - p)^j when j holders reached it in
+    wave 1, never with none, and from the i-th holder in holder order
+    with probability (1 - p)^i p / (1 - (1 - p)^k) when all k did; each
+    count is within Z binomial standard deviations."""
+    posts, joins, source = wave_two_tally(sampler)
+    assert joins[0] == 0
+    j = np.arange(1, HOLDERS + 1)
+    assert (posts[1:] >= 1_000).all()
+    assert within_binomial(joins[1:], posts[1:], 1 - (1 - JOIN) ** j)
+    i = np.arange(HOLDERS)
+    assert within_binomial(source, source.sum(),
+                           (1 - JOIN) ** i * JOIN / (1 - (1 - JOIN) ** HOLDERS))
+
+
+def test_event_counts_agree_with_per_holder_sampler():
+    """Event counts over 200 default-size fixtures: the two samplers' means
+    agree within 4 standard errors."""
+    counts = np.array([[len(sampler(cfg, g, roles))
+                        for sampler in (synth_events, per_holder_synth_events)]
+                       for cfg in map(SynthConfig, range(200))
+                       for g, roles in [planted_graph(cfg)]], dtype=np.float64)
+    se = math.sqrt(counts[:, 0].var(ddof=1) / len(counts) + counts[:, 1].var(ddof=1) / len(counts))
+    assert abs(counts[:, 0].mean() - counts[:, 1].mean()) <= 4 * se
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_synth_events_same_under_any_pair_budget(monkeypatch, seed):
+    """Slicing a wave's pairs changes no draw: budgets of 1 and 7 pairs,
+    the default and one past every wave give the same events."""
+    cfg = _scaled(seed, 4)
+    g, roles = planted_graph(cfg)
+    runs = []
+    for budget in (1, 7, synth._PAIRS, 1 << 40):
+        monkeypatch.setattr(synth, "_PAIRS", budget)
+        events = synth_events(cfg, g, roles)
+        runs.append([events.ids, events.posts]
+                    + [col.tobytes() for col in (events.actor, events.source, events.post,
+                                                 events.ts)])
+    assert runs[0][2] and all(run == runs[0] for run in runs[1:])

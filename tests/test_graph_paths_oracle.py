@@ -26,7 +26,7 @@ from devgraph.graph import (
 )
 from devgraph.synth import SynthConfig, planted_graph
 
-from id_helpers import gwcc
+from id_helpers import graph_edges, gwcc
 
 
 def dijkstra_path_stats(u: sp.csr_matrix, n: int, exact: bool, path_samples: int,
@@ -315,7 +315,7 @@ def test_seed_11_fixture_against_networkx(layer):
     g, _roles = planted_graph(SynthConfig(seed=11))
     component = gwcc(g, layer)
     directed = nx.DiGraph()
-    directed.add_edges_from((s, d) for s, d, _w in g.edges(layer)
+    directed.add_edges_from((s, d) for s, d, _w in graph_edges(g, layer)
                             if s in component and d in component)
     projection = directed.to_undirected()
     stats = network_stats(g, layer, exact_paths=True)

@@ -25,6 +25,7 @@ from devgraph.ingest import (
     read_query_log,
     write_phrases,
 )
+from id_helpers import graph_edges
 from log_helpers import ReblogEvent, event_rows, log_rows
 # The per-record aggregation the coded expansion replaced; TestAggregate and
 # TestFilter test it where it now lives.
@@ -262,7 +263,7 @@ def _read_query_log(path: str, diagnostics: Counter) -> list[tuple[str, str]]:
 
 def _read_edges(path: str, diagnostics: Counter) -> list[tuple[str, str, float]]:
     g = load_graph(path, diagnostics)
-    return [edge for layer in LAYERS for edge in g.edges(layer)]
+    return [edge for layer in LAYERS for edge in graph_edges(g, layer)]
 
 
 READERS = {

@@ -3,9 +3,11 @@
 (every group size times 4, every block probability divided by 4), each
 bounded by a stated multiple of the bytes of the function's input arrays,
 the peak of `read_events_tsv` on that fixture's events file, bounded
-by a multiple of the bytes of its output columns plus one chunk, and the
+by a multiple of the bytes of its output columns plus one chunk, the
 peak of `read_query_log` on a tiled query log, bounded by a multiple of
-the bytes of its row columns plus one chunk.
+the bytes of its row columns plus one chunk, and the peak of
+`synth_events` on the M recipe, bounded by a multiple of the bytes of its
+output columns.
 
 Each function keeps little of what it allocates, so its peak is set by
 its temporaries: clustering's row-block product, the per-event arrays of
@@ -37,6 +39,11 @@ extract-log benchmark at seed 7, a fresh process's max RSS rises from
 28 MB to 128 MB while it reads the log, against 124 MB with the
 line-by-line reader.
 
+`synth_events` on the M recipe (16x) peaks at 11.7 MB, 1.42 times its
+output columns (258,252 events); taking each wave's pairs all at once
+peaks at 19.0 MB (2.30 times), and the per-holder loop it replaced peaked
+at 15.6 MB (1.89 times, 253,553 events).
+
 Clustering's basis stays the bytes of the projection as a float64 matrix
 with int32 index arrays, whatever dtypes the arrays actually have, so a
 wider index array does not loosen its bound.
@@ -56,6 +63,8 @@ from devgraph.intervention import rank_by_volume
 from devgraph.synth import SynthConfig, closure_fixture, planted_graph, synth_events
 
 SCALE = 4
+# the M recipe's scale, for synth_events
+M_SCALE = 16
 
 # peak over input array bytes
 TRIANGLES_BOUND = 24
@@ -64,19 +73,21 @@ RANK_BY_VOLUME_BOUND = 3
 # peak over output column bytes plus one chunk
 READ_EVENTS_BOUND = 8
 READ_QUERY_LOG_BOUND = 8
+# peak over output column bytes
+SYNTH_EVENTS_BOUND = 1.75
 # renamed copies of the closure fixture's log in the query-log input
 LOG_COPIES = 120
 
 
-def scaled_config() -> SynthConfig:
+def scaled_config(scale: int = SCALE) -> SynthConfig:
     cfg = SynthConfig(seed=11)
     changes = {}
     for f in fields(SynthConfig):
         value = getattr(cfg, f.name)
         if f.name.startswith("n_") and f.name != "n_noise_blogs":
-            changes[f.name] = value * SCALE
+            changes[f.name] = value * scale
         elif f.name.startswith("p_"):
-            changes[f.name] = value / SCALE
+            changes[f.name] = value / scale
     return replace(cfg, **changes)
 
 
@@ -150,3 +161,14 @@ def test_read_query_log_peak(tmp_path):
     # the reader holds an int64 query and host code for every row
     bound = READ_QUERY_LOG_BOUND * (16 * LOG_COPIES * len(rows) + ingest._CHUNK)
     assert peak_bytes(read_query_log, str(path)) <= bound
+
+
+def test_synth_events_peak():
+    """The cascades of the M recipe (16x: 4,320 nodes, 258k events): the
+    waves are taken _PAIRS pairs at a time, so the peak stays near the
+    output columns' bytes."""
+    cfg = scaled_config(M_SCALE)
+    g, roles = planted_graph(cfg)
+    events = synth_events(cfg, g, roles)
+    bound = SYNTH_EVENTS_BOUND * nbytes(events.actor, events.source, events.post, events.ts)
+    assert peak_bytes(synth_events, cfg, g, roles) <= bound

@@ -7,7 +7,7 @@ import pytest
 from devgraph.graph import FOLLOW, REBLOG, build_graph
 from devgraph.perception import write_curves_csv
 
-from id_helpers import perception_curve, volume_paradox_fraction
+from id_helpers import graph_edges, perception_curve, volume_paradox_fraction
 
 
 def F(u, v):
@@ -130,7 +130,7 @@ class TestParadox:
             g = build_graph(edges)
             counts = {f"n{i}": rng.randint(0, 20) for i in range(n) if rng.random() < 0.7}
             followees = {node: [] for node in g.node_ids}
-            for u, v, _ in g.edges(FOLLOW):
+            for u, v, _ in graph_edges(g, FOLLOW):
                 followees[u].append(v)
             considered = below = 0
             for node in g.node_ids:

@@ -1,6 +1,7 @@
 """The bincount perception code against the string-walking loops it
 replaced, kept here verbatim as oracles; each node's out-neighbours come
-from `g.edges(layer)`, which lists them in the order the loops saw them.
+from `id_helpers.graph_edges(g, layer)`, which lists them in the order the
+loops saw them.
 Whole curves, paradox fractions and `ValueError` messages must match
 exactly, on small random graphs and on the seed-11 fixture at 1x and 4x.
 """
@@ -19,12 +20,12 @@ from devgraph.graph import FOLLOW, LAYERS, REBLOG, LayeredGraph, build_graph
 from devgraph.perception import PerceptionCurve
 from devgraph.synth import SynthConfig, planted_graph, synth_events
 
-from id_helpers import build_trees, classify_nodes, perception_curve, volume_paradox_fraction
+from id_helpers import build_trees, classify_nodes, graph_edges, perception_curve, volume_paradox_fraction
 
 
 def out_neighbors(g: LayeredGraph, layer: str) -> dict[str, list[str]]:
     out: dict[str, list[str]] = {node: [] for node in g.node_ids}
-    for src, dst, _ in g.edges(layer):
+    for src, dst, _ in graph_edges(g, layer):
         out[src].append(dst)
     return out
 

@@ -22,7 +22,7 @@ from devgraph.synth import (
     write_config,
 )
 
-from id_helpers import assignment, build_trees, classify_nodes
+from id_helpers import assignment, build_trees, classify_nodes, graph_edges
 from log_helpers import event_rows
 from tree_helpers import trees_of
 
@@ -32,7 +32,7 @@ SMALL = SynthConfig(seed=7, n_producer_one=12, n_producer_two=12,
 
 
 def edge_lists(g):
-    return {layer: list(g.edges(layer)) for layer in (FOLLOW, REBLOG)}
+    return {layer: graph_edges(g, layer) for layer in (FOLLOW, REBLOG)}
 
 
 def test_config_round_trip(tmp_path):
@@ -93,8 +93,8 @@ def test_all_zero_probabilities_keep_nodes():
 def test_reblog_subset_of_follow():
     g, _ = planted_graph(SMALL)
     assert g.n_edges(REBLOG) > 0
-    follows = {(u, v) for u, v, _ in g.edges(FOLLOW)}
-    for u, v, w in g.edges(REBLOG):
+    follows = {(u, v) for u, v, _ in graph_edges(g, FOLLOW)}
+    for u, v, w in graph_edges(g, REBLOG):
         assert (u, v) in follows
         assert w in (1.0, 2.0, 3.0)
 
@@ -116,7 +116,7 @@ def test_events_reference_reblog_edges():
     g, roles = planted_graph(SMALL)
     events = synth_events(SMALL, g, roles)
     assert events
-    reblogs = {(u, v) for u, v, _ in g.edges(REBLOG)}
+    reblogs = {(u, v) for u, v, _ in graph_edges(g, REBLOG)}
     for ev in event_rows(events):
         assert (ev.actor, ev.source) in reblogs
 
@@ -131,7 +131,7 @@ def test_events_build_producer_rooted_trees():
     events = synth_events(SMALL, g, roles)
     trees = build_trees(events, producer_nodes(roles))
     assert trees
-    reblogs = {(u, v) for u, v, _ in g.edges(REBLOG)}
+    reblogs = {(u, v) for u, v, _ in graph_edges(g, REBLOG)}
     for t in trees_of(trees):
         assert roles[t.root].startswith("producer")
         for parent, child in t.edges():
@@ -245,7 +245,7 @@ def test_paradox_fixture_direction():
 def test_paradox_counts_are_total_degree():
     g, counts = paradox_fixture(n=300, seed=2)
     degree = collections.Counter()
-    for u, v, _ in g.edges(REBLOG):
+    for u, v, _ in graph_edges(g, REBLOG):
         degree[u] += 1
         degree[v] += 1
     assert dict(zip(g.node_ids, counts.tolist())) == degree

@@ -8,6 +8,12 @@ here the writers equal the oracles byte for byte, with one exception that
 no output can show: the old group-matrix writer printed -inf as `inf`,
 where the shared rule prints `-inf`. Matrix cells are counts, densities and
 ratios of counts, never negative, so the matrix draws leave -inf out.
+
+edges.tsv and events.tsv are now joined as bytes from the encoded names
+(`ingest._tsv_rows`). Their oracles, the writers they replaced, are also
+held to them on multibyte ids of every length, timestamps and weights
+whose `%g` text rounds or has a sign, an exponent, inf or nan, row counts
+at the ends of a slice, and the seed-11 fixture at 16x.
 """
 
 from __future__ import annotations
@@ -17,9 +23,10 @@ import math
 import os
 import tempfile
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,12 +59,21 @@ from devgraph.diffusion import (
     write_events_tsv,
 )
 from devgraph.expansion import TrajectoryRow, write_trajectory_csv
-from devgraph.graph import LAYERS, build_graph, read_labels_csv, write_edge_tsv, write_labels_csv
+from devgraph.graph import (
+    LAYERS,
+    LayeredGraph,
+    _Layer,
+    build_graph,
+    read_labels_csv,
+    write_edge_tsv,
+    write_labels_csv,
+)
 from devgraph.ingest import write_phrases
 from devgraph.intervention import ShrinkageCurve, write_shrinkage_csv
 from devgraph.perception import PerceptionCurve, write_curves_csv
-from devgraph.synth import SynthConfig, write_config
+from devgraph.synth import SynthConfig, planted_graph, synth_events, write_config
 
+from id_helpers import graph_edges
 from log_helpers import stamp_text
 
 # -- the oracles ---------------------------------------------------------------
@@ -87,7 +103,7 @@ def oracle_write_labels_csv(labels: dict[str, str], path: str) -> None:
 def oracle_write_edge_tsv(g, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for layer in LAYERS:
-            for src, dst, w in g.edges(layer):
+            for src, dst, w in graph_edges(g, layer):
                 fh.write(f"{src}\t{dst}\t{w:g}\t{layer}\n")
 
 
@@ -372,6 +388,93 @@ def test_events_match_oracle_over_slices():
     events = _CodedEvents(["u", "v", "w"], ["p1", "p2"], rng.integers(0, 3, n),
                           rng.integers(0, 3, n), rng.integers(0, 2, n), ts)
     assert written(write_events_tsv, events) == written(oracle_write_events_tsv, events)
+
+
+# -- the tab-separated writers, joined from bytes ------------------------------
+
+# ids of one to four bytes a character, and of different lengths
+MULTIBYTE = ["a", "é", "ß" * 7, "日本語", "\U0001f642", "x\U0001f642é日", "p1_0000", "out_12345"]
+tsv_ids = st.one_of(st.sampled_from(MULTIBYTE),
+                    st.text(st.characters(blacklist_categories=("Cs",),
+                                          blacklist_characters="\t\n\r"),
+                            min_size=1, max_size=12))
+# float(2**53 + 1) is 2**53: 2**53 + 1 has no float64
+STAMP_SPECIAL = [-0.0, 0.0, math.inf, -math.inf, math.nan, 1e-7, float(2**53 + 1),
+                 2.0**53 + 2, 0.1, 1 / 3, 123456.5, 1234567.0, 5e-324, -1e300]
+WEIGHT_SPECIAL = [0.1, 1e20, -0.0, 0.0, 1 / 3, 1.0, 3.0, 1e16, math.inf, math.nan, 2.5e-7]
+
+
+@st.composite
+def tsv_events(draw):
+    ids = draw(st.lists(tsv_ids, min_size=1, max_size=6, unique=True))
+    posts = draw(st.lists(tsv_ids, min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(0, 20))
+    codes = lambda k: np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)),
+                               dtype=np.int64)
+    stamps = st.one_of(st.sampled_from(STAMP_SPECIAL), st.floats())
+    ts = np.array(draw(st.lists(stamps, min_size=n, max_size=n)), dtype=np.float64)
+    return _CodedEvents(ids, posts, codes(len(ids)), codes(len(ids)), codes(len(posts)), ts)
+
+
+@st.composite
+def tsv_graphs(draw):
+    ids = draw(st.lists(tsv_ids, min_size=1, max_size=6, unique=True))
+    cell = st.tuples(st.integers(0, len(ids) - 1), st.integers(0, len(ids) - 1))
+    pairs = {name: draw(st.lists(cell, max_size=12, unique=True)) for name in LAYERS}
+    weight = st.one_of(st.sampled_from(WEIGHT_SPECIAL), st.floats())
+    layers = {}
+    for name in LAYERS:
+        # weights kept as drawn: build_graph would add up the reblog
+        # weights and make every follow weight 1
+        cells = np.array(pairs[name], dtype=np.int64).reshape(-1, 2)
+        weights = draw(st.lists(weight, min_size=len(cells), max_size=len(cells)))
+        layers[name] = _Layer(len(ids), cells[:, 0], cells[:, 1], np.array(weights))
+    return LayeredGraph(ids, layers)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tsv_events())
+def test_events_writer_matches_oracle_on_multibyte_ids_and_special_stamps(events):
+    assert written(write_events_tsv, events) == written(oracle_write_events_tsv, events)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tsv_graphs())
+def test_edges_writer_matches_oracle_on_multibyte_ids_and_special_weights(g):
+    assert written(write_edge_tsv, g) == written(oracle_write_edge_tsv, g)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_tsv_writers_match_oracle_at_slice_ends(extra):
+    """_BATCH - 1, _BATCH and _BATCH + 1 rows, over multibyte ids and the
+    special timestamps and weights."""
+    n = _BATCH + extra
+    rng = np.random.default_rng(n)
+    ids = MULTIBYTE
+    ts = rng.choice(STAMP_SPECIAL, n)
+    events = _CodedEvents(ids, ids[:3], rng.integers(0, len(ids), n),
+                          rng.integers(0, len(ids), n), rng.integers(0, 3, n), ts)
+    assert written(write_events_tsv, events) == written(oracle_write_events_tsv, events)
+    # n distinct pairs in each layer: codes over n + 1 ids
+    names = [f"{ids[i % len(ids)]}{i}" for i in range(n + 1)]
+    src = np.arange(n)
+    g = LayeredGraph(names, {name: _Layer(n + 1, src, src + 1, rng.choice(WEIGHT_SPECIAL, n))
+                             for name in LAYERS})
+    assert written(write_edge_tsv, g) == written(oracle_write_edge_tsv, g)
+
+
+def test_tsv_writers_match_oracle_on_m_fixture():
+    """The seed-11 fixture at 16x: 4,320 nodes, 74k edges, 258k events."""
+    cfg = SynthConfig(seed=11)
+    cfg = replace(cfg, **{f.name: getattr(cfg, f.name) * 16 for f in fields(SynthConfig)
+                          if f.name.startswith("n_") and f.name != "n_noise_blogs"},
+                  **{f.name: getattr(cfg, f.name) / 16 for f in fields(SynthConfig)
+                     if f.name.startswith("p_")})
+    g, roles = planted_graph(cfg)
+    events = synth_events(cfg, g, roles)
+    assert len(events) > _BATCH
+    assert written(write_events_tsv, events) == written(oracle_write_events_tsv, events)
+    assert written(write_edge_tsv, g) == written(oracle_write_edge_tsv, g)
 
 
 # -- round trips ---------------------------------------------------------------
