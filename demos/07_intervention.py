@@ -7,7 +7,7 @@ Also reports the smallest removal that ends all underage exposure.
 """
 
 from devgraph.diffusion import build_trees, producer_nodes
-from devgraph.graph import id_codes, id_mask, id_values
+from devgraph.graph import id_codes, id_mask
 from devgraph.intervention import (
     adaptive_greedy_ranking,
     rank_by_degree,
@@ -41,8 +41,7 @@ for c in curves:
         print(f"  {c.strategy}: {w}")
 
 # each forest node's age, NaN where the table has none
-ages = id_values(trees.ids, {n: r.age for n, r in synth_demographics(cfg, roles).items()},
-                 float("nan"))
+ages = synth_demographics(cfg, roles).over(trees.ids)[0]
 threshold = underage_exposure_threshold(trees, rank_by_volume(trees), ages)
 if threshold.note:
     print(f"\nunderage exposure: {threshold.note}")

@@ -7,13 +7,7 @@ can be compared by shape rather than by base rate.
 """
 
 from devgraph.demographics import class_demographics, engagement_by_age
-from devgraph.diffusion import (
-    bridge_nodes,
-    build_trees,
-    classes_by_id,
-    classify_nodes,
-    producer_nodes,
-)
+from devgraph.diffusion import bridge_nodes, build_trees, classify_nodes, producer_nodes
 from devgraph.graph import id_codes, id_mask
 from devgraph.synth import (
     SynthConfig,
@@ -29,12 +23,11 @@ events = synth_events(cfg, g, roles)
 producers = id_mask(g.node_ids, producer_nodes(roles))
 at = id_codes(g.node_ids, events.ids)
 trees = build_trees(events, producers[at])
-# the demographics tables are keyed by id
-classes = classes_by_id(g.node_ids, classify_nodes(
-    g, trees, at, producers, id_mask(g.node_ids, bridge_nodes(roles))))
-demo = synth_demographics(cfg, roles)
+classes = classify_nodes(g, trees, at, producers, id_mask(g.node_ids, bridge_nodes(roles)))
+# each graph node's age (NaN where the table has none) and gender code
+ages, genders = synth_demographics(cfg, roles).over(g.node_ids)
 
-stats = class_demographics(classes, demo)
+stats = class_demographics(classes, ages, genders)
 print("class              size  covered  median age  share male")
 for name, st in sorted(stats.items(), key=lambda kv: -kv[1].size):
     med = f"{st.median_age:10.1f}" if st.median_age is not None else "         -"
@@ -42,8 +35,9 @@ for name, st in sorted(stats.items(), key=lambda kv: -kv[1].size):
     print(f"{name:18s} {st.size:4d}  {st.covered:7d}  {med}  {male}")
 
 # the planted rates put the male peak around 40 and the female peak mid-20s
+# its class codes are over the table's rows
 eclasses, edemo = engagement_fixture(per_cell=40)
-curves = engagement_by_age(eclasses, edemo)
+curves = engagement_by_age(eclasses, edemo.age, edemo.gender)
 print("\nage band   male   female   (normalized active share)")
 male, female = curves["male"], curves["female"]
 for (lo, hi), m, f in zip(male.bands, male.normalized, female.normalized):

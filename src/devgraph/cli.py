@@ -49,10 +49,10 @@ from .demographics import (
     write_engagement_csv,
 )
 from .diffusion import (
+    _RANK,
     build_trees,
     bridge_nodes,
     class_mask,
-    classes_by_id,
     classify_nodes,
     producer_nodes,
     reach_report,
@@ -276,15 +276,16 @@ def _intervention(trees, rankings, sizes, out_csv: str):
     return curves
 
 
-def _demographics(classes, demo, out):
+def _demographics(classes, age, gender, out):
     """Class statistics, age histogram and engagement curves, each into its
-    CSV. The engagement curves can fail; they come back in `_try` form and
+    CSV, from class codes, ages and gender codes over one numbering. The
+    engagement curves can fail; they come back in `_try` form and
     engagement.csv is written only when they exist."""
     out = _outdir(out)
-    stats = class_demographics(classes, demo)
+    stats = class_demographics(classes, age, gender)
     write_class_demographics_csv(stats, str(out / "class_demographics.csv"))
-    write_age_histogram_csv(age_histogram(classes, demo), str(out / "age_histogram.csv"))
-    engagement = _try(lambda: engagement_by_age(classes, demo))
+    write_age_histogram_csv(age_histogram(classes, age), str(out / "age_histogram.csv"))
+    engagement = _try(lambda: engagement_by_age(classes, age, gender))
     if engagement["value"] is not None:
         write_engagement_csv(engagement["value"], str(out / "engagement.csv"))
     return stats, engagement
@@ -371,7 +372,7 @@ def cmd_communities(args) -> int:
     g = _read("communities", load_graph, args.edges)
     part = louvain(g, args.layer, seed=args.seed, **_given(args, config, tol=float))
     write_partition_csv(part, args.out)
-    n_comm = len(np.unique(part.membership))
+    n_comm = np.count_nonzero(np.bincount(part.membership))
     print(f"communities: {n_comm} communities, modularity={part.modularity:.6f}")
     return 0
 
@@ -454,8 +455,7 @@ def cmd_intervene(args) -> int:
     note = ""
     # the threshold can fail, so it comes before any output is written
     if args.ages:
-        demo = _read("intervene", read_demographics_csv, args.ages)
-        ages = id_values(trees.ids, {n: r.age for n, r in demo.items()}, np.nan)
+        ages = _read("intervene", read_demographics_csv, args.ages).over(trees.ids)[0]
         try:
             thr = underage_exposure_threshold(trees, ranking, ages,
                                               **_given(args, config, cutoff=int))
@@ -474,7 +474,8 @@ def cmd_intervene(args) -> int:
 def cmd_demographics(args) -> int:
     classes = _read("demographics", read_classes_csv, args.classes)
     demo = _read("demographics", read_demographics_csv, args.demo)
-    stats, engagement = _demographics(classes, demo, args.out)
+    codes = np.array([_RANK[cls] for cls in classes.values()], dtype=np.int64)  # by row
+    stats, engagement = _demographics(codes, *demo.over(classes), args.out)
     if engagement["error"]:
         raise ValueError(engagement["error"])
     print(f"demographics: classes={len(stats)} covered="
@@ -541,11 +542,11 @@ def cmd_pipeline(args) -> int:
     curves = _intervention(trees, rankings.values(), sizes,
                            str(out / "shrinkage.csv"))
     shrinkage = {key: _fields(sc, "strategy") for key, sc in zip(rankings, curves)}
-    ages = id_values(trees.ids, {n: r.age for n, r in demo.items()}, np.nan)
+    ages = demo.over(trees.ids)[0]
     underage = _try(lambda: asdict(underage_exposure_threshold(
         trees, rankings["by_volume"][0], ages)))
 
-    demo_stats, engagement = _demographics(classes_by_id(g.node_ids, classes), demo, out)
+    demo_stats, engagement = _demographics(classes, *demo.over(g.node_ids), out)
     if engagement["value"] is not None:
         engagement["value"] = {gender: _fields(c, "gender")
                                for gender, c in engagement["value"].items()}

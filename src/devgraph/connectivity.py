@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import LAYERS, LayeredGraph, _Layer, _sorted_order, id_codes
+from .graph import LayeredGraph, _sorted_order, id_codes
 from .ingest import _write_rows
 
 AVG_VOLUME = "AvgVolume"
@@ -52,9 +52,9 @@ def _role_codes(g: LayeredGraph, roles: dict[str, str], groups: tuple[str, ...])
     return id_codes(groups, roles.values())[row]
 
 
-def _edge_counts(role: np.ndarray, k: int, lay: _Layer) -> np.ndarray:
-    """Unweighted E(A->B) counts of the layer's edges between k groups by code."""
-    return np.bincount(role[lay.src] * k + role[lay.dst], minlength=k * k).reshape(k, k)
+def _edge_counts(origin: np.ndarray, target: np.ndarray, k: int) -> np.ndarray:
+    """Unweighted E(A->B) counts between k groups from edge-end group codes."""
+    return np.bincount(origin * k + target, minlength=k * k).reshape(k, k)
 
 
 def group_matrix(g: LayeredGraph, layer: str, roles: dict[str, str], mode: str,
@@ -79,15 +79,17 @@ def group_matrix(g: LayeredGraph, layer: str, roles: dict[str, str], mode: str,
         raise ValueError(f"unknown mode: {mode!r}")
     groups = _group_order(roles, group_order)
     role, k = _role_codes(g, roles, groups), len(groups)
-    counts, sizes = _edge_counts(role, k, g.layer(layer)), np.bincount(role, minlength=k)
+    lay = g.layer(layer)
+    origin = role[lay.src]  # a swap moves only heads: every null sample has these
+    counts, sizes = _edge_counts(origin, role[lay.dst], k), np.bincount(role, minlength=k)
     if mode == AVG_VOLUME:
         base = np.broadcast_to(sizes[:, None], counts.shape)
     elif mode == DENSITY:
         base = np.outer(sizes, sizes) - np.diag(sizes)
     else:
-        rewired = (rewire_null_model(g, layer, seed=child, swaps_per_edge=swaps_per_edge)
-                   for child in np.random.SeedSequence(seed).spawn(samples))
-        base = sum(_edge_counts(role, k, r.layer(layer)) for r in rewired) / samples
+        heads = (rewire_null_model(g, layer, seed=child, swaps_per_edge=swaps_per_edge)
+                 for child in np.random.SeedSequence(seed).spawn(samples))
+        base = sum(_edge_counts(origin, role[dst], k) for dst in heads) / samples
     values = np.divide(counts, base, out=np.zeros(counts.shape), where=base > 0)
     flags: list[str] = []
     for i, j in np.argwhere(base == 0).tolist():
@@ -115,15 +117,16 @@ def _check_swaps_per_edge(swaps_per_edge: int) -> None:
 
 
 def rewire_null_model(g: LayeredGraph, layer: str, seed,
-                      swaps_per_edge: int = 10) -> LayeredGraph:
+                      swaps_per_edge: int = 10) -> np.ndarray:
     """Degree-preserving rewiring of one layer by batches of double edge
     swaps (a->b, c->e) => (a->e, c->b) over a random pairing of edge slots
     (see `_swap_batch`). Each batch pairs m // 2 or m // 2 - 1 of the m
     slots, with equal odds; there are ceil(swaps_per_edge * m / (m // 2))
     batches, about swaps_per_edge proposals per edge. Swaps creating
-    self-loops or duplicate edges are rejected. Weights travel with their
-    source slot. The other layer and the node universe are untouched."""
-    src, dst, weight = g.edge_arrays(layer)
+    self-loops or duplicate edges are rejected. Returns the rewired heads
+    of the layer's edges in its (src, dst) order: the tails, and the
+    weights that travel with them, stay put."""
+    src, dst = g.layer(layer).src, g.layer(layer).dst.copy()
     m = len(src)
     if m < 2:
         raise ValueError("layer needs at least 2 edges to rewire")
@@ -134,9 +137,7 @@ def rewire_null_model(g: LayeredGraph, layer: str, seed,
         # a pair count of varying parity keeps the chain aperiodic
         h = m // 2 - int(rng.integers(2))
         _swap_batch(src, dst, g.n_nodes, perm[:h], perm[h:2 * h])
-    rewired = _Layer(g.n_nodes, src, dst, weight)
-    layers = {name: (rewired if name == layer else g.layer(name)) for name in LAYERS}
-    return LayeredGraph(g.node_ids, layers)
+    return dst
 
 
 def _swap_batch(src: np.ndarray, dst: np.ndarray, n: int,

@@ -296,13 +296,6 @@ def class_mask(classes: np.ndarray, members: Iterable[ConsumerClass]) -> np.ndar
     return np.isin(classes, [_RANK[cls] for cls in members])
 
 
-def classes_by_id(ids: Sequence[str], classes: np.ndarray) -> dict[str, ConsumerClass]:
-    """The class of each of `ids` by id, for the id-keyed demographics: those
-    classed by role or tree first, then the rest, each in `ids` order."""
-    order = np.argsort(classes >= _RANK[ConsumerClass.PASSIVE], kind="stable").tolist()
-    return {ids[i]: _CLASSES[c] for i, c in zip(order, classes[order].tolist())}
-
-
 @dataclass(frozen=True)
 class ReachReport:
     class_counts: dict[str, int]

@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .ingest import _CodedLog, _write_rows, normalize_query
+from .ingest import _CodedLog, _distinct, _write_rows, normalize_query
 
 RATIO_VOLUME = "volume"
 RATIO_UNIQUE = "unique"
@@ -85,7 +85,7 @@ def expand_keywords(state: SeedState, log: _CodedLog,
         raise ValueError("nothing to expand: empty blog set")
     top = np.zeros(len(log.blog_ids), dtype=bool)
     top[_top_blogs(state, log, decile, ratio_mode)] = True
-    collected = set(log.queries[np.unique(log.pair_query[top[log.pair_blog]])]) - {""}
+    collected = set(log.queries[_distinct(log.pair_query[top[log.pair_blog]])]) - {""}
     keywords = state.keywords | collected
     blogs = log.candidates(log.keyword_mask(keywords), min_unique, min_clicks)
     return SeedState(iteration=state.iteration + 1, keywords=keywords, blogs=blogs,

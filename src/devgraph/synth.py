@@ -9,8 +9,8 @@ from itertools import compress
 
 import numpy as np
 
-from .demographics import DemographicRecord
-from .diffusion import ConsumerClass, _CodedEvents, producer_nodes
+from .demographics import GENDERS, Demographics
+from .diffusion import _RANK, ConsumerClass, _CodedEvents, producer_nodes
 from .graph import (
     FOLLOW,
     LAYERS,
@@ -346,11 +346,7 @@ def closure_fixture(cfg: SynthConfig) -> ClosureFixture:
     )
 
 
-# synth_demographics' gender codes
-_GENDERS = ("female", "male", "unknown")
-
-
-def synth_demographics(cfg: SynthConfig, roles: dict[str, str]) -> dict[str, DemographicRecord]:
+def synth_demographics(cfg: SynthConfig, roles: dict[str, str]) -> Demographics:
     """Seeded ages and genders: producers skew older and male, the rest
     younger and balanced; coverage per demo_coverage. Coverage, then the
     covered nodes' ages, then their genders are drawn as arrays over the
@@ -364,9 +360,9 @@ def synth_demographics(cfg: SynthConfig, roles: dict[str, str]) -> dict[str, Dem
     ages = np.clip(np.round(rng.normal(np.where(producer, 38, 27), np.where(producer, 8, 9))),
                    np.where(producer, 18, 13), 69).astype(np.int64)
     male = rng.random(len(nodes)) < np.where(producer, 0.82, 0.5)
-    gender = np.where(rng.random(len(nodes)) < 0.05, 2, male.astype(np.int64))
-    return {node: DemographicRecord(node=node, age=age, gender=_GENDERS[g])
-            for node, age, g in zip(nodes, ages.tolist(), gender.tolist())}
+    # codes into GENDERS: male 0, female 1, unknown 2
+    gender = np.where(rng.random(len(nodes)) < 0.05, 2, np.where(male, 0, 1))
+    return Demographics(nodes, ages, gender)
 
 
 MALE_ENGAGEMENT_RATES = {13: 0.05, 18: 0.10, 23: 0.20, 28: 0.30, 33: 0.50,
@@ -377,23 +373,21 @@ FEMALE_ENGAGEMENT_RATES = {13: 0.30, 18: 0.80, 23: 0.90, 28: 0.50, 33: 0.30,
                            63: 0.03, 68: 0.02}
 
 
-def engagement_fixture(per_cell: int = 40) -> tuple[dict[str, ConsumerClass],
-                                                  dict[str, DemographicRecord]]:
+def engagement_fixture(per_cell: int = 40) -> tuple[np.ndarray, Demographics]:
     """Noise-free engagement planting: exactly round(rate * per_cell) active
     consumers per (gender, band) cell, so the planted rate tables
     MALE_ENGAGEMENT_RATES and FEMALE_ENGAGEMENT_RATES are the oracle for the
-    normalized curves (male peak 38-52, female peak 23-27)."""
-    classes: dict[str, ConsumerClass] = {}
-    demo: dict[str, DemographicRecord] = {}
-    for gender, rates in (("male", MALE_ENGAGEMENT_RATES), ("female", FEMALE_ENGAGEMENT_RATES)):
+    normalized curves (male peak 38-52, female peak 23-27). The class codes
+    are over the table's rows."""
+    ids, rows = [], []
+    for code, rates in enumerate((MALE_ENGAGEMENT_RATES, FEMALE_ENGAGEMENT_RATES)):
         for lo, rate in rates.items():
-            n_active = round(rate * per_cell)
             for j in range(per_cell):
-                node = f"{gender}_{lo}_{j:03d}"
-                demo[node] = DemographicRecord(node=node, age=lo + j % 5, gender=gender)
-                classes[node] = (ConsumerClass.ACTIVE_DIRECT if j < n_active
-                                 else ConsumerClass.PASSIVE)
-    return classes, demo
+                ids.append(f"{GENDERS[code]}_{lo}_{j:03d}")
+                rows.append((lo + j % 5, code, j < round(rate * per_cell)))
+    age, gender, active = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    classes = np.where(active, _RANK[ConsumerClass.ACTIVE_DIRECT], _RANK[ConsumerClass.PASSIVE])
+    return classes, Demographics(ids, age, gender)
 
 
 def paradox_fixture(n: int = 10_000, seed: int = 0, exponent: float = 2.5,

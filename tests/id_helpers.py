@@ -5,7 +5,8 @@ file is read and turn back into ids where a table is written. Each helper
 here does the same at its own edges, as the command line does: it turns
 its id arguments into codes over the numbering the stage reads (one
 `id_codes` or `id_mask` each), calls the stage, and turns a ranking,
-partition or class array back into ids.
+partition or class array back into ids. `rewire_null_model` puts the
+rewired heads back into a graph.
 """
 
 from collections.abc import Iterable, Sequence
@@ -13,9 +14,20 @@ from itertools import compress
 
 import numpy as np
 
-from devgraph import community, diffusion, graph, intervention, perception
+from devgraph import (
+    community,
+    connectivity,
+    demographics,
+    diffusion,
+    graph,
+    intervention,
+    perception,
+)
+from devgraph.demographics import GENDERS, Demographics
 from devgraph.diffusion import ConsumerClass, bridge_nodes, producer_nodes
-from devgraph.graph import LayeredGraph, id_codes, id_mask
+from devgraph.graph import LAYERS, LayeredGraph, _Layer, id_codes, id_mask
+
+from id_oracles import DemographicRecord, classes_by_id
 
 CLASSES = tuple(ConsumerClass)
 
@@ -28,7 +40,7 @@ def classify_nodes(g: LayeredGraph, forest, roles: dict[str, str]) -> dict[str, 
     classes = diffusion.classify_nodes(g, forest, id_codes(g.node_ids, forest.ids),
                                        id_mask(g.node_ids, producer_nodes(roles)),
                                        id_mask(g.node_ids, bridge_nodes(roles)))
-    return diffusion.classes_by_id(g.node_ids, classes)
+    return classes_by_id(g.node_ids, classes)
 
 
 def reach_report(classes: dict[str, ConsumerClass], forest) -> diffusion.ReachReport:
@@ -130,3 +142,51 @@ def graph_edges(g: LayeredGraph, layer: str) -> list[tuple[str, str, float]]:
     src, dst, weight = g.edge_arrays(layer)
     ids = g.node_ids
     return [(ids[u], ids[v], w) for u, v, w in zip(src.tolist(), dst.tolist(), weight.tolist())]
+
+
+def rewire_null_model(g: LayeredGraph, layer: str, seed, swaps_per_edge: int = 10) -> LayeredGraph:
+    """g with the layer's heads rewired: its tails and weights stay, and so
+    do the other layer and the node universe."""
+    lay = g.layer(layer)
+    rewired = _Layer(g.n_nodes, lay.src,
+                     connectivity.rewire_null_model(g, layer, seed, swaps_per_edge), lay.weight)
+    return LayeredGraph(g.node_ids, {name: rewired if name == layer else g.layer(name)
+                                     for name in LAYERS})
+
+
+def demographics_table(demo: dict[str, DemographicRecord]) -> Demographics:
+    """The coded table of the records; a gender other than male or female
+    is unknown."""
+    return Demographics(list(demo), np.array([r.age for r in demo.values()], dtype=np.int64),
+                        np.array([GENDERS.index(r.gender if r.gender in GENDERS else "unknown")
+                                  for r in demo.values()], dtype=np.int64))
+
+
+def records(demo: Demographics) -> dict[str, DemographicRecord]:
+    """The table as a dict of records, in row order."""
+    return {node: DemographicRecord(node, age, GENDERS[code])
+            for node, age, code in zip(demo.ids, demo.age.tolist(), demo.gender.tolist())}
+
+
+def class_codes(classes: dict[str, ConsumerClass]) -> np.ndarray:
+    """The class code of each key of `classes`, in its order."""
+    return np.array([CLASSES.index(c) for c in classes.values()], dtype=np.int64)
+
+
+def coded_demographics(classes: dict[str, ConsumerClass], demo: dict[str, DemographicRecord]
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Class codes, ages and gender codes over the keys of `classes`."""
+    return (class_codes(classes), *demographics_table(demo).over(classes))
+
+
+def class_demographics(classes, demo):
+    return demographics.class_demographics(*coded_demographics(classes, demo))
+
+
+def age_histogram(classes, demo):
+    codes, age, _gender = coded_demographics(classes, demo)
+    return demographics.age_histogram(codes, age)
+
+
+def engagement_by_age(classes, demo):
+    return demographics.engagement_by_age(*coded_demographics(classes, demo))

@@ -3,7 +3,10 @@ oracles for `test_node_codes_oracle.py`: consumer classes, the reach
 report and spread efficiency over id sets, the perception curve and
 volume paradox over id sets and count dicts, the death rank behind the
 shrinkage curve and underage threshold over id rankings, the role-pair
-edge counts over a roles dict, and modularity over an assignment dict.
+edge counts over a roles dict, modularity over an assignment dict, and
+the demographics tables over a classes dict and a dict of
+`DemographicRecord`s, with `classes_by_id`, which built that classes dict
+from the class codes.
 
 They look ids up with `has_node` and `index_of` on the graph and `index`
 on the forest, which the library no longer has; `IdGraph` and `IdForest`
@@ -14,10 +17,18 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from devgraph.community import _projection, _q
+from devgraph.demographics import (
+    ACTIVE_CLASSES,
+    DEFAULT_BANDS,
+    ClassDemographics,
+    EngagementCurve,
+    min_max_normalize,
+)
 from devgraph.diffusion import (
     _CLASSES,
     _RANK,
@@ -322,3 +333,102 @@ def modularity(g: LayeredGraph, layer: str, assignment: dict[str, int]) -> float
     if m == 0:
         raise ValueError("no edges")
     return _q(adj, [0.0] * g.n_nodes, m, [assignment[node] for node in g.node_ids])
+
+
+# -- demographics --------------------------------------------------------------
+
+# the known genders
+GENDERS = ("male", "female")
+
+
+@dataclass(frozen=True)
+class DemographicRecord:
+    node: str
+    age: int
+    gender: str  # male / female / unknown
+
+
+def classes_by_id(ids: Sequence[str], classes: np.ndarray) -> dict[str, ConsumerClass]:
+    """The class of each of `ids` by id, for the id-keyed demographics: those
+    classed by role or tree first, then the rest, each in `ids` order."""
+    order = np.argsort(classes >= _RANK[ConsumerClass.PASSIVE], kind="stable").tolist()
+    return {ids[i]: _CLASSES[c] for i, c in zip(order, classes[order].tolist())}
+
+
+def class_demographics(classes: dict[str, ConsumerClass],
+                       demo: dict[str, DemographicRecord]) -> dict[str, ClassDemographics]:
+    """Per-class age/gender statistics over the demographically covered
+    members; population (not sample) standard deviation."""
+    members: dict[str, list[str]] = {}
+    for node, cls in classes.items():
+        members.setdefault(cls.value, []).append(node)
+    out: dict[str, ClassDemographics] = {}
+    for cls in ConsumerClass:
+        nodes = members.get(cls.value, [])
+        covered = [demo[n] for n in nodes if n in demo]
+        known = [r for r in covered if r.gender in GENDERS]
+        if covered:
+            ages = np.array([r.age for r in covered], dtype=np.float64)
+            males = sum(r.gender == "male" for r in known)
+            stats = dict(
+                mean_age=float(ages.mean()),
+                median_age=float(np.median(ages)),
+                std_age=float(ages.std(ddof=0)),
+                under_18=float((ages < 18).mean()),
+                male_fraction=males / len(known) if known else None,
+                female_fraction=(len(known) - males) / len(known) if known else None,
+            )
+        else:
+            stats = dict(mean_age=None, median_age=None, std_age=None,
+                         under_18=None, male_fraction=None, female_fraction=None)
+        out[cls.value] = ClassDemographics(
+            class_name=cls.value, size=len(nodes), covered=len(covered),
+            coverage=len(covered) / len(nodes) if nodes else 0.0,
+            unknown_gender=len(covered) - len(known), **stats)
+    return out
+
+
+def age_histogram(classes: dict[str, ConsumerClass],
+                  demo: dict[str, DemographicRecord]) -> dict[str, list[int]]:
+    """Per-class covered-user counts per age band of DEFAULT_BANDS."""
+    hist = {cls.value: [0] * len(DEFAULT_BANDS) for cls in ConsumerClass}
+    for node, cls in classes.items():
+        rec = demo.get(node)
+        if rec is None:
+            continue
+        for i, (lo, hi) in enumerate(DEFAULT_BANDS):
+            if lo <= rec.age < hi:
+                hist[cls.value][i] += 1
+                break
+    return hist
+
+
+def engagement_by_age(classes: dict[str, ConsumerClass],
+                      demo: dict[str, DemographicRecord]) -> dict[str, EngagementCurve]:
+    """Per gender: the share of covered users in each age band of
+    DEFAULT_BANDS who are active consumers (ACTIVE_CLASSES), min-max
+    normalized per gender. Bands with no covered users carry None and stay
+    out of the normalization."""
+    curves: dict[str, EngagementCurve] = {}
+    for gender in GENDERS:
+        totals = [0] * len(DEFAULT_BANDS)
+        active = [0] * len(DEFAULT_BANDS)
+        for node, rec in demo.items():
+            if rec.gender != gender or node not in classes:
+                continue
+            for i, (lo, hi) in enumerate(DEFAULT_BANDS):
+                if lo <= rec.age < hi:
+                    totals[i] += 1
+                    if classes[node] in ACTIVE_CLASSES:
+                        active[i] += 1
+                    break
+        raw: list[float | None] = [a / t if t else None for a, t in zip(active, totals)]
+        present = [x for x in raw if x is not None]
+        if len(present) < 2:
+            raise ValueError(f"need at least 2 bands with data for {gender}")
+        norm_present = min_max_normalize(present)
+        it = iter(norm_present)
+        normalized = [next(it) if x is not None else None for x in raw]
+        curves[gender] = EngagementCurve(gender=gender, bands=DEFAULT_BANDS,
+                                         raw=tuple(raw), normalized=tuple(normalized))
+    return curves

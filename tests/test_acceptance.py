@@ -12,7 +12,6 @@ import numpy as np
 
 from devgraph.cli import main
 from devgraph.community import louvain
-from devgraph.connectivity import rewire_null_model
 from devgraph.demographics import engagement_by_age, min_max_normalize
 from devgraph import perception
 from devgraph.diffusion import ConsumerClass
@@ -35,6 +34,7 @@ from id_helpers import (
     perception_curve,
     rank_by_degree,
     rank_by_volume,
+    rewire_null_model,
     shrinkage_curve,
     volume_paradox_fraction,
 )
@@ -448,7 +448,7 @@ def test_gate_7_perception():
 def test_gate_8_demographics():
     assert min_max_normalize([2, 4, 6]) == [0.0, 0.5, 1.0]
     classes, demo = engagement_fixture(per_cell=40)
-    curves = engagement_by_age(classes, demo)
+    curves = engagement_by_age(classes, demo.age, demo.gender)
     male, female = curves["male"], curves["female"]
     male_peak = max((v, lo) for (lo, _), v in zip(male.bands, male.normalized)
                     if v is not None)[1]

@@ -935,3 +935,23 @@ def test_pipeline_imports_no_scipy(tmp_path):
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    stdout=subprocess.DEVNULL)
     assert (tmp_path / "report.json").is_file()
+
+
+def test_pipeline_and_extract_import_no_numpy_ma(tmp_path):
+    """numpy.ma costs a process about 10 ms and 1.6 MB to import: a whole
+    `pipeline` run, then `extract` on the fixture it wrote, each in a fresh
+    interpreter, leave it unloaded."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    fx = tmp_path / "fx"
+    for argv in (["pipeline", "--seed", "11", "--out", str(fx)],
+                 ["extract", "--log", str(fx / "log.tsv"), "--seeds", str(fx / "seeds.txt"),
+                  "--out", str(tmp_path / "extract")]):
+        code = ("import sys\n"
+                "from devgraph.cli import main\n"
+                f"assert main({argv!r}) == 0\n"
+                "assert 'numpy.ma' not in sys.modules\n")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+    assert (tmp_path / "extract" / "keywords.txt").is_file()

@@ -11,12 +11,11 @@ from devgraph.connectivity import (
     DENSITY,
     NULL_RATIO,
     group_matrix,
-    rewire_null_model,
     write_group_matrix_csv,
 )
 from devgraph.graph import FOLLOW, REBLOG, build_graph
 
-from id_helpers import graph_edges
+from id_helpers import graph_edges, rewire_null_model
 
 
 def F(u, v):

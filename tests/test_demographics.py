@@ -1,4 +1,5 @@
-"""Per-class demographic statistics and engagement-by-age curves."""
+"""Per-class demographic statistics and engagement-by-age curves, stated
+by id through `id_helpers`."""
 
 import math
 import random
@@ -7,15 +8,15 @@ from collections import Counter
 import pytest
 
 from devgraph.demographics import (
-    DemographicRecord,
-    class_demographics,
-    engagement_by_age,
     min_max_normalize,
     read_demographics_csv,
     write_demographics_csv,
     write_engagement_csv,
 )
 from devgraph.diffusion import ConsumerClass
+
+from id_helpers import class_demographics, demographics_table, engagement_by_age, records
+from id_oracles import DemographicRecord
 
 
 def by_band(curve):
@@ -192,22 +193,22 @@ class TestIO:
     def test_round_trip(self, tmp_path):
         demo = {"a": rec("a", 30, "male"), "b": rec("b", 25, "unknown")}
         p = tmp_path / "demo.csv"
-        write_demographics_csv(demo, str(p))
-        assert read_demographics_csv(str(p)) == demo
+        write_demographics_csv(demographics_table(demo), str(p))
+        assert records(read_demographics_csv(str(p))) == demo
 
     def test_out_of_range_dropped(self, tmp_path):
         p = tmp_path / "demo.csv"
         p.write_text("node,age,gender\na,30,male\nb,0,male\nc,130,female\nd,-4,male\ne,abc,male\n")
         diags = Counter()
         demo = read_demographics_csv(str(p), diagnostics=diags)
-        assert set(demo) == {"a"}
+        assert demo.ids == ["a"]
         assert diags["age_out_of_range"] == 3
         assert diags["malformed_demographics"] == 1
 
     def test_gender_normalized(self, tmp_path):
         p = tmp_path / "demo.csv"
         p.write_text("a,30,MALE\nb,31,nonbinary\n")
-        demo = read_demographics_csv(str(p))
+        demo = records(read_demographics_csv(str(p)))
         assert demo["a"].gender == "male"
         assert demo["b"].gender == "unknown"
 

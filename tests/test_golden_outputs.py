@@ -142,7 +142,8 @@ def test_pipeline_matches_golden(tmp_path):
     # write from the same fixture
     subs = _golden("subcommands_seed11.json")["files"]
     assert got["files"]["reach.json"] == subs["diffusion/reach.json"]
-    assert got["files"]["age_histogram.csv"] == subs["demographics/age_histogram.csv"]
+    for name in ("class_demographics.csv", "age_histogram.csv", "engagement.csv"):
+        assert got["files"][name] == subs[f"demographics/{name}"], name
 
 
 def test_subcommands_match_golden(tmp_path):

@@ -43,7 +43,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from devgraph import graph, synth
-from devgraph.connectivity import _edge_counts, rewire_null_model
+from devgraph.connectivity import _edge_counts
 from devgraph.diffusion import _CodedEvents, producer_nodes
 from devgraph.graph import (
     FOLLOW,
@@ -64,7 +64,7 @@ from devgraph.synth import (
     synth_events,
 )
 
-from id_helpers import graph_edges, gwcc
+from id_helpers import graph_edges, gwcc, rewire_null_model
 from log_helpers import event_rows
 
 
@@ -482,7 +482,8 @@ def test_rewire_agrees_with_sequential_chain_in_distribution():
     role = np.array([int(int(n[1:]) >= 30) for n in g.node_ids])
 
     def a_to_b(sample: LayeredGraph) -> int:
-        return int(_edge_counts(role, 2, sample.layer(FOLLOW))[0, 1])
+        lay = sample.layer(FOLLOW)
+        return int(_edge_counts(role[lay.src], role[lay.dst], 2)[0, 1])
 
     seeds = np.random.SeedSequence(3).spawn(200)
     batched = np.array([a_to_b(rewire_null_model(g, FOLLOW, seed=c)) for c in seeds])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from devgraph.cli import _SKIP_REASONS, _read_counts_csv, _read_node_set
 from devgraph.community import read_partition_csv, read_role_map_csv
-from devgraph.demographics import DemographicRecord, read_demographics_csv
+from devgraph.demographics import read_demographics_csv
 from devgraph.diffusion import ConsumerClass, read_classes_csv, read_events_tsv
 from devgraph.graph import LAYERS, load_graph, read_labels_csv
 from devgraph.ingest import (
@@ -25,7 +25,8 @@ from devgraph.ingest import (
     read_query_log,
     write_phrases,
 )
-from id_helpers import graph_edges
+from id_helpers import graph_edges, records
+from id_oracles import DemographicRecord
 from log_helpers import ReblogEvent, event_rows, log_rows
 # The per-record aggregation the coded expansion replaced; TestAggregate and
 # TestFilter test it where it now lives.
@@ -257,6 +258,10 @@ def _read_events(path: str, diagnostics: Counter) -> list[ReblogEvent]:
     return event_rows(read_events_tsv(path, diagnostics))
 
 
+def _read_demographics(path: str, diagnostics: Counter) -> dict[str, DemographicRecord]:
+    return records(read_demographics_csv(path, diagnostics))
+
+
 def _read_query_log(path: str, diagnostics: Counter) -> list[tuple[str, str]]:
     return log_rows(read_query_log(path, diagnostics))
 
@@ -271,7 +276,7 @@ READERS = {
     "partition": (read_partition_csv, b"node,community\na,3\n", {"a": 3}),
     "role_map": (read_role_map_csv, b"community,role\n3,outer\n", {3: "outer"}),
     "classes": (read_classes_csv, b"node,class\na,producer\n", {"a": ConsumerClass.PRODUCER}),
-    "demographics": (read_demographics_csv, b"node,age,gender\na,30,male\n",
+    "demographics": (_read_demographics, b"node,age,gender\na,30,male\n",
                      {"a": DemographicRecord("a", 30, "male")}),
     "node_set": (_read_node_set, b"a\n", {"a"}),
     "counts": (_read_counts_csv, b"node,count\na,4\n", {"a": 4}),

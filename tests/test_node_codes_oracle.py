@@ -7,19 +7,25 @@ adds to the graph) and ids in neither. Rankings repeat entries, whose first posi
 nodes outside the forest, which still count toward a removal size and
 toward the "exceeds ranking length" warnings. The new side turns ids into
 codes as the command line does, with `id_codes` and `id_mask`.
+
+The demographics draws leave a class without members, cover no node, some
+or all, put ages on the band edges, give one class only unknown genders,
+and hold rows for ids that have no class.
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from devgraph import community, connectivity, diffusion, intervention, perception
+from devgraph import community, connectivity, demographics, diffusion, intervention, perception
 from devgraph.cli import _with_nodes
-from devgraph.diffusion import bridge_nodes, producer_nodes
+from devgraph.demographics import GENDERS
+from devgraph.diffusion import _CLASSES, bridge_nodes, producer_nodes
 from devgraph.graph import FOLLOW, LAYERS, REBLOG, build_graph, id_codes, id_mask
+from devgraph.synth import engagement_fixture
 
 import id_oracles as old
-from id_helpers import age_codes, count_codes
+from id_helpers import age_codes, count_codes, demographics_table, records
 from log_helpers import ReblogEvent, coded_events
 
 GRAPH_ONLY = ["g1", "g10", "g2"]
@@ -73,7 +79,7 @@ def test_classes_and_reach_match_oracle(fixture):
                                        id_mask(g.node_ids, bridge_nodes(roles)))
     expected = old.classify_nodes(old.IdGraph(g), forest, roles)
     # the id table keeps the old dict's order: classed by role or tree first
-    assert list(diffusion.classes_by_id(g.node_ids, classes).items()) == list(expected.items())
+    assert list(old.classes_by_id(g.node_ids, classes).items()) == list(expected.items())
     assert diffusion.reach_report(classes, forest, at) == old.reach_report(expected, forest)
 
 
@@ -152,8 +158,8 @@ def test_edge_counts_match_oracle(labelled, layer):
     groups = tuple(sorted(set(roles.values())))
 
     def counts_and_sizes():
-        role = connectivity._role_codes(g, roles, groups)
-        return (connectivity._edge_counts(role, len(groups), g.layer(layer)),
+        role, lay = connectivity._role_codes(g, roles, groups), g.layer(layer)
+        return (connectivity._edge_counts(role[lay.src], role[lay.dst], len(groups)),
                 np.bincount(role, minlength=len(groups)))
 
     assert attempt(counts_and_sizes) == attempt(old._edge_counts, g, layer, roles, groups)
@@ -181,3 +187,59 @@ def test_rank_by_degree_maps_into_the_forest():
     curve = intervention.shrinkage_curve(forest, ranking, sizes=[0, 1, 4, 5])
     assert curve.reached_fraction == (1.0, 1.0, 0.0, 0.0)
     assert curve.warnings == ("size 5 exceeds ranking length 4; truncated",)
+
+
+# -- demographics ----------------------------------------------------------------
+
+EDGE_AGES = (1, 12, 13, 17, 18, 22, 23, 72, 73, 119)
+
+
+@st.composite
+def demographic_fixtures(draw):
+    """Node ids in a drawn order, their class codes, and records for some
+    of them and for ids that have no class, in a drawn row order."""
+    n = draw(st.integers(0, 30))
+    ids = [f"n{i}" for i in draw(st.permutations(range(n)))]
+    empty = draw(st.sampled_from(range(len(_CLASSES))))
+    others = [c for c in range(len(_CLASSES)) if c != empty]
+    codes = np.array(draw(st.lists(st.sampled_from(others), min_size=n, max_size=n)),
+                     dtype=np.int64)
+    coverage = draw(st.sampled_from(("none", "some", "all")))
+    if coverage == "some":
+        covered = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    else:
+        covered = [coverage == "all"] * n
+    unknown = draw(st.sampled_from(range(len(_CLASSES))))
+    extra = draw(st.lists(st.sampled_from(["x1", "x2", "é"]), unique=True))
+    rows = [(node, int(c) == unknown) for node, c, cov in zip(ids, codes, covered) if cov]
+    rows = draw(st.permutations(rows + [(node, False) for node in extra]))
+    age = st.one_of(st.sampled_from(EDGE_AGES), st.integers(1, 119))
+    demo = {node: old.DemographicRecord(node, draw(age),
+                                        "unknown" if blind else draw(st.sampled_from(GENDERS)))
+            for node, blind in rows}
+    return ids, codes, demo
+
+
+@settings(max_examples=300, deadline=None)
+@given(demographic_fixtures(), st.booleans())
+def test_demographics_tables_match_oracle(fixture, by_rank):
+    """The classes dict lists the nodes as `pipeline`'s did (classed by
+    role or tree first) or in their numbering's order, as the rows of a
+    classes.csv are."""
+    ids, codes, demo = fixture
+    classes = (old.classes_by_id(ids, codes) if by_rank
+               else {node: _CLASSES[c] for node, c in zip(ids, codes.tolist())})
+    age, gender = demographics_table(demo).over(ids)
+    assert demographics.class_demographics(codes, age, gender) == \
+        old.class_demographics(classes, demo)
+    assert demographics.age_histogram(codes, age) == old.age_histogram(classes, demo)
+    assert attempt(demographics.engagement_by_age, codes, age, gender) == \
+        attempt(old.engagement_by_age, classes, demo)
+
+
+def test_engagement_fixture_matches_oracle():
+    """The fixture's class codes are over its table's rows."""
+    codes, demo = engagement_fixture(per_cell=40)
+    classes = {node: _CLASSES[c] for node, c in zip(demo.ids, codes.tolist())}
+    assert demographics.engagement_by_age(codes, demo.age, demo.gender) == \
+        old.engagement_by_age(classes, records(demo))

@@ -22,7 +22,7 @@ from devgraph.synth import (
     write_config,
 )
 
-from id_helpers import assignment, build_trees, classify_nodes, graph_edges
+from id_helpers import assignment, build_trees, classify_nodes, graph_edges, records
 from log_helpers import event_rows
 from tree_helpers import trees_of
 
@@ -197,8 +197,8 @@ def test_closure_distractor_seed_is_kept(tmp_path):
 
 def test_synth_demographics_shape():
     g, roles = planted_graph(SMALL)
-    demo = synth_demographics(SMALL, roles)
-    assert demo == synth_demographics(SMALL, roles)
+    demo = records(synth_demographics(SMALL, roles))
+    assert demo == records(synth_demographics(SMALL, roles))
     n = len(roles)
     assert 0.7 * n <= len(demo) <= n
     ages = [r.age for r in demo.values()]
@@ -211,7 +211,7 @@ def test_synth_demographics_shape():
 def test_engagement_fixture_recovers_planted_rates():
     per_cell = 40
     classes, demo = engagement_fixture(per_cell=per_cell)
-    curves = engagement_by_age(classes, demo)
+    curves = engagement_by_age(classes, demo.age, demo.gender)
     from devgraph.synth import FEMALE_ENGAGEMENT_RATES, MALE_ENGAGEMENT_RATES
     for gender, rates in (("male", MALE_ENGAGEMENT_RATES),
                           ("female", FEMALE_ENGAGEMENT_RATES)):
@@ -222,7 +222,7 @@ def test_engagement_fixture_recovers_planted_rates():
 
 def test_engagement_fixture_peaks_and_crossing():
     classes, demo = engagement_fixture(per_cell=40)
-    curves = engagement_by_age(classes, demo)
+    curves = engagement_by_age(classes, demo.age, demo.gender)
     male, female = curves["male"], curves["female"]
     # normalized value by band start; a missing band raises KeyError
     male_at = dict(zip((lo for lo, _ in male.bands), male.normalized))

@@ -24,10 +24,13 @@ from hypothesis import strategies as st
 
 from devgraph.cli import _read_counts_csv, main
 from devgraph.community import read_partition_csv, read_role_map_csv
-from devgraph.demographics import GENDERS, DemographicRecord, read_demographics_csv
+from devgraph.demographics import GENDERS, read_demographics_csv
 from devgraph.diffusion import ConsumerClass, read_classes_csv
 from devgraph.graph import read_labels_csv
 from devgraph.ingest import decoded_lines
+
+from id_helpers import records
+from id_oracles import DemographicRecord
 
 # -- the oracles ---------------------------------------------------------------
 
@@ -136,6 +139,11 @@ def oracle_read_counts_csv(path: str, diagnostics: Counter) -> dict[str, int]:
     return out
 
 
+def read_demographics_by_id(path: str, diagnostics: Counter) -> dict[str, DemographicRecord]:
+    """The coded table that read_demographics_csv reads, as a dict of records."""
+    return records(read_demographics_csv(path, diagnostics))
+
+
 # -- random tables ---------------------------------------------------------------
 
 KEYS = (b"a", b"b", b"c", b"\xc3\xa9", b" a", b"a ", b"", b"  ")
@@ -154,7 +162,7 @@ TABLES = {
                  "malformed_rows", (INTS, WORDS)),
     "classes": (read_classes_csv, oracle_read_classes_csv, "node,class", "malformed_rows",
                 (KEYS, CLASSES)),
-    "demographics": (read_demographics_csv, oracle_read_demographics_csv, "node,age,gender",
+    "demographics": (read_demographics_by_id, oracle_read_demographics_csv, "node,age,gender",
                      "malformed_demographics", (KEYS, INTS, GENDER_TEXT)),
     "counts": (_read_counts_csv, oracle_read_counts_csv, "node,count", "malformed_rows",
                (KEYS, INTS)),

@@ -41,8 +41,8 @@ from devgraph.community import (
 from devgraph.connectivity import GroupMatrix, write_group_matrix_csv
 from devgraph.demographics import (
     DEFAULT_BANDS,
+    GENDERS,
     ClassDemographics,
-    DemographicRecord,
     EngagementCurve,
     read_demographics_csv,
     write_age_histogram_csv,
@@ -73,7 +73,8 @@ from devgraph.intervention import ShrinkageCurve, write_shrinkage_csv
 from devgraph.perception import PerceptionCurve, write_curves_csv
 from devgraph.synth import SynthConfig, planted_graph, synth_events, write_config
 
-from id_helpers import graph_edges
+from id_helpers import demographics_table, graph_edges, records
+from id_oracles import DemographicRecord
 from log_helpers import stamp_text
 
 # -- the oracles ---------------------------------------------------------------
@@ -117,6 +118,15 @@ def write_classes_by_id(classes: dict[str, ConsumerClass], path: str) -> None:
     """write_classes_csv of the keys' classes, as class codes."""
     codes = [tuple(ConsumerClass).index(c) for c in classes.values()]
     write_classes_csv(tuple(classes), np.array(codes, dtype=np.int64), path)
+
+
+def write_demographics_by_id(demo: dict[str, DemographicRecord], path: str) -> None:
+    """write_demographics_csv of the records' coded table."""
+    write_demographics_csv(demographics_table(demo), path)
+
+
+def read_demographics_by_id(path: str, diagnostics: Counter) -> dict[str, DemographicRecord]:
+    return records(read_demographics_csv(path, diagnostics))
 
 
 def oracle_write_classes_csv(classes: dict[str, ConsumerClass], path: str) -> None:
@@ -308,8 +318,9 @@ WRITERS = {
     "labels": (write_labels_csv, oracle_write_labels_csv, st.dictionaries(text, text)),
     "classes": (write_classes_by_id, oracle_write_classes_csv,
                 st.dictionaries(text, st.sampled_from(ConsumerClass))),
-    "demographics": (write_demographics_csv, oracle_write_demographics_csv,
-                     st.dictionaries(text, st.builds(DemographicRecord, text, ints_any, text))),
+    "demographics": (write_demographics_by_id, oracle_write_demographics_csv,
+                     st.dictionaries(text, st.builds(DemographicRecord, text, ints_any,
+                                                     st.sampled_from(GENDERS)))),
     "engagement": (write_engagement_csv, oracle_write_engagement_csv,
                    st.sampled_from([(), ("male",), ("female", "male")]).flatmap(
                        lambda gs: st.fixed_dictionaries({g: engagement_curve(g) for g in gs}))),
@@ -363,7 +374,7 @@ def test_writers_match_oracle_on_empty_tables():
             ({}, write_role_map_csv, oracle_write_role_map_csv),
             ({}, write_labels_csv, oracle_write_labels_csv),
             ({}, write_classes_by_id, oracle_write_classes_csv),
-            ({}, write_demographics_csv, oracle_write_demographics_csv),
+            ({}, write_demographics_by_id, oracle_write_demographics_csv),
             ({}, write_engagement_csv, oracle_write_engagement_csv),
             ({}, write_class_demographics_csv, oracle_write_class_demographics_csv),
             ({}, write_age_histogram_csv, oracle_write_age_histogram_csv),
@@ -491,7 +502,7 @@ ROUND_TRIPS = {
     "role_map": (write_role_map_csv, read_role_map_csv, st.dictionaries(ints, ids)),
     "classes": (write_classes_by_id, read_classes_csv,
                 st.dictionaries(ids, st.sampled_from(ConsumerClass))),
-    "demographics": (write_demographics_csv, read_demographics_csv,
+    "demographics": (write_demographics_by_id, read_demographics_by_id,
                      st.dictionaries(ids, st.tuples(st.integers(1, 119), st.sampled_from(
                          ["male", "female", "unknown"]))).map(
                          lambda d: {n: DemographicRecord(n, a, g) for n, (a, g) in d.items()})),
