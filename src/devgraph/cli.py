@@ -195,14 +195,20 @@ def _role_masks(g: LayeredGraph, roles: dict[str, str]) -> tuple[np.ndarray, np.
     return id_mask(g.node_ids, producer_nodes(roles)), id_mask(g.node_ids, bridge_nodes(roles))
 
 
+def _require_roles(args) -> None:
+    """The usage error of a command given no source of roles, raised, like
+    every usage error, before the command reads any input."""
+    if not (args.labels or (args.partition and args.role_map)):
+        raise UsageError("provide --labels, or both --partition and --role-map")
+
+
 def _resolve_roles(command: str, args) -> dict[str, str]:
-    """Operator community->role mapping wins over planted/ingested labels."""
+    """Operator community->role mapping wins over planted/ingested labels
+    (see `_require_roles`)."""
     if args.partition and args.role_map:
         return roles_from_partition(_read(command, read_partition_csv, args.partition),
                                     _read(command, read_role_map_csv, args.role_map))
-    if args.labels:
-        return _read(command, read_labels_csv, args.labels)
-    raise UsageError("provide --labels, or both --partition and --role-map")
+    return _read(command, read_labels_csv, args.labels)
 
 
 def _sizes(args, config: dict[str, str]) -> tuple[int, ...]:
@@ -381,14 +387,15 @@ _MODES = {"avg_volume": AVG_VOLUME, "density": DENSITY, "null_ratio": NULL_RATIO
 
 
 def cmd_connectivity(args) -> int:
+    mode = _MODES[args.mode]
+    if mode == NULL_RATIO and args.seed is None:
+        raise UsageError("--seed is required for null_ratio")
+    _require_roles(args)
     config = _config_of(args)
     g = _read("connectivity", load_graph, args.edges)
     roles = _resolve_roles("connectivity", args)
     # every labelled node counts in its group's size, with or without an edge
     g = _with_nodes(g, roles)
-    mode = _MODES[args.mode]
-    if mode == NULL_RATIO and args.seed is None:
-        raise UsageError("--seed is required for null_ratio")
     mat = group_matrix(g, args.layer, roles, mode=mode, seed=args.seed,
                        **_given(args, config, samples=int, swaps_per_edge=int))
     write_group_matrix_csv(mat, args.out)
@@ -400,6 +407,7 @@ def cmd_connectivity(args) -> int:
 
 
 def cmd_diffusion(args) -> int:
+    _require_roles(args)
     g = _read("diffusion", load_graph, args.edges)
     roles = _resolve_roles("diffusion", args)
     # every labelled node gets a class, with or without an edge
@@ -439,13 +447,14 @@ def cmd_perception(args) -> int:
 
 
 def cmd_intervene(args) -> int:
+    if args.strategy == "degree" and not args.edges:
+        raise UsageError("--edges is required for the degree strategy")
+    _require_roles(args)
     config = _config_of(args)
     roles = _resolve_roles("intervene", args)
     sizes = _sizes(args, config)
     trees, _diagnostics = _trees("intervene", roles, args.events)
     if args.strategy == "degree":
-        if not args.edges:
-            raise UsageError("--edges is required for the degree strategy")
         g = _read("intervene", load_graph, args.edges)
         ranking, label = id_codes(trees.ids, g.node_ids)[rank_by_degree(g)], BY_DEGREE
     elif args.strategy == "greedy":

@@ -71,42 +71,28 @@ def read_events_tsv(path: str, diagnostics: Counter | None = None) -> _CodedEven
     fields are dropped and tallied as malformed_events, and so are lines
     that are not valid UTF-8 (see `decoded_lines`).
 
-    The file is read in chunks (see `ingest._coded_rows`); each distinct
-    timestamp of a chunk is parsed once, and each distinct id and post
-    looked up once."""
+    The file is read in chunks (see `ingest._coded_rows`) into codes into
+    its distinct values; each distinct timestamp of the file is parsed
+    once."""
     if diagnostics is None:
         diagnostics = Counter()
-    node_code: dict[str, int] = {}
-    post_code: dict[str, int] = {}
-    # int32 codes until _CodedEvents ranks them into int64 ones: the columns
-    # are held twice while they are joined
-    columns: list[list[np.ndarray]] = [[np.empty(0, dtype=np.int32)] for _ in range(3)]
-    times = [np.empty(0, dtype=np.float64)]
-    for codes, values in _coded_rows(path, 4, "malformed_events", diagnostics):
-        stamps = np.full(len(values), np.nan)
-        for i in _used(codes[:, 3], len(values)).tolist():
-            try:
-                stamps[i] = float(values[i])
-            except ValueError:
-                pass
-        actor, source, ts = codes[:, 0], codes[:, 1], stamps[codes[:, 3]]
-        bad = np.isnan(ts) | (actor == source)
-        if "" in values:
-            bad |= (actor == values.index("")) | (source == values.index(""))
-        if bad.any():
-            diagnostics["malformed_events"] += int(np.count_nonzero(bad))
-            codes, ts = codes[~bad], ts[~bad]
-        # codes in first-seen order; _CodedEvents ranks them
-        for column, code, cols in ((columns[:2], node_code, codes[:, :2]),
-                                   (columns[2:], post_code, codes[:, 2:3])):
-            used = _used(cols, len(values))
-            local = np.zeros(len(values), dtype=np.int32)
-            local[used] = [code.setdefault(values[i], len(code)) for i in used.tolist()]
-            for j, col in enumerate(column):
-                col.append(local[cols[:, j]])
-        times.append(ts)
-    return _CodedEvents(list(node_code), list(post_code),
-                        *map(np.concatenate, columns), np.concatenate(times))
+    codes, values = _coded_rows(path, 4, "malformed_events", diagnostics)
+    stamps = np.full(len(values), np.nan)
+    for i in _used(codes[:, 3], len(values)).tolist():
+        try:
+            stamps[i] = float(values[i])
+        except ValueError:
+            pass
+    actor, source, ts = codes[:, 0], codes[:, 1], stamps[codes[:, 3]]
+    bad = np.isnan(ts) | (actor == source)
+    if "" in values:
+        bad |= (actor == values.index("")) | (source == values.index(""))
+    if bad.any():
+        diagnostics["malformed_events"] += int(np.count_nonzero(bad))
+        codes, ts = codes[~bad], ts[~bad]
+    # the ids and posts share the file's vocabulary; _CodedEvents ranks the
+    # ones each column uses
+    return _CodedEvents(values, values, codes[:, 0], codes[:, 1], codes[:, 2], ts)
 
 
 def _stamp(t: float) -> str:

@@ -137,8 +137,9 @@ def build_graph(edges: Iterable[tuple], diagnostics: Counter | None = None) -> L
     duplicate reblog edges accumulate weight. Malformed entries are
     skipped and counted, and so is an edge with an id that no
     comma-separated table could hold: one with a comma, or with
-    whitespace at either end. The entries go to `_edge_graph` as one
-    chunk; one that is not four hashable fields is malformed at once.
+    whitespace at either end. The entries go to `_edge_graph` coded by
+    `ingest._codes`; one that is not four hashable fields is malformed at
+    once.
     """
     if diagnostics is None:
         diagnostics = Counter()
@@ -152,66 +153,57 @@ def build_graph(edges: Iterable[tuple], diagnostics: Counter | None = None) -> L
             diagnostics["malformed_edges"] += 1
             continue
         fields += row
-    return _edge_graph([_codes(fields, 4)], diagnostics)
+    return _edge_graph(*_codes(fields, 4), diagnostics)
 
 
-def _edge_graph(chunks: Iterable[tuple[np.ndarray, list]], diagnostics: Counter) -> LayeredGraph:
-    """build_graph's graph of (src, dst, weight, layer) rows given as
-    chunks, each a (rows, 4) array of codes into the chunk's distinct
-    values; each distinct id, weight and layer of a chunk is checked or
-    parsed once."""
-    index: dict[str, int] = {}
-    pairs = {name: ([np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)],
-                    [np.empty(0)]) for name in LAYERS}
-    for codes, values in chunks:
-        n = len(values)
-        good_id = np.zeros(n, dtype=bool)
-        ids = _used(codes[:, :2], n)
-        good_id[ids] = [node != "" and "," not in node and node == node.strip()
-                        for node in map(values.__getitem__, ids.tolist())]
-        weight, good_weight = np.zeros(n), np.zeros(n, dtype=bool)
-        for i in _used(codes[:, 2], n).tolist():
-            try:
-                weight[i] = float(values[i])
-            except (TypeError, ValueError):
-                continue
-            good_weight[i] = True
-        layer = np.full(n, -1)
-        for j, name in enumerate(LAYERS):
-            if name in values:
-                layer[values.index(name)] = j
-        kept = (good_id[codes[:, 0]] & good_id[codes[:, 1]] & good_weight[codes[:, 2]]
-                & (layer[codes[:, 3]] >= 0))
-        if not kept.all():
-            diagnostics["malformed_edges"] += int(np.count_nonzero(~kept))
-            codes = codes[kept]
-        # the ends of kept edges join the nodes in first-seen order, src
-        # before dst
-        seen = codes[:, :2].ravel()
-        first = np.full(n, len(seen))
-        np.minimum.at(first, seen, np.arange(len(seen)))
-        ends = np.flatnonzero(first < len(seen))
-        ends = ends[np.argsort(first[ends])]
-        node = np.zeros(n, dtype=np.int64)
-        node[ends] = [index.setdefault(values[i], len(index)) for i in ends.tolist()]
-        u, v = node[codes[:, 0]], node[codes[:, 1]]
-        loop = u == v
-        if loop.any():
-            diagnostics["self_loops_dropped"] += int(np.count_nonzero(loop))
-        for j, name in enumerate(LAYERS):
-            edge = ~loop & (layer[codes[:, 3]] == j)
-            for column, entries in zip(pairs[name], (u, v, weight[codes[:, 2]])):
-                column.append(entries[edge])
-    n = len(index)
+def _edge_graph(codes: np.ndarray, values: list, diagnostics: Counter) -> LayeredGraph:
+    """build_graph's graph of (src, dst, weight, layer) rows given as a
+    (rows, 4) array of codes into their distinct values; each distinct id,
+    weight and layer is checked or parsed once."""
+    n = len(values)
+    good_id = np.zeros(n, dtype=bool)
+    ids = _used(codes[:, :2], n)
+    good_id[ids] = [node != "" and "," not in node and node == node.strip()
+                    for node in map(values.__getitem__, ids.tolist())]
+    weight, good_weight = np.zeros(n), np.zeros(n, dtype=bool)
+    for i in _used(codes[:, 2], n).tolist():
+        try:
+            weight[i] = float(values[i])
+        except (TypeError, ValueError):
+            continue
+        good_weight[i] = True
+    layer = np.full(n, -1)
+    for j, name in enumerate(LAYERS):
+        if name in values:
+            layer[values.index(name)] = j
+    kept = (good_id[codes[:, 0]] & good_id[codes[:, 1]] & good_weight[codes[:, 2]]
+            & (layer[codes[:, 3]] >= 0))
+    if not kept.all():
+        diagnostics["malformed_edges"] += int(np.count_nonzero(~kept))
+        codes = codes[kept]
+    # the ends of kept edges are the nodes, numbered in first-seen order,
+    # src before dst
+    seen = codes[:, :2].ravel()
+    first = np.full(n, len(seen))
+    np.minimum.at(first, seen, np.arange(len(seen)))
+    ends = np.flatnonzero(first < len(seen))
+    ends = ends[np.argsort(first[ends])]
+    node = np.zeros(n, dtype=np.int64)
+    node[ends] = np.arange(len(ends))
+    u, v = node[codes[:, 0]], node[codes[:, 1]]
+    loop = u == v
+    if loop.any():
+        diagnostics["self_loops_dropped"] += int(np.count_nonzero(loop))
+    n_nodes = len(ends)
     layers = {}
-    for name, columns in pairs.items():
-        us, vs, ws = map(np.concatenate, columns)
-        keys, inverse = np.unique(us * n + vs, return_inverse=True)
+    for j, name in enumerate(LAYERS):
+        edge = ~loop & (layer[codes[:, 3]] == j)
+        keys, inverse = np.unique(u[edge] * n_nodes + v[edge], return_inverse=True)
         # bincount adds each pair's weights in input order
-        weights = (np.bincount(inverse, weights=ws, minlength=len(keys)) if name == REBLOG
-                   else np.ones(len(keys)))
-        layers[name] = _Layer(n, *divmod(keys, n), weights)
-    return LayeredGraph(list(index), layers)
+        weights = (np.bincount(inverse, weights=weight[codes[edge, 2]], minlength=len(keys))
+                   if name == REBLOG else np.ones(len(keys)))
+        layers[name] = _Layer(n_nodes, *divmod(keys, n_nodes), weights)
+    return LayeredGraph([values[i] for i in ends.tolist()], layers)
 
 
 def load_graph(path: str, diagnostics: Counter | None = None) -> LayeredGraph:
@@ -221,10 +213,12 @@ def load_graph(path: str, diagnostics: Counter | None = None) -> LayeredGraph:
     build_graph drops: the graph is build_graph's over the rows, node
     order included.
 
-    The file is read in chunks (see `ingest._coded_rows`)."""
+    The file is read in chunks (see `ingest._coded_rows`) into codes into
+    its distinct values, so each distinct id, weight and layer of the file
+    is checked or parsed once."""
     if diagnostics is None:
         diagnostics = Counter()
-    return _edge_graph(_coded_rows(path, 4, "malformed_lines", diagnostics), diagnostics)
+    return _edge_graph(*_coded_rows(path, 4, "malformed_lines", diagnostics), diagnostics)
 
 
 def write_edge_tsv(g: LayeredGraph, path: str) -> None:

@@ -9,7 +9,7 @@ import io
 import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
-from itertools import chain, count
+from itertools import chain, count, filterfalse
 
 import numpy as np
 
@@ -76,8 +76,8 @@ def _decoded(raw, diagnostics: Counter | None = None) -> Iterator[str]:
             yield line
 
 
-# bytes read at a time by _coded_rows; a smaller chunk merges its distinct
-# values into the reader's vocabulary more often, a larger one holds more
+# bytes read at a time by _file_codes; a smaller chunk looks up its values
+# in the file's vocabulary more often, a larger one holds more
 _CHUNK = 1 << 20
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -86,25 +86,45 @@ _MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
 
 
 def _coded_rows(path: str, width: int, reason: str,
-                diagnostics: Counter) -> Iterator[tuple[np.ndarray, list[str]]]:
-    """The rows of `width` tab-separated fields of the file at `path`, a
-    chunk of about _CHUNK bytes at a time: per chunk, a (rows, width) array
-    of codes into a list of the chunk's distinct field values, equal
-    values sharing a code.
+                diagnostics: Counter) -> tuple[np.ndarray, list[str]]:
+    """The rows of `width` tab-separated fields of the file at `path`, as a
+    (rows, width) int32 array of codes into the list of the file's distinct
+    field values in first-seen order, equal values sharing a code.
 
     The rows are those that `decoded_lines` and `str.split` give, and a
     line with another number of fields is skipped and counted under
-    `reason`. A chunk that is valid UTF-8, holds no CR but in a CRLF and
-    whose every line has width - 1 tabs has its fields found in bulk and
-    coded by their bytes, so only its distinct values are decoded; any
-    other chunk is read line by line.
+    `reason`. The file is read a chunk of about _CHUNK bytes at a time
+    (see `_file_codes`). A chunk that is valid UTF-8, holds no CR but in a
+    CRLF and whose every line has width - 1 tabs has its fields found in
+    bulk and coded by their bytes, so only its distinct values are
+    decoded; any other chunk is read line by line.
     """
+    return _file_codes(path, width, lambda chunk: _coded_spans(chunk, width),
+                       lambda chunk: _coded_lines(chunk, width, reason, diagnostics))
+
+
+def _file_codes(path: str, width: int, bulk: Callable,
+                by_line: Callable) -> tuple[np.ndarray, list[str]]:
+    """The file at `path` read a chunk at a time (see `_chunks`), each chunk
+    coded by `bulk`, or by `by_line` where `bulk` gives None, into a (rows,
+    width) array of codes into the chunk's distinct values in first-seen
+    order, as one (rows, width) int32 array of codes into the file's
+    distinct values in first-seen order: the one step where a chunk's
+    codes become the file's."""
+    vocabulary: dict[str, int] = {}
+    parts = [np.empty((0, width), dtype=np.int32)]
     with open(path, "rb") as fh:
         for chunk in _chunks(fh, _CHUNK):
-            coded = _coded_spans(chunk, width)
-            if coded is None:
-                coded = _coded_lines(chunk, width, reason, diagnostics)
-            yield coded
+            coded = bulk(chunk)
+            codes, values = coded if coded is not None else by_line(chunk)
+            # the chunk's values new to the file take the next codes, in
+            # the chunk's order
+            vocabulary.update(zip(filterfalse(vocabulary.__contains__, values),
+                                  count(len(vocabulary))))
+            code = np.fromiter(map(vocabulary.__getitem__, values), dtype=np.int32,
+                               count=len(values))
+            parts.append(code[codes])
+    return np.concatenate(parts), list(vocabulary)
 
 
 def _chunks(fh, size: int) -> Iterator[bytes]:
@@ -435,40 +455,25 @@ def read_query_log(path: str, diagnostics: Counter | None = None) -> _CodedLog:
     and tallied, and so are lines that are not valid UTF-8 (see
     `decoded_lines`).
 
-    The file is read a chunk at a time (see `_coded_rows`), and each
-    chunk's good rows are coded by raw query and host; then each distinct
-    raw query is normalized once and each distinct host resolved to its
+    The file is read a chunk at a time (see `_file_codes`) and coded by
+    raw query and URL host (see `_log_spans`); then each distinct raw query
+    of the file is normalized once and each distinct host resolved to its
     blog once.
     """
     if diagnostics is None:
         diagnostics = Counter()
-    raw_queries: dict[str, int] = {}
-    hosts: dict[str, int] = {}
-    query_cols, host_cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    with open(path, "rb") as fh:
-        for chunk in _chunks(fh, _CHUNK):
-            coded = _log_spans(chunk, diagnostics)
-            if coded is None:
-                coded = _log_lines(chunk, diagnostics)
-            codes, values = coded
-            query, host = np.split(codes, 2)
-            # the queries come first, so they hold the codes below n, in the
-            # order the queries were first seen
-            n = int(query.max()) + 1 if len(query) else 0
-            raw_code = np.fromiter((raw_queries.setdefault(q, len(raw_queries)) for q in values[:n]),
-                                   dtype=np.int64, count=n)
-            used = _used(host, len(values))
-            host_code = np.empty(len(values), dtype=np.int64)
-            host_code[used] = [hosts.setdefault(values[c], len(hosts)) for c in used.tolist()]
-            query_cols.append(raw_code[query])
-            host_cols.append(host_code[host])
+    codes, values = _file_codes(path, 2, lambda chunk: _log_spans(chunk, diagnostics),
+                                lambda chunk: _log_lines(chunk, diagnostics))
     queries: dict[str, int] = {}
-    query_of = np.array([queries.setdefault(normalize_query(q), len(queries))
-                         for q in raw_queries], dtype=np.int64)
+    query_of = np.zeros(len(values), dtype=np.int64)
+    used = _used(codes[:, 0], len(values)).tolist()
+    query_of[used] = [queries.setdefault(normalize_query(values[c]), len(queries)) for c in used]
     blogs: dict[str, int] = {}
-    blog_of = np.array([-1 if b is None else blogs.setdefault(b, len(blogs))
-                        for b in map(blog_id_from_url, hosts)], dtype=np.int64)
-    query, blog = query_of[np.concatenate(query_cols)], blog_of[np.concatenate(host_cols)]
+    blog_of = np.zeros(len(values), dtype=np.int64)
+    used = _used(codes[:, 1], len(values)).tolist()
+    blog_of[used] = [-1 if b is None else blogs.setdefault(b, len(blogs))
+                     for b in (blog_id_from_url(values[c]) for c in used)]
+    query, blog = query_of[codes[:, 0]], blog_of[codes[:, 1]]
     platform = blog >= 0
     if not platform.all():
         diagnostics["non_platform_urls"] += int(np.count_nonzero(~platform))
@@ -476,10 +481,10 @@ def read_query_log(path: str, diagnostics: Counter | None = None) -> _CodedLog:
 
 
 def _log_spans(chunk: bytes, diagnostics: Counter) -> tuple[np.ndarray, list[str]] | None:
-    """The queries, then the hosts, of the chunk's good log rows, coded
-    from their bytes by `_span_codes` into one list of distinct values;
-    None, having counted nothing, for a chunk that `_field_spans` or
-    `_span_codes` cannot read.
+    """The query and the host of each of the chunk's good log rows, as a
+    (rows, 2) array of codes from their bytes by `_span_codes` into one
+    list of distinct values; None, having counted nothing, for a chunk that
+    `_field_spans` or `_span_codes` cannot read.
 
     A timestamp of 1 to 32 ASCII digits is good as it stands; any other is
     decoded and parsed. A host is cut from its URL's bytes as `_host` cuts
@@ -510,9 +515,12 @@ def _log_spans(chunk: bytes, diagnostics: Counter) -> tuple[np.ndarray, list[str
     host_end = np.minimum(slash[np.searchsorted(slash, host)], end)
     coded = _span_codes(chunk, np.concatenate((starts[rows, 1], host)),
                         np.concatenate((lengths[rows, 1], host_end - host)))
-    if coded is not None and len(rows) < len(good):
+    if coded is None:
+        return None
+    if len(rows) < len(good):
         diagnostics["malformed_lines"] += len(good) - len(rows)
-    return coded
+    codes, values = coded
+    return codes.reshape(2, -1).T, values
 
 
 def _digit_spans(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -544,7 +552,7 @@ def _log_lines(chunk: bytes, diagnostics: Counter) -> tuple[np.ndarray, list[str
         diagnostics["malformed_lines"] += len(codes) - len(rows)
     fields = [values[c] for c in rows[:, 1].tolist()] + [host_of[c] for c in rows[:, 2].tolist()]
     codes, values = _codes(fields, 1)
-    return codes.ravel(), values
+    return codes.reshape(2, -1).T, values
 
 
 def _stamp_ok(text: str) -> bool:

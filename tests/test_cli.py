@@ -454,6 +454,32 @@ def test_intervene_degree_requires_edges(fixture_dir, tmp_path, capsys):
     assert "--edges" in capsys.readouterr().err
 
 
+ROLES_MESSAGE = "provide --labels, or both --partition and --role-map"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["intervene", "--events", "{gone}/events.tsv", "--labels", "{gone}/labels.csv",
+      "--strategy", "degree"], "--edges is required for the degree strategy"),
+    (["connectivity", "--edges", "{gone}/edges.tsv", "--labels", "{gone}/labels.csv",
+      "--mode", "null_ratio"], "--seed is required for null_ratio"),
+    (["connectivity", "--edges", "{gone}/edges.tsv", "--partition", "{gone}/partition.csv"],
+     ROLES_MESSAGE),
+    (["diffusion", "--edges", "{gone}/edges.tsv", "--events", "{gone}/events.tsv"],
+     ROLES_MESSAGE),
+    (["intervene", "--config", "{gone}/intervene.cfg", "--events", "{gone}/events.tsv"],
+     ROLES_MESSAGE),
+], ids=["degree-without-edges", "null-ratio-without-seed", "connectivity-without-roles",
+        "diffusion-without-roles", "intervene-without-roles"])
+def test_usage_error_before_any_input_is_read(tmp_path, capsys, argv, message):
+    """A usage error exits 2, with only its message, even when the inputs
+    it names do not exist: the options are checked before any file is read."""
+    gone = tmp_path / "missing"
+    rc = main([arg.format(gone=gone) for arg in argv] + ["--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_intervene_greedy(fixture_dir, tmp_path):
     out = tmp_path / "greedy.csv"
     rc = main(["intervene", "--events", str(fixture_dir / "events.tsv"),

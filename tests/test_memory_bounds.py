@@ -2,12 +2,13 @@
 `build_trees` and `rank_by_volume` on the seed-11 fixture at 4x scale
 (every group size times 4, every block probability divided by 4), each
 bounded by a stated multiple of the bytes of the function's input arrays,
-the peak of `read_events_tsv` on that fixture's events file, bounded
-by a multiple of the bytes of its output columns plus one chunk, the
-peak of `read_query_log` on a tiled query log, bounded by a multiple of
-the bytes of its row columns plus one chunk, and the peak of
-`synth_events` on the M recipe, bounded by a multiple of the bytes of its
-output columns.
+the peak of `read_events_tsv` on that fixture's events file, bounded by a
+multiple of the bytes of its output columns plus one chunk, the peak of
+`load_graph` on its edges file, bounded by a multiple of the bytes of its
+output layers plus one chunk, the peak of `read_query_log` on a tiled
+query log, bounded by a multiple of the bytes of its row columns plus one
+chunk, and the peak of `synth_events` on the M recipe, bounded by a
+multiple of the bytes of its output columns.
 
 Each function keeps little of what it allocates, so its peak is set by
 its temporaries: clustering's row-block product, the per-event arrays of
@@ -20,24 +21,35 @@ square at this scale, a forest build that kept every event-length array
 alive to the end, and a ranking that held every ancestor level's pairs at
 once.
 
-`read_events_tsv` holds one chunk of the file at a time, and coding a chunk
-takes about a dozen arrays of one 8-byte entry per field, about 12.6 times
-the chunk's bytes for events.tsv; its output columns are concatenated from
-the chunks' at the end. On the 4x file (1.9 MB, 52,127 rows) its peak is
-about 5.6 times the output columns plus one chunk; the line-by-line reader
-it replaced peaked at 7.6 times its output columns alone.
+`read_events_tsv` holds one chunk of the file at a time, the int32 codes
+of the rows read so far and the file's vocabulary of distinct values.
+Coding a chunk takes about a dozen arrays of one 8-byte entry per field,
+about 12.6 times the chunk's bytes for events.tsv, and the chunks' codes
+are concatenated at the end. On the 4x file (1.7 MB, 47,802 rows) its
+peak is 14.8 MB, about 5.7 times the output columns plus one chunk, as it
+was when each chunk was merged into dicts of ids and posts by its
+reader; the line-by-line reader it replaced peaked at 7.6 times its
+output columns alone. On the M file (9.7 MB, 258,252 rows) its peak
+is 20.4 MB, against 21.1 MB with those dicts.
 
-`read_query_log` holds an int64 query code and host code for every row
+`load_graph` holds the same: one chunk of edges.tsv, the codes of the
+rows read so far and the file's vocabulary. On the 4x file (376 kB,
+18,308 edges, so one chunk) its peak is 7.4 MB, 4.90 times the bytes of
+the output layers' arrays plus one chunk, both now and when the edge
+kernel merged each chunk into a dict of node ids itself.
+
+`read_query_log` holds an int32 query code and host code for every row
 until it normalizes each distinct query and resolves each distinct host at
 the end; its output, the distinct (blog, query) pairs, is far smaller.
 Coding a chunk's query and host spans takes about two dozen arrays of one
 8-byte entry per span. On the test's log (120 renamed copies of the
-closure fixture's log: 49,320 rows, 3.4 MB) its peak is 11.6 MB, about 6.3
-times 16 bytes a row plus one chunk; the line-by-line reader it replaced
-peaked at 7.2 MB, 3.9 times. On the 617k-row, 47.6 MB log of the
-extract-log benchmark at seed 7, a fresh process's max RSS rises from
-28 MB to 128 MB while it reads the log, against 124 MB with the
-line-by-line reader.
+closure fixture's log: 49,320 rows, 3.4 MB) its peak is 11.3 MB, about 6.1
+times 16 bytes a row plus one chunk (11.6 MB, 6.3 times, when it held
+int64 codes and merged each chunk into dicts of queries and hosts); the
+line-by-line reader it replaced peaked at 7.2 MB, 3.9 times. On the
+617k-row, 47.6 MB log of the extract-log benchmark at seed 7, a fresh
+process's max RSS rises from 28 MB to 128 MB while it reads the log,
+against 124 MB with the line-by-line reader.
 
 `synth_events` on the M recipe (16x) peaks at 11.7 MB, 1.42 times its
 output columns (258,252 events); taking each wave's pairs all at once
@@ -58,7 +70,7 @@ from devgraph import ingest
 from devgraph.diffusion import build_trees, producer_nodes, read_events_tsv, write_events_tsv
 from devgraph.ingest import read_query_log
 from devgraph.community import _projection
-from devgraph.graph import FOLLOW, _triangles, gwcc, id_mask
+from devgraph.graph import FOLLOW, LAYERS, _triangles, gwcc, id_mask, load_graph, write_edge_tsv
 from devgraph.intervention import rank_by_volume
 from devgraph.synth import SynthConfig, closure_fixture, planted_graph, synth_events
 
@@ -73,6 +85,7 @@ RANK_BY_VOLUME_BOUND = 3
 # peak over output column bytes plus one chunk
 READ_EVENTS_BOUND = 8
 READ_QUERY_LOG_BOUND = 8
+LOAD_GRAPH_BOUND = 6
 # peak over output column bytes
 SYNTH_EVENTS_BOUND = 1.75
 # renamed copies of the closure fixture's log in the query-log input
@@ -145,6 +158,16 @@ def test_read_events_tsv_peak(fixture, tmp_path):
     assert peak_bytes(read_events_tsv, path) <= bound
 
 
+def test_load_graph_peak(fixture, tmp_path):
+    g, _events, _producers = fixture
+    path = str(tmp_path / "edges.tsv")
+    write_edge_tsv(g, path)
+    layers = [load_graph(path).layer(name) for name in LAYERS]
+    bound = LOAD_GRAPH_BOUND * (sum(nbytes(lay.src, lay.dst, lay.weight, lay.out_indptr)
+                                    for lay in layers) + ingest._CHUNK)
+    assert peak_bytes(load_graph, path) <= bound
+
+
 def test_read_query_log_peak(tmp_path):
     """The closure fixture's log and renamed copies of it, each with a
     letters-only token on every query and before every blog host, as the
@@ -158,7 +181,7 @@ def test_read_query_log_peak(tmp_path):
             fh.writelines(f"{copy * len(rows) + i}\t{query} {token}\t"
                           f"{url.replace('http://', 'http://' + token, 1)}\t{region}\n"
                           for i, (_ts, query, url, region) in enumerate(rows))
-    # the reader holds an int64 query and host code for every row
+    # 16 bytes a row: an int64 query and host code, twice what the reader holds
     bound = READ_QUERY_LOG_BOUND * (16 * LOG_COPIES * len(rows) + ingest._CHUNK)
     assert peak_bytes(read_query_log, str(path)) <= bound
 

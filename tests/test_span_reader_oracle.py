@@ -1,13 +1,17 @@
 """`read_events_tsv` and `load_graph`, which read their files in chunks
-through `ingest._coded_rows`, against the line-by-line readers they
-replaced, kept here verbatim as oracles.
+through `ingest._coded_rows` into one array of codes into the file's
+distinct values, each of which they check or parse once, against the
+line-by-line readers they replaced, kept here verbatim as oracles; and
+`_coded_rows` itself against line-by-line reading.
 
 Hypothesis writes event and edge files with clean rows and rows of 3 or 5
 fields, CR, CRLF and blank-line breaks, NUL bytes, lone CRs, tabs and LFs
-put in anywhere, bytes that are not UTF-8, a missing final LF, timestamps and weights that do not parse or are
-NaN, bad layers and ids with a comma or whitespace at either end. The chunk
-size is patched down to 1-64 bytes, so that chunk cuts fall inside lines
-and one file mixes chunks read in bulk with chunks read line by line.
+put in anywhere, bytes that are not UTF-8, a missing final LF, timestamps
+and weights that do not parse or are NaN, bad layers and ids with a comma
+or whitespace at either end. The chunk size is patched down to 1-64 bytes,
+so that chunk cuts fall inside lines, one file mixes chunks read in bulk
+with chunks read line by line, and most values recur in later chunks,
+where the file's vocabulary must give them the codes they got first.
 Every comparison is exact: ids and posts (node order for the graph),
 every array byte for byte, and the counters.
 """
@@ -216,6 +220,34 @@ def test_events_reader_matches_oracle(data, size):
 @given(damaged(edge_files()), st.integers(1, 64))
 def test_graph_loader_matches_oracle(data, size):
     assert_same_loads(data, size)
+
+
+@settings(max_examples=400, deadline=None)
+@given(damaged(st.one_of(event_files(), edge_files())), st.integers(1, 64),
+       st.integers(3, 5))
+def test_coded_rows_codes_the_file_into_one_vocabulary(data, size, width):
+    """`_coded_rows` gives one int32 array of codes into the file's
+    distinct values, listed once each in first-seen order, and the values
+    of the codes are the rows of reading the file line by line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "in.tsv")
+        Path(path).write_bytes(data)
+        got_diagnostics, want_diagnostics = Counter(), Counter()
+        with chunk_size(size):
+            codes, values = ingest._coded_rows(path, width, "bad_rows", got_diagnostics)
+        want = []
+        for line in decoded_lines(path, want_diagnostics):
+            row = line.split("\t")
+            if len(row) == width:
+                want.append(row)
+            else:
+                want_diagnostics["bad_rows"] += 1
+    assert codes.dtype == np.int32 and codes.shape == (len(want), width)
+    assert len(set(values)) == len(values)
+    # each code first appears, in row-major order, after every smaller one
+    assert list(dict.fromkeys(codes.ravel().tolist())) == list(range(len(values)))
+    assert [[values[c] for c in row] for row in codes.tolist()] == want
+    assert dict(got_diagnostics) == dict(want_diagnostics)
 
 
 @pytest.fixture(scope="module")
