@@ -93,30 +93,35 @@ def _coded_rows(path: str, width: int, reason: str,
 
     The rows are those that `decoded_lines` and `str.split` give, and a
     line with another number of fields is skipped and counted under
-    `reason`. The file is read a chunk of about _CHUNK bytes at a time
-    (see `_file_codes`). A chunk that is valid UTF-8, holds no CR but in a
-    CRLF and whose every line has width - 1 tabs has its fields found in
-    bulk and coded by their bytes, so only its distinct values are
-    decoded; any other chunk is read line by line.
+    `reason`. The file is read a chunk of about _CHUNK bytes at a time, and
+    every chunk's fields are coded by their bytes, so only its distinct
+    values are decoded (see `_file_codes`).
     """
-    return _file_codes(path, width, lambda chunk: _coded_spans(chunk, width),
-                       lambda chunk: _coded_lines(chunk, width, reason, diagnostics))
+    codes, values = _file_codes(path, width, reason, diagnostics, _span_codes)
+    return codes.reshape(-1, width), values
 
 
-def _file_codes(path: str, width: int, bulk: Callable,
-                by_line: Callable) -> tuple[np.ndarray, list[str]]:
-    """The file at `path` read a chunk at a time (see `_chunks`), each chunk
-    coded by `bulk`, or by `by_line` where `bulk` gives None, into a (rows,
-    width) array of codes into the chunk's distinct values in first-seen
-    order, as one (rows, width) int32 array of codes into the file's
-    distinct values in first-seen order: the one step where a chunk's
-    codes become the file's."""
+def _file_codes(path: str, width: int, reason: str, diagnostics: Counter,
+                coder: Callable) -> tuple[np.ndarray, list[str]]:
+    """The file at `path` read a chunk at a time (see `_chunks`) as one flat
+    int32 array of codes into the file's distinct values in first-seen
+    order: the one step where a chunk's codes become the file's.
+
+    Each chunk's fields of `width` to a line are found by `_field_spans`,
+    after `_clean` for a chunk that it cannot read, and coder(chunk,
+    starts, lengths) codes them into the chunk's distinct values in
+    first-seen order."""
     vocabulary: dict[str, int] = {}
-    parts = [np.empty((0, width), dtype=np.int32)]
+    parts = [np.empty(0, dtype=np.int32)]
     with open(path, "rb") as fh:
         for chunk in _chunks(fh, _CHUNK):
-            coded = bulk(chunk)
-            codes, values = coded if coded is not None else by_line(chunk)
+            spans = _field_spans(chunk, width)
+            if spans is None:
+                chunk = _clean(chunk, width, reason, diagnostics)
+                if not chunk:
+                    continue
+                spans = _field_spans(chunk, width)
+            codes, values = coder(*spans)
             # the chunk's values new to the file take the next codes, in
             # the chunk's order
             vocabulary.update(zip(filterfalse(vocabulary.__contains__, values),
@@ -143,17 +148,16 @@ def _chunks(fh, size: int) -> Iterator[bytes]:
         yield b"".join(parts)
 
 
-def _coded_lines(chunk: bytes, width: int, reason: str,
-                 diagnostics: Counter) -> tuple[np.ndarray, list[str]]:
-    """The chunk's rows coded from its lines as `decoded_lines` gives them."""
-    fields: list[str] = []
-    for line in _decoded(io.BytesIO(chunk), diagnostics):
-        row = line.split("\t")
-        if len(row) == width:
-            fields += row
-        else:
-            diagnostics[reason] += 1
-    return _codes(fields, width)
+def _clean(chunk: bytes, width: int, reason: str, diagnostics: Counter) -> bytes:
+    """The chunk's lines of `width` tab-separated fields, as `decoded_lines`
+    gives them, each ended by an LF; every other line is skipped and
+    counted under `reason`, or as `undecodable_lines` if it is not valid
+    UTF-8."""
+    lines = list(_decoded(io.BytesIO(chunk), diagnostics))
+    good = [line + "\n" for line in lines if line.count("\t") == width - 1]
+    if len(good) < len(lines):
+        diagnostics[reason] += len(lines) - len(good)
+    return "".join(good).encode("utf-8")
 
 
 def _codes(fields: list, width: int) -> tuple[np.ndarray, list]:
@@ -197,20 +201,6 @@ def _words(chunk: bytes) -> np.ndarray:
     return np.ndarray(len(chunk), dtype="<u8", buffer=chunk + bytes(8), strides=(1,))
 
 
-def _coded_spans(chunk: bytes, width: int) -> tuple[np.ndarray, list[str]] | None:
-    """The chunk's rows coded from the bytes of their fields (see
-    `_field_spans` and `_span_codes`), or None for a chunk that they cannot
-    code."""
-    spans = _field_spans(chunk, width)
-    if spans is None:
-        return None
-    coded = _span_codes(*spans)
-    if coded is None:
-        return None
-    codes, values = coded
-    return codes.reshape(-1, width), values
-
-
 def _field_spans(chunk: bytes, width: int) -> tuple[bytes, np.ndarray, np.ndarray] | None:
     """The chunk, ended by an LF, with the start and length of each of its
     fields in row-major order, as `decoded_lines` and `str.split` give
@@ -241,15 +231,15 @@ def _field_spans(chunk: bytes, width: int) -> tuple[bytes, np.ndarray, np.ndarra
 
 
 def _span_codes(chunk: bytes, starts: np.ndarray,
-                lengths: np.ndarray) -> tuple[np.ndarray, list[str]] | None:
+                lengths: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """The spans of `chunk` at `starts` of `lengths` bytes as codes into the
-    list of their distinct values in first-seen order; None if their keys
-    collide. Each span must be valid UTF-8, hold no tab and end before the
-    chunk does.
+    list of their distinct values in first-seen order. Each span must be
+    valid UTF-8, hold no tab and end before the chunk does.
 
     Each span's bytes are read as little-endian 64-bit words, masked past
     its end, and folded with its length into a key; spans with equal keys
-    share a code once their words and lengths are checked equal."""
+    share a code once their words and lengths are checked equal. Spans
+    whose keys collide are decoded, all of them, and coded by their text."""
     if not len(starts):
         return np.empty(0, dtype=np.int64), []
     words = _words(chunk)
@@ -284,20 +274,25 @@ def _span_codes(chunk: bytes, starts: np.ndarray,
     if not (np.array_equal(lengths[rep], lengths) and np.array_equal(first_words[rep], first_words)
             and all(np.array_equal(word(k, spans), word(k, rep[spans]))
                     for k, spans in enumerate(longer, 1))):
-        return None
-    # the spans that stand for the codes, each with the byte after it made
-    # a tab, decode at once; their byte indices are a running sum of steps
-    # of 1 that jump at each span's start, one array the size of the text
+        codes, values = _codes(_span_text(chunk, starts, lengths), 1)
+        return codes.ravel(), values
+    return codes, _span_text(chunk, starts[first], lengths[first])
+
+
+def _span_text(chunk: bytes, at: np.ndarray, lengths: np.ndarray) -> list[str]:
+    """The text of the spans of `chunk` at `at` of `lengths` bytes (see
+    `_span_codes`), decoded at once: each with the byte after it made a
+    tab, their byte indices are a running sum of steps of 1 that jump at
+    each span's start, one array the size of the text."""
     data = np.frombuffer(chunk, dtype=np.uint8)
-    at, size = starts[first], lengths[first] + 1
+    size = lengths + 1
     end = np.cumsum(size)
     index = np.ones(end[-1], dtype=np.int64)
     index[0] = at[0]
     index[end[:-1]] = at[1:] - (at[:-1] + size[:-1]) + 1
     text = data[np.cumsum(index, out=index)]
     text[end - 1] = 9
-    values = text.tobytes().decode("utf-8").split("\t")[:-1]
-    return codes, values
+    return text.tobytes().decode("utf-8").split("\t")[:-1]
 
 
 def _csv_rows(path: str, header: str, reason: str, parse: Callable,
@@ -455,15 +450,16 @@ def read_query_log(path: str, diagnostics: Counter | None = None) -> _CodedLog:
     and tallied, and so are lines that are not valid UTF-8 (see
     `decoded_lines`).
 
-    The file is read a chunk at a time (see `_file_codes`) and coded by
-    raw query and URL host (see `_log_spans`); then each distinct raw query
-    of the file is normalized once and each distinct host resolved to its
-    blog once.
+    The file is read a chunk at a time (see `_file_codes`), and each
+    chunk's good rows are coded by raw query and URL host from their bytes
+    (see `_log_spans`); then each distinct raw query of the file is
+    normalized once and each distinct host resolved to its blog once.
     """
     if diagnostics is None:
         diagnostics = Counter()
-    codes, values = _file_codes(path, 2, lambda chunk: _log_spans(chunk, diagnostics),
-                                lambda chunk: _log_lines(chunk, diagnostics))
+    codes, values = _file_codes(path, 4, "malformed_lines", diagnostics,
+                                lambda *spans: _log_spans(*spans, diagnostics))
+    codes = codes.reshape(-1, 2)
     queries: dict[str, int] = {}
     query_of = np.zeros(len(values), dtype=np.int64)
     used = _used(codes[:, 0], len(values)).tolist()
@@ -480,20 +476,17 @@ def read_query_log(path: str, diagnostics: Counter | None = None) -> _CodedLog:
     return _CodedLog(list(queries), list(blogs), query[platform], blog[platform])
 
 
-def _log_spans(chunk: bytes, diagnostics: Counter) -> tuple[np.ndarray, list[str]] | None:
-    """The query and the host of each of the chunk's good log rows, as a
-    (rows, 2) array of codes from their bytes by `_span_codes` into one
-    list of distinct values; None, having counted nothing, for a chunk that
-    `_field_spans` or `_span_codes` cannot read.
+def _log_spans(chunk: bytes, starts: np.ndarray, lengths: np.ndarray,
+               diagnostics: Counter) -> tuple[np.ndarray, list[str]]:
+    """The query and the host of each good log row of the chunk's fields
+    at `starts` of `lengths` bytes, four to a row (see `_field_spans`), as
+    flat row-major codes from their bytes by `_span_codes` into one list of
+    distinct values; every other row is counted as malformed_lines.
 
     A timestamp of 1 to 32 ASCII digits is good as it stands; any other is
     decoded and parsed. A host is cut from its URL's bytes as `_host` cuts
     it from the text: `:` and `/` are ASCII, so no byte of a multibyte
     character matches them. No URL and no region is decoded."""
-    spans = _field_spans(chunk, 4)
-    if spans is None:
-        return None
-    chunk, starts, lengths = spans
     starts, lengths = starts.reshape(-1, 4), lengths.reshape(-1, 4)
     good = _digit_spans(_words(chunk), starts[:, 0], lengths[:, 0])
     for i in np.flatnonzero(~good).tolist():
@@ -501,6 +494,8 @@ def _log_spans(chunk: bytes, diagnostics: Counter) -> tuple[np.ndarray, list[str
         good[i] = _stamp_ok(chunk[at:at + int(lengths[i, 0])].decode("utf-8"))
     good &= lengths[:, 2] > 0
     rows = np.flatnonzero(good)
+    if len(rows) < len(good):
+        diagnostics["malformed_lines"] += len(good) - len(rows)
     url, end = starts[rows, 2], starts[rows, 2] + lengths[rows, 2]
     data = np.frombuffer(chunk, dtype=np.uint8)
     slash = np.flatnonzero(data == 47)
@@ -513,14 +508,9 @@ def _log_spans(chunk: bytes, diagnostics: Counter) -> tuple[np.ndarray, list[str
     host = np.where(after <= end, after, url)
     slash = np.append(slash, len(data))
     host_end = np.minimum(slash[np.searchsorted(slash, host)], end)
-    coded = _span_codes(chunk, np.concatenate((starts[rows, 1], host)),
-                        np.concatenate((lengths[rows, 1], host_end - host)))
-    if coded is None:
-        return None
-    if len(rows) < len(good):
-        diagnostics["malformed_lines"] += len(good) - len(rows)
-    codes, values = coded
-    return codes.reshape(2, -1).T, values
+    codes, values = _span_codes(chunk, np.concatenate((starts[rows, 1], host)),
+                                np.concatenate((lengths[rows, 1], host_end - host)))
+    return codes.reshape(2, -1).T.ravel(), values
 
 
 def _digit_spans(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -535,24 +525,6 @@ def _digit_spans(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> 
         past = np.arange(8) >= (lengths[at] - 8 * k)[:, None]
         digits[at] = ((text - np.uint8(48) < 10) | past).all(axis=1)
     return digits
-
-
-def _log_lines(chunk: bytes, diagnostics: Counter) -> tuple[np.ndarray, list[str]]:
-    """`_log_spans`'s result for any chunk, from its lines as `_coded_lines`
-    codes them: each distinct timestamp is parsed once, and each distinct
-    URL cut to its host once."""
-    codes, values = _coded_lines(chunk, 4, "malformed_lines", diagnostics)
-    stamp_ok = np.zeros(len(values), dtype=bool)
-    for c in _used(codes[:, 0], len(values)).tolist():
-        stamp_ok[c] = _stamp_ok(values[c])
-    host_of = {c: _host(values[c]) for c in _used(codes[:, 2], len(values)).tolist()}
-    url_ok = np.array([v != "" for v in values], dtype=bool)
-    rows = codes[stamp_ok[codes[:, 0]] & url_ok[codes[:, 2]]]
-    if len(rows) < len(codes):
-        diagnostics["malformed_lines"] += len(codes) - len(rows)
-    fields = [values[c] for c in rows[:, 1].tolist()] + [host_of[c] for c in rows[:, 2].tolist()]
-    codes, values = _codes(fields, 1)
-    return codes.reshape(2, -1).T, values
 
 
 def _stamp_ok(text: str) -> bool:

@@ -243,6 +243,28 @@ def test_stats_happy_path(fixture_dir, tmp_path):
     assert 0.0 <= payload["density"] <= 1.0
 
 
+def _ring(path: Path, n: int) -> None:
+    path.write_text("".join(f"n{i}\tn{(i + 1) % n}\t1\tF\n" for i in range(n)))
+
+
+def test_stats_sampled_paths_need_seed(tmp_path, capsys, monkeypatch):
+    """Above EXACT_PATH_LIMIT nodes in the GWCC, `stats` samples path
+    lengths, which needs --seed; --exact-paths needs none."""
+    import devgraph.graph
+    _ring(tmp_path / "ring.tsv", devgraph.graph.EXACT_PATH_LIMIT + 1)
+    out = tmp_path / "s.json"
+    assert main(["stats", "--edges", str(tmp_path / "ring.tsv"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed required for sampled path estimation\n"
+    assert not out.exists()
+    # every path of a ring that size takes minutes, so the limit comes down
+    monkeypatch.setattr(devgraph.graph, "EXACT_PATH_LIMIT", 50)
+    _ring(tmp_path / "small.tsv", 51)
+    assert main(["stats", "--edges", str(tmp_path / "small.tsv"), "--out", str(out)]) == 1
+    assert main(["stats", "--edges", str(tmp_path / "small.tsv"), "--exact-paths",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["paths_exact"] is True
+
+
 def test_communities_requires_seed(fixture_dir, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["communities", "--edges", str(fixture_dir / "edges.tsv"),

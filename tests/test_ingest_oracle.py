@@ -9,8 +9,8 @@ tokens, timestamps that are all digits and that are not, bad timestamps,
 rows of 3 or 5 fields, bad bytes, CR and CRLF line ends) and checks that
 both give the same vocabulary, blogs, per-(blog, query) click counts,
 per-blog totals and counters. The chunk size is patched down to 1-64
-bytes, so that chunk cuts fall inside lines and one log mixes chunks
-coded from their bytes with chunks read line by line. The one intended
+bytes, so that chunk cuts fall inside lines and one log mixes clean
+chunks with chunks that `ingest._clean` rewrites first. The one intended
 difference: the old reader kept a NaN timestamp, so the random logs hold
 none; `test_ingest.py` checks that it is now skipped and counted.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 import tempfile
 from collections import Counter
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +32,6 @@ from devgraph import ingest
 from devgraph.ingest import blog_id_from_url, decoded_lines, normalize_query, read_query_log
 
 from log_helpers import log_rows
-from test_span_reader_oracle import chunk_size
 
 
 # -- the per-record reader and its coding, verbatim ---------------------------
@@ -169,6 +169,15 @@ def summary(log) -> tuple:
             log.unique_queries.tolist())
 
 
+@contextmanager
+def chunk_size(size: int):
+    saved, ingest._CHUNK = ingest._CHUNK, size
+    try:
+        yield
+    finally:
+        ingest._CHUNK = saved
+
+
 def read_both(data: bytes, size: int = ingest._CHUNK):
     """(oracle's log, its counters) and (reader's, with chunks of `size`
     bytes, its counters)."""
@@ -180,6 +189,35 @@ def read_both(data: bytes, size: int = ingest._CHUNK):
         with chunk_size(size):
             new = read_query_log(path, new_diag)
     return (old, old_diag), (new, new_diag)
+
+
+def assert_same_log_reads(data: bytes, size: int = ingest._CHUNK) -> None:
+    """`test_reader_matches_oracle`'s check on one log."""
+    (old, old_diag), (new, new_diag) = read_both(data, size)
+    assert summary(new) == summary(old)
+    assert new.query_code.keys() == old.query_code.keys()
+    assert new.blog_code == old.blog_code
+    assert new_diag == old_diag
+
+
+# every line of four fields, some ended by CRLF: rows with a timestamp that
+# is not all digits, a bad timestamp or an empty URL, and hosts that a `://`
+# in the query, the region or the next line must not move
+CLEAN_LOG = b"".join([
+    *(b"%d\tq %d\thttp://b%d.tumblr.com/post/%d\tUS\n" % (i, i % 7, i % 5, i) for i in range(60)),
+    b"2.5\tq\tb1.tumblr.com\t://x.tumblr.com/\r\n",
+    b" 7 \tq\tb2.tumblr.com/p\tUS\n",
+    "\u0663\tq\tb3.tumblr.com\tUS\n".encode("utf-8"),
+    b"x\tq\thttp://b1.tumblr.com/\tUS\n",
+    b"-5\tq\thttp://b1.tumblr.com/\tUS\n",
+    b"1\tq\t\tUS\n",
+    b"1\tq\tb4.tumblr.com\tUS\n", b"1\thttp://q.tumblr.com/\tb5.tumblr.com/x\tUS\n"] * 3)
+
+# the clean log with every 7th line short its region, blank lines, a lone
+# CR and a bad byte
+DAMAGED_LOG = b"".join(line.replace(b"\tUS", b"") if i % 7 == 0 else line
+                       for i, line in enumerate(CLEAN_LOG.splitlines(keepends=True))) \
+    + b"\n\n1\tq\tb1.tumblr.com\tUS\r1\tq\xff\tb2.tumblr.com\tUS\n" + CLEAN_LOG
 
 
 @settings(max_examples=400, deadline=None)
@@ -211,24 +249,14 @@ def test_hosts_spelt_many_ways(tmp_path):
 
 def test_clean_log_never_read_line_by_line(monkeypatch):
     """A log whose every line has four fields, some ended by CRLF, is coded
-    from its bytes in every chunk: also its rows with a timestamp that is
-    not all digits, a bad timestamp or an empty URL, and its hosts, which a
-    `://` in the query, the region or the next line must not move."""
-    rows = [b"%d\tq %d\thttp://b%d.tumblr.com/post/%d\tUS\n" % (i, i % 7, i % 5, i)
-            for i in range(60)]
-    rows += [b"2.5\tq\tb1.tumblr.com\t://x.tumblr.com/\r\n",
-             b" 7 \tq\tb2.tumblr.com/p\tUS\n",
-             "\u0663\tq\tb3.tumblr.com\tUS\n".encode("utf-8"),
-             b"x\tq\thttp://b1.tumblr.com/\tUS\n",
-             b"-5\tq\thttp://b1.tumblr.com/\tUS\n",
-             b"1\tq\t\tUS\n",
-             b"1\tq\tb4.tumblr.com\tUS\n", b"1\thttp://q.tumblr.com/\tb5.tumblr.com/x\tUS\n"]
-    data = b"".join(rows * 3)
+    from its bytes in every chunk, and none is rewritten line by line by
+    `_clean`: also its rows with a timestamp that is not all digits, a bad
+    timestamp or an empty URL, and its hosts."""
 
-    def line_by_line(*args):
+    def clean(*args):
         raise AssertionError("a clean chunk was read line by line")
 
-    monkeypatch.setattr(ingest, "_coded_lines", line_by_line)
-    (old, old_diag), (new, new_diag) = read_both(data, 256)
+    monkeypatch.setattr(ingest, "_clean", clean)
+    (old, old_diag), (new, new_diag) = read_both(CLEAN_LOG, 256)
     assert summary(new) == summary(old)
     assert new_diag == old_diag == {"malformed_lines": 9}

@@ -1,10 +1,10 @@
-"""Every public top-level function and class in src/devgraph, and every
-public method and property of a public class, has a caller in src/ or
-demos/: nothing ships that only tests reach.
+"""Every top-level function and class in src/devgraph, every private
+module constant, and every public method and property of a public class,
+has a caller in src/ or demos/: nothing ships that only tests reach.
 
-A name counts as used when it occurs, outside its own definition, in the
-AST of some module under src/ or demos/ (as a name, an attribute or an
-imported name). A method counts as used when some call there is
+A name counts as used when it occurs, outside its own definition (for a
+constant, the statement that assigns it), in the AST of some module under
+src/ or demos/ (as a name, an attribute or an imported name). A method counts as used when some call there is
 `x.name(...)`, and a property when some attribute there is `x.name`, so
 that an enum's `.value` does not keep a `value()` method alive. Names with
 a use that this cannot see go on ALLOWED with the reason.
@@ -26,6 +26,23 @@ def _definitions(tree: ast.Module) -> dict[str, ast.AST]:
     return {node.name: node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             and not node.name.startswith("_")}
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """The private top-level functions and classes, and the statements
+    that assign the private module constants."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        out.update((name, node) for name in names
+                   if name.startswith("_") and not name.startswith("__"))
+    return out
 
 
 def _used_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -94,12 +111,12 @@ def _unused_methods() -> list[str]:
     return unused
 
 
-def _unused() -> list[str]:
+def _unused(definitions=_definitions) -> list[str]:
     sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for name, node in _definitions(trees[path]).items():
+        for name, node in definitions(trees[path]).items():
             used = any(name in _used_names(tree, skip=node if other == path else None)
                        for other, tree in trees.items())
             if not used and name not in ALLOWED:
@@ -109,6 +126,10 @@ def _unused() -> list[str]:
 
 def test_every_public_definition_has_a_caller():
     assert _unused() == []
+
+
+def test_every_private_definition_has_a_caller():
+    assert _unused(_private_definitions) == []
 
 
 def test_every_public_method_has_a_caller():

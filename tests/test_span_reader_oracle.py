@@ -9,8 +9,8 @@ fields, CR, CRLF and blank-line breaks, NUL bytes, lone CRs, tabs and LFs
 put in anywhere, bytes that are not UTF-8, a missing final LF, timestamps
 and weights that do not parse or are NaN, bad layers and ids with a comma
 or whitespace at either end. The chunk size is patched down to 1-64 bytes,
-so that chunk cuts fall inside lines, one file mixes chunks read in bulk
-with chunks read line by line, and most values recur in later chunks,
+so that chunk cuts fall inside lines, one file mixes clean chunks with
+chunks that `ingest._clean` rewrites first, and most values recur in later chunks,
 where the file's vocabulary must give them the codes they got first.
 Every comparison is exact: ids and posts (node order for the graph),
 every array byte for byte, and the counters.
@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import tempfile
 from collections import Counter
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +31,12 @@ from hypothesis import strategies as st
 from devgraph import diffusion, graph, ingest
 from devgraph.diffusion import _CodedEvents, write_events_tsv
 from devgraph.graph import LayeredGraph, build_graph, write_edge_tsv
-from devgraph.ingest import decoded_lines
+from devgraph.ingest import decoded_lines, read_query_log
 from devgraph.synth import SynthConfig, planted_graph, synth_events
 
 from test_diffusion_oracle import event_files
 from test_graph_build_oracle import assert_same_graph
+from test_ingest_oracle import CLEAN_LOG, DAMAGED_LOG, assert_same_log_reads, chunk_size
 
 # -- the line-by-line readers, verbatim ---------------------------------------------------
 
@@ -164,15 +164,6 @@ def damaged(draw, files):
     return data
 
 
-@contextmanager
-def chunk_size(size: int):
-    saved, ingest._CHUNK = ingest._CHUNK, size
-    try:
-        yield
-    finally:
-        ingest._CHUNK = saved
-
-
 def read_both(reader, oracle, data: bytes, size: int):
     """(reader's result, its counters) with chunks of `size` bytes, and the
     oracle's."""
@@ -268,27 +259,48 @@ def test_readers_match_oracle_on_default_fixture(fixture_files, size):
     assert_same_loads(edges, size)
 
 
-def test_clean_and_unclean_chunks_meet_in_one_file():
+def test_clean_and_unclean_chunks_meet_in_one_file(monkeypatch):
     """Chunks of one file take both paths: a row of three fields and a row
-    ended by a lone CR send their chunks line by line, and the other
-    chunks, CRLF rows among them, are coded from their bytes."""
+    ended by a lone CR send their chunks through `_clean`, and only them;
+    the other chunks, CRLF rows among them, are coded as they are."""
     clean = b"".join(b"n%d\tn%d\tp%d\t%d\n" % (i, i + 1, i % 3, i % 5) for i in range(40))
     data = (clean + b"x\ty\t1\n" + clean + b"x\ty\tp0\t1\r" + clean
             + b"x\ty\tp0\t1\r\n" + clean)
-    paths = []
-    spans = ingest._coded_spans
+    cleaned = []
+    clean_chunk = ingest._clean
 
-    def spy(chunk, width):
-        coded = spans(chunk, width)
-        paths.append(coded is not None)
-        return coded
+    def spy(chunk, *args):
+        cleaned.append(chunk)
+        return clean_chunk(chunk, *args)
 
-    ingest._coded_spans = spy
-    try:
-        assert_same_reads(data, 64)
-    finally:
-        ingest._coded_spans = spans
-    assert True in paths and False in paths
+    monkeypatch.setattr(ingest, "_clean", spy)
+    assert_same_reads(data, 64)
+    assert len(cleaned) == 2
+    assert b"x\ty\t1\n" in cleaned[0] and b"\r" not in cleaned[0]
+    assert b"x\ty\tp0\t1\r" in cleaned[1] and b"\r\n" not in cleaned[1]
+
+
+@pytest.mark.parametrize("size", [ingest._CHUNK, 8])
+def test_chunks_of_only_bad_rows_read_as_nothing(tmp_path, size):
+    """A file whose every chunk holds only blank lines and rows of three
+    fields reads as no rows, each row counted, in all three readers."""
+    data = b"\n\na\tb\t1\n\r\n2\tq\tb.tumblr.com\r\n" * 20
+    path = tmp_path / "in.tsv"
+    path.write_bytes(data)
+    got = {}
+    with chunk_size(size):
+        for reader in (diffusion.read_events_tsv, graph.load_graph, read_query_log):
+            diagnostics = Counter()
+            got[reader] = reader(str(path), diagnostics), diagnostics
+    events, diagnostics = got[diffusion.read_events_tsv]
+    assert len(events) == 0 and diagnostics == {"malformed_events": 40}
+    g, diagnostics = got[graph.load_graph]
+    assert g.n_nodes == 0 and diagnostics == {"malformed_lines": 40}
+    log, diagnostics = got[read_query_log]
+    assert log.blog_ids == [] and diagnostics == {"malformed_lines": 40}
+    assert_same_reads(data, size)
+    assert_same_loads(data, size)
+    assert_same_log_reads(data, size)
 
 
 FOLDS = {
@@ -301,13 +313,16 @@ FOLDS = {
 @pytest.mark.parametrize("fold", sorted(FOLDS))
 def test_colliding_keys_still_read_exactly(fixture_files, fold):
     """Keys that collide, however they collide, are caught by the check
-    of each field against the one standing for its key."""
+    of each field against the one standing for its key, and the chunk's
+    fields are coded by their text."""
     events, edges = fixture_files
     saved, ingest._fold = ingest._fold, FOLDS[fold]
     try:
         for size in (ingest._CHUNK, 100):
             assert_same_reads(events, size)
             assert_same_loads(edges, size)
+            assert_same_log_reads(CLEAN_LOG, size)
+            assert_same_log_reads(DAMAGED_LOG, size)
         # fields of 9 to 24 bytes that differ only past their first word
         data = b"".join(b"12345678%s\t12345678%s\tpost_%d\t1\n" % (a, b, i)
                         for i, (a, b) in enumerate([(b"x", b"y"), (b"y", b"x"),
@@ -317,11 +332,17 @@ def test_colliding_keys_still_read_exactly(fixture_files, fold):
         ingest._fold = saved
 
 
-def test_fields_that_differ_in_two_words_code_in_bulk():
+def test_fields_that_differ_in_two_words_code_in_bulk(monkeypatch):
     """Two URLs that differ in one byte of their second word and one of their
-    fifth get distinct keys, so their chunk is coded from its bytes."""
+    fifth get distinct keys, so their chunk is coded from its bytes, without
+    decoding every field for `_codes`."""
     chunk = (b"http://zzdtpmkzp2_0009.tumblr.com/post/189\n"
              b"http://zzdtpmkzb2_0009.tumblr.com/post/389\n")
-    codes, values = ingest._coded_spans(chunk, 1)
-    assert codes.tolist() == [[0], [1]]
+
+    def codes(*args):
+        raise AssertionError("keys collided")
+
+    monkeypatch.setattr(ingest, "_codes", codes)
+    codes, values = ingest._span_codes(*ingest._field_spans(chunk, 1))
+    assert codes.tolist() == [0, 1]
     assert values == chunk.decode().split()
