@@ -68,7 +68,6 @@ from .graph import (
     LAYERS,
     REBLOG,
     LayeredGraph,
-    _Layer,
     id_codes,
     id_mask,
     id_values,
@@ -148,7 +147,7 @@ def _config_of(args) -> dict[str, str]:
 _SKIP_REASONS = ("malformed_lines", "non_platform_urls", "undecodable_lines", "malformed_edges",
                  "self_loops_dropped", "malformed_events", "cyclic_posts", "multi_origin_posts",
                  "malformed_demographics", "age_out_of_range", "malformed_labels",
-                 "malformed_rows")
+                 "malformed_rows", "byte_order_mark")
 
 
 def _report_skipped(command: str, diagnostics: Counter, path: str) -> None:
@@ -174,9 +173,7 @@ def _with_nodes(g: LayeredGraph, nodes: dict) -> LayeredGraph:
     extra = sorted(compress(nodes, (id_codes(g.node_ids, nodes) < 0).tolist()))
     if not extra:
         return g
-    n = g.n_nodes + len(extra)
-    return LayeredGraph(g.node_ids + tuple(extra),
-                        {name: _Layer(n, *g.edge_arrays(name)) for name in LAYERS})
+    return LayeredGraph(g.node_ids + tuple(extra), {name: g.layer(name) for name in LAYERS})
 
 
 def _read_node_set(path: str, diagnostics: Counter) -> set[str]:

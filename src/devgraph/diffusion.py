@@ -17,6 +17,7 @@ from .ingest import (
     _csv_rows,
     _distinct,
     _encoded,
+    _float_text,
     _ranked,
     _tsv_rows,
     _used,
@@ -95,17 +96,11 @@ def read_events_tsv(path: str, diagnostics: Counter | None = None) -> _CodedEven
     return _CodedEvents(values, values, codes[:, 0], codes[:, 1], codes[:, 2], ts)
 
 
-def _stamp(t: float) -> str:
-    """t as %g if that reads back as t, else as repr(t); a NaN as "nan"."""
-    text = f"{t:g}"
-    return text if float(text) == t or t != t else repr(t)
-
-
 def write_events_tsv(events: _CodedEvents, path: str) -> None:
     """One actor, source, post, time row per event, written in slices of
     _BATCH rows, each slice's bytes joined from the encoded ids and posts
     (see `ingest._tsv_rows`); each distinct timestamp of a slice is
-    formatted once, by `_stamp`."""
+    formatted once, by `ingest._float_text`."""
     ids, posts = _encoded(events.ids, b"\t"), _encoded(events.posts, b"\t")
 
     def slices():
@@ -113,7 +108,7 @@ def write_events_tsv(events: _CodedEvents, path: str) -> None:
             rows = slice(lo, lo + _BATCH)
             # unique bit patterns, so 0.0 and -0.0 keep their own text
             bits, stamp = np.unique(events.ts[rows].view(np.int64), return_inverse=True)
-            stamps = _encoded(map(_stamp, bits.view(np.float64).tolist()), b"\n")
+            stamps = _encoded(map(_float_text, bits.view(np.float64).tolist()), b"\n")
             yield _tsv_rows([ids[events.actor[rows]], ids[events.source[rows]],
                              posts[events.post[rows]], stamps[stamp]])
 

@@ -20,6 +20,7 @@ from .ingest import (
     _coded_rows,
     _csv_rows,
     _encoded,
+    _float_text,
     _tsv_rows,
     _used,
     _write_lines,
@@ -76,17 +77,15 @@ def _entry_rows(m: _CSR) -> np.ndarray:
 
 
 class _Layer:
-    """Frozen adjacency for one layer, built from distinct (src, dst) pairs
-    given in any order: the edges sorted by (src, dst), whose dst and weight
-    with out_indptr make the CSR out-view. It is the layer's only view."""
+    """One layer as its edge list, built from distinct (src, dst) pairs
+    given in any order: the edges sorted by (src, dst), with their weights."""
 
-    def __init__(self, n_nodes: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray):
+    def __init__(self, src: np.ndarray, dst: np.ndarray, weight: np.ndarray):
         order = np.lexsort((dst, src))
         self.src = np.asarray(src, dtype=np.int64)[order]
         self.dst = np.asarray(dst, dtype=np.int64)[order]
         self.weight = np.asarray(weight, dtype=np.float64)[order]
         self.n_edges = len(order)
-        self.out_indptr = _indptr(self.src, n_nodes)
 
 
 class LayeredGraph:
@@ -118,15 +117,10 @@ class LayeredGraph:
         return self.layer(layer).n_edges
 
     def out_degrees(self, layer: str) -> np.ndarray:
-        return np.diff(self.layer(layer).out_indptr)
+        return np.bincount(self.layer(layer).src, minlength=self.n_nodes)
 
     def in_degrees(self, layer: str) -> np.ndarray:
         return np.bincount(self.layer(layer).dst, minlength=self.n_nodes)
-
-    def edge_arrays(self, layer: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Internal-index (src, dst, weight) arrays for the layer."""
-        lay = self.layer(layer)
-        return lay.src.copy(), lay.dst.copy(), lay.weight.copy()
 
 
 def build_graph(edges: Iterable[tuple], diagnostics: Counter | None = None) -> LayeredGraph:
@@ -202,7 +196,7 @@ def _edge_graph(codes: np.ndarray, values: list, diagnostics: Counter) -> Layere
         # bincount adds each pair's weights in input order
         weights = (np.bincount(inverse, weights=weight[codes[edge, 2]], minlength=len(keys))
                    if name == REBLOG else np.ones(len(keys)))
-        layers[name] = _Layer(n_nodes, *divmod(keys, n_nodes), weights)
+        layers[name] = _Layer(*divmod(keys, n_nodes), weights)
     return LayeredGraph([values[i] for i in ends.tolist()], layers)
 
 
@@ -225,7 +219,8 @@ def write_edge_tsv(g: LayeredGraph, path: str) -> None:
     """One src, dst, weight, layer row per edge, follow layer first, each
     layer in its (src, dst) order; written in slices of _BATCH rows, each
     slice's bytes joined from the encoded ids (see `ingest._tsv_rows`),
-    with each distinct weight of a slice formatted once, as %g."""
+    with each distinct weight of a slice formatted once, by
+    `ingest._float_text`."""
     ids = _encoded(g.node_ids, b"\t")
 
     def slices():
@@ -235,8 +230,8 @@ def write_edge_tsv(g: LayeredGraph, path: str) -> None:
                 rows = slice(lo, lo + _BATCH)
                 # unique bit patterns, so 0.0 and -0.0 keep their own text
                 bits, weight = np.unique(lay.weight[rows].view(np.int64), return_inverse=True)
-                weights = _encoded((f"{w:g}\t{name}" for w in bits.view(np.float64).tolist()),
-                                   b"\n")
+                weights = _encoded((f"{_float_text(w)}\t{name}"
+                                    for w in bits.view(np.float64).tolist()), b"\n")
                 yield _tsv_rows([ids[lay.src[rows]], ids[lay.dst[rows]], weights[weight]])
 
     _write_lines(path, slices())

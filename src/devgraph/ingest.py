@@ -9,6 +9,7 @@ import io
 import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from itertools import chain, count, filterfalse
 
 import numpy as np
@@ -52,16 +53,31 @@ def blog_id_from_url(url: str) -> str | None:
 
 def decoded_lines(path: str, diagnostics: Counter | None = None) -> Iterator[str]:
     """The non-empty lines of a UTF-8 file, split as in text mode (at LF,
-    CRLF and CR); a line that is not valid UTF-8 is skipped and counted as
-    `undecodable_lines`."""
-    with open(path, "rb") as fh:
+    CRLF and CR), past a leading byte order mark (see `_opened`); a line
+    that is not valid UTF-8 is skipped and counted as `undecodable_lines`."""
+    if diagnostics is None:
+        diagnostics = Counter()
+    with _opened(path, diagnostics) as fh:
         yield from _decoded(fh, diagnostics)
 
 
-def _decoded(raw, diagnostics: Counter | None = None) -> Iterator[str]:
-    """`decoded_lines` of the binary stream `raw`."""
-    if diagnostics is None:
-        diagnostics = Counter()
+_BOM = b"\xef\xbb\xbf"
+
+
+@contextmanager
+def _opened(path: str, diagnostics: Counter) -> Iterator:
+    """The file at `path` opened for binary reading, past a leading UTF-8
+    byte order mark, which is counted as `byte_order_mark`: every reader
+    starts a file here, and only a file's start can hold one."""
+    with open(path, "rb") as fh:
+        if fh.peek(len(_BOM)).startswith(_BOM):
+            fh.read(len(_BOM))
+            diagnostics["byte_order_mark"] += 1
+        yield fh
+
+
+def _decoded(raw, diagnostics: Counter) -> Iterator[str]:
+    """`decoded_lines` of the binary stream `raw`, from where it stands."""
     # surrogateescape decodes each bad byte to a lone surrogate, which UTF-8
     # cannot encode back; line breaks are ASCII, so no bad byte hides one
     for line in io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape"):
@@ -105,7 +121,8 @@ def _file_codes(path: str, width: int, reason: str, diagnostics: Counter,
                 coder: Callable) -> tuple[np.ndarray, list[str]]:
     """The file at `path` read a chunk at a time (see `_chunks`) as one flat
     int32 array of codes into the file's distinct values in first-seen
-    order: the one step where a chunk's codes become the file's.
+    order: the one step where a chunk's codes become the file's. The file
+    is read past a leading byte order mark (see `_opened`).
 
     Each chunk's fields of `width` to a line are found by `_field_spans`,
     after `_clean` for a chunk that it cannot read, and coder(chunk,
@@ -113,7 +130,7 @@ def _file_codes(path: str, width: int, reason: str, diagnostics: Counter,
     first-seen order."""
     vocabulary: dict[str, int] = {}
     parts = [np.empty(0, dtype=np.int32)]
-    with open(path, "rb") as fh:
+    with _opened(path, diagnostics) as fh:
         for chunk in _chunks(fh, _CHUNK):
             spans = _field_spans(chunk, width)
             if spans is None:
@@ -348,6 +365,13 @@ def _tsv_rows(fields: list[np.ndarray]) -> bytes:
     return b"".join(np.column_stack(fields).ravel().tolist())
 
 
+def _float_text(value: float) -> str:
+    """A float cell of the tab-separated writers: %g where that reads back
+    as the same float, repr otherwise, and a NaN as "nan"."""
+    text = f"{value:g}"
+    return text if float(text) == value or value != value else repr(value)
+
+
 def _cell(value) -> str:
     """A table cell: empty for None, %.10g for a float (numpy's float64 is
     one; inf reads inf), str of anything else."""
@@ -367,11 +391,12 @@ def _write_rows(path, header: str, rows: Iterable[Iterable]) -> None:
 
 
 def _key_values(path: str) -> dict[str, str]:
-    """The entries of a flat key=value file, keys and values stripped; blank
-    lines and lines starting with # are skipped, and a line without = is a
-    ValueError. A later entry for a key wins."""
+    """The entries of a flat key=value file, keys and values stripped, read
+    past a leading byte order mark; blank lines and lines starting with #
+    are skipped, and a line without = is a ValueError. A later entry for a
+    key wins."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):

@@ -141,7 +141,7 @@ def planted_graph(cfg: SynthConfig) -> tuple[LayeredGraph, dict[str, str]]:
             i, j = offset[origin] + i, offset[target] + j
             blocks[FOLLOW].append((i, j, np.ones(k)))
             blocks[REBLOG].append((i[reblog], j[reblog], weights[reblog]))
-    layers = {name: _Layer(len(ids), *map(np.concatenate, zip(*blocks[name]))) for name in LAYERS}
+    layers = {name: _Layer(*map(np.concatenate, zip(*blocks[name]))) for name in LAYERS}
     return LayeredGraph(ids, layers), roles
 
 
@@ -390,13 +390,16 @@ def engagement_fixture(per_cell: int = 40) -> tuple[np.ndarray, Demographics]:
     return classes, Demographics(ids, age, gender)
 
 
-def paradox_fixture(n: int = 10_000, seed: int = 0, exponent: float = 2.5,
-                    ) -> tuple[LayeredGraph, np.ndarray]:
+# the zipf exponent of paradox_fixture's out-degrees and attractiveness
+_PARADOX_EXPONENT = 2.5
+
+
+def paradox_fixture(n: int = 10_000, seed: int = 0) -> tuple[LayeredGraph, np.ndarray]:
     """Heavy-tailed reblog graph for the friendship-paradox direction check.
 
-    Out-degrees follow a zipf(exponent) law; targets are sampled with
-    probability proportional to an independent zipf attractiveness, so a
-    random out-neighbor is size-biased toward heavy rebloggers. Counts are
+    Out-degrees follow a zipf(_PARADOX_EXPONENT) law; targets are sampled
+    with probability proportional to an independent zipf attractiveness, so
+    a random out-neighbor is size-biased toward heavy rebloggers. Counts are
     each node's total reblog degree (activity in the window), by node code.
 
     Each node's targets are distinct draws from p (successive sampling):
@@ -404,8 +407,8 @@ def paradox_fixture(n: int = 10_000, seed: int = 0, exponent: float = 2.5,
     the repeats within a node are redrawn, until none is left.
     """
     rng = np.random.default_rng(seed)
-    out_deg = np.minimum(rng.zipf(exponent, size=n), n // 10)
-    attractiveness = np.minimum(rng.zipf(exponent, size=n), 10_000).astype(np.float64)
+    out_deg = np.minimum(rng.zipf(_PARADOX_EXPONENT, size=n), n // 10)
+    attractiveness = np.minimum(rng.zipf(_PARADOX_EXPONENT, size=n), 10_000).astype(np.float64)
     p = attractiveness / attractiveness.sum()
     source = np.repeat(np.arange(n), out_deg)
     target = rng.choice(n, size=len(source), p=p)

@@ -139,16 +139,17 @@ def gwcc(g: LayeredGraph, layer: str) -> set[str]:
 
 def graph_edges(g: LayeredGraph, layer: str) -> list[tuple[str, str, float]]:
     """The layer's (src, dst, weight) edges by id, in its (src, dst) order."""
-    src, dst, weight = g.edge_arrays(layer)
+    lay = g.layer(layer)
     ids = g.node_ids
-    return [(ids[u], ids[v], w) for u, v, w in zip(src.tolist(), dst.tolist(), weight.tolist())]
+    return [(ids[u], ids[v], w)
+            for u, v, w in zip(lay.src.tolist(), lay.dst.tolist(), lay.weight.tolist())]
 
 
 def rewire_null_model(g: LayeredGraph, layer: str, seed, swaps_per_edge: int = 10) -> LayeredGraph:
     """g with the layer's heads rewired: its tails and weights stay, and so
     do the other layer and the node universe."""
     lay = g.layer(layer)
-    rewired = _Layer(g.n_nodes, lay.src,
+    rewired = _Layer(lay.src,
                      connectivity.rewire_null_model(g, layer, seed, swaps_per_edge), lay.weight)
     return LayeredGraph(g.node_ids, {name: rewired if name == layer else g.layer(name)
                                      for name in LAYERS})

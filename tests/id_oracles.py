@@ -313,9 +313,9 @@ def _edge_counts(g: LayeredGraph, layer: str, roles: dict[str, str],
     gi = {grp: i for i, grp in enumerate(groups)}
     role_idx = np.array([gi[roles[n]] for n in g.node_ids], dtype=np.int64)
     sizes = np.bincount(role_idx, minlength=len(groups)).astype(np.int64)
-    src, dst, _ = g.edge_arrays(layer)
+    lay = g.layer(layer)
     counts = np.zeros((len(groups), len(groups)), dtype=np.int64)
-    np.add.at(counts, (role_idx[src], role_idx[dst]), 1)
+    np.add.at(counts, (role_idx[lay.src], role_idx[lay.dst]), 1)
     return counts, sizes
 
 

@@ -436,7 +436,7 @@ def test_gate_7_perception():
             except ValueError:
                 continue
             assert got == _brute_paradox(g, FOLLOW, counts, exclude)
-    g, counts = paradox_fixture(n=10_000, seed=0, exponent=2.5)
+    g, counts = paradox_fixture(n=10_000, seed=0)
     frac = perception.volume_paradox_fraction(g, REBLOG, counts, counts > 0)
     assert frac > 0.5
     print(f"[GATE 7] perception monotone, paradox oracle exact, "

@@ -37,8 +37,8 @@ def _symmetrized(g: LayeredGraph, layer: str) -> tuple[list[dict[int, float]], f
     """Undirected weighted projection: w(u,v) = w(u->v) + w(v->u)."""
     n = g.n_nodes
     neigh: list[dict[int, float]] = [{} for _ in range(n)]
-    src, dst, w = g.edge_arrays(layer)
-    for u, v, wt in zip(src.tolist(), dst.tolist(), w.tolist()):
+    lay = g.layer(layer)
+    for u, v, wt in zip(lay.src.tolist(), lay.dst.tolist(), lay.weight.tolist()):
         neigh[u][v] = neigh[u].get(v, 0.0) + wt
         neigh[v][u] = neigh[v].get(u, 0.0) + wt
     m = sum(sum(row.values()) for row in neigh) / 2.0
@@ -446,7 +446,8 @@ def test_louvain_modularity_matches_networkx_on_fixture(scale, layer):
     g = fixture_graph(scale)
     nxg = nx.Graph()
     nxg.add_nodes_from(range(g.n_nodes))
-    for u, v, w in zip(*(a.tolist() for a in g.edge_arrays(layer))):
+    lay = g.layer(layer)
+    for u, v, w in zip(lay.src.tolist(), lay.dst.tolist(), lay.weight.tolist()):
         if nxg.has_edge(u, v):
             nxg[u][v]["weight"] += w
         else:

@@ -159,8 +159,8 @@ class TestRewire:
         assert np.array_equal(out.in_degrees(FOLLOW), g.in_degrees(FOLLOW))
         # no self-loops or duplicates appeared
         assert out.n_edges(FOLLOW) == g.n_edges(FOLLOW)
-        src, dst, _ = out.edge_arrays(FOLLOW)
-        assert (src != dst).all()
+        lay = out.layer(FOLLOW)
+        assert (lay.src != lay.dst).all()
 
     def test_same_seed_identical(self):
         rng = np.random.default_rng(2)

@@ -39,7 +39,7 @@ def sum_projection(g, layer: str) -> sp.csr_matrix:
     """The previous `_undirected_projection`, verbatim but for building the
     unweighted adjacency from the layer's arrays."""
     lay = g.layer(layer)
-    a = sp.csr_matrix((np.ones(lay.n_edges), lay.dst, lay.out_indptr),
+    a = sp.csr_matrix((np.ones(lay.n_edges), (lay.src, lay.dst)),
                       shape=(g.n_nodes, g.n_nodes))
     u = a + a.T
     u.data = np.ones_like(u.data)

@@ -517,9 +517,12 @@ ATOMS = [b"a", b"b", b"\t", b"\n", b"\r", b"\r\n", b"\xff", b"\xc3\xa9", b"\xc3"
        st.integers(1, 4))
 def test_reader_accounts_for_every_line(data, batch):
     (_, _), (events, diagnostics) = read_both(data, batch)
-    text = data.decode("utf-8", "surrogateescape").replace("\r\n", "\n").replace("\r", "\n")
-    lines = sum(1 for line in text.split("\n") if line)
-    assert set(diagnostics) <= {"malformed_events", "undecodable_lines"}
+    # a leading byte order mark is skipped and counted, and starts no line
+    bom = data.startswith(b"\xef\xbb\xbf")
+    text = data[3 * bom:].decode("utf-8", "surrogateescape")
+    lines = sum(1 for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n") if line)
+    assert set(diagnostics) <= {"malformed_events", "undecodable_lines", "byte_order_mark"}
+    assert diagnostics["byte_order_mark"] == bom
     assert len(events) + diagnostics["malformed_events"] \
         + diagnostics["undecodable_lines"] == lines
     assert all(not math.isnan(e.timestamp) and e.actor and e.source and e.actor != e.source

@@ -69,7 +69,7 @@ from log_helpers import event_rows
 
 
 class DictLayer:
-    """Frozen adjacency for one layer: the CSR out-view."""
+    """Frozen adjacency for one layer: its edge list in (src, dst) order."""
 
     def __init__(self, n_nodes: int, adj: dict[int, dict[int, float]]):
         srcs: list[int] = []
@@ -85,8 +85,6 @@ class DictLayer:
         self.dst = np.asarray(dsts, dtype=np.int64)
         self.weight = np.asarray(ws, dtype=np.float64)
         self.n_edges = len(srcs)
-        counts = np.bincount(self.src, minlength=n_nodes) if self.n_edges else np.zeros(n_nodes, dtype=np.int64)
-        self.out_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
 
 def oracle_build_graph(edges: Iterable[tuple]) -> tuple[LayeredGraph, Counter]:
@@ -159,7 +157,8 @@ def oracle_rewire_null_model(g: LayeredGraph, layer: str, seed,
     (a->b, c->d) => (a->d, c->b); swaps creating self-loops or duplicate
     edges are rejected. Weights travel with their source slot. The other
     layer and the node universe are untouched."""
-    src, dst, weight = g.edge_arrays(layer)
+    lay = g.layer(layer)
+    src, dst, weight = lay.src, lay.dst, lay.weight
     n_edges = len(src)
     if n_edges < 2:
         raise ValueError("layer needs at least 2 edges to rewire")
@@ -199,7 +198,8 @@ def reference_rewire_null_model(g: LayeredGraph, layer: str, seed,
     for k < h and swaps (a->b, c->e) => (a->e, c->b) unless that makes a
     self-loop or an existing edge, or another pair proposes one of its new
     edges or one of its old ones."""
-    src, dst, weight = g.edge_arrays(layer)
+    lay = g.layer(layer)
+    src, dst, weight = lay.src, lay.dst, lay.weight
     m = len(src)
     if m < 2:
         raise ValueError("layer needs at least 2 edges to rewire")

@@ -84,7 +84,7 @@ def csgraph_gwcc(g, layer: str) -> set[str]:
     if g.n_nodes == 0:
         raise ValueError("empty graph")
     lay = g.layer(layer)
-    a = sp.csr_matrix((np.ones(lay.n_edges), lay.dst, lay.out_indptr),
+    a = sp.csr_matrix((np.ones(lay.n_edges), (lay.src, lay.dst)),
                       shape=(g.n_nodes, g.n_nodes))
     _, comp = csgraph.connected_components(a, directed=True, connection="weak")
     sizes = np.bincount(comp)

@@ -163,7 +163,7 @@ def test_load_graph_peak(fixture, tmp_path):
     path = str(tmp_path / "edges.tsv")
     write_edge_tsv(g, path)
     layers = [load_graph(path).layer(name) for name in LAYERS]
-    bound = LOAD_GRAPH_BOUND * (sum(nbytes(lay.src, lay.dst, lay.weight, lay.out_indptr)
+    bound = LOAD_GRAPH_BOUND * (sum(nbytes(lay.src, lay.dst, lay.weight)
                                     for lay in layers) + ingest._CHUNK)
     assert peak_bytes(load_graph, path) <= bound
 

@@ -8,6 +8,12 @@ src/ or demos/ (as a name, an attribute or an imported name). A method counts as
 `x.name(...)`, and a property when some attribute there is `x.name`, so
 that an enum's `.value` does not keep a `value()` method alive. Names with
 a use that this cannot see go on ALLOWED with the reason.
+
+Every defaulted parameter of a public function or method is passed by some
+call there, or it would be a constant: by keyword (to any callee, since
+the readers are called through `cli._read`'s `reader`), by position or
+through `*`/`**` in a call of the function by name. `main`'s `argv` is the
+one exception: the console script calls `main()`, and tests pass it.
 """
 
 import ast
@@ -143,3 +149,45 @@ def test_allowlist_names_exist():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defined |= set(_definitions(tree)) | set(_methods(tree))
     assert set(ALLOWED) <= defined
+
+
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _unpassed_defaults() -> list[str]:
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    calls = [node for path in sources
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)]
+    keywords = {k.arg for call in calls for k in call.keywords}
+    unpassed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [node for node in _definitions(tree).values()
+                     if isinstance(node, ast.FunctionDef)]
+        functions += [node for node, _ in _methods(tree).values()]
+        for fn in functions:
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            # a method's self is not among a call's positional arguments
+            shift = int(bool(positional) and positional[0].arg in ("self", "cls"))
+            defaulted = [(i - shift, arg.arg) for i, arg in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(None, arg.arg) for arg, default in zip(args.kwonlyargs,
+                                                                  args.kw_defaults)
+                          if default is not None]
+            mine = [call for call in calls if _callee(call) == fn.name]
+            spread = any(k.arg is None for call in mine for k in call.keywords)
+            for i, name in defaulted:
+                passed = name in keywords or spread or (i is not None and any(
+                    len(call.args) > i or any(isinstance(a, ast.Starred) for a in call.args)
+                    for call in mine))
+                if not passed and (fn.name, name) != ("main", "argv"):
+                    unpassed.append(f"{path.name}:{fn.name}({name})")
+    return unpassed
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert _unpassed_defaults() == []

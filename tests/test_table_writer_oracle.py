@@ -64,6 +64,7 @@ from devgraph.graph import (
     LayeredGraph,
     _Layer,
     build_graph,
+    load_graph,
     read_labels_csv,
     write_edge_tsv,
     write_labels_csv,
@@ -105,7 +106,7 @@ def oracle_write_edge_tsv(g, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for layer in LAYERS:
             for src, dst, w in graph_edges(g, layer):
-                fh.write(f"{src}\t{dst}\t{w:g}\t{layer}\n")
+                fh.write(f"{src}\t{dst}\t{stamp_text(w)}\t{layer}\n")
 
 
 def write_partition_by_id(assignment: dict[str, int], path: str) -> None:
@@ -439,7 +440,7 @@ def tsv_graphs(draw):
         # weights and make every follow weight 1
         cells = np.array(pairs[name], dtype=np.int64).reshape(-1, 2)
         weights = draw(st.lists(weight, min_size=len(cells), max_size=len(cells)))
-        layers[name] = _Layer(len(ids), cells[:, 0], cells[:, 1], np.array(weights))
+        layers[name] = _Layer(cells[:, 0], cells[:, 1], np.array(weights))
     return LayeredGraph(ids, layers)
 
 
@@ -469,7 +470,7 @@ def test_tsv_writers_match_oracle_at_slice_ends(extra):
     # n distinct pairs in each layer: codes over n + 1 ids
     names = [f"{ids[i % len(ids)]}{i}" for i in range(n + 1)]
     src = np.arange(n)
-    g = LayeredGraph(names, {name: _Layer(n + 1, src, src + 1, rng.choice(WEIGHT_SPECIAL, n))
+    g = LayeredGraph(names, {name: _Layer(src, src + 1, rng.choice(WEIGHT_SPECIAL, n))
                              for name in LAYERS})
     assert written(write_edge_tsv, g) == written(oracle_write_edge_tsv, g)
 
@@ -533,4 +534,21 @@ def test_rows_that_spell_the_header_read_back(tmp_path):
     write_labels_csv(labels, path)
     diagnostics = Counter()
     assert read_labels_csv(path, diagnostics) == labels
+    assert not diagnostics
+
+
+def test_edge_weights_read_back(tmp_path):
+    """Weights whose %g text rounds read back as the same floats, through
+    build_graph, write_edge_tsv and load_graph."""
+    weights = [1234567.5, 0.1 + 0.2, 1 / 3, 2.0]
+    g = build_graph([("a", "b", weights[0], "F")]
+                    + [(f"n{i}", f"n{i + 1}", w, "R") for i, w in enumerate(weights)])
+    path = str(tmp_path / "edges.tsv")
+    write_edge_tsv(g, path)
+    diagnostics = Counter()
+    back = load_graph(path, diagnostics)
+    assert back.node_ids == g.node_ids
+    assert [graph_edges(back, name) for name in LAYERS] \
+        == [graph_edges(g, name) for name in LAYERS]
+    assert graph_edges(back, "R")[:2] == [("n0", "n1", 1234567.5), ("n1", "n2", 0.1 + 0.2)]
     assert not diagnostics
