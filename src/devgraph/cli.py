@@ -83,11 +83,12 @@ from .intervention import (
     BY_VOLUME,
     DEFAULT_SIZES,
     _check_sizes,
+    _curve,
+    _death_rank,
+    _threshold,
     adaptive_greedy_ranking,
     rank_by_degree,
     rank_by_volume,
-    shrinkage_curve,
-    underage_exposure_threshold,
     write_shrinkage_csv,
 )
 from .perception import (
@@ -271,10 +272,10 @@ def _diffusion(g, trees, at, producers, bridges, diagnostics: Counter, out):
     return classes, report
 
 
-def _intervention(trees, rankings, sizes, out_csv: str):
-    """One shrinkage curve per (ranking, strategy label), into one CSV."""
-    curves = [shrinkage_curve(trees, ranking, sizes=sizes, strategy=label)
-              for ranking, label in rankings]
+def _intervention(rankings, sizes, out_csv: str):
+    """One shrinkage curve per (ranking, its death ranks, strategy label),
+    into one CSV."""
+    curves = [_curve(death, len(ranking), sizes, label) for ranking, death, label in rankings]
     write_shrinkage_csv(curves, out_csv)
     return curves
 
@@ -458,20 +459,20 @@ def cmd_intervene(args) -> int:
         ranking, label = adaptive_greedy_ranking(trees, max(sizes)), "Greedy"
     else:
         ranking, label = rank_by_volume(trees), BY_VOLUME
+    death = _death_rank(trees, ranking)
     note = ""
     # the threshold can fail, so it comes before any output is written
     if args.ages:
         ages = _read("intervene", read_demographics_csv, args.ages).over(trees.ids)[0]
         try:
-            thr = underage_exposure_threshold(trees, ranking, ages,
-                                              **_given(args, config, cutoff=int))
+            thr = _threshold(death, ages, **_given(args, config, cutoff=int))
         except ValueError as exc:
             if args.strategy != "greedy":
                 raise
             raise ValueError(f"{exc}; the greedy ranking has only {len(ranking)} "
                              f"nodes (the largest --sizes value is {max(sizes)})") from None
         note = f" underage_threshold={thr.k}" + (f" ({thr.note})" if thr.note else "")
-    [curve] = _intervention(trees, [(ranking, label)], sizes, args.out)
+    [curve] = _intervention([(ranking, death, label)], sizes, args.out)
     print(f"intervene[{label}]: reached={','.join(f'{x:.4f}' for x in curve.reached_fraction)}"
           + note)
     return 0
@@ -543,14 +544,14 @@ def cmd_pipeline(args) -> int:
     paradox = _try(lambda: volume_paradox_fraction(g, FOLLOW, degree, active & (degree > 0),
                                                    exclude=producers))
 
-    rankings = {"by_volume": (rank_by_volume(trees), BY_VOLUME),
-                "by_degree": (id_codes(trees.ids, g.node_ids)[rank_by_degree(g)], BY_DEGREE)}
-    curves = _intervention(trees, rankings.values(), sizes,
-                           str(out / "shrinkage.csv"))
+    by_volume = rank_by_volume(trees)
+    by_degree = id_codes(trees.ids, g.node_ids)[rank_by_degree(g)]
+    rankings = {"by_volume": (by_volume, _death_rank(trees, by_volume), BY_VOLUME),
+                "by_degree": (by_degree, _death_rank(trees, by_degree), BY_DEGREE)}
+    curves = _intervention(rankings.values(), sizes, str(out / "shrinkage.csv"))
     shrinkage = {key: _fields(sc, "strategy") for key, sc in zip(rankings, curves)}
     ages = demo.over(trees.ids)[0]
-    underage = _try(lambda: asdict(underage_exposure_threshold(
-        trees, rankings["by_volume"][0], ages)))
+    underage = _try(lambda: asdict(_threshold(rankings["by_volume"][1], ages)))
 
     demo_stats, engagement = _demographics(classes, *demo.over(g.node_ids), out)
     if engagement["value"] is not None:

@@ -35,6 +35,8 @@ LAYERS = (FOLLOW, REBLOG)
 EXACT_PATH_LIMIT = 10_000
 
 _PATH_CHUNK = 512
+# live entries gathered at a time in a level of _path_stats
+_PATH_BLOCK = 1 << 12
 
 
 def _indptr(rows: np.ndarray, n_rows: int) -> np.ndarray:
@@ -378,14 +380,6 @@ def _triangles(u: _CSR) -> np.ndarray:
     return counts
 
 
-# set bits per byte value; np.bitwise_count needs numpy >= 2.0
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-
-
-def _popcount(bits: np.ndarray) -> int:
-    return int(_POPCOUNT[bits.view(np.uint8)].sum(dtype=np.int64))
-
-
 def _path_stats(u: _CSR, n: int, exact: bool, path_samples: int,
                 seed) -> tuple[float, float]:
     """Mean distance over ordered (source, other node) pairs and the largest
@@ -394,11 +388,13 @@ def _path_stats(u: _CSR, n: int, exact: bool, path_samples: int,
     Bit-parallel BFS (Then et al., VLDB 2014): each chunk of up to
     _PATH_CHUNK sources keeps one bit per source in an (n, words) uint64
     frontier and visited set. A level ORs the frontier rows of each node's
-    neighbours with one reduceat over the CSR arrays, and the new bits at
-    level d add d per bit to an exact integer total. The level gathers only
-    the entries that can add a bit: a row that some source has not reached
-    yet, and a neighbour on the frontier. A source that misses a node makes
-    both results inf."""
+    neighbours with reduceat over the CSR arrays, and the new bits at level
+    d add d per bit to an exact integer total. The level gathers only the
+    entries that can add a bit: a row that some source has not reached
+    yet, and a neighbour on the frontier. It gathers them in blocks of at
+    most _PATH_BLOCK entries cut at row starts, so that a block stays in
+    cache; a row with more entries is a block of its own. A source that
+    misses a node makes both results inf."""
     if exact:
         sources = np.arange(n)
     else:
@@ -418,27 +414,47 @@ def _path_stats(u: _CSR, n: int, exact: bool, path_samples: int,
         visited = frontier.copy()
         # a visited row with every source's bit set
         full = np.bitwise_or.reduce(frontier, axis=0)
+        # the rows some source has not reached, and the rows on the frontier,
+        # kept up to date on the rows a level touches
+        open_rows = (visited != full).any(axis=1)
+        on = np.zeros(n, dtype=bool)
+        on[idx] = True
+        rows = idx
         reached = len(idx)
         level = 0
         while True:
-            live = np.flatnonzero((visited != full).any(axis=1)[entry_rows]
-                                  & frontier.any(axis=1)[indices])
+            live = np.flatnonzero(open_rows[entry_rows] & on[indices])
             if not live.size:
                 break
-            rows = entry_rows[live]
-            # reduceat over nonempty runs of one row each
-            starts = np.flatnonzero(np.diff(rows, prepend=-1))
-            rows = rows[starts]
-            new = np.bitwise_or.reduceat(frontier[indices[live]], starts, axis=0) & ~visited[rows]
-            found = _popcount(new)
+            cols = indices[live]
+            live = entry_rows[live]
+            # each row's first live entry, then the end of the last row
+            bounds = np.concatenate(([0], np.flatnonzero(live[1:] != live[:-1]) + 1,
+                                     [live.size]))
+            new = np.empty((len(bounds) - 1, frontier.shape[1]), dtype=np.uint64)
+            a = 0
+            while a < len(new):
+                b = max(int(np.searchsorted(bounds, bounds[a] + _PATH_BLOCK, side="right")) - 1,
+                        a + 1)
+                block = np.take(frontier, cols[bounds[a]:bounds[b]], axis=0)
+                np.bitwise_or.reduceat(block, bounds[a:b] - bounds[a], axis=0, out=new[a:b])
+                a = b
+            frontier[rows] = 0
+            on[rows] = False
+            rows = live[bounds[:-1]]
+            seen = visited[rows]
+            new &= ~seen
+            found = int(np.bitwise_count(new).sum(dtype=np.int64))
             if not found:
                 break
             level += 1
             total += level * found
             reached += found
-            visited[rows] |= new
-            frontier = np.zeros_like(frontier)
+            seen |= new
+            visited[rows] = seen
+            open_rows[rows] = (seen != full).any(axis=1)
             frontier[rows] = new
+            on[rows] = new.any(axis=1)
         if reached < len(idx) * n:
             return np.inf, np.inf
         diameter = max(diameter, level)
@@ -456,6 +472,8 @@ def network_stats(g: LayeredGraph, layer: str, exact_paths: bool = False,
     are estimated from `path_samples` seeded BFS sources and the diameter
     is a lower bound (paths_exact=False).
     """
+    if path_samples < 1:
+        raise ValueError("path_samples must be at least 1")
     keep = gwcc(g, layer)
     n = int(np.count_nonzero(keep))
     if n < 2:

@@ -125,22 +125,32 @@ def shrinkage_curve(forest: DiffusionForest, ranking: Sequence[int],
     """Fraction of baseline consumers still reached when the top-k ranked
     nodes are erased, for each requested k. One pass over the forest: a
     consumer stays reached at k iff its death rank is at least k."""
+    return _curve(_death_rank(forest, ranking), len(ranking), sizes, strategy)
+
+
+def _curve(death: np.ndarray, ranked: int, sizes: Iterable[int],
+           strategy: str) -> ShrinkageCurve:
+    """The shrinkage curve of a ranking of `ranked` entries, from the death
+    ranks it gives the forest's nodes."""
     sizes = list(sizes)
     _check_sizes(sizes)
-    death = _death_rank(forest, ranking)
     baseline = death[death >= 0]
     if not baseline.size:
         raise ValueError("no baseline consumers: trees are empty")
     warnings: list[str] = []
     fractions: list[float] = []
     for k in sizes:
-        if k > len(ranking):
-            warnings.append(f"size {k} exceeds ranking length {len(ranking)}; truncated")
+        if k > ranked:
+            warnings.append(f"size {k} exceeds ranking length {ranked}; truncated")
         # the prefix ranking[:k] erases, with slice semantics for negative k
-        removed = len(range(len(ranking))[:k])
+        removed = len(range(ranked)[:k])
         fractions.append(int(np.count_nonzero(baseline >= removed)) / baseline.size)
     return ShrinkageCurve(sizes=tuple(sizes), reached_fraction=tuple(fractions),
                           strategy=strategy, warnings=tuple(warnings))
+
+
+# ages below this are underage
+_CUTOFF = 18
 
 
 @dataclass(frozen=True)
@@ -150,12 +160,17 @@ class UnderageThreshold:
 
 
 def underage_exposure_threshold(forest: DiffusionForest, ranking: Sequence[int],
-                                ages: np.ndarray, cutoff: int = 18) -> UnderageThreshold:
+                                ages: np.ndarray, cutoff: int = _CUTOFF) -> UnderageThreshold:
     """Smallest removal prefix after which no known-underage consumer remains
     reached: one more than the largest death rank among underage baseline
     consumers, found in one pass over the forest. `ages` holds each forest
     node's age, NaN if unknown."""
-    death = _death_rank(forest, ranking)
+    return _threshold(_death_rank(forest, ranking), ages, cutoff)
+
+
+def _threshold(death: np.ndarray, ages: np.ndarray, cutoff: int = _CUTOFF) -> UnderageThreshold:
+    """The underage threshold of a ranking, from the death ranks it gives
+    the forest's nodes."""
     exposed = death[ages < cutoff]
     exposed = exposed[exposed >= 0]
     if not exposed.size:

@@ -265,6 +265,16 @@ def test_stats_sampled_paths_need_seed(tmp_path, capsys, monkeypatch):
     assert json.loads(out.read_text())["paths_exact"] is True
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_stats_path_samples_below_one(fixture_dir, tmp_path, capsys, samples):
+    """An error at every GWCC size, before any output is written."""
+    out = tmp_path / "s.json"
+    assert main(["stats", "--edges", str(fixture_dir / "edges.tsv"), "--seed", "1",
+                 f"--path-samples={samples}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: path_samples must be at least 1\n"
+    assert not out.exists()
+
+
 def test_communities_requires_seed(fixture_dir, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["communities", "--edges", str(fixture_dir / "edges.tsv"),

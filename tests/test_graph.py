@@ -23,6 +23,8 @@ from devgraph.graph import (
     write_labels_csv,
 )
 
+from devgraph.synth import SynthConfig, planted_graph
+
 from id_helpers import graph_edges, gwcc
 
 
@@ -238,6 +240,25 @@ class TestStats:
         spl, diam = _path_stats(u_mat, exact.n, exact=False, path_samples=200, seed=5)
         assert abs(spl - exact.avg_shortest_path) / exact.avg_shortest_path < 0.05
         assert diam <= exact.diameter  # sampled diameter is a lower bound
+
+    @pytest.mark.parametrize("path_samples", [0, -3])
+    def test_path_samples_below_one(self, path_samples):
+        """At S, where every path is exact, as where paths are sampled: an
+        error, not a nan mean or numpy's negative-dimension error."""
+        g, _roles = planted_graph(SynthConfig(seed=11))
+        with pytest.raises(ValueError, match="^path_samples must be at least 1$"):
+            network_stats(g, FOLLOW, path_samples=path_samples)
+        with pytest.raises(ValueError, match="^path_samples must be at least 1$"):
+            network_stats(g, FOLLOW, path_samples=path_samples, seed=3)
+
+    @pytest.mark.parametrize("path_samples", [0, -3])
+    def test_sampled_path_samples_below_one(self, monkeypatch, path_samples):
+        import devgraph.graph
+        g = build_graph([F(f"n{i}", f"n{i + 1}") for i in range(4)])
+        monkeypatch.setattr(devgraph.graph, "EXACT_PATH_LIMIT", 2)
+        assert not network_stats(g, FOLLOW, path_samples=2, seed=1).paths_exact
+        with pytest.raises(ValueError, match="^path_samples must be at least 1$"):
+            network_stats(g, FOLLOW, path_samples=path_samples, seed=1)
 
 
 @settings(max_examples=50)

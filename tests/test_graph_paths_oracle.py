@@ -1,5 +1,6 @@
 """Oracles for the structural statistics: the bit-parallel BFS in
-`_path_stats` against the per-source scipy search it replaced, the
+`_path_stats` against the per-source scipy search it replaced and against
+the level scan it replaced, which gathered each level in one piece, the
 degree-ordered triangle listing in `_triangles` against the scipy
 row-block products it replaced and networkx, the hook-and-jump components
 behind `gwcc` against scipy's `connected_components`, and `network_stats`
@@ -17,7 +18,9 @@ from devgraph import graph
 from devgraph.graph import (
     FOLLOW,
     LAYERS,
+    _CSR,
     _PATH_CHUNK,
+    _entry_rows,
     _path_stats,
     _triangles,
     _weak_components,
@@ -48,6 +51,78 @@ def dijkstra_path_stats(u: sp.csr_matrix, n: int, exact: bool, path_samples: int
         diameter = max(diameter, dist.max())
     spl = total / (len(sources) * (n - 1))
     return spl, diameter
+
+
+# set bits per byte value, for level_scan_path_stats
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _popcount(bits: np.ndarray) -> int:
+    return int(_POPCOUNT[bits.view(np.uint8)].sum(dtype=np.int64))
+
+
+def level_scan_path_stats(u: _CSR, n: int, exact: bool, path_samples: int,
+                          seed) -> tuple[float, float]:
+    """The previous `_path_stats`, verbatim but for the name: every level
+    gathers the live entries' frontier rows in one piece, and a byte table
+    counts the bits.
+
+    Mean distance over ordered (source, other node) pairs and the largest
+    distance, from every node or from a seeded sample of sources.
+
+    Bit-parallel BFS (Then et al., VLDB 2014): each chunk of up to
+    _PATH_CHUNK sources keeps one bit per source in an (n, words) uint64
+    frontier and visited set. A level ORs the frontier rows of each node's
+    neighbours with one reduceat over the CSR arrays, and the new bits at
+    level d add d per bit to an exact integer total. The level gathers only
+    the entries that can add a bit: a row that some source has not reached
+    yet, and a neighbour on the frontier. A source that misses a node makes
+    both results inf."""
+    if exact:
+        sources = np.arange(n)
+    else:
+        if seed is None:
+            raise ValueError("seed required for sampled path estimation")
+        rng = np.random.default_rng(seed)
+        sources = np.sort(rng.choice(n, size=min(path_samples, n), replace=False))
+    indices = u.indices
+    entry_rows = _entry_rows(u)
+    total = 0
+    diameter = 0
+    for lo in range(0, len(sources), _PATH_CHUNK):
+        idx = sources[lo:lo + _PATH_CHUNK]
+        bit = np.arange(len(idx))
+        frontier = np.zeros((n, (len(idx) + 63) // 64), dtype=np.uint64)
+        frontier[idx, bit // 64] = np.uint64(1) << (bit % 64).astype(np.uint64)
+        visited = frontier.copy()
+        # a visited row with every source's bit set
+        full = np.bitwise_or.reduce(frontier, axis=0)
+        reached = len(idx)
+        level = 0
+        while True:
+            live = np.flatnonzero((visited != full).any(axis=1)[entry_rows]
+                                  & frontier.any(axis=1)[indices])
+            if not live.size:
+                break
+            rows = entry_rows[live]
+            # reduceat over nonempty runs of one row each
+            starts = np.flatnonzero(np.diff(rows, prepend=-1))
+            rows = rows[starts]
+            new = np.bitwise_or.reduceat(frontier[indices[live]], starts, axis=0) & ~visited[rows]
+            found = _popcount(new)
+            if not found:
+                break
+            level += 1
+            total += level * found
+            reached += found
+            visited[rows] |= new
+            frontier = np.zeros_like(frontier)
+            frontier[rows] = new
+        if reached < len(idx) * n:
+            return np.inf, np.inf
+        diameter = max(diameter, level)
+    spl = np.float64(total) / (len(sources) * (n - 1))
+    return spl, float(diameter)
 
 
 # rows of the projection squared at a time by row_block_triangles
@@ -195,6 +270,54 @@ def test_disconnected_is_inf(pairs, n):
     u = undirected(n, pairs)
     assert _path_stats(u, n, True, 1000, None) == (np.inf, np.inf)
     same(_path_stats(u, n, True, 1000, None), dijkstra_path_stats(u, n, True, 1000, None))
+
+
+@st.composite
+def shaped_graphs(draw):
+    """A random graph, a star on one or two hubs whose rows hold every
+    leaf, or a path, each optionally with an isolated node (inf) and its
+    nodes relabelled."""
+    kind = draw(st.sampled_from(["random", "star", "path"]))
+    if kind == "random":
+        return draw(graphs(max_nodes=300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "star":
+        hubs, leaves = draw(st.integers(1, 2)), draw(st.integers(1, 200))
+        pairs = [(hub, hubs + leaf) for hub in range(hubs) for leaf in range(leaves)]
+        n = hubs + leaves
+    else:
+        n = draw(st.integers(2, 300))
+        pairs = [(i, i + 1) for i in range(n - 1)]
+    if draw(st.booleans()):
+        n += 1
+    pairs = np.asarray(pairs, dtype=np.int64)
+    if draw(st.booleans()):
+        pairs = rng.permutation(n)[pairs]
+    return undirected(n, pairs), n
+
+
+@settings(max_examples=120, deadline=None)
+@given(shaped_graphs(), st.sampled_from([1, 2, 7, 64]), st.booleans(),
+       st.integers(1, 400), st.integers(0, 2**32 - 1))
+def test_blocks_match_level_scan(case, block, exact, path_samples, seed):
+    """Blocks of 1, 2, 7 and 64 entries cut every row run somewhere, and a
+    hub's row holds more entries than a block."""
+    u, n = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_PATH_BLOCK", block)
+        got = _path_stats(u, n, exact, path_samples, seed)
+    assert got == level_scan_path_stats(u, n, exact, path_samples, seed)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_hub_row_over_a_block(exact):
+    """Two hubs share 4,200 leaves, so from the first hub the second's row
+    has 4,200 live entries, more than a block of _PATH_BLOCK."""
+    leaves = graph._PATH_BLOCK + 104
+    u = undirected(leaves + 2, [(hub, 2 + leaf) for hub in (0, 1) for leaf in range(leaves)])
+    got = _path_stats(u, leaves + 2, exact, 600, 4)
+    assert got == level_scan_path_stats(u, leaves + 2, exact, 600, 4)
+    assert got[1] == 2.0
 
 
 def check_triangles(u: sp.csr_matrix, budget: int) -> None:

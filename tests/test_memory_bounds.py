@@ -7,8 +7,10 @@ multiple of the bytes of its output columns plus one chunk, the peak of
 `load_graph` on its edges file, bounded by a multiple of the bytes of its
 output layers plus one chunk, the peak of `read_query_log` on a tiled
 query log, bounded by a multiple of the bytes of its row columns plus one
-chunk, and the peak of `synth_events` on the M recipe, bounded by a
-multiple of the bytes of its output columns.
+chunk, the peak of `synth_events` on the M recipe, bounded by a
+multiple of the bytes of its output columns, and the peak of `_path_stats`
+on the M recipe's follow projection, bounded by a multiple of the bytes of
+its CSR arrays.
 
 Each function keeps little of what it allocates, so its peak is set by
 its temporaries: clustering's row-block product, the per-event arrays of
@@ -56,6 +58,12 @@ output columns (258,252 events); taking each wave's pairs all at once
 peaks at 19.0 MB (2.30 times), and the per-holder loop it replaced peaked
 at 15.6 MB (1.89 times, 253,553 events).
 
+`_path_stats` on the M follow projection (4,320 nodes, 96,970 entries,
+1.59 MB of CSR arrays; every node a source) peaks at 4.6 MB, 2.9 times
+the CSR's bytes: a few arrays of one 8-byte entry per live entry and one
+block of at most _PATH_BLOCK gathered frontier rows. Gathering each
+level's frontier rows in one piece peaked at 9.5 MB (6.0 times).
+
 Clustering's basis stays the bytes of the projection as a float64 matrix
 with int32 index arrays, whatever dtypes the arrays actually have, so a
 wider index array does not loosen its bound.
@@ -70,7 +78,8 @@ from devgraph import ingest
 from devgraph.diffusion import build_trees, producer_nodes, read_events_tsv, write_events_tsv
 from devgraph.ingest import read_query_log
 from devgraph.community import _projection
-from devgraph.graph import FOLLOW, LAYERS, _triangles, gwcc, id_mask, load_graph, write_edge_tsv
+from devgraph.graph import (FOLLOW, LAYERS, _path_stats, _triangles, gwcc, id_mask,
+                            load_graph, write_edge_tsv)
 from devgraph.intervention import rank_by_volume
 from devgraph.synth import SynthConfig, closure_fixture, planted_graph, synth_events
 
@@ -88,6 +97,8 @@ READ_QUERY_LOG_BOUND = 8
 LOAD_GRAPH_BOUND = 6
 # peak over output column bytes
 SYNTH_EVENTS_BOUND = 1.75
+# peak over the bytes of the CSR arrays
+PATH_STATS_BOUND = 4
 # renamed copies of the closure fixture's log in the query-log input
 LOG_COPIES = 120
 
@@ -195,3 +206,15 @@ def test_synth_events_peak():
     events = synth_events(cfg, g, roles)
     bound = SYNTH_EVENTS_BOUND * nbytes(events.actor, events.source, events.post, events.ts)
     assert peak_bytes(synth_events, cfg, g, roles) <= bound
+
+
+def test_path_stats_peak():
+    """Exact paths over the M follow projection: each level gathers its
+    frontier rows a block at a time, so the peak stays near the CSR's
+    bytes."""
+    g, _roles = planted_graph(scaled_config(M_SCALE))
+    assert gwcc(g, FOLLOW).all()
+    u, _m = _projection(g, FOLLOW)
+    n = len(u.indptr) - 1
+    bound = PATH_STATS_BOUND * nbytes(u.indptr, u.indices, u.data)
+    assert peak_bytes(_path_stats, u, n, True, 1000, None) <= bound
