@@ -177,10 +177,6 @@ def _with_nodes(g: LayeredGraph, nodes: dict) -> LayeredGraph:
     return LayeredGraph(g.node_ids + tuple(extra), {name: g.layer(name) for name in LAYERS})
 
 
-def _read_node_set(path: str, diagnostics: Counter) -> set[str]:
-    return set(read_phrases(path, diagnostics))
-
-
 def _read_counts_csv(path: str, diagnostics: Counter) -> dict[str, int]:
     """node,count rows; a row with a count that is not an integer is
     skipped and counted as malformed_rows."""
@@ -280,26 +276,34 @@ def _intervention(rankings, sizes, out_csv: str):
     return curves
 
 
-def _demographics(classes, age, gender, out):
-    """Class statistics, age histogram and engagement curves, each into its
-    CSV, from class codes, ages and gender codes over one numbering. The
-    engagement curves can fail; they come back in `_try` form and
-    engagement.csv is written only when they exist."""
-    out = _outdir(out)
+def _demographics(classes, age, gender, engagement, out):
+    """Class statistics and the age histogram, from class codes, ages and
+    gender codes over one numbering, and the engagement curves unless they
+    are None, each into its CSV once all are computed."""
     stats = class_demographics(classes, age, gender)
+    histogram = age_histogram(classes, age)
+    out = _outdir(out)
     write_class_demographics_csv(stats, str(out / "class_demographics.csv"))
-    write_age_histogram_csv(age_histogram(classes, age), str(out / "age_histogram.csv"))
-    engagement = _try(lambda: engagement_by_age(classes, age, gender))
-    if engagement["value"] is not None:
-        write_engagement_csv(engagement["value"], str(out / "engagement.csv"))
-    return stats, engagement
+    write_age_histogram_csv(histogram, str(out / "age_histogram.csv"))
+    if engagement is not None:
+        write_engagement_csv(engagement, str(out / "engagement.csv"))
+    return stats
 
 
-def _try(fn):
+def _try(block: str, fn):
+    """fn(), the report entry of `block` of a pipeline run. A ValueError
+    instead becomes {"value": None, "error": message}, named on stderr, and
+    the run goes on; fn computes before it writes, so it leaves no file."""
     try:
-        return {"value": fn(), "error": None}
+        return fn()
     except ValueError as exc:
+        print(f"pipeline: {block} failed: {exc}", file=sys.stderr)
         return {"value": None, "error": str(exc)}
+
+
+def _value(value) -> dict:
+    """The report entry of a value that is reported with its error."""
+    return {"value": value, "error": None}
 
 
 def _fields(obj, *drop: str) -> dict:
@@ -414,7 +418,7 @@ def cmd_diffusion(args) -> int:
     _classes, report = _diffusion(g, trees, id_codes(g.node_ids, trees.ids),
                                   *_role_masks(g, roles), diagnostics, args.out)
     if args.efficiency_set:
-        members = _read("diffusion", _read_node_set, args.efficiency_set)
+        members = set(_read("diffusion", read_phrases, args.efficiency_set))
         eta = spread_efficiency(id_mask(trees.ids, members), len(members), trees,
                                 inverse=bool(args.inverse))
         print(f"diffusion: trees={len(trees)} efficiency={eta:.6g}")
@@ -427,8 +431,8 @@ def cmd_diffusion(args) -> int:
 def cmd_perception(args) -> int:
     config = _config_of(args)
     g = _read("perception", load_graph, args.edges)
-    active = id_mask(g.node_ids, _read("perception", _read_node_set, args.active))
-    exclude = (id_mask(g.node_ids, _read("perception", _read_node_set, args.exclude))
+    active = id_mask(g.node_ids, set(_read("perception", read_phrases, args.active)))
+    exclude = (id_mask(g.node_ids, set(_read("perception", read_phrases, args.exclude)))
                if args.exclude else None)
     curve = perception_curve(g, args.layer, active, exclude=exclude,
                              **_given(args, config, step=float))
@@ -482,9 +486,8 @@ def cmd_demographics(args) -> int:
     classes = _read("demographics", read_classes_csv, args.classes)
     demo = _read("demographics", read_demographics_csv, args.demo)
     codes = np.array([_RANK[cls] for cls in classes.values()], dtype=np.int64)  # by row
-    stats, engagement = _demographics(codes, *demo.over(classes), args.out)
-    if engagement["error"]:
-        raise ValueError(engagement["error"])
+    age, gender = demo.over(classes)
+    stats = _demographics(codes, age, gender, engagement_by_age(codes, age, gender), args.out)
     print(f"demographics: classes={len(stats)} covered="
           f"{sum(s.covered for s in stats.values())} -> {Path(args.out)}")
     return 0
@@ -496,68 +499,16 @@ def cmd_pipeline(args) -> int:
     """Synthesize a fixture, then run every stage on it with the same stage
     functions as the subcommands, and gather the results in report.json.
     --config holds the fixture's settings only; the run's options are flags,
-    checked before anything is written."""
+    checked before anything is written. Past the fixture, the forest and
+    the class codes, every report block runs under `_try`."""
     cfg = _synth_config(args)
-    samples = 5 if args.samples is None else args.samples
-    swaps = 10 if args.swaps_per_edge is None else args.swaps_per_edge
-    step = 0.05 if args.step is None else args.step
     sizes = _sizes(args, {})
-    _check_samples(samples)
-    _check_swaps_per_edge(swaps)
-    _check_step(step)
+    _check_samples(args.samples)
+    _check_swaps_per_edge(args.swaps_per_edge)
+    _check_step(args.step)
     _check_sizes(sizes)
     out = _outdir(args.out)
     g, roles, fx, events, demo = _write_fixture(cfg, out)
-
-    log = _read("pipeline", read_query_log, str(out / "log.tsv"))
-    extraction = _extract(log, _read("pipeline", read_phrases, str(out / "seeds.txt")), out)
-
-    stats = {layer: asdict(network_stats(g, layer, seed=cfg.seed))
-             for layer in LAYERS if g.n_edges(layer) > 0}
-
-    part = louvain(g, FOLLOW, seed=cfg.seed)
-    write_partition_csv(part, str(out / "partition.csv"))
-    comm_sizes = sorted(np.bincount(part.membership).tolist(), reverse=True)
-
-    connectivity = {}
-    for name, mode in _MODES.items():
-        mat = group_matrix(g, REBLOG, roles, mode=mode,
-                           samples=samples, seed=cfg.seed, swaps_per_edge=swaps)
-        write_group_matrix_csv(mat, str(out / f"matrix_{name}.csv"))
-        connectivity[name] = mat.as_dict()
-
-    trees, diagnostics = _trees("pipeline", roles, "events.tsv", events)
-    # the forest holds all the later stages read of the event log
-    n_events = len(events)
-    del events
-    producers, bridges = _role_masks(g, roles)
-    at = id_codes(g.node_ids, trees.ids)
-    classes, reach = _diffusion(g, trees, at, producers, bridges, diagnostics, out)
-    efficiency = {name: _try(lambda: spread_efficiency(
-        members[at] & (at >= 0), int(members.sum()), trees, inverse=name == "producers"))
-        for name, members in (("producers", producers), ("bridges", bridges))}
-
-    active = producers | class_mask(classes, ACTIVE_CLASSES)
-    degree = g.out_degrees(REBLOG) + g.in_degrees(REBLOG)
-    curve = perception_curve(g, FOLLOW, active, exclude=producers, step=step)
-    write_curves_csv([curve], str(out / "perception.csv"))
-    paradox = _try(lambda: volume_paradox_fraction(g, FOLLOW, degree, active & (degree > 0),
-                                                   exclude=producers))
-
-    by_volume = rank_by_volume(trees)
-    by_degree = id_codes(trees.ids, g.node_ids)[rank_by_degree(g)]
-    rankings = {"by_volume": (by_volume, _death_rank(trees, by_volume), BY_VOLUME),
-                "by_degree": (by_degree, _death_rank(trees, by_degree), BY_DEGREE)}
-    curves = _intervention(rankings.values(), sizes, str(out / "shrinkage.csv"))
-    shrinkage = {key: _fields(sc, "strategy") for key, sc in zip(rankings, curves)}
-    ages = demo.over(trees.ids)[0]
-    underage = _try(lambda: asdict(_threshold(rankings["by_volume"][1], ages)))
-
-    demo_stats, engagement = _demographics(classes, *demo.over(g.node_ids), out)
-    if engagement["value"] is not None:
-        engagement["value"] = {gender: _fields(c, "gender")
-                               for gender, c in engagement["value"].items()}
-
     report = {
         "schema_version": SCHEMA_VERSION,
         "seed": cfg.seed,
@@ -565,30 +516,87 @@ def cmd_pipeline(args) -> int:
         "fixture": {"nodes": g.n_nodes,
                     "edges": {layer: g.n_edges(layer) for layer in LAYERS},
                     "log_rows": len(fx.log_lines),
-                    "events": n_events,
-                    "demographic_rows": len(demo)},
-        "extraction": {
-            "converged": extraction.converged,
-            "iterations_run": extraction.iterations_run,
-            "keywords": len(extraction.state.keywords),
-            "blogs": len(extraction.state.blogs),
-            "keyword_trace": [r.keywords for r in extraction.trajectory],
-            "blog_trace": [r.blogs for r in extraction.trajectory],
-            "final_keywords": sorted(extraction.state.keywords),
-            "final_blogs": sorted(extraction.state.blogs)},
-        "stats": stats,
-        "communities": {"modularity": part.modularity,
-                        "count": len(comm_sizes), "sizes": comm_sizes},
-        "connectivity": connectivity,
-        "diffusion": {"trees": len(trees), "reach": asdict(reach),
-                      "efficiency": efficiency},
-        "perception": {**_fields(curve, "layer"), "paradox_fraction": paradox},
-        "intervention": {**shrinkage, "underage": underage},
-        "demographics": {
-            "classes": {name: {"class": name, **_fields(s, "class_name")}
-                        for name, s in demo_stats.items()},
-            "engagement": engagement},
-    }
+                    "events": len(events),
+                    "demographic_rows": len(demo)}}
+
+    def extraction():
+        log = _read("pipeline", read_query_log, str(out / "log.tsv"))
+        result = _extract(log, _read("pipeline", read_phrases, str(out / "seeds.txt")), out)
+        return {"converged": result.converged,
+                "iterations_run": result.iterations_run,
+                "keywords": len(result.state.keywords),
+                "blogs": len(result.state.blogs),
+                "keyword_trace": [r.keywords for r in result.trajectory],
+                "blog_trace": [r.blogs for r in result.trajectory],
+                "final_keywords": sorted(result.state.keywords),
+                "final_blogs": sorted(result.state.blogs)}
+    report["extraction"] = _try("extraction", extraction)
+    report["stats"] = {layer: _try(f"stats.{layer}",
+                                   lambda: asdict(network_stats(g, layer, seed=cfg.seed)))
+                       for layer in LAYERS if g.n_edges(layer) > 0}
+
+    def communities():
+        part = louvain(g, FOLLOW, seed=cfg.seed)
+        write_partition_csv(part, str(out / "partition.csv"))
+        counts = sorted(np.bincount(part.membership).tolist(), reverse=True)
+        return {"modularity": part.modularity, "count": len(counts), "sizes": counts}
+    report["communities"] = _try("communities", communities)
+
+    def connectivity(name, mode):
+        mat = group_matrix(g, REBLOG, roles, mode=mode, samples=args.samples,
+                           seed=cfg.seed, swaps_per_edge=args.swaps_per_edge)
+        write_group_matrix_csv(mat, str(out / f"matrix_{name}.csv"))
+        return mat.as_dict()
+    report["connectivity"] = {name: _try(f"connectivity.{name}", lambda: connectivity(name, mode))
+                              for name, mode in _MODES.items()}
+
+    trees, diagnostics = _trees("pipeline", roles, "events.tsv", events)
+    # the forest holds all the later stages read of the event log
+    del events
+    producers, bridges = _role_masks(g, roles)
+    at = id_codes(g.node_ids, trees.ids)
+    classes, reach = _diffusion(g, trees, at, producers, bridges, diagnostics, out)
+    report["diffusion"] = {"trees": len(trees), "reach": asdict(reach), "efficiency": {
+        name: _try(f"diffusion.efficiency.{name}", lambda: _value(spread_efficiency(
+            members[at] & (at >= 0), int(members.sum()), trees, inverse=name == "producers")))
+        for name, members in (("producers", producers), ("bridges", bridges))}}
+
+    def perception():
+        active = producers | class_mask(classes, ACTIVE_CLASSES)
+        degree = g.out_degrees(REBLOG) + g.in_degrees(REBLOG)
+        curve = perception_curve(g, FOLLOW, active, exclude=producers, step=args.step)
+        paradox = _try("perception.paradox_fraction", lambda: _value(volume_paradox_fraction(
+            g, FOLLOW, degree, active & (degree > 0), exclude=producers)))
+        write_curves_csv([curve], str(out / "perception.csv"))
+        return {**_fields(curve, "layer"), "paradox_fraction": paradox}
+    report["perception"] = _try("perception", perception)
+
+    def intervention():
+        by_volume = rank_by_volume(trees)
+        by_degree = id_codes(trees.ids, g.node_ids)[rank_by_degree(g)]
+        rankings = {"by_volume": (by_volume, _death_rank(trees, by_volume), BY_VOLUME),
+                    "by_degree": (by_degree, _death_rank(trees, by_degree), BY_DEGREE)}
+        ages = demo.over(trees.ids)[0]
+        underage = _try("intervention.underage",
+                        lambda: _value(asdict(_threshold(rankings["by_volume"][1], ages))))
+        curves = _intervention(rankings.values(), sizes, str(out / "shrinkage.csv"))
+        return {**{key: _fields(sc, "strategy") for key, sc in zip(rankings, curves)},
+                "underage": underage}
+    report["intervention"] = _try("intervention", intervention)
+
+    def demographics():
+        age, gender = demo.over(g.node_ids)
+        engagement = _try("demographics.engagement",
+                          lambda: _value(engagement_by_age(classes, age, gender)))
+        stats = _demographics(classes, age, gender, engagement["value"], out)
+        if engagement["value"] is not None:
+            engagement["value"] = {key: _fields(c, "gender")
+                                   for key, c in engagement["value"].items()}
+        return {"classes": {name: {"class": name, **_fields(s, "class_name")}
+                            for name, s in stats.items()},
+                "engagement": engagement}
+    report["demographics"] = _try("demographics", demographics)
+
     _json_dump(report, out / "report.json")
     print(f"pipeline: report written to {out / 'report.json'}")
     return 0
@@ -708,9 +716,9 @@ def build_parser() -> argparse.ArgumentParser:
                                         "write report.json")
     _add_common(p, seed_required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--swaps-per-edge", dest="swaps_per_edge", type=int)
-    p.add_argument("--step", type=float)
+    p.add_argument("--samples", type=int, default=5)
+    p.add_argument("--swaps-per-edge", dest="swaps_per_edge", type=int, default=10)
+    p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--sizes", help="comma-separated removal sizes")
     p.set_defaults(func=cmd_pipeline)
 
@@ -733,9 +741,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        name = exc.filename or str(exc)
-        print(f"error: missing input file: {name}", file=sys.stderr)
+    except OSError as exc:
+        # a file the command could not read or write, input or output alike
+        print(f"error: {exc.strerror}: {exc.filename}" if exc.filename else f"error: {exc}",
+              file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

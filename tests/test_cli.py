@@ -1,11 +1,17 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import devgraph.cli
 from devgraph.cli import main
 from devgraph.community import read_partition_csv, write_role_map_csv
 from devgraph.demographics import ACTIVE_CLASSES
@@ -63,6 +69,28 @@ def test_missing_input_names_path(tmp_path, capsys):
                "--out", str(tmp_path / "s.json")])
     assert rc == 1
     assert "nope.tsv" in capsys.readouterr().err
+
+
+def test_existing_file_as_output_directory(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["pipeline", "--seed", "1", "--out", str(taken)]) == 1
+    assert capsys.readouterr().err == f"error: File exists: {taken}\n"
+
+
+def test_directory_as_input_file(tmp_path, capsys):
+    rc = main(["stats", "--edges", str(tmp_path), "--out", str(tmp_path / "s.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: Is a directory: {tmp_path}\n"
+
+
+def test_output_in_missing_directory(fixture_dir, tmp_path, capsys):
+    """An output path that cannot be made is named as the path it is, not as
+    a missing input."""
+    out = tmp_path / "nowhere" / "s.json"
+    rc = main(["stats", "--edges", str(fixture_dir / "edges.tsv"), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: No such file or directory: {out}\n"
 
 
 def test_synth_outputs_and_determinism(tmp_path):
@@ -522,6 +550,24 @@ def test_intervene_greedy(fixture_dir, tmp_path):
     assert "Greedy" in out.read_text()
 
 
+def test_intervene_greedy_ranks_once_through_cli_binding(fixture_dir, tmp_path, monkeypatch):
+    """The benchmark's greedy warm-up probe replaces
+    `devgraph.cli.adaptive_greedy_ranking` and expects one ranking of the
+    largest size, so `intervene` must call it through that binding, once."""
+    rank = devgraph.cli.adaptive_greedy_ranking
+    rankings = []
+
+    def probe(*args, **kwargs):
+        rankings.append(rank(*args, **kwargs))
+        return rankings[-1]
+
+    monkeypatch.setattr(devgraph.cli, "adaptive_greedy_ranking", probe)
+    assert main(["intervene", "--events", str(fixture_dir / "events.tsv"),
+                 "--labels", str(fixture_dir / "labels.csv"), "--strategy", "greedy",
+                 "--sizes", "0,1,3", "--out", str(tmp_path / "greedy.csv")]) == 0
+    assert [len(r) for r in rankings] == [3]
+
+
 @pytest.mark.parametrize("command", ["diffusion", "intervene"])
 def test_bad_posts_skipped_and_reported(fixture_dir, tmp_path, capsys, command):
     events = (fixture_dir / "events.tsv").read_text()
@@ -747,6 +793,24 @@ def test_demographics_stage(fixture_dir, tmp_path):
     header = (out / "class_demographics.csv").read_text().splitlines()[0]
     assert header.startswith("class,size,covered")
     assert len(read_classes_csv(str(diff_out / "classes.csv"))) > 0
+
+
+def test_demographics_failed_engagement_writes_nothing(tmp_path, capsys):
+    """Engagement that cannot be computed fails the command before any of
+    its files is written."""
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text("seed=3\ndemo_coverage=0.0\n", encoding="utf-8")
+    fx = tmp_path / "fx"
+    assert main(["synth", "--config", str(cfg), "--out", str(fx)]) == 0
+    assert main(["diffusion", "--edges", str(fx / "edges.tsv"), "--events", str(fx / "events.tsv"),
+                 "--labels", str(fx / "labels.csv"), "--out", str(tmp_path / "diff")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "demo"
+    rc = main(["demographics", "--demo", str(fx / "demographics.csv"),
+               "--classes", str(tmp_path / "diff" / "classes.csv"), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: need at least 2 bands with data for male\n"
+    assert list(out.glob("**/*")) == []
 
 
 def test_pipeline_byte_identical_reports(tmp_path):
@@ -1013,3 +1077,173 @@ def test_pipeline_and_extract_import_no_numpy_ma(tmp_path):
         subprocess.run([sys.executable, "-c", code], env=env, check=True,
                        stdout=subprocess.DEVNULL)
     assert (tmp_path / "extract" / "keywords.txt").is_file()
+
+
+# -- one failure rule for every report block ---------------------------
+
+# the files each report block writes into a pipeline run's directory
+BLOCK_FILES = {
+    "extraction": ("keywords.txt", "blogs.txt", "trajectory.csv"),
+    "communities": ("partition.csv",),
+    **{f"connectivity.{mode}": (f"matrix_{mode}.csv",)
+       for mode in ("avg_volume", "density", "null_ratio")},
+    "perception": ("perception.csv",),
+    "intervention": ("shrinkage.csv",),
+    "demographics": ("class_demographics.csv", "age_histogram.csv", "engagement.csv"),
+    "demographics.engagement": ("engagement.csv",),
+}
+# the values reported in {"value", "error"} form even when they exist
+NESTED = {"diffusion.efficiency.producers", "diffusion.efficiency.bridges",
+          "perception.paradox_fraction", "intervention.underage", "demographics.engagement"}
+REPORT_KEYS = {"schema_version", "seed", "config", "fixture", "extraction", "stats",
+               "communities", "connectivity", "diffusion", "perception", "intervention",
+               "demographics"}
+SMALL = SynthConfig(seed=5, n_producer_one=10, n_producer_two=10, n_bridge_one=10,
+                    n_bridge_two=10, n_outer=20, posts_per_producer=1)
+
+
+def run_pipeline(cfg: SynthConfig, root: Path):
+    """`pipeline` on cfg into root/r: exit code, stdout and stderr."""
+    write_config(cfg, str(root / "synth.cfg"))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(["pipeline", "--config", str(root / "synth.cfg"),
+                   "--seed", str(cfg.seed), "--out", str(root / "r")])
+    return rc, out.getvalue(), err.getvalue()
+
+
+def failed_blocks(entry, path=()) -> dict[str, str]:
+    """{dotted report path: error} of the entries of a report that failed."""
+    if not isinstance(entry, dict):
+        return {}
+    if entry.keys() == {"value", "error"}:
+        return {} if entry["error"] is None else {".".join(path): entry["error"]}
+    return {block: error for key, value in entry.items()
+            for block, error in failed_blocks(value, path + (key,)).items()}
+
+
+def parent_of(report: dict, block: str):
+    """The entry holding the dotted report path `block`, and its last key."""
+    *parents, key = block.split(".")
+    for name in parents:
+        report = report[name]
+    return report, key
+
+
+def assert_blocks_fail_alone(out: Path, err: str):
+    """report.json holds every block, each a value or an error; each error is
+    named on stderr, each value under NESTED is in {"value", "error"} form,
+    and a failed block left none of its files. Returns the report and its
+    failed blocks."""
+    report = json.loads((out / "report.json").read_bytes())
+    assert report.keys() == REPORT_KEYS
+    assert report["connectivity"].keys() == {"avg_volume", "density", "null_ratio"}
+    failed = failed_blocks(report)
+    assert sorted(line for line in err.splitlines() if " failed: " in line) == sorted(
+        f"pipeline: {block} failed: {error}" for block, error in failed.items())
+    for block in NESTED:
+        entry, key = parent_of(report, block)
+        if "error" not in entry:
+            assert entry[key].keys() == {"value", "error"}, block
+    for block in failed:
+        for name in BLOCK_FILES.get(block, ()):
+            assert not (out / name).exists(), (block, name)
+    return report, failed
+
+
+def without(report: dict, blocks) -> dict:
+    """A copy of report without the entries at the dotted paths `blocks`."""
+    report = json.loads(json.dumps(report))
+    for block in blocks:
+        entry, key = parent_of(report, block)
+        del entry[key]
+    return report
+
+
+def run_files(out: Path) -> dict[str, bytes]:
+    """The files of a run's directory but report.json, by name."""
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "report.json"}
+
+
+@pytest.mark.parametrize("edge, blocks", [
+    ({"posts_per_producer": 0}, {"intervention": "no baseline consumers: trees are empty"}),
+    ({"max_cascade_depth": 0}, {"intervention": "no baseline consumers: trees are empty"}),
+    ({"cascade_join_prob": 0.0}, {"intervention": "no baseline consumers: trees are empty"}),
+    ({"reblog_given_follow": 0.0},
+     {"connectivity.null_ratio": "layer needs at least 2 edges to rewire",
+      "intervention": "reblog layer has no edges"}),
+], ids=["posts", "depth", "join", "reblogs"])
+def test_pipeline_edge_configs_fail_block_by_block(tmp_path, edge, blocks):
+    """A fixture without cascades or without reblogs still gets its
+    report.json: the blocks that cannot be computed are named errors, and
+    every other block is there."""
+    rc, out, err = run_pipeline(SynthConfig(seed=3, **edge), tmp_path)
+    assert rc == 0
+    assert out == f"pipeline: report written to {tmp_path / 'r' / 'report.json'}\n"
+    _report, failed = assert_blocks_fail_alone(tmp_path / "r", err)
+    assert {block: error for block, error in failed.items() if block not in NESTED} == blocks
+
+
+@pytest.fixture(scope="module")
+def clean_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("clean")
+    rc, _out, err = run_pipeline(SMALL, root)
+    assert rc == 0
+    report, failed = assert_blocks_fail_alone(root / "r", err)
+    assert failed == {}
+    return report, run_files(root / "r")
+
+
+@pytest.mark.parametrize("function, blocks", [
+    ("extract_deviant_graph", {"extraction"}),
+    ("network_stats", {"stats.F", "stats.R"}),
+    ("louvain", {"communities"}),
+    ("group_matrix", {"connectivity.avg_volume", "connectivity.density",
+                      "connectivity.null_ratio"}),
+    ("perception_curve", {"perception"}),
+    ("rank_by_volume", {"intervention"}),
+    ("class_demographics", {"demographics"}),
+    ("spread_efficiency", {"diffusion.efficiency.producers", "diffusion.efficiency.bridges"}),
+    ("volume_paradox_fraction", {"perception.paradox_fraction"}),
+    ("_threshold", {"intervention.underage"}),
+    ("engagement_by_age", {"demographics.engagement"}),
+])
+def test_injected_failure_fails_its_block_alone(clean_run, tmp_path, monkeypatch,
+                                                function, blocks):
+    """A ValueError inside one block, or inside one value reported with its
+    error, makes exactly that entry an error and leaves none of its files;
+    every other entry and file is the clean run's."""
+    def injected(*args, **kwargs):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(devgraph.cli, function, injected)
+    rc, _out, err = run_pipeline(SMALL, tmp_path)
+    assert rc == 0
+    report, failed = assert_blocks_fail_alone(tmp_path / "r", err)
+    assert failed == dict.fromkeys(blocks, "injected")
+    clean_report, clean_files = clean_run
+    assert without(report, blocks) == without(clean_report, blocks)
+    gone = {name for block in blocks for name in BLOCK_FILES.get(block, ())}
+    assert run_files(tmp_path / "r") == {name: data for name, data in clean_files.items()
+                                         if name not in gone}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.builds(
+    SynthConfig, seed=st.integers(0, 99),
+    n_producer_one=st.integers(10, 30), n_producer_two=st.integers(10, 30),
+    n_bridge_one=st.integers(10, 25), n_bridge_two=st.integers(10, 25),
+    n_outer=st.integers(10, 160),
+    p_intra_producer=st.sampled_from([0.0, 0.35]), p_producer_bridge=st.sampled_from([0.0, 0.1]),
+    p_outer_outer=st.sampled_from([0.0, 0.008]),
+    reblog_given_follow=st.sampled_from([0.0, 0.02, 0.5]),
+    posts_per_producer=st.integers(0, 2), cascade_join_prob=st.sampled_from([0.0, 0.1, 0.6]),
+    max_cascade_depth=st.integers(0, 4), demo_coverage=st.sampled_from([0.0, 0.05, 0.9])))
+def test_pipeline_near_edge_configs_exit_zero(cfg):
+    """Fixtures near the edges (no posts, no depth, no reblogs, zero
+    probabilities, little coverage) give exit 0 and a report whose every
+    block is a value or a named error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, _out, err = run_pipeline(cfg, Path(tmp))
+        assert rc == 0, err
+        assert_blocks_fail_alone(Path(tmp) / "r", err)

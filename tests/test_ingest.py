@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devgraph.cli import _SKIP_REASONS, _read_counts_csv, _read_node_set
+from devgraph.cli import _SKIP_REASONS, _read_counts_csv
 from devgraph.community import read_partition_csv, read_role_map_csv
 from devgraph.demographics import read_demographics_csv
 from devgraph.diffusion import ConsumerClass, read_classes_csv, read_events_tsv
@@ -278,7 +278,6 @@ READERS = {
     "classes": (read_classes_csv, b"node,class\na,producer\n", {"a": ConsumerClass.PRODUCER}),
     "demographics": (_read_demographics, b"node,age,gender\na,30,male\n",
                      {"a": DemographicRecord("a", 30, "male")}),
-    "node_set": (_read_node_set, b"a\n", {"a"}),
     "counts": (_read_counts_csv, b"node,count\na,4\n", {"a": 4}),
     "phrases": (read_phrases, b"a phrase\n", ["a phrase"]),
     "events": (_read_events, b"a\tp\tx\t1\n", [ReblogEvent("a", "p", "x", 1.0)]),
@@ -289,7 +288,7 @@ READERS = {
 
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_csv_readers_skip_undecodable_lines(tmp_path, name):
-    """Every reader, CSV, node-set, edge, event and log alike, drops a line
+    """Every reader, CSV, phrase, edge, event and log alike, drops a line
     that is not UTF-8 and counts it as `undecodable_lines`."""
     reader, text, expected = READERS[name]
     path = tmp_path / "in.csv"
